@@ -21,7 +21,6 @@ from .equations import (
     lost_count,
     primitive_sets,
     residue_relation,
-    rref_of,
     top_level,
 )
 from .errors import (

@@ -416,7 +416,7 @@ def parse_document(data: Any, path: str = "$") -> AnalysisDocument:
         periods = RawPeriods(basis_values, lam_values, exact)
 
     deformations = []
-    for k, item in enumerate(data.get("deformations") or []):
+    for k, item in enumerate(_optional(data, "deformations", list, path) or []):
         dp = f"{path}.deformations[{k}]"
         item = _expect(item, dict, dp)
         deformations.append(

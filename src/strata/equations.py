@@ -238,11 +238,6 @@ class EquationSystem:
         return linalg.in_span(cycle.to_vector(), reduced, pivots)
 
 
-def rref_of(system: EquationSystem) -> tuple[tuple[Equation, ...], tuple[tuple[str, str], ...]]:
-    """Row-reduced equation list and its pivot map (carrier keys, row order)."""
-    return system.rref_rows, system.pivots
-
-
 def system_violations(system: EquationSystem) -> list[Violation]:
     out: list[Violation] = []
     if system.real:
@@ -376,13 +371,6 @@ def cross_equivalence_classes(system: EquationSystem) -> tuple[frozenset[str], .
     for e in parent:
         groups.setdefault(find(e), set()).add(e)
     return tuple(frozenset(groups[root]) for root in sorted(groups))
-
-
-def class_of(system: EquationSystem, eid: str) -> frozenset[str]:
-    for cls in cross_equivalence_classes(system):
-        if eid in cls:
-            return cls
-    raise SystemDataError(f"{eid} is not a horizontal edge")
 
 
 def primitive_sets(system: EquationSystem, limit: int = 12) -> tuple[frozenset[str], ...]:

@@ -108,9 +108,6 @@ class GaussianRational:
     def is_real(self) -> bool:
         return self.im == 0
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def as_fraction(self) -> Fraction:
         if self.im != 0:
             raise ValueError(f"{self} is not rational")

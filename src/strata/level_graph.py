@@ -199,7 +199,7 @@ def validate(graph: EnhancedLevelGraph) -> list[Violation]:
         if m.vertex not in graph._vertex_map:
             out.append(Violation(f"marking on {m.vertex}", "endpoints", "unknown vertex"))
 
-    if any(v.rule in ("endpoints", "unique-ids", "kind", "enhancement") for v in out):
+    if any(v.rule in ("endpoints", "unique-ids", "kind", "enhancement", "orientation") for v in out):
         return out
 
     # Per-vertex order balance: markings plus edge-end orders sum to 2g - 2.

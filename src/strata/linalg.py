@@ -4,13 +4,18 @@ Vectors are lists of GaussianRational.  Row reduction is fully reduced
 (pivots 1, zeros above and below) so that the row basis of a span is a
 canonical function of the span and the fixed column order; every downstream
 determinism guarantee leans on that.
+
+``rref`` eliminates fraction-free: rows are scaled to Gaussian integers held
+as int pairs, Gauss-Jordan steps divide exactly by the previous pivot
+(Bareiss), and the canonical rows come from one final division, the only place
+rationals are built.  ``bareiss_det`` uses the same idea over Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .gaussian import ZERO, ONE, GaussianRational
@@ -41,34 +46,80 @@ def rref(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[Vector], list
 
     Returns the nonzero rows (pivot entries 1, pivot columns cleared) and the
     pivot column index of each row, in row order.
+
+    Fraction-free Gauss-Jordan over Z[i] (Bareiss 1968): each row is scaled
+    to Gaussian integers, and at a pivot ``p`` every other row becomes
+    ``(p * row - row[c] * pivot_row) / d`` with ``d`` the previous pivot.
+    Sylvester's identity makes that division exact, and afterwards every
+    processed pivot equals ``d``, so one final division by ``d`` yields the
+    canonical rows.
     """
-    work = [list(r) for r in rows]
+    work: list[tuple[list[int], list[int]]] = []
+    for row in rows:
+        row = list(row)
+        den = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
+        work.append(
+            (
+                [x.re.numerator * (den // x.re.denominator) for x in row],
+                [x.im.numerator * (den // x.im.denominator) for x in row],
+            )
+        )
     if not work:
         return [], []
-    ncols = len(work[0])
-    out: list[Vector] = []
+    ncols = len(work[0][0])
     pivots: list[int] = []
+    d_re, d_im = 1, 0
     r = 0
     for c in range(ncols):
-        pivot_row = None
         for k in range(r, len(work)):
-            if work[k][c]:
-                pivot_row = k
+            if work[k][0][c] or work[k][1][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = ONE / work[r][c]
-        work[r] = vec_scale(inv, work[r])
-        for k in range(len(work)):
-            if k != r and work[k][c]:
-                factor = work[k][c]
-                work[k] = vec_sub(work[k], vec_scale(factor, work[r]))
+        work[r], work[k] = work[k], work[r]
+        y_re, y_im = work[r]
+        p_re, p_im = y_re[c], y_im[c]
+        support = [j for j in range(ncols) if y_re[j] or y_im[j]]
+        norm = d_re * d_re + d_im * d_im
+        for k, (x_re, x_im) in enumerate(work):
+            if k == r:
+                continue
+            a_re, a_im = x_re[c], x_im[c]
+            for j in range(ncols):
+                xr, xi = x_re[j], x_im[j]
+                if xr or xi:
+                    x_re[j] = p_re * xr - p_im * xi
+                    x_im[j] = p_re * xi + p_im * xr
+            if a_re or a_im:
+                for j in support:
+                    yr, yi = y_re[j], y_im[j]
+                    x_re[j] -= a_re * yr - a_im * yi
+                    x_im[j] -= a_re * yi + a_im * yr
+            # d may be a unit other than 1 (-1, i, -i): only d == 1 is a no-op.
+            if d_im or d_re != 1:
+                for j in range(ncols):
+                    xr, xi = x_re[j], x_im[j]
+                    if xr or xi:
+                        x_re[j] = (xr * d_re + xi * d_im) // norm
+                        x_im[j] = (xi * d_re - xr * d_im) // norm
+        d_re, d_im = p_re, p_im
         pivots.append(c)
         r += 1
         if r == len(work):
             break
-    out = work[:r]
+    norm = d_re * d_re + d_im * d_im
+    out: list[Vector] = []
+    for x_re, x_im in work[:r]:
+        out.append(
+            [
+                GaussianRational(
+                    Fraction(xr * d_re + xi * d_im, norm), Fraction(xi * d_re - xr * d_im, norm)
+                )
+                if xr or xi
+                else ZERO
+                for xr, xi in zip(x_re, x_im)
+            ]
+        )
     return out, pivots
 
 
@@ -216,8 +267,6 @@ def clear_denominators(values: Sequence[Fraction]) -> list[int]:
     """Scale rationals to coprime integers, preserving signs and ratios."""
     if not values:
         return []
-    from math import lcm
-
     denom = lcm(*(v.denominator for v in values))
     ints = [int(v * denom) for v in values]
     g = 0

@@ -116,7 +116,7 @@ def convert(system: EquationSystem, assume_theorems: bool = False) -> list[Plumb
                     missing=f"lambda[{eid}] ~ lambda[{ref}]",
                 )
             q = pair(eq.cycle, eid) * rho
-            if not q.is_rational():
+            if not q.is_real():
                 raise ConversionError(
                     f"row {k}: period ratio between {eid} and {ref} is not rational",
                     missing=f"rational ratio lambda[{eid}] ~ lambda[{ref}]",

@@ -65,6 +65,29 @@ def test_missing_vertex_is_violation(tmp_path):
     assert "ghost" in output
 
 
+def test_unknown_top_vertex_is_orientation_violation(tmp_path):
+    doc = json.loads((FIXTURES / "intro_two_level.json").read_text())
+    doc["graph"]["edges"][0]["top"] = "nosuch"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, output = run_cli("validate", str(bad))
+    assert code == 1
+    assert "orientation" in output
+
+
+def test_non_array_deformations_is_parse_error(tmp_path):
+    doc = json.loads((FIXTURES / "intro_two_level.json").read_text())
+    doc["deformations"] = 7
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DocumentParseError) as raised:
+        parse_document(doc)
+    assert raised.value.position == "$.deformations"
+    code, output = run_cli("validate", str(bad))
+    assert code == 64
+    assert "$.deformations" in output
+
+
 def test_unknown_basis_reference_is_violation(tmp_path):
     doc = json.loads((FIXTURES / "three_node_pinch.json").read_text())
     doc["system"]["equations"][0]["coeffs"]["zz"] = "1"

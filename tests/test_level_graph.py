@@ -202,6 +202,13 @@ def test_vertical_edge_requires_enhancement_and_top():
         [Marking("a", 0), Marking("b", 2)],
     )
     assert any(v.rule == "orientation" for v in validate(wrong_top))
+    for top in ("nosuch", None):
+        unknown_top = EnhancedLevelGraph(
+            [Vertex("a", 1, 0), Vertex("b", 1, -1)],
+            [Edge("e", ("a", "b"), top=top, kappa=1)],
+            [Marking("a", 0), Marking("b", 2)],
+        )
+        assert [v.rule for v in validate(unknown_top)] == ["orientation"]
     bad_kappa = EnhancedLevelGraph(
         [Vertex("a", 1, 0), Vertex("b", 1, -1)],
         [Edge("e", ("a", "b"), top="a", kappa=0)],
