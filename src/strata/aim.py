@@ -108,6 +108,13 @@ def _require_valid(data: SymplecticData, system: EquationSystem) -> None:
         raise AimError(f"symplectic data rejected: {problems[0]}")
 
 
+def _require_minimal(system: EquationSystem, data: SymplecticData | None) -> None:
+    if not system.minimal_stratum:
+        raise AimError("minimal stratum required")
+    if data is not None:
+        _require_valid(data, system)
+
+
 @dataclass(frozen=True)
 class SubspaceReport:
     """A subspace in absolute homology coordinates with its restricted form."""
@@ -118,13 +125,6 @@ class SubspaceReport:
     symplectic: bool
 
 
-def _constraint_cycles(system: EquationSystem) -> list[Cycle]:
-    cycles = [eq.cycle for eq in system.rref_rows]
-    cycles += [rel for rel, _ in system.relations.relations]
-    cycles += system.ratios.forms(system.basis)
-    return cycles
-
-
 def _subspace_report(j_matrix, vectors: Sequence[Sequence[GaussianRational]]) -> SubspaceReport:
     reduced, _ = linalg.rref(vectors)
     dim = len(reduced)
@@ -133,7 +133,7 @@ def _subspace_report(j_matrix, vectors: Sequence[Sequence[GaussianRational]]) ->
         [sum((a * b for a, b in zip(linalg.matvec(j_rows, v), w)), start=ZERO) for v in reduced]
         for w in reduced
     ]
-    form_rank = linalg.rank(gram) if dim else 0
+    form_rank = linalg.rank(gram)
     return SubspaceReport(
         tuple(tuple(row) for row in reduced), dim, form_rank, form_rank == dim
     )
@@ -148,13 +148,9 @@ def tangent_absolute(system: EquationSystem, data: SymplecticData) -> SubspaceRe
     homology coordinates via the inverse intersection form.
     """
     _require_valid(data, system)
-    ncols = len(system.basis.columns())
-    constraints = [c.to_vector() for c in _constraint_cycles(system)]
-    tangent = linalg.nullspace(constraints, ncols) if constraints else linalg.identity(ncols)
+    tangent = linalg.nullspace(system.extended_rows[0], len(system.basis.columns()))
     iota_rows = [c.to_vector() for c in data.iota]
-    images = []
-    for v in tangent:
-        images.append([sum((a * b for a, b in zip(row, v)), start=ZERO) for row in iota_rows])
+    images = [linalg.matvec(iota_rows, v) for v in tangent]
     j_rows = [[GaussianRational(x) for x in row] for row in data.j_matrix]
     j_inv = linalg.invert(j_rows)
     assert j_inv is not None
@@ -187,21 +183,15 @@ def lemma_bound(system: EquationSystem, data: SymplecticData, cls: CylinderClass
                     raise AimError(
                         f"class is not declared parallel: no ratio linking {a} and {b}"
                     )
-    constraints = _constraint_cycles(system)
-    curve_names = cls.curve_names()
-    rows = [[c.coeffs.get(name, ZERO) for name in curve_names] for c in constraints]
-    coefficient_basis = linalg.nullspace(rows, len(curve_names)) if rows else linalg.identity(len(curve_names))
-    images = []
-    for coeffs in coefficient_basis:
-        vec = []
-        for iota_cycle in data.iota:
-            total = ZERO
-            for c, (eid, _) in zip(coeffs, cls.cross_curves):
-                if c:
-                    total = total + c * pair(iota_cycle, eid)
-            vec.append(total)
-        images.append(vec)
-    dim = linalg.rank(images) if images else 0
+    # The extended rows project onto the same span of cross-curve columns as
+    # the equations, relations and ratio forms, so the kernel is the same.
+    names = system.basis.names
+    curve_cols = [names.index(name) for name in cls.curve_names()]
+    rows = [[row[col] for col in curve_cols] for row in system.extended_rows[0]]
+    coefficient_basis = linalg.nullspace(rows, len(curve_cols))
+    crossings = [[pair(c, eid) for eid, _ in cls.cross_curves] for c in data.iota]
+    images = [linalg.matvec(crossings, coeffs) for coeffs in coefficient_basis]
+    dim = linalg.rank(images)
     return LemmaBoundReport(dim, dim <= 1)
 
 
@@ -220,10 +210,7 @@ def pairwise_cross_witness(
     the data does not model an affine invariant manifold, reported as a
     diagnostic rather than an error.
     """
-    if not system.minimal_stratum:
-        raise AimError("minimal stratum required")
-    if data is not None:
-        _require_valid(data, system)
+    _require_minimal(system, data)
     horizontal = set(system.graph.horizontal_edges)
     if e1 not in horizontal or e2 not in horizontal or e1 == e2:
         raise AimError("need two distinct horizontal edges")
@@ -241,33 +228,17 @@ def pairwise_cross_witness(
     return CrossWitnessResult(witness, None)
 
 
-def _extended_rows(system: EquationSystem) -> tuple[list[linalg.Vector], list[int]]:
-    rows = [eq.cycle.to_vector() for eq in system.rref_rows]
-    rows += [rel.to_vector() for rel, _ in system.relations.relations]
-    rows += [f.to_vector() for f in system.ratios.forms(system.basis)]
-    return linalg.rref(rows)
-
-
-def _pure_lambda_subspace(system: EquationSystem) -> list[Cycle]:
-    """Extended-span elements supported on horizontal vanishing cycles only."""
-    reduced, _ = _extended_rows(system)
+def _pure_lambda_subspace(system: EquationSystem) -> list[linalg.Vector]:
+    """Extended-span vectors supported on horizontal vanishing cycles only."""
+    reduced, _ = system.extended_rows
     if not reduced:
         return []
-    columns = system.basis.columns()
     horizontal = set(system.graph.horizontal_edges)
     constraints = []
-    for col, (kind, key) in enumerate(columns):
+    for col, (kind, key) in enumerate(system.basis.columns()):
         if kind == "b" or key not in horizontal:
             constraints.append([row[col] for row in reduced])
-    coeff_basis = linalg.nullspace(constraints, len(reduced)) if constraints else linalg.identity(len(reduced))
-    out = []
-    for coords in coeff_basis:
-        vec = linalg.zeros(len(columns))
-        for c, row in zip(coords, reduced):
-            if c:
-                vec = linalg.vec_add(vec, linalg.vec_scale(c, row))
-        out.append(Cycle.from_vector(system.basis, vec))
-    return out
+    return [linalg.combine(coords, reduced) for coords in linalg.nullspace(constraints, len(reduced))]
 
 
 def _pair_form_candidates(
@@ -278,30 +249,18 @@ def _pair_form_candidates(
     pure = _pure_lambda_subspace(system)
     if not pure:
         return []
-    pure_vectors = [c.to_vector() for c in pure]
     columns = system.basis.columns()
     preferred_set = set(preferred)
-    pairs = []
-    for a_idx in range(len(horizontal)):
-        for b_idx in range(a_idx + 1, len(horizontal)):
-            a, b = horizontal[a_idx], horizontal[b_idx]
-            inside = a in preferred_set and b in preferred_set
-            pairs.append((0 if inside else 1, a, b))
-    pairs.sort()
+    pairs = sorted(combinations(horizontal, 2), key=lambda ab: not set(ab) <= preferred_set)
     out = []
-    for _, a, b in pairs:
+    for a, b in pairs:
         constraints = []
         for col, (kind, key) in enumerate(columns):
             if kind == "l" and key in (a, b):
                 continue
-            constraints.append([v[col] for v in pure_vectors])
-        coeff_basis = linalg.nullspace(constraints, len(pure))
-        for coords in coeff_basis:
-            vec = linalg.zeros(len(columns))
-            for c, v in zip(coords, pure_vectors):
-                if c:
-                    vec = linalg.vec_add(vec, linalg.vec_scale(c, v))
-            form = Cycle.from_vector(system.basis, vec)
+            constraints.append([v[col] for v in pure])
+        for coords in linalg.nullspace(constraints, len(pure)):
+            form = Cycle.from_vector(system.basis, linalg.combine(coords, pure))
             if not form.is_zero():
                 out.append(((a, b), form))
     return out
@@ -318,28 +277,18 @@ def pairwise_circum_decompose(
     two-node (or smaller) period form in the extended span and the outputs
     sum exactly to the input.
     """
-    if not system.minimal_stratum:
-        raise AimError("minimal stratum required")
-    if data is not None:
-        _require_valid(data, system)
+    _require_minimal(system, data)
     horizontal = set(system.graph.horizontal_edges)
     if cycle.coeffs or not set(cycle.lam) <= horizontal:
         raise AimError("input must be a combination of horizontal vanishing-cycle periods")
-    reduced, pivots = _extended_rows(system)
-    if not linalg.in_span(cycle.to_vector(), reduced, pivots):
+    if not system.extended_span_contains(cycle):
         raise AimError("input is not in the span of the system and its relations")
     target_nodes = sorted(cycle.lam)
     candidates = _pair_form_candidates(system, target_nodes)
     if not candidates:
         raise AimError("recombination stuck: the span contains no two-node period forms")
-    columns = system.basis.columns()
-    matrix_rows = []
-    rhs = []
-    target_vec = cycle.to_vector()
-    for col in range(len(columns)):
-        matrix_rows.append([form.to_vector()[col] for _, form in candidates])
-        rhs.append(target_vec[col])
-    solution = linalg.solve_linear(matrix_rows, rhs)
+    matrix_rows = list(zip(*(form.to_vector() for _, form in candidates)))
+    solution = linalg.solve_linear(matrix_rows, cycle.to_vector())
     if solution is None:
         raise AimError(
             "recombination stuck: the input is not a combination of two-node period"
@@ -351,7 +300,7 @@ def pairwise_circum_decompose(
     for t in terms:
         total = total + t
         assert len(t.lam) <= 2 and not t.coeffs
-        assert linalg.in_span(t.to_vector(), reduced, pivots)
+        assert system.extended_span_contains(t)
     assert (total - cycle).is_zero()
     return terms
 
@@ -411,12 +360,8 @@ def at_most_two_decompose(
     guaranteed, so failure to find one is reported as evidence against the
     data rather than tolerated.
     """
-    if not system.minimal_stratum:
-        raise AimError("minimal stratum required")
-    if data is not None:
-        _require_valid(data, system)
-    reduced, pivots = _extended_rows(system)
-    if not linalg.in_span(cycle.to_vector(), reduced, pivots):
+    _require_minimal(system, data)
+    if not system.extended_span_contains(cycle):
         raise AimError("input is not in the span of the system and its relations")
 
     out: list[Cycle] = []

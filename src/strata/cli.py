@@ -75,9 +75,15 @@ def main(argv=None) -> int:
     try:
         doc = load_document(args.file)
     except DocumentParseError as exc:
-        print(f"parse error at {exc.position}: {exc}")
+        print(f"parse error at {exc}")
         return 64
     try:
+        if args.command != "validate":
+            problems = [str(v) for v in doc.violations()]
+            if problems:
+                _emit(args, {"command": args.command, "violations": problems},
+                      ["invalid document:"] + [f"  {p}" for p in problems])
+                return 1
         return args.handler(doc, args)
     except StrataError as exc:
         print(f"error: {exc}")
@@ -92,13 +98,6 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _check_valid(doc: AnalysisDocument, args) -> list[str] | None:
-    problems = doc.violations()
-    if not problems:
-        return None
-    return [str(v) for v in problems]
-
-
 def cmd_validate(doc: AnalysisDocument, args) -> int:
     problems = [str(v) for v in doc.violations()]
     payload = {"command": "validate", "violations": problems}
@@ -110,11 +109,6 @@ def cmd_validate(doc: AnalysisDocument, args) -> int:
 
 
 def cmd_analyze(doc: AnalysisDocument, args) -> int:
-    problems = _check_valid(doc, args)
-    if problems is not None:
-        _emit(args, {"command": "analyze", "violations": problems},
-              ["invalid document:"] + [f"  {p}" for p in problems])
-        return 1
     system = doc.system()
     graph = doc.graph
     certificate = consistency_report(system, assume_theorems=args.assume_theorems)
@@ -224,11 +218,6 @@ def _render_plumbing(system, item) -> tuple[str, str]:
 
 
 def cmd_plumb(doc: AnalysisDocument, args) -> int:
-    problems = _check_valid(doc, args)
-    if problems is not None:
-        _emit(args, {"command": "plumb", "violations": problems},
-              ["invalid document:"] + [f"  {p}" for p in problems])
-        return 1
     system = doc.system()
     try:
         converted = convert(system, assume_theorems=args.assume_theorems)
@@ -317,11 +306,6 @@ def cmd_plumb(doc: AnalysisDocument, args) -> int:
 
 
 def cmd_deform(doc: AnalysisDocument, args) -> int:
-    problems = _check_valid(doc, args)
-    if problems is not None:
-        _emit(args, {"command": "deform", "violations": problems},
-              ["invalid document:"] + [f"  {p}" for p in problems])
-        return 1
     system = doc.system()
     assignment = doc.periods()
     requests = doc.deformation_requests()
@@ -374,11 +358,6 @@ def cmd_deform(doc: AnalysisDocument, args) -> int:
 
 
 def cmd_aim(doc: AnalysisDocument, args) -> int:
-    problems = _check_valid(doc, args)
-    if problems is not None:
-        _emit(args, {"command": "aim", "violations": problems},
-              ["invalid document:"] + [f"  {p}" for p in problems])
-        return 1
     system = doc.system()
     data = doc.symplectic()
     if data is None:

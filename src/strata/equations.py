@@ -66,6 +66,7 @@ class ProportionalityData:
         self.entries: tuple[tuple[str, str, Fraction], ...] = tuple(
             (e, ep, Fraction(q)) for e, ep, q in entries
         )
+        self._closure = None
 
     def __bool__(self) -> bool:
         return bool(self.entries)
@@ -92,8 +93,11 @@ class ProportionalityData:
 
         Returns (ratio_to_root, conflicts) where ratio_to_root maps each
         declared edge to (root, q) with period(edge) = q * period(root), roots
-        chosen as the smallest edge of each connected component.
+        chosen as the smallest edge of each connected component.  Built once:
+        the entries never change.
         """
+        if self._closure is not None:
+            return self._closure
         adjacency: dict[str, list[tuple[str, Fraction]]] = {}
         for e, ep, q in self.entries:
             if q == 0:
@@ -121,7 +125,8 @@ class ProportionalityData:
                     else:
                         ratio[y] = (root, ry)
                         queue.append(y)
-        return ratio, conflicts
+        self._closure = (ratio, conflicts)
+        return self._closure
 
     def ratio(self, e: str, ep: str) -> Fraction | None:
         """q with period(e) = q * period(e'), when the closure links them."""
@@ -180,6 +185,8 @@ class EquationSystem:
         self._row_vectors: list[linalg.Vector] = []
         self._pivot_cols: list[int] = []
         self._reduction: LambdaRelationSet | None = None
+        self._extended: tuple[list[linalg.Vector], list[int]] | None = None
+        self._residues: tuple[tuple[int, int, Cycle], ...] | None = None
 
     # -- canonical row basis --------------------------------------------------
 
@@ -229,13 +236,23 @@ class EquationSystem:
             self._reduction = self.relations.with_added(extra)
         return self._reduction
 
+    @property
+    def extended_rows(self) -> tuple[list[linalg.Vector], list[int]]:
+        """Rref rows and pivots of the rows, declared relations and ratio forms.
+
+        This extended span is where the tangent space, the parallel-class
+        bound and the proportionality decompositions are read off.
+        """
+        if self._extended is None:
+            self.rref_rows
+            rows = self._row_vectors + [rel.to_vector() for rel, _ in self.relations.relations]
+            rows += [f.to_vector() for f in self.ratios.forms(self.basis)]
+            self._extended = linalg.rref(rows)
+        return self._extended
+
     def extended_span_contains(self, cycle: Cycle) -> bool:
         """Membership in the span of the rows together with all relations."""
-        rows = [eq.cycle.to_vector() for eq in self.rref_rows]
-        rows += [c.to_vector() for c in self.relations.echelon]
-        rows += [f.to_vector() for f in self.ratios.forms(self.basis)]
-        reduced, pivots = linalg.rref(rows)
-        return linalg.in_span(cycle.to_vector(), reduced, pivots)
+        return linalg.in_span(cycle.to_vector(), *self.extended_rows)
 
 
 def system_violations(system: EquationSystem) -> list[Violation]:
@@ -272,27 +289,22 @@ def _support_subspace(
     if not rows:
         return []
     graph = system.graph
+    vectors = system._row_vectors
     constraints: list[list[GaussianRational]] = []
     for eid in graph.horizontal_edges:
         if eid not in allowed:
             constraints.append([pair(r, eid) for r in rows])
     if max_level is not None:
-        vectors = [r.to_vector() for r in rows]
         for col, (kind, key) in enumerate(system.basis.columns()):
             level = (
                 system.basis.element(key).level if kind == "b" else graph.edge_level(key)
             )
             if level > max_level:
                 constraints.append([v[col] for v in vectors])
-    coeff_basis = linalg.nullspace(constraints, len(rows)) if constraints else linalg.identity(len(rows))
-    out = []
-    for coords in coeff_basis:
-        total = system.basis.zero()
-        for c, row in zip(coords, rows):
-            if c:
-                total = total + row.scale(c)
-        out.append(total)
-    return out
+    return [
+        Cycle.from_vector(system.basis, linalg.combine(coords, vectors))
+        for coords in linalg.nullspace(constraints, len(rows))
+    ]
 
 
 def is_correlated(system: EquationSystem, edges: Iterable[str]) -> bool:
@@ -381,15 +393,22 @@ def primitive_sets(system: EquationSystem, limit: int = 12) -> tuple[frozenset[s
             f"{len(horizontal)} horizontal edges exceed the search limit {limit};"
             " use cross_equivalence_classes for the rref-based partition instead"
         )
+    return tuple(_minimal_correlated_within(system, frozenset(horizontal)))
+
+
+def _minimal_correlated_within(
+    system: EquationSystem, ambient: frozenset[str]
+) -> list[frozenset[str]]:
     found: list[frozenset[str]] = []
-    for size in range(1, len(horizontal) + 1):
-        for combo in combinations(horizontal, size):
+    members = sorted(ambient)
+    for size in range(1, len(members) + 1):
+        for combo in combinations(members, size):
             candidate = frozenset(combo)
             if any(p <= candidate for p in found):
                 continue
             if is_correlated(system, candidate):
                 found.append(candidate)
-    return tuple(sorted(found, key=lambda s: sorted(s)))
+    return sorted(found, key=lambda s: sorted(s))
 
 
 # -- residue relations ---------------------------------------------------------
@@ -411,6 +430,10 @@ def residue_relation(system: EquationSystem, cycle: Cycle, i: int) -> Cycle:
         raise SystemDataError(f"passage {i} above top level {top}")
     if i not in system.graph.passage_indices():
         raise SystemDataError(f"no level passage {i}")
+    return _residue_form(system, cycle, i)
+
+
+def _residue_form(system: EquationSystem, cycle: Cycle, i: int) -> Cycle:
     lam: dict[str, GaussianRational] = {}
     for eid in system.graph.crossing_edges(i):
         weight = passage_weight(system.graph, eid, i)
@@ -418,6 +441,24 @@ def residue_relation(system: EquationSystem, cycle: Cycle, i: int) -> Cycle:
         if hit:
             lam[eid] = hit
     return Cycle(system.basis, {}, lam)
+
+
+def residue_forms(system: EquationSystem) -> tuple[tuple[int, int, Cycle], ...]:
+    """All nonzero residue forms (row index, passage, form) of the rref rows.
+
+    Computed once per system: the rows lie in the span by construction, and
+    every passage at or below a row's top level is visited in order.
+    """
+    if system._residues is None:
+        out = []
+        for j, eq in enumerate(system.rref_rows):
+            for i in system.graph.passage_indices():
+                if eq.top is not None and i <= eq.top:
+                    form = _residue_form(system, eq.cycle, i)
+                    if not form.is_zero():
+                        out.append((j, i, form))
+        system._residues = tuple(out)
+    return system._residues
 
 
 # -- decomposition --------------------------------------------------------------
@@ -436,21 +477,6 @@ class DecomposeResult:
         return self.h_parts + (self.g_part,)
 
 
-def _minimal_correlated_within(
-    system: EquationSystem, ambient: frozenset[str]
-) -> list[frozenset[str]]:
-    found: list[frozenset[str]] = []
-    members = sorted(ambient)
-    for size in range(1, len(members) + 1):
-        for combo in combinations(members, size):
-            candidate = frozenset(combo)
-            if any(p <= candidate for p in found):
-                continue
-            if is_correlated(system, candidate):
-                found.append(candidate)
-    return sorted(found, key=lambda s: sorted(s))
-
-
 def _match_top_restriction(system: EquationSystem, work: Cycle, level: int) -> Cycle | None:
     """Span element equal to ``work`` at its top level, crossing nothing.
 
@@ -462,7 +488,7 @@ def _match_top_restriction(system: EquationSystem, work: Cycle, level: int) -> C
         return None
     graph = system.graph
     columns = system.basis.columns()
-    vectors = [r.to_vector() for r in rows]
+    vectors = system._row_vectors
     target_vec = work.to_vector()
     constraint_rows: list[list[GaussianRational]] = []
     rhs: list[GaussianRational] = []
@@ -480,11 +506,7 @@ def _match_top_restriction(system: EquationSystem, work: Cycle, level: int) -> C
     solution = linalg.solve_linear(constraint_rows, rhs)
     if solution is None:
         return None
-    total = system.basis.zero()
-    for c, row in zip(solution, rows):
-        if c:
-            total = total + row.scale(c)
-    return total
+    return Cycle.from_vector(system.basis, linalg.combine(solution, vectors))
 
 
 def decompose(system: EquationSystem, cycle: Cycle) -> DecomposeResult:
@@ -671,22 +693,6 @@ def _single_lambda_term(cycle: Cycle) -> str | None:
     return next(iter(cycle.lam))
 
 
-def residue_forms(system: EquationSystem) -> list[tuple[int, int, Cycle]]:
-    """All nonzero residue forms (row index, passage, form) of the rref rows."""
-    out = []
-    for j, eq in enumerate(system.rref_rows):
-        top = eq.top
-        if top is None:
-            continue
-        for i in system.graph.passage_indices():
-            if i > top:
-                continue
-            form = residue_relation(system, eq.cycle, i)
-            if not form.is_zero():
-                out.append((j, i, form))
-    return out
-
-
 def proportionality_obligations(
     system: EquationSystem,
 ) -> tuple[list[tuple[str, str]], list[tuple[str, Cycle]]]:
@@ -749,33 +755,23 @@ def consistency_report(system: EquationSystem, assume_theorems: bool = False) ->
 
     # R2
     relations = system.reduction_relations()
-    checked = 0
-    for j, eq in enumerate(system.rref_rows):
-        top = eq.top
-        if top is None:
+    forms = residue_forms(system)
+    for j, i, form in forms:
+        residual = relations.reduce(form)
+        if residual.is_zero():
             continue
-        for i in graph.passage_indices():
-            if i > top:
-                continue
-            form = residue_relation(system, eq.cycle, i)
-            if form.is_zero():
-                continue
-            checked += 1
-            residual = relations.reduce(form)
-            if residual.is_zero():
-                continue
-            eid = _single_lambda_term(residual)
-            if eid is not None and eid in system.nonvanishing:
-                trace.append(
-                    f"R2: row {j} at passage {i} forces {_monic(residual).render()} = 0"
-                    f" with {eid} nonvanishing"
-                )
-                return ConsistencyCertificate(
-                    "inconsistent", "R2", _monic(residual), (), tuple(trace)
-                )
-            if assume_theorems:
-                relations = relations.with_added([(form, DERIVED)])
-    trace.append(f"R2: {checked} residue forms reduce without forcing a nonvanishing period")
+        eid = _single_lambda_term(residual)
+        if eid is not None and eid in system.nonvanishing:
+            trace.append(
+                f"R2: row {j} at passage {i} forces {_monic(residual).render()} = 0"
+                f" with {eid} nonvanishing"
+            )
+            return ConsistencyCertificate(
+                "inconsistent", "R2", _monic(residual), (), tuple(trace)
+            )
+        if assume_theorems:
+            relations = relations.with_added([(form, DERIVED)])
+    trace.append(f"R2: {len(forms)} residue forms reduce without forcing a nonvanishing period")
 
     # R3
     for cls in cross_equivalence_classes(system):

@@ -88,9 +88,6 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self) -> bool:

@@ -128,10 +128,6 @@ class EnhancedLevelGraph:
                     stack.append(nxt)
         return len(seen) == len(self.vertices)
 
-    def total_genus(self) -> int:
-        cycles = len(self.edges) - len(self.vertices) + 1
-        return sum(v.genus for v in self.vertices) + cycles
-
 
 @dataclass(frozen=True)
 class LevelPassage:

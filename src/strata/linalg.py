@@ -37,6 +37,17 @@ def vec_scale(c: GaussianRational, v: Sequence[GaussianRational]) -> Vector:
     return [c * a for a in v]
 
 
+def combine(coords: Sequence[GaussianRational], vectors: Sequence[Sequence[GaussianRational]]) -> Vector:
+    """``sum(c * v)`` over paired coefficients and vectors, skipping zero terms."""
+    out = zeros(len(vectors[0]))
+    for c, v in zip(coords, vectors):
+        if c:
+            for j, x in enumerate(v):
+                if x:
+                    out[j] = out[j] + c * x
+    return out
+
+
 def is_zero_vector(v: Sequence[GaussianRational]) -> bool:
     return all(not a for a in v)
 
@@ -139,22 +150,6 @@ def in_span(
     v: Sequence[GaussianRational], rows: Sequence[Sequence[GaussianRational]], pivots: Sequence[int]
 ) -> bool:
     return is_zero_vector(reduce_vector(v, rows, pivots))
-
-
-def span_coordinates(
-    v: Sequence[GaussianRational], rows: Sequence[Sequence[GaussianRational]], pivots: Sequence[int]
-) -> Vector | None:
-    """Coefficients expressing ``v`` over an rref row basis, or None."""
-    res = list(v)
-    coords: Vector = []
-    for row, p in zip(rows, pivots):
-        c = res[p]
-        coords.append(c)
-        if c:
-            res = vec_sub(res, vec_scale(c, row))
-    if not is_zero_vector(res):
-        return None
-    return coords
 
 
 def nullspace(rows: Iterable[Sequence[GaussianRational]], ncols: int) -> list[Vector]:

@@ -53,6 +53,7 @@ def test_invalid_json_reports_position(tmp_path):
     code, output = run_cli("validate", str(bad))
     assert code == 64
     assert ":2:" in output
+    assert output.count(f"{bad}:2:") == 1
 
 
 def test_missing_vertex_is_violation(tmp_path):
@@ -85,7 +86,7 @@ def test_non_array_deformations_is_parse_error(tmp_path):
     assert raised.value.position == "$.deformations"
     code, output = run_cli("validate", str(bad))
     assert code == 64
-    assert "$.deformations" in output
+    assert output == "parse error at $.deformations: expected array, got int\n"
 
 
 def test_unknown_basis_reference_is_violation(tmp_path):
@@ -96,6 +97,23 @@ def test_unknown_basis_reference_is_violation(tmp_path):
     code, output = run_cli("validate", str(bad))
     assert code == 1
     assert "zz" in output
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+@pytest.mark.parametrize("command", ["analyze", "plumb", "deform", "aim"])
+def test_invalid_document_is_refused_before_the_command_runs(tmp_path, command, flags):
+    doc = json.loads((FIXTURES / "minimal_stratum_parallel.json").read_text())
+    doc["system"]["equations"][0]["coeffs"]["zz"] = "1"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    problems = [str(v) for v in load_document(str(bad)).violations()]
+    assert problems and any("zz" in p for p in problems)
+    code, output = run_cli(command, str(bad), *flags)
+    assert code == 1
+    if flags:
+        assert json.loads(output) == {"command": command, "violations": problems}
+    else:
+        assert output.splitlines() == ["invalid document:"] + [f"  {p}" for p in problems]
 
 
 def test_analyze_exit_codes():

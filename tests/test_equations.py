@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from strata import equations, linalg
 from strata.equations import (
     EquationSystem,
     ProportionalityData,
@@ -14,16 +15,18 @@ from strata.equations import (
     is_correlated,
     lost_count,
     primitive_sets,
+    residue_forms,
     residue_relation,
     system_violations,
     top_level,
 )
 from strata.errors import LimitError, SystemDataError
 from strata.gaussian import ZERO, ONE, GaussianRational
-from strata.homology import AdaptedBasis, BasisElement, Cycle, LambdaRelationSet, picard_lefschetz
+from strata.homology import DECLARED, AdaptedBasis, BasisElement, Cycle, LambdaRelationSet, picard_lefschetz
 from strata.level_graph import Edge, EnhancedLevelGraph, Marking, Undegeneration, Vertex, passage_weight, validate
 from support import (
     adapted_basis_for,
+    aim_parallel_fixture,
     assert_decomposition_contract,
     decomposable_fixture,
     exhaustive_minimal_correlated,
@@ -556,3 +559,111 @@ def test_orientation_flip_invariance(documents):
             assert other.verdict == base.verdict
             assert other.rule == base.rule
             assert other.obligations == base.obligations
+
+
+# -- derived spans computed once ---------------------------------------------------
+
+
+def _system_with_relations(r) -> EquationSystem:
+    """Seeded random system that also carries declared relations and ratios."""
+    graph = random_graph(r, max_depth=3, max_horizontal=3)
+    plain = random_system(graph, r, rank=r.randint(1, 3))
+    relations = LambdaRelationSet(
+        plain.basis,
+        [
+            (Cycle(plain.basis, {}, {e.id: r.randint(-2, 2) for e in graph.edges}), DECLARED)
+            for _ in range(r.randint(0, 2))
+        ],
+    )
+    horizontal = sorted(graph.horizontal_edges)
+    entries = [
+        (a, b, Fraction(r.choice([-3, -1, 1, 2]), r.randint(1, 3)))
+        for a, b in zip(horizontal, horizontal[1:])
+        if r.random() < 0.7
+    ]
+    return EquationSystem(
+        plain.basis,
+        [eq.cycle for eq in plain.equations],
+        real=True,
+        relations=relations,
+        ratios=ProportionalityData(entries),
+    )
+
+
+def test_residue_forms_match_residue_relation_on_random_systems():
+    r = rng(4401)
+    for _ in range(60):
+        graph = random_graph(r, max_depth=3, max_horizontal=2)
+        system = random_system(graph, r, rank=r.randint(1, 3))
+        expected = []
+        for j, eq in enumerate(system.rref_rows):
+            for i in graph.passage_indices():
+                if i <= eq.top:
+                    form = residue_relation(system, eq.cycle, i)
+                    if not form.is_zero():
+                        expected.append((j, i, form))
+        assert list(residue_forms(system)) == expected
+
+
+def test_extended_rows_is_the_rref_of_rows_relations_and_ratios():
+    r = rng(4402)
+    systems = [_system_with_relations(r) for _ in range(40)]
+    systems += [aim_parallel_fixture(r, g)[0] for g in (2, 3, 4)]
+    for system in systems:
+        oracle = [eq.cycle.to_vector() for eq in system.rref_rows]
+        oracle += [rel.to_vector() for rel, _ in system.relations.relations]
+        oracle += [form.to_vector() for form in system.ratios.forms(system.basis)]
+        assert system.extended_rows == linalg.rref(oracle)
+
+
+def test_extended_rows_and_residue_forms_are_computed_once(monkeypatch):
+    r = rng(4403)
+    system = _system_with_relations(r)
+    while not system.graph.passage_indices() or not system.ratios:
+        system = _system_with_relations(r)
+    system.rref_rows
+    calls = [0]
+    original_rref = linalg.rref
+
+    def counting(rows):
+        calls[0] += 1
+        return original_rref(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    first = system.extended_rows
+    assert calls[0] == 1
+    for eq in system.rref_rows:
+        assert system.extended_span_contains(eq.cycle)
+    assert system.extended_rows is first
+    assert calls[0] == 1
+
+    built: list[tuple[int, int]] = []
+    original = equations._residue_form
+
+    def recording(system_, cycle, i):
+        built.append((id(cycle), i))
+        return original(system_, cycle, i)
+
+    monkeypatch.setattr(equations, "_residue_form", recording)
+    consistency_report(system)
+    after_report = calls[0]
+    forms = residue_forms(system)
+    assert residue_forms(system) is forms
+    assert calls[0] == after_report
+    assert built and len(built) == len(set(built))
+
+
+def test_r2_trace_counts_the_residue_forms():
+    r = rng(4404)
+    seen = 0
+    for _ in range(60):
+        graph = random_graph(r, max_depth=3, max_horizontal=2)
+        system = random_system(graph, r, rank=r.randint(1, 3))
+        for assume in (False, True):
+            trace = consistency_report(system, assume_theorems=assume).trace
+            line = next((t for t in trace if t.startswith("R2: ") and "residue forms" in t), None)
+            if line is None:
+                continue
+            seen += 1
+            assert line.startswith(f"R2: {len(residue_forms(system))} residue forms ")
+    assert seen
