@@ -9,9 +9,11 @@ directly assertable condition rank(B J B^T) = dim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
+from weakref import WeakKeyDictionary
 
 from . import linalg
 from .deformation import CylinderClass
@@ -22,8 +24,8 @@ from .equations import (
     hor_support,
     is_correlated,
 )
-from .errors import AimError, Violation
-from .gaussian import ZERO, GaussianRational
+from .errors import AimError, LimitError, Violation
+from .gaussian import GaussianRational
 from .homology import Cycle, pair
 
 
@@ -35,10 +37,26 @@ class SymplecticData:
     iota: tuple[Cycle, ...]  # image of each absolute basis vector
     u_lambda: dict[str, tuple[GaussianRational, ...]]
     minimal: bool = False
+    # Results that also depend on a system, held per system object (by identity, weakly).
+    _problems: WeakKeyDictionary = field(
+        default_factory=WeakKeyDictionary, init=False, repr=False, compare=False
+    )
+    _tangent: WeakKeyDictionary = field(
+        default_factory=WeakKeyDictionary, init=False, repr=False, compare=False
+    )
 
     @property
     def dim(self) -> int:
         return len(self.j_matrix)
+
+    @cached_property
+    def j_rows(self) -> list[linalg.Vector]:
+        return [[GaussianRational(x) for x in row] for row in self.j_matrix]
+
+    @cached_property
+    def j_inverse(self) -> list[linalg.Vector] | None:
+        """Exact inverse of J, or None when J is singular."""
+        return linalg.invert(self.j_rows)
 
 
 def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Violation]:
@@ -53,32 +71,30 @@ def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Vi
             if data.j_matrix[a][b] != -data.j_matrix[b][a]:
                 out.append(Violation("J", "skew", f"J[{a}][{b}] != -J[{b}][{a}]"))
                 return out
-    j_rows = [[GaussianRational(x) for x in row] for row in data.j_matrix]
-    if linalg.rank(j_rows) != n:
+    if data.j_inverse is None:
         out.append(Violation("J", "nondegenerate", "intersection matrix is singular"))
     if len(data.iota) != n:
         out.append(
             Violation("iota", "shape", f"{len(data.iota)} rows for a rank-{n} absolute basis")
         )
     edge_ids = sorted(e.id for e in system.graph.edges)
+    known = set(edge_ids)
     for eid in edge_ids:
         if eid not in data.u_lambda:
             out.append(Violation(f"u_lambda {eid}", "complete", "missing vanishing-cycle image"))
         elif len(data.u_lambda[eid]) != n:
             out.append(Violation(f"u_lambda {eid}", "shape", f"vector length != {n}"))
     for eid in data.u_lambda:
-        if eid not in set(edge_ids):
+        if eid not in known:
             out.append(Violation(f"u_lambda {eid}", "unknown-edge", "no such edge"))
     if out:
         return out
     # Adjunction: pairing an absolute vector against a lambda image downstairs
     # equals pairing its inclusion against the vanishing cycle upstairs.
+    j_images = {eid: linalg.matvec(data.j_rows, data.u_lambda[eid]) for eid in edge_ids}
     for a in range(n):
         for eid in edge_ids:
-            lhs = ZERO
-            for b in range(n):
-                if data.j_matrix[a][b]:
-                    lhs = lhs + GaussianRational(data.j_matrix[a][b]) * data.u_lambda[eid][b]
+            lhs = j_images[eid][a]
             rhs = pair(data.iota[a], eid)
             if lhs != rhs:
                 out.append(
@@ -102,8 +118,16 @@ def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Vi
     return out
 
 
+def symplectic_problems(data: SymplecticData, system: EquationSystem) -> list[Violation]:
+    """``validate_symplectic(data, system)``, computed once per (data, system) pair."""
+    problems = data._problems.get(system)
+    if problems is None:
+        problems = data._problems[system] = tuple(validate_symplectic(data, system))
+    return list(problems)
+
+
 def _require_valid(data: SymplecticData, system: EquationSystem) -> None:
-    problems = validate_symplectic(data, system)
+    problems = symplectic_problems(data, system)
     if problems:
         raise AimError(f"symplectic data rejected: {problems[0]}")
 
@@ -125,14 +149,11 @@ class SubspaceReport:
     symplectic: bool
 
 
-def _subspace_report(j_matrix, vectors: Sequence[Sequence[GaussianRational]]) -> SubspaceReport:
+def _subspace_report(j_rows, vectors: Sequence[Sequence[GaussianRational]]) -> SubspaceReport:
     reduced, _ = linalg.rref(vectors)
     dim = len(reduced)
-    j_rows = [[GaussianRational(x) for x in row] for row in j_matrix]
-    gram = [
-        [sum((a * b for a, b in zip(linalg.matvec(j_rows, v), w)), start=ZERO) for v in reduced]
-        for w in reduced
-    ]
+    j_images = [linalg.matvec(j_rows, v) for v in reduced]
+    gram = [linalg.matvec(j_images, w) for w in reduced]
     form_rank = linalg.rank(gram)
     return SubspaceReport(
         tuple(tuple(row) for row in reduced), dim, form_rank, form_rank == dim
@@ -145,17 +166,18 @@ def tangent_absolute(system: EquationSystem, data: SymplecticData) -> SubspaceRe
     The tangent space is the annihilator, inside the extended model, of the
     equations together with every declared relation and ratio; its pullback
     along the inclusion lands in absolute cohomology and is reported in
-    homology coordinates via the inverse intersection form.
+    homology coordinates via the inverse intersection form.  Computed once
+    per (data, system) pair.
     """
     _require_valid(data, system)
-    tangent = linalg.nullspace(system.extended_rows[0], len(system.basis.columns()))
-    iota_rows = [c.to_vector() for c in data.iota]
-    images = [linalg.matvec(iota_rows, v) for v in tangent]
-    j_rows = [[GaussianRational(x) for x in row] for row in data.j_matrix]
-    j_inv = linalg.invert(j_rows)
-    assert j_inv is not None
-    homology_vectors = [linalg.matvec(j_inv, w) for w in images]
-    return _subspace_report(data.j_matrix, homology_vectors)
+    report = data._tangent.get(system)
+    if report is None:
+        tangent = linalg.nullspace(system.extended_rows[0], len(system.basis.columns()))
+        iota_rows = [c.to_vector() for c in data.iota]
+        images = [linalg.matvec(iota_rows, v) for v in tangent]
+        homology_vectors = [linalg.matvec(data.j_inverse, w) for w in images]
+        report = data._tangent[system] = _subspace_report(data.j_rows, homology_vectors)
+    return report
 
 
 @dataclass(frozen=True)
@@ -172,7 +194,6 @@ def lemma_bound(system: EquationSystem, data: SymplecticData, cls: CylinderClass
     space and pushing to absolute homology must give dimension at most 1 when
     the data models an affine invariant manifold.
     """
-    _require_valid(data, system)
     report = tangent_absolute(system, data)
     if not report.symplectic:
         raise AimError("tangent image is not symplectic; the bound does not apply")
@@ -351,22 +372,26 @@ def _rewrite_outside_terms(terms: list[Cycle], inside: set[str]) -> list[Cycle]:
 
 
 def at_most_two_decompose(
-    cycle: Cycle, system: EquationSystem, data: SymplecticData | None = None
+    cycle: Cycle, system: EquationSystem, data: SymplecticData | None = None, limit: int = 12
 ) -> list[Cycle]:
     """Split an equation into summands crossing at most two horizontal nodes.
 
     Repeatedly subtracts witnesses supported on proper correlated subsets; in
     the minimal stratum the pairwise witnesses the recursion needs are
     guaranteed, so failure to find one is reported as evidence against the
-    data rather than tolerated.
+    data rather than tolerated.  The subset search is exponential in the
+    horizontal edge count, so more than ``limit`` edges raise LimitError.
     """
     _require_minimal(system, data)
+    n_horizontal = len(system.graph.horizontal_edges)
+    if n_horizontal > limit:
+        raise LimitError(f"{n_horizontal} horizontal edges exceed the search limit {limit}")
     if not system.extended_span_contains(cycle):
         raise AimError("input is not in the span of the system and its relations")
 
     out: list[Cycle] = []
     stack = [cycle]
-    for _ in range(4 ** (len(system.graph.horizontal_edges) + 1) + len(stack)):
+    for _ in range(4 ** (n_horizontal + 1) + len(stack)):
         if not stack:
             return out
         work = stack.pop()

@@ -421,7 +421,7 @@ def cmd_aim(doc: AnalysisDocument, args) -> int:
                 parts = pairwise_circum_decompose(row, system, data)
                 kind = "pairwise-circumference"
             else:
-                parts = at_most_two_decompose(row, system, data)
+                parts = at_most_two_decompose(row, system, data, limit=args.limit)
                 kind = "at-most-two-nodes"
             lines.append(f"decomposition of row {idx} ({kind}):")
             for part in parts:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .aim import SymplecticData, validate_symplectic
+from .aim import SymplecticData, symplectic_problems
 from .deformation import PeriodAssignment, ShearStretch, validate_assignment
 from .equations import EquationSystem, ProportionalityData, system_violations
 from .errors import DocumentParseError, Violation
@@ -119,6 +119,7 @@ class AnalysisDocument:
         self.raw_periods = periods
         self.deformations = deformations
         self._system: EquationSystem | None = None
+        self._symplectic: SymplecticData | None = None
 
     # -- reference checks ---------------------------------------------------
 
@@ -196,7 +197,7 @@ class AnalysisDocument:
         system = self.system()
         out = system_violations(system)
         if self.raw_symplectic is not None:
-            out += validate_symplectic(self.symplectic(), system)
+            out += symplectic_problems(self.symplectic(), system)
         if self.raw_periods is not None:
             out += validate_assignment(self.periods(), system)
         return out
@@ -227,15 +228,17 @@ class AnalysisDocument:
     def symplectic(self) -> SymplecticData | None:
         if self.raw_symplectic is None:
             return None
-        iota = tuple(
-            Cycle.from_vector(self.basis, list(row)) for row in self.raw_symplectic.iota
-        )
-        return SymplecticData(
-            self.raw_symplectic.j_matrix,
-            iota,
-            dict(self.raw_symplectic.u_lambda),
-            self.raw_symplectic.minimal,
-        )
+        if self._symplectic is None:
+            iota = tuple(
+                Cycle.from_vector(self.basis, list(row)) for row in self.raw_symplectic.iota
+            )
+            self._symplectic = SymplecticData(
+                self.raw_symplectic.j_matrix,
+                iota,
+                dict(self.raw_symplectic.u_lambda),
+                self.raw_symplectic.minimal,
+            )
+        return self._symplectic
 
     def periods(self) -> PeriodAssignment | None:
         if self.raw_periods is None:

@@ -43,10 +43,11 @@ class AdaptedBasis:
             name: dict(table) for name, table in pairings.items()
         }
         self._index = {el.name: k for k, el in enumerate(self.elements)}
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(el.name for el in self.elements)
+        self.names: tuple[str, ...] = tuple(el.name for el in self.elements)
+        self._columns: tuple[tuple[str, str], ...] = tuple(
+            [("b", name) for name in self.names]
+            + [("l", eid) for eid in sorted(e.id for e in graph.edges)]
+        )
 
     def element(self, name: str) -> BasisElement:
         return self.elements[self._index[name]]
@@ -57,11 +58,9 @@ class AdaptedBasis:
     def pairing(self, name: str, eid: str) -> int:
         return self._pairings.get(name, {}).get(eid, 0)
 
-    def columns(self) -> list[tuple[str, str]]:
+    def columns(self) -> tuple[tuple[str, str], ...]:
         """Column order for row reduction: basis elements, then edges by id."""
-        cols = [("b", el.name) for el in self.elements]
-        cols += [("l", eid) for eid in sorted(e.id for e in self.graph.edges)]
-        return cols
+        return self._columns
 
     def crossing_element_for(self, eid: str) -> str | None:
         """The basis element paired with a horizontal edge, if any."""

@@ -190,7 +190,17 @@ def rank(rows: Iterable[Sequence[GaussianRational]]) -> int:
 
 
 def matvec(rows: Sequence[Sequence[GaussianRational]], v: Sequence[GaussianRational]) -> Vector:
-    return [sum((a * b for a, b in zip(row, v)), start=ZERO) for row in rows]
+    """``rows · v``, skipping zero entries of ``v`` and of each row."""
+    support = [(j, x) for j, x in enumerate(v) if x]
+    out = []
+    for row in rows:
+        total = ZERO
+        for j, x in support:
+            a = row[j]
+            if a:
+                total = total + a * x
+        out.append(total)
+    return out
 
 
 def identity(n: int) -> list[Vector]:

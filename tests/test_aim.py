@@ -1,18 +1,26 @@
+import gc
+import sys
+import weakref
+
 import pytest
 
-from strata import linalg
+import oracle_aim
+from strata import aim, linalg
 from strata.aim import (
     SymplecticData,
     at_most_two_decompose,
     lemma_bound,
     pairwise_circum_decompose,
     pairwise_cross_witness,
+    symplectic_problems,
     tangent_absolute,
     validate_symplectic,
 )
+from strata.cli import main
 from strata.deformation import CylinderClass
+from strata.document import load_document
 from strata.equations import EquationSystem, hor_support
-from strata.errors import AimError
+from strata.errors import AimError, LimitError
 from strata.gaussian import ZERO, ONE, GaussianRational
 from strata.homology import Cycle
 from support import adapted_basis_for, aim_parallel_fixture, loop_graph, rng
@@ -306,3 +314,158 @@ def test_at_most_two_requires_flag(documents):
     system = documents["triple_node_cover"].system()
     with pytest.raises(AimError, match="minimal stratum"):
         at_most_two_decompose(system.rref_rows[0].cycle, system)
+
+
+def test_at_most_two_decompose_limit(documents):
+    doc = documents["minimal_stratum_parallel"]
+    system = doc.system()
+    data = doc.symplectic()
+    narrow = system.rref_rows[0].cycle
+    n_horizontal = len(system.graph.horizontal_edges)
+    with pytest.raises(LimitError, match=f"{n_horizontal} horizontal edges exceed"):
+        at_most_two_decompose(narrow, system, data, limit=n_horizontal - 1)
+    assert at_most_two_decompose(narrow, system, data, limit=n_horizontal) == [narrow]
+
+
+# -- the tangent pipeline against the oracle, and what is computed once ---------
+
+
+def _change_absolute_basis(data: SymplecticData, r) -> SymplecticData:
+    """The same absolute data in the basis x' = P x, for a random unimodular P.
+
+    J becomes P J P^T, iota becomes P iota, and the lambda images become
+    P^-T u, so the adjunction still holds while J and its inverse are dense.
+    """
+    n = data.dim
+    lower = [[1 if a == b else (r.randint(-2, 2) if b < a else 0) for b in range(n)] for a in range(n)]
+    upper = [[1 if a == b else (r.randint(-2, 2) if b > a else 0) for b in range(n)] for a in range(n)]
+    p = [[sum(lower[a][k] * upper[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
+    j = data.j_matrix
+    j_new = tuple(
+        tuple(
+            sum(p[a][c] * j[c][d] * p[b][d] for c in range(n) for d in range(n)) for b in range(n)
+        )
+        for a in range(n)
+    )
+    basis = data.iota[0].basis
+    iota = []
+    for a in range(n):
+        total = basis.zero()
+        for c in range(n):
+            if p[a][c]:
+                total = total + data.iota[c].scale(p[a][c])
+        iota.append(total)
+    p_inv = linalg.invert([[GaussianRational(x) for x in row] for row in p])
+    p_inv_t = [[p_inv[b][a] for b in range(n)] for a in range(n)]
+    u_lambda = {eid: tuple(linalg.matvec(p_inv_t, u)) for eid, u in data.u_lambda.items()}
+    return SymplecticData(j_new, tuple(iota), u_lambda, data.minimal)
+
+
+def test_tangent_matches_oracle_on_fixtures(documents):
+    checked = 0
+    for name, doc in sorted(documents.items()):
+        data = doc.symplectic()
+        if data is None:
+            continue
+        system = doc.system()
+        assert tangent_absolute(system, data) == oracle_aim.tangent_absolute(system, data), name
+        checked += 1
+    assert checked == 2
+
+
+def test_tangent_matches_oracle_on_parallel_classes():
+    r = rng(55)
+    for genus in range(2, 7):
+        system, data = aim_parallel_fixture(r, genus)
+        changed = _change_absolute_basis(data, r)
+        for variant in (data, changed):
+            assert validate_symplectic(variant, system) == []
+            report = tangent_absolute(system, variant)
+            assert report.symplectic
+            assert report == oracle_aim.tangent_absolute(system, variant), genus
+
+
+def test_tangent_matches_oracle_when_not_symplectic():
+    basis, data = _lagrangian_instance()
+    system = EquationSystem(
+        basis,
+        [Cycle(basis, {"n0_0": ONE}, {}), Cycle(basis, {"n0_2": ONE}, {})],
+    )
+    assert tangent_absolute(system, data) == oracle_aim.tangent_absolute(system, data)
+
+
+def _count_calls(monkeypatch, original) -> list:
+    """Count calls to ``original`` through every ``strata`` module binding of it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "strata" or mod_name.startswith("strata."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_aim_verdict_validates_and_inverts_once(monkeypatch, capsys, fixture_dir):
+    validations = _count_calls(monkeypatch, aim.validate_symplectic)
+    inversions = _count_calls(monkeypatch, linalg.invert)
+    eliminations = _count_calls(monkeypatch, linalg.rref)
+    code = main(["aim", str(fixture_dir / "minimal_stratum_parallel.json")])
+    assert code == 0
+    assert "bound satisfied" in capsys.readouterr().out
+    assert len(validations) == 1
+    assert len(inversions) == 1
+    # The class's lemma_bound reuses the handler's tangent image (21 before).
+    assert len(eliminations) <= 11
+
+
+def test_document_symplectic_built_once(fixture_dir):
+    doc = load_document(str(fixture_dir / "minimal_stratum_parallel.json"))
+    assert doc.symplectic() is doc.symplectic()
+    assert load_document(str(fixture_dir / "three_node_pinch.json")).symplectic() is None
+
+
+def test_one_data_two_systems_get_their_own_results():
+    basis, data = _lagrangian_instance()
+    full = EquationSystem(basis, [])
+    cut = EquationSystem(
+        basis,
+        [Cycle(basis, {"n0_0": ONE}, {}), Cycle(basis, {"n0_2": ONE}, {})],
+    )
+    flagged = EquationSystem(basis, [], minimal_stratum=True)
+    assert tangent_absolute(full, data) is tangent_absolute(full, data)
+    for _ in range(2):
+        assert tangent_absolute(full, data).dim == 4
+        assert tangent_absolute(cut, data).dim == 2
+        assert symplectic_problems(data, full) == []
+        assert [v.rule for v in symplectic_problems(data, flagged)] == ["flags"]
+        with pytest.raises(AimError, match="minimal"):
+            tangent_absolute(flagged, data)
+    # The memo holds systems weakly: a dropped system takes its entries along.
+    probe = weakref.ref(flagged)
+    del flagged
+    gc.collect()
+    assert probe() is None
+
+
+def test_rejected_data_raises_on_every_call(documents):
+    doc = documents["triple_node_cover"]
+    data = doc.symplectic()
+    bad_u = dict(data.u_lambda)
+    bad_u["e3"] = data.u_lambda["e1"]
+    bad = SymplecticData(data.j_matrix, data.iota, bad_u, data.minimal)
+    system = doc.system()
+    cls = CylinderClass.from_edge(system, sorted(system.graph.horizontal_edges)[0])
+    for _ in range(3):
+        with pytest.raises(AimError, match="adjunction"):
+            tangent_absolute(system, bad)
+        with pytest.raises(AimError, match="adjunction"):
+            lemma_bound(system, bad, cls)
+    singular = SymplecticData(((0, 0), (0, 0)), data.iota[:2], {}, False)
+    for _ in range(2):
+        with pytest.raises(AimError, match="singular"):
+            tangent_absolute(system, singular)

@@ -196,6 +196,16 @@ def test_aim_paths():
     assert code == 1 and "out of range" in output
 
 
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_aim_decompose_honours_limit(fmt):
+    path = str(FIXTURES / "minimal_stratum_parallel.json")
+    code, output = run_cli("aim", path, "--decompose", "0", "--limit", "2", *fmt)
+    assert code == 1
+    assert output.splitlines() == ["error: 3 horizontal edges exceed the search limit 2"]
+    code, output = run_cli("aim", path, "--decompose", "0", "--limit", "3", *fmt)
+    assert code == 0
+
+
 def _two_vertical_document():
     return {
         "schema": "sbv-1",

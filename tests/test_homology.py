@@ -189,3 +189,15 @@ def test_cycle_arithmetic_and_vector_roundtrip():
         assert Cycle.from_vector(basis, c.to_vector()) == c
         assert (c - c).is_zero()
         assert c.scale(2) == c + c
+
+
+def test_basis_layout_computed_once():
+    graph = loop_graph(2)
+    basis = adapted_basis_for(graph, noncrossing_per_level=1)
+    assert basis.columns() is basis.columns()
+    assert basis.names is basis.names
+    assert basis.names == tuple(el.name for el in basis.elements)
+    assert basis.columns() == tuple(
+        [("b", el.name) for el in basis.elements]
+        + [("l", eid) for eid in sorted(e.id for e in graph.edges)]
+    )

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_aim
 import oracle_linalg
 from strata import linalg
 from strata.gaussian import ZERO, ONE, I, GaussianRational
@@ -171,3 +172,41 @@ def test_rref_unit_running_pivot(unit):
         reduced, pivots = linalg.rref(rows)
         assert (reduced, pivots) == oracle_linalg.rref(rows)
         assert pivots == [0, 1, 2]
+
+
+# -- sparse matvec against the dense oracle ------------------------------------
+
+# Zero is drawn often so that sparse rows, sparse vectors and all-zero inputs come up.
+sparse_qi = st.one_of(st.just(ZERO), qi)
+
+
+@st.composite
+def matvec_inputs(draw):
+    """A matrix and a vector of matching width: dense, sparse, all-zero or zero-width."""
+    ncols = draw(st.integers(0, 7))
+    kinds = st.sampled_from([qi, sparse_qi, st.just(ZERO)])
+    rows = draw(st.lists(st.lists(draw(kinds), min_size=ncols, max_size=ncols), max_size=6))
+    v = draw(st.lists(draw(kinds), min_size=ncols, max_size=ncols))
+    return rows, v
+
+
+@given(matvec_inputs())
+@settings(max_examples=300, deadline=None)
+def test_matvec_matches_oracle(inputs):
+    rows, v = inputs
+    assert linalg.matvec(rows, v) == oracle_aim.matvec(rows, v)
+
+
+@pytest.mark.parametrize(
+    "rows, v",
+    [
+        ([], [ONE, I]),
+        ([[], []], []),
+        ([[ZERO, ZERO], [ZERO, ZERO]], [ONE, -I]),
+        ([[ONE, I], [ZERO, ZERO]], [ZERO, ZERO]),
+        ([[ONE, ZERO, GaussianRational(Fraction(1, 2))], [ZERO, I, ZERO]], [I, ZERO, GaussianRational(2)]),
+    ],
+    ids=["no-rows", "empty-rows", "zero-matrix", "zero-vector", "sparse"],
+)
+def test_matvec_edge_shapes(rows, v):
+    assert linalg.matvec(rows, v) == oracle_aim.matvec(rows, v)
