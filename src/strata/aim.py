@@ -22,7 +22,7 @@ from .equations import (
     correlated_witness,
     cross_equivalence_classes,
     hor_support,
-    is_correlated,
+    is_correlated,  # noqa: F401  (bench/tracing.py wraps strata.aim.is_correlated)
 )
 from .errors import AimError, LimitError, Violation
 from .gaussian import GaussianRational
@@ -404,11 +404,9 @@ def at_most_two_decompose(
         found = None
         for size in range(1, len(support)):
             for combo in combinations(support, size):
-                if is_correlated(system, frozenset(combo)):
-                    witness = correlated_witness(system, frozenset(combo))
-                    if witness is not None:
-                        found = witness
-                        break
+                found = correlated_witness(system, frozenset(combo))
+                if found is not None:
+                    break
             if found is not None:
                 break
         if found is None:

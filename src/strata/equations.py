@@ -29,26 +29,26 @@ from .level_graph import EnhancedLevelGraph, Undegeneration, passage_weight
 
 def hor_support(cycle: Cycle) -> frozenset[str]:
     """Horizontal edges whose vanishing cycle the equation crosses."""
-    graph = cycle.basis.graph
-    return frozenset(e for e in graph.horizontal_edges if pair(cycle, e))
+    return Equation(cycle).hor_support
 
 
 def top_level(cycle: Cycle) -> int | None:
     """Highest level carrying a nonzero coefficient; None for the zero cycle."""
-    graph = cycle.basis.graph
-    levels = [cycle.basis.element(name).level for name in cycle.coeffs]
-    levels += [graph.edge_level(eid) for eid in cycle.lam]
-    return max(levels) if levels else None
+    levels = cycle.basis.column_levels
+    return max((level for level, x in zip(levels, cycle.to_vector()) if x), default=None)
 
 
 class Equation:
-    """A cycle with its horizontal support and top level cached."""
+    """A cycle with its pairings against ``graph.horizontal_edges`` (in that
+    order), its horizontal support and its top level, computed once."""
 
-    __slots__ = ("cycle", "hor_support", "top")
+    __slots__ = ("cycle", "hor_pairings", "hor_support", "top")
 
     def __init__(self, cycle: Cycle):
+        horizontal = cycle.basis.graph.horizontal_edges
         self.cycle = cycle
-        self.hor_support = hor_support(cycle)
+        self.hor_pairings = tuple(pair(cycle, e) for e in horizontal)
+        self.hor_support = frozenset(e for e, p in zip(horizontal, self.hor_pairings) if p)
         self.top = top_level(cycle)
 
     def render(self) -> str:
@@ -184,6 +184,7 @@ class EquationSystem:
         self._rref: tuple[tuple[Equation, ...], tuple[tuple[str, str], ...]] | None = None
         self._row_vectors: list[linalg.Vector] = []
         self._pivot_cols: list[int] = []
+        self._pairing_columns: dict[str, list[GaussianRational]] = {}  # edge -> row pairings
         self._reduction: LambdaRelationSet | None = None
         self._extended: tuple[list[linalg.Vector], list[int]] | None = None
         self._residues: tuple[tuple[int, int, Cycle], ...] | None = None
@@ -198,6 +199,8 @@ class EquationSystem:
         pivots = tuple(columns[c] for c in pivot_cols)
         self._row_vectors = reduced
         self._pivot_cols = pivot_cols
+        horizontal = self.graph.horizontal_edges
+        self._pairing_columns = {e: [eq.hor_pairings[k] for eq in rows] for k, e in enumerate(horizontal)}
         self._rref = (rows, pivots)
 
     @property
@@ -277,33 +280,31 @@ def system_violations(system: EquationSystem) -> list[Violation]:
 # -- horizontal support machinery ---------------------------------------------
 
 
-def _support_subspace(
+def _support_coords(
     system: EquationSystem, allowed: frozenset[str], max_level: int | None = None
-) -> list[Cycle]:
-    """Basis of the span elements with pairings 0 outside ``allowed``.
+) -> list[linalg.Vector]:
+    """Coordinates over the rref rows of a basis of the span elements with
+    pairings 0 outside ``allowed``.
 
     With ``max_level`` set, also requires every carrier above that level to
     have coefficient zero.
     """
-    rows = [eq.cycle for eq in system.rref_rows]
-    if not rows:
-        return []
-    graph = system.graph
-    vectors = system._row_vectors
-    constraints: list[list[GaussianRational]] = []
-    for eid in graph.horizontal_edges:
-        if eid not in allowed:
-            constraints.append([pair(r, eid) for r in rows])
+    rows = system.rref_rows
+    constraints = [col for eid, col in system._pairing_columns.items() if eid not in allowed]
     if max_level is not None:
-        for col, (kind, key) in enumerate(system.basis.columns()):
-            level = (
-                system.basis.element(key).level if kind == "b" else graph.edge_level(key)
-            )
+        for col, level in enumerate(system.basis.column_levels):
             if level > max_level:
-                constraints.append([v[col] for v in vectors])
+                constraints.append([v[col] for v in system._row_vectors])
+    return linalg.nullspace(constraints, len(rows))
+
+
+def _support_subspace(
+    system: EquationSystem, allowed: frozenset[str], max_level: int | None = None
+) -> list[Cycle]:
+    """The span elements ``_support_coords`` describes, as cycles."""
     return [
-        Cycle.from_vector(system.basis, linalg.combine(coords, vectors))
-        for coords in linalg.nullspace(constraints, len(rows))
+        Cycle.from_vector(system.basis, linalg.combine(coords, system._row_vectors))
+        for coords in _support_coords(system, allowed, max_level)
     ]
 
 
@@ -313,14 +314,17 @@ def is_correlated(system: EquationSystem, edges: Iterable[str]) -> bool:
     The span elements with pairings zero outside the set form a subspace; over
     an infinite field a finite union of proper subspaces cannot cover it, so
     the set is realized exactly when no single pairing functional vanishes on
-    the whole subspace.
+    the whole subspace.  Pairings are bilinear, so each subspace element's
+    pairings are its coordinates times the rows' cached pairings.
     """
     wanted = frozenset(edges)
     horizontal = set(system.graph.horizontal_edges)
     if not wanted <= horizontal:
         raise SystemDataError(f"not horizontal edges: {sorted(wanted - horizontal)}")
-    subspace = _support_subspace(system, wanted)
-    return all(any(pair(v, e) for v in subspace) for e in sorted(wanted))
+    subspace = _support_coords(system, wanted)
+    functionals = [col for eid, col in system._pairing_columns.items() if eid in wanted]
+    images = [linalg.matvec(functionals, coords) for coords in subspace]
+    return all(any(image[k] for image in images) for k in range(len(functionals)))
 
 
 def correlated_witness(
@@ -387,20 +391,24 @@ def cross_equivalence_classes(system: EquationSystem) -> tuple[frozenset[str], .
 
 def primitive_sets(system: EquationSystem, limit: int = 12) -> tuple[frozenset[str], ...]:
     """All inclusion-minimal nonempty correlated sets of horizontal edges."""
-    horizontal = sorted(system.graph.horizontal_edges)
-    if len(horizontal) > limit:
-        raise LimitError(
-            f"{len(horizontal)} horizontal edges exceed the search limit {limit};"
-            " use cross_equivalence_classes for the rref-based partition instead"
-        )
-    return tuple(_minimal_correlated_within(system, frozenset(horizontal)))
+    return tuple(_minimal_correlated_within(system, frozenset(system.graph.horizontal_edges), limit))
 
 
 def _minimal_correlated_within(
-    system: EquationSystem, ambient: frozenset[str]
+    system: EquationSystem, ambient: frozenset[str], limit: int = 12
 ) -> list[frozenset[str]]:
-    found: list[frozenset[str]] = []
+    """Inclusion-minimal correlated subsets of ``ambient``, smallest first.
+
+    The search visits every subset, so more than ``limit`` edges raise
+    LimitError.
+    """
     members = sorted(ambient)
+    if len(members) > limit:
+        raise LimitError(
+            f"{len(members)} horizontal edges exceed the search limit {limit};"
+            " use cross_equivalence_classes for the rref-based partition instead"
+        )
+    found: list[frozenset[str]] = []
     for size in range(1, len(members) + 1):
         for combo in combinations(members, size):
             candidate = frozenset(combo)
@@ -483,26 +491,19 @@ def _match_top_restriction(system: EquationSystem, work: Cycle, level: int) -> C
     Solves for coefficients over the rref rows: match every carrier at the top
     level, kill every carrier above it, and keep all horizontal pairings zero.
     """
-    rows = [eq.cycle for eq in system.rref_rows]
+    rows = system.rref_rows
     if not rows:
         return None
-    graph = system.graph
-    columns = system.basis.columns()
     vectors = system._row_vectors
     target_vec = work.to_vector()
     constraint_rows: list[list[GaussianRational]] = []
     rhs: list[GaussianRational] = []
-    for col, (kind, key) in enumerate(columns):
-        lvl = system.basis.element(key).level if kind == "b" else graph.edge_level(key)
-        if lvl == level:
+    for col, lvl in enumerate(system.basis.column_levels):
+        if lvl >= level:
             constraint_rows.append([v[col] for v in vectors])
-            rhs.append(target_vec[col])
-        elif lvl > level:
-            constraint_rows.append([v[col] for v in vectors])
-            rhs.append(ZERO)
-    for eid in graph.horizontal_edges:
-        constraint_rows.append([pair(r, eid) for r in rows])
-        rhs.append(ZERO)
+            rhs.append(target_vec[col] if lvl == level else ZERO)
+    constraint_rows += system._pairing_columns.values()
+    rhs += [ZERO] * len(system._pairing_columns)
     solution = linalg.solve_linear(constraint_rows, rhs)
     if solution is None:
         return None
@@ -525,11 +526,11 @@ def decompose(system: EquationSystem, cycle: Cycle) -> DecomposeResult:
     work = cycle
     graph = system.graph
     for _ in range(len(graph.horizontal_edges) + graph.depth + 2):
-        support = hor_support(work)
+        eq = Equation(work)
+        support, top = eq.hor_support, eq.top
         if not support:
             g_total = g_total + work
             return _checked(system, cycle, tuple(h_parts), g_total)
-        top = top_level(work)
         at_top = {e for e in support if graph.edge_level(e) == top}
         if at_top:
             primitive = None
@@ -582,30 +583,23 @@ def _checked(system, original, h_parts, g_part) -> DecomposeResult:
 # -- undegeneration bookkeeping --------------------------------------------------
 
 
-def _remapped_top(system: EquationSystem, cycle: Cycle, undeg: Undegeneration) -> int | None:
-    graph = system.graph
-    levels = [undeg.new_level(system.basis.element(n).level) for n in cycle.coeffs]
-    levels += [undeg.new_level(graph.edge_level(e)) for e in cycle.lam]
-    return max(levels) if levels else None
-
-
 def lost_count(system: EquationSystem, undeg: Undegeneration) -> int:
     """Rows whose remapped top level crosses a surviving horizontal edge.
 
     Rows that cross a horizontal node at their (relabeled) top level do not
     restrict the smaller boundary stratum; they are the defining equations
-    lost there.
+    lost there.  Relabeling is monotone, so a row's new top is the relabeled
+    old one, and its crossings are the cached horizontal support.
     """
     graph = system.graph
+    kept = [(eid, undeg.new_level(graph.edge_level(eid))) for eid in undeg.kept_horizontal]
     count = 0
     for eq in system.rref_rows:
-        new_top = _remapped_top(system, eq.cycle, undeg)
-        if new_top is None:
+        if eq.top is None:
             continue
-        for eid in undeg.kept_horizontal:
-            if undeg.new_level(graph.edge_level(eid)) == new_top and pair(eq.cycle, eid):
-                count += 1
-                break
+        new_top = undeg.new_level(eq.top)
+        if any(level == new_top and eid in eq.hor_support for eid, level in kept):
+            count += 1
     return count
 
 
@@ -680,11 +674,8 @@ class ConsistencyCertificate:
 
 
 def _monic(cycle: Cycle) -> Cycle:
-    for kind, key in cycle.basis.columns():
-        c = (cycle.coeffs if kind == "b" else cycle.lam).get(key)
-        if c:
-            return cycle.scale(ONE / c)
-    return cycle
+    lead = next((c for c in cycle.to_vector() if c), None)
+    return cycle.scale(ONE / lead) if lead else cycle
 
 
 def _single_lambda_term(cycle: Cycle) -> str | None:

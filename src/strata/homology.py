@@ -9,6 +9,7 @@ intersection pairings of any cycle against an edge only see the basis part.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .errors import BasisError, Violation
@@ -33,7 +34,9 @@ class AdaptedBasis:
 
     Crossing elements meet exactly one horizontal vanishing cycle, with
     intersection 1; noncrossing elements meet none.  The stated top level and
-    the full pairing table against every edge are input data.
+    the full pairing table against every edge are input data.  The column
+    layout is fixed at construction; the level of each column is read from
+    the graph on first use, since graphs are built before they are validated.
     """
 
     def __init__(self, graph: EnhancedLevelGraph, elements, pairings):
@@ -61,6 +64,14 @@ class AdaptedBasis:
     def columns(self) -> tuple[tuple[str, str], ...]:
         """Column order for row reduction: basis elements, then edges by id."""
         return self._columns
+
+    @cached_property
+    def column_levels(self) -> tuple[int, ...]:
+        """Level of each column: an element's level, an edge's carrier level."""
+        return tuple(
+            self.element(key).level if kind == "b" else self.graph.edge_level(key)
+            for kind, key in self._columns
+        )
 
     def crossing_element_for(self, eid: str) -> str | None:
         """The basis element paired with a horizontal edge, if any."""

@@ -10,6 +10,7 @@ graph by keeping a subset of level passages and a subset of horizontal edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 
@@ -41,7 +42,9 @@ class EnhancedLevelGraph:
     """Immutable level graph with per-edge enhancements.
 
     Construction does not validate; run :func:`validate` and treat the graph
-    as usable only when the violation list is empty.
+    as usable only when the violation list is empty.  Derived data (depth,
+    the horizontal and vertical edge tuples, the edges crossing each passage)
+    is computed on first use and kept, since the graph never changes.
     """
 
     def __init__(self, vertices, edges, markings):
@@ -63,7 +66,7 @@ class EnhancedLevelGraph:
     def level(self, vid: str) -> int:
         return self._vertex_map[vid].level
 
-    @property
+    @cached_property
     def depth(self) -> int:
         """Number of levels below zero, L."""
         if not self.vertices:
@@ -74,11 +77,11 @@ class EnhancedLevelGraph:
         e = self._edge_map[eid]
         return self.level(e.ends[0]) == self.level(e.ends[1])
 
-    @property
+    @cached_property
     def horizontal_edges(self) -> tuple[str, ...]:
         return tuple(sorted(e.id for e in self.edges if self.is_horizontal(e.id)))
 
-    @property
+    @cached_property
     def vertical_edges(self) -> tuple[str, ...]:
         return tuple(sorted(e.id for e in self.edges if not self.is_horizontal(e.id)))
 
@@ -99,16 +102,17 @@ class EnhancedLevelGraph:
         """Passage i sits between levels i+1 and i, for i in {-1, ..., -L}."""
         return tuple(range(-1, -self.depth - 1, -1))
 
+    @cached_property
+    def _crossing(self) -> dict[int, tuple[str, ...]]:
+        return {
+            i: tuple(e for e in self.vertical_edges if self.top_level(e) > i >= self.bottom_level(e))
+            for i in self.passage_indices()
+        }
+
     def crossing_edges(self, i: int) -> tuple[str, ...]:
-        if i not in self.passage_indices():
+        if i not in self._crossing:
             raise GraphError(f"no level passage {i} in a graph of depth {self.depth}")
-        out = []
-        for e in self.edges:
-            if self.is_horizontal(e.id):
-                continue
-            if self.top_level(e.id) > i >= self.bottom_level(e.id):
-                out.append(e.id)
-        return tuple(sorted(out))
+        return self._crossing[i]
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -236,8 +240,7 @@ def lcm_weight(graph: EnhancedLevelGraph, i: int) -> int:
 
 def passage_weight(graph: EnhancedLevelGraph, eid: str, i: int) -> int:
     """Per-edge weight at a passage: lcm weight divided by the edge's kappa."""
-    crossing = graph.crossing_edges(i)
-    if eid not in crossing:
+    if eid not in graph.crossing_edges(i):
         raise GraphError(f"edge {eid} does not cross passage {i}")
     a = lcm_weight(graph, i)
     kappa = graph.edge(eid).kappa
@@ -278,12 +281,8 @@ class Undegeneration:
         return -sum(1 for p in self.kept_passages if p >= old_level)
 
     def surviving_vertical(self, graph: EnhancedLevelGraph) -> tuple[str, ...]:
-        out = []
-        for eid in graph.vertical_edges:
-            top, bottom = graph.top_level(eid), graph.bottom_level(eid)
-            if any(top > p >= bottom for p in self.kept_passages):
-                out.append(eid)
-        return tuple(sorted(out))
+        crossed = {e for p in self.kept_passages for e in graph._crossing.get(p, ())}
+        return tuple(e for e in graph.vertical_edges if e in crossed)
 
     def surviving_edges(self, graph: EnhancedLevelGraph) -> tuple[str, ...]:
         return tuple(sorted(self.kept_horizontal + self.surviving_vertical(graph)))

@@ -140,9 +140,11 @@ def reduce_vector(
     """Residual of ``v`` after eliminating the pivot columns of an rref basis."""
     res = list(v)
     for row, p in zip(rows, pivots):
-        if res[p]:
-            factor = res[p]
-            res = vec_sub(res, vec_scale(factor, row))
+        factor = res[p]
+        if factor:
+            for j, x in enumerate(row):
+                if x:
+                    res[j] = res[j] - factor * x
     return res
 
 

@@ -16,13 +16,13 @@ from fractions import Fraction
 
 from . import linalg
 from .equations import (
+    Equation,
     EquationSystem,
     consistency_report,
     cross_equivalence_classes,
-    top_level,
 )
 from .errors import ConversionError, PlumbingError
-from .gaussian import ONE, GaussianRational
+from .gaussian import ONE, ZERO, GaussianRational
 from .homology import Cycle, pair
 
 
@@ -64,14 +64,10 @@ class Analytic:
 PlumbingEquation = Binomial | Analytic
 
 
-def _top_restriction(system: EquationSystem, cycle: Cycle) -> Cycle:
-    top = top_level(cycle)
-    graph = system.graph
-    coeffs = {
-        n: c for n, c in cycle.coeffs.items() if system.basis.element(n).level == top
-    }
-    lam = {e: c for e, c in cycle.lam.items() if graph.edge_level(e) == top}
-    return Cycle(system.basis, coeffs, lam)
+def _top_restriction(system: EquationSystem, eq: Equation) -> Cycle:
+    levels = system.basis.column_levels
+    vector = [x if level == eq.top else ZERO for x, level in zip(eq.cycle.to_vector(), levels)]
+    return Cycle.from_vector(system.basis, vector)
 
 
 def convert(system: EquationSystem, assume_theorems: bool = False) -> list[PlumbingEquation]:
@@ -96,7 +92,7 @@ def convert(system: EquationSystem, assume_theorems: bool = False) -> list[Plumb
     for k, eq in enumerate(system.rref_rows):
         if not eq.hor_support:
             n_analytic += 1
-            out.append(Analytic(f"G{n_analytic}", _top_restriction(system, eq.cycle), k))
+            out.append(Analytic(f"G{n_analytic}", _top_restriction(system, eq), k))
             continue
         support = sorted(eq.hor_support)
         ref = support[0]

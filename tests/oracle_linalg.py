@@ -3,7 +3,9 @@
 ``rref`` is the Fraction-based Gauss-Jordan elimination that ``strata.linalg``
 used before it moved to fraction-free elimination over the Gaussian integers.
 It is deliberately slow and obvious: every pivot row is scaled to 1 and every
-other row is cleared with exact Q(i) arithmetic.
+other row is cleared with exact Q(i) arithmetic.  ``reduce_vector`` is the
+dense residual that subtracts a multiple of the whole pivot row, zero entries
+included.
 """
 
 from __future__ import annotations
@@ -48,3 +50,15 @@ def rref(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[Vector], list
             break
     out = work[:r]
     return out, pivots
+
+
+def reduce_vector(
+    v: Sequence[GaussianRational], rows: Sequence[Sequence[GaussianRational]], pivots: Sequence[int]
+) -> Vector:
+    """Residual of ``v`` after eliminating the pivot columns of an rref basis."""
+    res = list(v)
+    for row, p in zip(rows, pivots):
+        if res[p]:
+            factor = res[p]
+            res = vec_sub(res, vec_scale(factor, row))
+    return res

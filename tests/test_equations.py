@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from strata import equations, linalg
+import oracle_equations
+from strata import equations, homology, linalg
 from strata.equations import (
     EquationSystem,
     ProportionalityData,
@@ -22,8 +23,17 @@ from strata.equations import (
 )
 from strata.errors import LimitError, SystemDataError
 from strata.gaussian import ZERO, ONE, GaussianRational
-from strata.homology import DECLARED, AdaptedBasis, BasisElement, Cycle, LambdaRelationSet, picard_lefschetz
-from strata.level_graph import Edge, EnhancedLevelGraph, Marking, Undegeneration, Vertex, passage_weight, validate
+from strata.homology import DECLARED, AdaptedBasis, BasisElement, Cycle, LambdaRelationSet, pair, picard_lefschetz
+from strata.level_graph import (
+    Edge,
+    EnhancedLevelGraph,
+    Marking,
+    Undegeneration,
+    Vertex,
+    enumerate_undegenerations,
+    passage_weight,
+    validate,
+)
 from support import (
     adapted_basis_for,
     aim_parallel_fixture,
@@ -667,3 +677,154 @@ def test_r2_trace_counts_the_residue_forms():
             seen += 1
             assert line.startswith(f"R2: {len(residue_forms(system))} residue forms ")
     assert seen
+
+
+# -- cached row carriers and the undegeneration table -------------------------------------
+
+
+def _assert_matches_pair_oracle(system, undeg):
+    got = classify_undegeneration(system, undeg)
+    lost = oracle_equations.lost_count(system, undeg)
+    codim = undeg.horizontal_count + undeg.depth + system.rank - lost
+    assert (got.lost, got.codim_in_total, got.divisorial) == (lost, codim, codim == system.rank + 1)
+
+
+def _random_systems(r, count):
+    for _ in range(count):
+        graph = random_graph(r, max_depth=3, max_horizontal=3)
+        yield random_system(
+            graph, r, rank=r.randint(0, 4), real=r.random() < 0.5, lam=r.random() < 0.5
+        )
+
+
+def test_classify_undegeneration_matches_pair_oracle_on_fixtures(documents):
+    checked = 0
+    for doc in documents.values():
+        system = doc.system()
+        for undeg in enumerate_undegenerations(system.graph):
+            _assert_matches_pair_oracle(system, undeg)
+            checked += 1
+    assert checked == sum(
+        2 ** (doc.graph.depth + len(doc.graph.horizontal_edges)) for doc in documents.values()
+    )
+
+
+def test_classify_undegeneration_matches_pair_oracle_on_random_systems():
+    for system in _random_systems(rng(4501), 300):
+        for undeg in enumerate_undegenerations(system.graph):
+            _assert_matches_pair_oracle(system, undeg)
+
+
+def test_rows_cache_pairings_top_and_support(documents):
+    systems = [doc.system() for doc in documents.values()] + list(_random_systems(rng(4502), 60))
+    for system in systems:
+        horizontal = system.graph.horizontal_edges
+        for eq in system.rref_rows + system.equations:
+            assert eq.hor_pairings == tuple(pair(eq.cycle, e) for e in horizontal)
+            assert eq.hor_support == frozenset(e for e in horizontal if pair(eq.cycle, e))
+            assert eq.top == oracle_equations.top_level(eq.cycle) == top_level(eq.cycle)
+
+
+def _count_pair_calls(monkeypatch):
+    """Route ``pair`` through a counter; ``counts['on']`` switches counting."""
+    counts = {"on": False, "calls": 0, "total": 0}
+    original = homology.pair
+
+    def counting(cycle, eid):
+        counts["total"] += 1
+        counts["calls"] += counts["on"]
+        return original(cycle, eid)
+
+    monkeypatch.setattr(homology, "pair", counting)
+    monkeypatch.setattr(equations, "pair", counting)
+    return counts
+
+
+def test_lost_count_pairs_nothing_during_analyze(monkeypatch, fixture_dir, capsys):
+    from strata import cli
+
+    counts = _count_pair_calls(monkeypatch)
+    original = equations.lost_count
+    lost_calls = []
+
+    def watched(system, undeg):
+        counts["on"] = True
+        try:
+            lost_calls.append(original(system, undeg))
+        finally:
+            counts["on"] = False
+        return lost_calls[-1]
+
+    monkeypatch.setattr(equations, "lost_count", watched)
+    for name in ("parallel_cylinders", "three_node_pinch", "stacked_cylinders", "triple_node_cover"):
+        assert cli.main(["analyze", str(fixture_dir / f"{name}.json")]) == 0
+    capsys.readouterr()
+    assert len(lost_calls) >= 4 * 4 and any(lost_calls)
+    assert counts["total"] > 0 and counts["calls"] == 0
+
+
+def test_support_queries_read_cached_pairings(monkeypatch, documents):
+    systems = [documents["three_node_pinch"].system(), documents["parallel_cylinders"].system()]
+    systems += [system for system in _random_systems(rng(4503), 20) if system.rank]
+    for system in systems:
+        system.rref_rows
+    counts = _count_pair_calls(monkeypatch)
+    counts["on"] = True
+    for system in systems:
+        for eid in system.graph.horizontal_edges:
+            equations._support_subspace(system, frozenset({eid}))
+            equations._support_subspace(system, frozenset({eid}), max_level=-1)
+            is_correlated(system, {eid})
+        is_correlated(system, system.graph.horizontal_edges)
+        for eq in system.rref_rows:
+            if eq.top is not None:
+                equations._match_top_restriction(system, eq.cycle, eq.top)
+    assert counts["calls"] == 0
+
+
+def test_correlated_witness_is_none_exactly_when_not_correlated(documents):
+    from itertools import combinations
+
+    systems = [documents["three_node_pinch"].system(), documents["triple_node_cover"].system()]
+    systems += list(_random_systems(rng(4504), 40))
+    for system in systems:
+        horizontal = system.graph.horizontal_edges
+        for size in range(1, len(horizontal) + 1):
+            for combo in combinations(horizontal, size):
+                witness = correlated_witness(system, combo)
+                assert (witness is not None) == is_correlated(system, combo)
+                if witness is not None:
+                    assert hor_support(witness) == frozenset(combo)
+
+
+def test_subset_searches_refuse_past_the_limit():
+    graph = loop_graph(13)
+    basis = adapted_basis_for(graph)
+    row = Cycle(basis, {f"d_e{k}": ONE for k in range(1, 14)}, {})
+    system = EquationSystem(basis, [row])
+    message = "13 horizontal edges exceed the search limit 12; use cross_equivalence_classes"
+    with pytest.raises(LimitError, match=message):
+        decompose(system, row)
+    with pytest.raises(LimitError, match=message):
+        primitive_sets(system)
+
+    small = EquationSystem(adapted_basis_for(loop_graph(5)), [])
+    with pytest.raises(LimitError, match="5 horizontal edges exceed the search limit 4;"):
+        primitive_sets(small, limit=4)
+    assert primitive_sets(small, limit=5) == ()
+
+
+def test_top_match_agrees_at_its_level_and_vanishes_above():
+    checked = 0
+    for system in _random_systems(rng(4505), 80):
+        levels = system.basis.column_levels
+        for eq in system.rref_rows:
+            for level in range(eq.top, -system.graph.depth - 1, -1):
+                match = equations._match_top_restriction(system, eq.cycle, level)
+                if match is None:
+                    continue
+                checked += 1
+                assert system.span_contains(match) and not hor_support(match)
+                for x, y, lvl in zip(match.to_vector(), eq.cycle.to_vector(), levels):
+                    assert x == (y if lvl == level else x if lvl < level else ZERO)
+    assert checked

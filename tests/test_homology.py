@@ -11,7 +11,8 @@ from strata.homology import (
     picard_lefschetz,
     validate_adapted,
 )
-from support import adapted_basis_for, loop_graph, random_int_cycle, rng, two_level_graph
+from strata.level_graph import Edge, EnhancedLevelGraph, Vertex
+from support import adapted_basis_for, loop_graph, random_graph, random_int_cycle, rng, two_level_graph
 
 
 def test_noncrossing_basis_valid():
@@ -201,3 +202,26 @@ def test_basis_layout_computed_once():
         [("b", el.name) for el in basis.elements]
         + [("l", eid) for eid in sorted(e.id for e in graph.edges)]
     )
+
+
+def test_column_levels_match_element_and_edge_levels(documents):
+    r = rng(4601)
+    bases = [doc.basis for doc in documents.values()]
+    bases += [adapted_basis_for(random_graph(r, max_depth=3, max_horizontal=3), r) for _ in range(30)]
+    for basis in bases:
+        graph = basis.graph
+        expected = tuple(
+            basis.element(key).level if kind == "b" else graph.edge_level(key)
+            for kind, key in basis.columns()
+        )
+        assert basis.column_levels == expected
+        assert basis.column_levels is basis.column_levels
+
+
+def test_column_levels_wait_for_first_use():
+    """Graphs are built before validation; an unknown endpoint only raises on use."""
+    graph = EnhancedLevelGraph([Vertex("w", 0, 0)], [Edge("e1", ("w", "nowhere"))], [])
+    basis = AdaptedBasis(graph, [BasisElement("a", 0, "noncrossing", None)], {})
+    assert basis.columns() == (("b", "a"), ("l", "e1"))
+    with pytest.raises(KeyError):
+        basis.column_levels

@@ -231,3 +231,33 @@ def test_passages_listing():
     listing = passages(graph)
     assert [p.index for p in listing] == [-1]
     assert listing[0].crossing == ("v1", "v2")
+
+
+def test_derived_edge_data_is_computed_once_and_matches_a_scan():
+    r = rng(4701)
+    for _ in range(60):
+        graph = random_graph(r, max_depth=3, max_horizontal=3)
+        horizontal = sorted(e.id for e in graph.edges if graph.is_horizontal(e.id))
+        vertical = sorted(e.id for e in graph.edges if not graph.is_horizontal(e.id))
+        assert graph.horizontal_edges == tuple(horizontal)
+        assert graph.vertical_edges == tuple(vertical)
+        assert graph.horizontal_edges is graph.horizontal_edges
+        assert graph.vertical_edges is graph.vertical_edges
+        for i in graph.passage_indices():
+            scan = tuple(
+                e for e in vertical if graph.top_level(e) > i >= graph.bottom_level(e)
+            )
+            assert graph.crossing_edges(i) == scan
+            assert graph.crossing_edges(i) is graph.crossing_edges(i)
+            for e in scan:
+                kappa = graph.edge(e).kappa
+                assert passage_weight(graph, e, i) * kappa == lcm_weight(graph, i)
+        for und in enumerate_undegenerations(graph):
+            survivors = tuple(
+                e for e in vertical
+                if any(graph.top_level(e) > p >= graph.bottom_level(e) for p in und.kept_passages)
+            )
+            assert und.surviving_vertical(graph) == survivors
+        assert Undegeneration.make([0, -graph.depth - 1], []).surviving_vertical(graph) == ()
+        with pytest.raises(GraphError):
+            graph.crossing_edges(-graph.depth - 1)

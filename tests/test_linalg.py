@@ -210,3 +210,33 @@ def test_matvec_matches_oracle(inputs):
 )
 def test_matvec_edge_shapes(rows, v):
     assert linalg.matvec(rows, v) == oracle_aim.matvec(rows, v)
+
+
+# -- sparse reduce_vector against the dense oracle ------------------------------
+
+
+@st.composite
+def reduce_inputs(draw):
+    """An rref basis and a vector: dense, sparse or zero, inside or outside the span."""
+    rows, pivots = linalg.rref(draw(qi_matrices()))
+    ncols = len(rows[0]) if rows else draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["dense", "sparse", "zero", "in-span"]))
+    if kind == "in-span" and rows:
+        coords = draw(st.lists(sparse_qi, min_size=len(rows), max_size=len(rows)))
+        v = [sum((c * row[j] for c, row in zip(coords, rows)), start=ZERO) for j in range(ncols)]
+    else:
+        entries = {"dense": qi, "sparse": sparse_qi}.get(kind, st.just(ZERO))
+        v = draw(st.lists(entries, min_size=ncols, max_size=ncols))
+    return v, rows, pivots, kind
+
+
+@given(reduce_inputs())
+@settings(max_examples=300, deadline=None)
+def test_reduce_vector_matches_oracle(inputs):
+    v, rows, pivots, kind = inputs
+    residual = linalg.reduce_vector(v, rows, pivots)
+    assert residual == oracle_linalg.reduce_vector(v, rows, pivots)
+    if kind in ("zero", "in-span"):
+        assert linalg.is_zero_vector(residual)
+        assert linalg.in_span(v, rows, pivots)
+    assert all(not residual[p] for p in pivots)
