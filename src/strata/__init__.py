@@ -5,6 +5,13 @@ vanishing-cycle pairings, rref defining-equation systems, period-to-plumbing
 binomial conversion, cylinder deformations, and symplectic tangent analyses,
 all over exact Gaussian-rational arithmetic, and packages the results as
 machine-checkable consistency certificates.
+
+Tuples are built from lists (``tuple([...])``, ``f(*[...])``), never straight
+from a generator.  A generator-built tuple grows by resizing, so it cannot
+reuse a block from CPython's per-size tuple free lists, yet it joins them
+when freed; only full collections empty those lists, and the library makes
+few enough GC-tracked objects that full collections are rare, so in a long
+in-process loop the lists fill and peak memory rises.
 """
 
 from .equations import (

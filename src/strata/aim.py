@@ -156,7 +156,7 @@ def _subspace_report(j_rows, vectors: Sequence[Sequence[GaussianRational]]) -> S
     gram = [linalg.matvec(j_images, w) for w in reduced]
     form_rank = linalg.rank(gram)
     return SubspaceReport(
-        tuple(tuple(row) for row in reduced), dim, form_rank, form_rank == dim
+        tuple([tuple(row) for row in reduced]), dim, form_rank, form_rank == dim
     )
 
 
@@ -308,7 +308,7 @@ def pairwise_circum_decompose(
     candidates = _pair_form_candidates(system, target_nodes)
     if not candidates:
         raise AimError("recombination stuck: the span contains no two-node period forms")
-    matrix_rows = list(zip(*(form.to_vector() for _, form in candidates)))
+    matrix_rows = list(zip(*[form.to_vector() for _, form in candidates]))
     solution = linalg.solve_linear(matrix_rows, cycle.to_vector())
     if solution is None:
         raise AimError(

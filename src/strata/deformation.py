@@ -126,7 +126,7 @@ class CylinderClass:
         raise DeformationError(f"{eid} is not a horizontal edge")
 
     def curve_names(self) -> tuple[str, ...]:
-        return tuple(name for _, name in self.cross_curves)
+        return tuple([name for _, name in self.cross_curves])
 
 
 @dataclass(frozen=True)

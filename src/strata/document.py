@@ -230,7 +230,7 @@ class AnalysisDocument:
             return None
         if self._symplectic is None:
             iota = tuple(
-                Cycle.from_vector(self.basis, list(row)) for row in self.raw_symplectic.iota
+                [Cycle.from_vector(self.basis, list(row)) for row in self.raw_symplectic.iota]
             )
             self._symplectic = SymplecticData(
                 self.raw_symplectic.j_matrix,
@@ -256,10 +256,26 @@ class AnalysisDocument:
 # -- parsing --------------------------------------------------------------------
 
 
-def _parse_gaussian_map(data: dict, path: str) -> dict[str, GaussianRational]:
+def _literal(value, where: str, seen: dict[str, GaussianRational]) -> GaussianRational:
+    """``parse_gaussian``, reusing the value of literal text already read in this load.
+
+    Values are immutable, so every repeat of a text shares one object.  Only
+    text is looked up; other JSON values go to ``parse_gaussian`` as they are.
+    """
+    if type(value) is not str:
+        return parse_gaussian(value, where)
+    z = seen.get(value)
+    if z is None:
+        z = seen[value] = parse_gaussian(value, where)
+    return z
+
+
+def _parse_gaussian_map(
+    data: dict, path: str, seen: dict[str, GaussianRational]
+) -> dict[str, GaussianRational]:
     out = {}
     for key in sorted(data):
-        out[key] = parse_gaussian(data[key], f"{path}.{key}")
+        out[key] = _literal(data[key], f"{path}.{key}", seen)
     return out
 
 
@@ -332,6 +348,7 @@ def parse_document(data: Any, path: str = "$") -> AnalysisDocument:
     graph = _parse_graph(_get(data, "graph", dict, path), f"{path}.graph")
     basis = _parse_basis(_get(data, "basis", list, path), graph, f"{path}.basis")
 
+    seen: dict[str, GaussianRational] = {}  # this load's literal text -> value
     system_data = _get(data, "system", dict, path)
     sp = f"{path}.system"
     equations = []
@@ -340,8 +357,12 @@ def parse_document(data: Any, path: str = "$") -> AnalysisDocument:
         item = _expect(item, dict, eq_path)
         equations.append(
             RawEquation(
-                _parse_gaussian_map(_get(item, "coeffs", dict, eq_path, default={}), f"{eq_path}.coeffs"),
-                _parse_gaussian_map(_get(item, "lambda", dict, eq_path, default={}), f"{eq_path}.lambda"),
+                _parse_gaussian_map(
+                    _get(item, "coeffs", dict, eq_path, default={}), f"{eq_path}.coeffs", seen
+                ),
+                _parse_gaussian_map(
+                    _get(item, "lambda", dict, eq_path, default={}), f"{eq_path}.lambda", seen
+                ),
             )
         )
     ratios = []
@@ -362,8 +383,12 @@ def parse_document(data: Any, path: str = "$") -> AnalysisDocument:
         provenance = item.get("provenance", DECLARED)
         relations.append(
             RawRelation(
-                _parse_gaussian_map(_get(item, "coeffs", dict, rp, default={}), f"{rp}.coeffs"),
-                _parse_gaussian_map(_get(item, "lambda", dict, rp, default={}), f"{rp}.lambda"),
+                _parse_gaussian_map(
+                    _get(item, "coeffs", dict, rp, default={}), f"{rp}.coeffs", seen
+                ),
+                _parse_gaussian_map(
+                    _get(item, "lambda", dict, rp, default={}), f"{rp}.lambda", seen
+                ),
                 _expect(provenance, str, f"{rp}.provenance"),
             )
         )
@@ -382,18 +407,18 @@ def parse_document(data: Any, path: str = "$") -> AnalysisDocument:
         j_rows = []
         for a, row in enumerate(_get(ydata, "J", list, yp)):
             row = _expect(row, list, f"{yp}.J[{a}]")
-            j_rows.append(tuple(_expect(x, int, f"{yp}.J[{a}][{b}]") for b, x in enumerate(row)))
+            j_rows.append(tuple([_expect(x, int, f"{yp}.J[{a}][{b}]") for b, x in enumerate(row)]))
         iota_rows = []
         for a, row in enumerate(_get(ydata, "iota", list, yp)):
             row = _expect(row, list, f"{yp}.iota[{a}]")
             iota_rows.append(
-                tuple(parse_gaussian(x, f"{yp}.iota[{a}][{b}]") for b, x in enumerate(row))
+                tuple([_literal(x, f"{yp}.iota[{a}][{b}]", seen) for b, x in enumerate(row)])
             )
         u_lambda = {}
         for eid, row in sorted(_get(ydata, "u_lambda", dict, yp).items()):
             row = _expect(row, list, f"{yp}.u_lambda.{eid}")
             u_lambda[eid] = tuple(
-                parse_gaussian(x, f"{yp}.u_lambda.{eid}[{b}]") for b, x in enumerate(row)
+                [_literal(x, f"{yp}.u_lambda.{eid}[{b}]", seen) for b, x in enumerate(row)]
             )
         symplectic = RawSymplectic(
             tuple(j_rows),

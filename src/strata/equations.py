@@ -47,7 +47,7 @@ class Equation:
     def __init__(self, cycle: Cycle):
         horizontal = cycle.basis.graph.horizontal_edges
         self.cycle = cycle
-        self.hor_pairings = tuple(pair(cycle, e) for e in horizontal)
+        self.hor_pairings = tuple([pair(cycle, e) for e in horizontal])
         self.hor_support = frozenset(e for e, p in zip(horizontal, self.hor_pairings) if p)
         self.top = top_level(cycle)
 
@@ -64,7 +64,7 @@ class ProportionalityData:
 
     def __init__(self, entries: Iterable[tuple[str, str, Fraction]] = ()):
         self.entries: tuple[tuple[str, str, Fraction], ...] = tuple(
-            (e, ep, Fraction(q)) for e, ep, q in entries
+            [(e, ep, Fraction(q)) for e, ep, q in entries]
         )
         self._closure = None
 
@@ -172,7 +172,7 @@ class EquationSystem:
     ):
         self.basis = basis
         self.graph = basis.graph
-        self.equations: tuple[Equation, ...] = tuple(Equation(c) for c in equations)
+        self.equations: tuple[Equation, ...] = tuple([Equation(c) for c in equations])
         self.real = real
         self.minimal_stratum = minimal_stratum
         self.relations = relations if relations is not None else LambdaRelationSet(basis)
@@ -195,8 +195,8 @@ class EquationSystem:
         vectors = [eq.cycle.to_vector() for eq in self.equations]
         reduced, pivot_cols = linalg.rref(vectors)
         columns = self.basis.columns()
-        rows = tuple(Equation(Cycle.from_vector(self.basis, v)) for v in reduced)
-        pivots = tuple(columns[c] for c in pivot_cols)
+        rows = tuple([Equation(Cycle.from_vector(self.basis, v)) for v in reduced])
+        pivots = tuple([columns[c] for c in pivot_cols])
         self._row_vectors = reduced
         self._pivot_cols = pivot_cols
         horizontal = self.graph.horizontal_edges
@@ -386,7 +386,7 @@ def cross_equivalence_classes(system: EquationSystem) -> tuple[frozenset[str], .
     groups: dict[str, set[str]] = {}
     for e in parent:
         groups.setdefault(find(e), set()).add(e)
-    return tuple(frozenset(groups[root]) for root in sorted(groups))
+    return tuple([frozenset(groups[root]) for root in sorted(groups)])
 
 
 def primitive_sets(system: EquationSystem, limit: int = 12) -> tuple[frozenset[str], ...]:
@@ -709,8 +709,8 @@ def proportionality_obligations(
                 forced.append((eid, Cycle(system.basis, {}, {eid: ONE})))
                 continue
             normalized = _monic(residual)
-            key = tuple((k, v) for k, v in sorted(normalized.coeffs.items())) + tuple(
-                (k, v) for k, v in sorted(normalized.lam.items())
+            key = tuple([(k, v) for k, v in sorted(normalized.coeffs.items())]) + tuple(
+                [(k, v) for k, v in sorted(normalized.lam.items())]
             )
             if key not in reps:
                 reps[key] = eid

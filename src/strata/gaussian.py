@@ -1,147 +1,214 @@
 """Exact Gaussian-rational arithmetic.
 
-Coefficients throughout the library live in Q(i), represented as a pair of
-exact ``fractions.Fraction`` values.  Literals in documents are strings of the
-form ``"a/b"`` or ``"a/b+c/d i"``; shorthand forms (``"2"``, ``"i"``,
-``"1-2i"``, ``"6 i"``) are accepted on input, while output always uses the
-canonical explicit-denominator form.
+Coefficients throughout the library live in Q(i).  A value is held as three
+plain ints ``(a, b, d)`` meaning ``(a + b i) / d``, with ``d > 0`` and
+``gcd(a, b, d) == 1``, so equal values have equal triples and arithmetic needs
+at most one gcd per result.  Literals in documents are strings of the form
+``"a/b"`` or ``"a/b+c/d i"``; shorthand forms (``"2"``, ``"i"``, ``"1-2i"``,
+``"6 i"``) are accepted on input, while output always uses the canonical
+explicit-denominator form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DocumentParseError
 
 
 class GaussianRational:
-    """An element of Q(i) with exact rational real and imaginary parts."""
+    """An element of Q(i): ``(a + b i) / d`` in lowest terms, ``d > 0``."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            # With both parts in lowest terms, no prime divides a, b and lcm.
+            d = lcm(re.denominator, im.denominator)
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "GaussianRational | None":
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _from_ints(self.a + other.a, self.b + other.b, d)
+        return _from_ints(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _from_ints(self.a - other.a, self.b - other.b, d)
+        return _from_ints(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.a, self.b
+        c, e = other.a, other.b
+        return _from_ints(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        norm = other.re * other.re + other.im * other.im
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        c, e, f = other.a, other.b, other.d
+        norm = c * c + e * e
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        # (a + b i) / d * f / (c + e i) = (a + b i)(c - e i) f / (d norm)
+        a, b = self.a, self.b
+        return _from_ints((a * c + b * e) * f, (b * c - a * e) * f, self.d * norm)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is None:
             return NotImplemented
         return other / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _from_ints(-self.a, -self.b, self.d)
 
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self.b == 0
 
     def as_fraction(self) -> Fraction:
-        if self.im != 0:
+        if self.b != 0:
             raise ValueError(f"{self} is not rational")
-        return self.re
+        return Fraction(self.a, self.d)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int / int rounds correctly, so this is float(Fraction) of each part.
+        return complex(self.a / self.d) + 1j * complex(self.b / self.d)
 
     # -- text ---------------------------------------------------------------
 
     def canonical(self) -> str:
         """Explicit-denominator document form, e.g. ``"3/2-1/1 i"``."""
-        s = f"{self.re.numerator}/{self.re.denominator}"
-        if self.im != 0:
-            sign = "-" if self.im < 0 else "+"
-            mag = abs(self.im)
-            s += f"{sign}{mag.numerator}/{mag.denominator} i"
+        n, q = _lowest(self.a, self.d)
+        s = f"{n}/{q}"
+        if self.b != 0:
+            sign = "-" if self.b < 0 else "+"
+            n, q = _lowest(abs(self.b), self.d)
+            s += f"{sign}{n}/{q} i"
         return s
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return _imag_str(self.im)
-        sign = "-" if self.im < 0 else "+"
-        return f"{self.re}{sign}{_imag_str(abs(self.im)).lstrip('+')}"
+        a, b, d = self.a, self.b, self.d
+        if b == 0:
+            return _rational_str(a, d)
+        if a == 0:
+            return _imag_str(b, d)
+        sign = "-" if b < 0 else "+"
+        return f"{_rational_str(a, d)}{sign}{_imag_str(abs(b), d)}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-def _imag_str(im: Fraction) -> str:
-    if im == 1:
+_new = object.__new__
+_set_a = GaussianRational.a.__set__
+_set_b = GaussianRational.b.__set__
+_set_d = GaussianRational.d.__set__
+
+
+def _from_ints(a: int, b: int, d: int) -> GaussianRational:
+    """The value ``(a + b i) / d`` for ints with ``d > 0``, brought to lowest terms."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    z = _new(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _coerce(other) -> GaussianRational | None:
+    if isinstance(other, GaussianRational):
+        return other
+    if isinstance(other, (int, Fraction)):
+        return GaussianRational(other)
+    return None
+
+
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    if d == 1:
+        return n, 1
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def _rational_str(n: int, d: int) -> str:
+    """``str(Fraction(n, d))``."""
+    n, q = _lowest(n, d)
+    return str(n) if q == 1 else f"{n}/{q}"
+
+
+def _imag_str(b: int, d: int) -> str:
+    if b == d:
         return "i"
-    if im == -1:
+    if b == -d:
         return "-i"
-    return f"{im}*i"
+    return f"{_rational_str(b, d)}*i"
 
 
 ZERO = GaussianRational(0)
@@ -149,15 +216,35 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def _fraction_from_text(text: str, where: str) -> Fraction:
+def _ratio_from_text(text: str, where: str) -> tuple[int, int]:
+    """``(numerator, denominator > 0)`` of a rational literal, not reduced.
+
+    ``""`` and ``"+"`` read as 1 and ``"-"`` as -1 (the coefficient of a bare
+    ``i``).  An ASCII ``[sign]digits[/digits]`` literal is split and read with
+    ``int()``; every other form is handed to ``Fraction(text)``, which decides
+    what else is accepted.
+    """
     if text in ("", "+"):
-        return Fraction(1)
+        return 1, 1
     if text == "-":
-        return Fraction(-1)
+        return -1, 1
+    num, slash, den = text.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
     try:
-        return Fraction(text)
+        if text.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+            q = int(den) if slash else 1
+            if q:
+                return int(num), q
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise DocumentParseError(f"malformed rational literal {text!r}", where)
+    return value.numerator, value.denominator
+
+
+def _ratio_from_text_strict(text: str, where: str) -> tuple[int, int]:
+    if text in ("", "+", "-"):
+        raise DocumentParseError(f"malformed rational literal {text!r}", where)
+    return _ratio_from_text(text, where)
 
 
 def parse_rational(value, where: str = "<literal>") -> Fraction:
@@ -170,7 +257,7 @@ def parse_rational(value, where: str = "<literal>") -> Fraction:
         text = "".join(value.split())
         if text in ("", "+", "-"):
             raise DocumentParseError(f"malformed rational literal {value!r}", where)
-        return _fraction_from_text(text, where)
+        return Fraction(*_ratio_from_text(text, where))
     raise DocumentParseError(f"expected rational literal, got {type(value).__name__}", where)
 
 
@@ -186,7 +273,8 @@ def parse_gaussian(value, where: str = "<literal>") -> GaussianRational:
     if not text:
         raise DocumentParseError("empty gaussian literal", where)
     if not text.endswith("i"):
-        return GaussianRational(_fraction_from_text_strict(text, where))
+        n, q = _ratio_from_text_strict(text, where)
+        return _from_ints(n, 0, q)
     body = text[:-1]
     if body.endswith("*"):
         body = body[:-1]
@@ -198,13 +286,8 @@ def parse_gaussian(value, where: str = "<literal>") -> GaussianRational:
             split = k
             break
     if split < 0:
-        return GaussianRational(0, _fraction_from_text(body, where))
-    real = _fraction_from_text_strict(body[:split], where)
-    imag = _fraction_from_text(body[split:], where)
-    return GaussianRational(real, imag)
-
-
-def _fraction_from_text_strict(text: str, where: str) -> Fraction:
-    if text in ("", "+", "-"):
-        raise DocumentParseError(f"malformed rational literal {text!r}", where)
-    return _fraction_from_text(text, where)
+        n, q = _ratio_from_text(body, where)
+        return _from_ints(0, n, q)
+    re_n, re_q = _ratio_from_text_strict(body[:split], where)
+    im_n, im_q = _ratio_from_text(body[split:], where)
+    return _from_ints(re_n * im_q, im_n * re_q, re_q * im_q)

@@ -46,7 +46,7 @@ class AdaptedBasis:
             name: dict(table) for name, table in pairings.items()
         }
         self._index = {el.name: k for k, el in enumerate(self.elements)}
-        self.names: tuple[str, ...] = tuple(el.name for el in self.elements)
+        self.names: tuple[str, ...] = tuple([el.name for el in self.elements])
         self._columns: tuple[tuple[str, str], ...] = tuple(
             [("b", name) for name in self.names]
             + [("l", eid) for eid in sorted(e.id for e in graph.edges)]
@@ -69,8 +69,10 @@ class AdaptedBasis:
     def column_levels(self) -> tuple[int, ...]:
         """Level of each column: an element's level, an edge's carrier level."""
         return tuple(
-            self.element(key).level if kind == "b" else self.graph.edge_level(key)
-            for kind, key in self._columns
+            [
+                self.element(key).level if kind == "b" else self.graph.edge_level(key)
+                for kind, key in self._columns
+            ]
         )
 
     def crossing_element_for(self, eid: str) -> str | None:
@@ -333,7 +335,7 @@ class LambdaRelationSet:
     def __init__(self, basis: AdaptedBasis, relations: Iterable[tuple[Cycle, str]] = ()):
         self.basis = basis
         self.relations: tuple[tuple[Cycle, str], ...] = tuple(
-            (c, provenance) for c, provenance in relations
+            [(c, provenance) for c, provenance in relations]
         )
         rows = [c.to_vector() for c, _ in self.relations]
         self._rows, self._pivots = linalg.rref(rows)

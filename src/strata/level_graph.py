@@ -105,7 +105,7 @@ class EnhancedLevelGraph:
     @cached_property
     def _crossing(self) -> dict[int, tuple[str, ...]]:
         return {
-            i: tuple(e for e in self.vertical_edges if self.top_level(e) > i >= self.bottom_level(e))
+            i: tuple([e for e in self.vertical_edges if self.top_level(e) > i >= self.bottom_level(e)])
             for i in self.passage_indices()
         }
 
@@ -140,7 +140,7 @@ class LevelPassage:
 
 
 def passages(graph: EnhancedLevelGraph) -> tuple[LevelPassage, ...]:
-    return tuple(LevelPassage(i, graph.crossing_edges(i)) for i in graph.passage_indices())
+    return tuple([LevelPassage(i, graph.crossing_edges(i)) for i in graph.passage_indices()])
 
 
 def validate(graph: EnhancedLevelGraph) -> list[Violation]:
@@ -235,7 +235,7 @@ def lcm_weight(graph: EnhancedLevelGraph, i: int) -> int:
     crossing = graph.crossing_edges(i)
     if not crossing:
         raise GraphError(f"disconnected level passage {i}")
-    return lcm(*(graph.edge(e).kappa for e in crossing))
+    return lcm(*[graph.edge(e).kappa for e in crossing])
 
 
 def passage_weight(graph: EnhancedLevelGraph, eid: str, i: int) -> int:
@@ -282,7 +282,7 @@ class Undegeneration:
 
     def surviving_vertical(self, graph: EnhancedLevelGraph) -> tuple[str, ...]:
         crossed = {e for p in self.kept_passages for e in graph._crossing.get(p, ())}
-        return tuple(e for e in graph.vertical_edges if e in crossed)
+        return tuple([e for e in graph.vertical_edges if e in crossed])
 
     def surviving_edges(self, graph: EnhancedLevelGraph) -> tuple[str, ...]:
         return tuple(sorted(self.kept_horizontal + self.surviving_vertical(graph)))

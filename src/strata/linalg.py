@@ -8,7 +8,9 @@ determinism guarantee leans on that.
 ``rref`` eliminates fraction-free: rows are scaled to Gaussian integers held
 as int pairs, Gauss-Jordan steps divide exactly by the previous pivot
 (Bareiss), and the canonical rows come from one final division, the only place
-rationals are built.  ``bareiss_det`` uses the same idea over Z.
+rationals are built: each entry goes from its Z[i] ints straight to an
+``(a, b, d)`` GaussianRational, with no ``Fraction`` in between.
+``bareiss_det`` uses the same idea over Z.
 """
 
 from __future__ import annotations
@@ -18,23 +20,13 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .gaussian import ZERO, ONE, GaussianRational
+from .gaussian import ZERO, ONE, GaussianRational, _from_ints
 
 Vector = list[GaussianRational]
 
 
 def zeros(n: int) -> Vector:
     return [ZERO] * n
-
-
-def vec_add(u: Sequence[GaussianRational], v: Sequence[GaussianRational]) -> Vector:
-    return [a + b for a, b in zip(u, v)]
-
-def vec_sub(u: Sequence[GaussianRational], v: Sequence[GaussianRational]) -> Vector:
-    return [a - b for a, b in zip(u, v)]
-
-def vec_scale(c: GaussianRational, v: Sequence[GaussianRational]) -> Vector:
-    return [c * a for a in v]
 
 
 def combine(coords: Sequence[GaussianRational], vectors: Sequence[Sequence[GaussianRational]]) -> Vector:
@@ -67,14 +59,8 @@ def rref(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[Vector], list
     """
     work: list[tuple[list[int], list[int]]] = []
     for row in rows:
-        row = list(row)
-        den = lcm(*(x.re.denominator for x in row), *(x.im.denominator for x in row))
-        work.append(
-            (
-                [x.re.numerator * (den // x.re.denominator) for x in row],
-                [x.im.numerator * (den // x.im.denominator) for x in row],
-            )
-        )
+        den = lcm(*[x.d for x in row])
+        work.append(([x.a * (den // x.d) for x in row], [x.b * (den // x.d) for x in row]))
     if not work:
         return [], []
     ncols = len(work[0][0])
@@ -123,9 +109,7 @@ def rref(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[Vector], list
     for x_re, x_im in work[:r]:
         out.append(
             [
-                GaussianRational(
-                    Fraction(xr * d_re + xi * d_im, norm), Fraction(xi * d_re - xr * d_im, norm)
-                )
+                _from_ints(xr * d_re + xi * d_im, xi * d_re - xr * d_im, norm)
                 if xr or xi
                 else ZERO
                 for xr, xi in zip(x_re, x_im)
@@ -274,7 +258,7 @@ def clear_denominators(values: Sequence[Fraction]) -> list[int]:
     """Scale rationals to coprime integers, preserving signs and ratios."""
     if not values:
         return []
-    denom = lcm(*(v.denominator for v in values))
+    denom = lcm(*[v.denominator for v in values])
     ints = [int(v * denom) for v in values]
     g = 0
     for x in ints:

@@ -125,8 +125,8 @@ def convert(system: EquationSystem, assume_theorems: bool = False) -> list[Plumb
             raise ConversionError(
                 f"row {k}: all log coefficients share a sign; boundary point not in closure"
             )
-        i_exp = tuple((eid, n) for eid, n in zip(support, exponents) if n > 0)
-        j_exp = tuple((eid, -n) for eid, n in zip(support, exponents) if n < 0)
+        i_exp = tuple([(eid, n) for eid, n in zip(support, exponents) if n > 0])
+        j_exp = tuple([(eid, -n) for eid, n in zip(support, exponents) if n < 0])
         n_units += 1
         out.append(Binomial(f"f{n_units}", i_exp, j_exp, k))
     return out
@@ -172,7 +172,7 @@ class LocalModel:
 
 def local_model(converted: list[PlumbingEquation], system: EquationSystem) -> LocalModel:
     """Group converted equations into the smooth times binomial product."""
-    analytic = tuple(p for p in converted if isinstance(p, Analytic))
+    analytic = tuple([p for p in converted if isinstance(p, Analytic)])
     binomials = [p for p in converted if isinstance(p, Binomial)]
     classes = cross_equivalence_classes(system)
     grouped: dict[frozenset[str], list[Binomial]] = {}
@@ -185,13 +185,15 @@ def local_model(converted: list[PlumbingEquation], system: EquationSystem) -> Lo
             )
         grouped.setdefault(owners[0], []).append(b)
     blocks = tuple(
-        (tuple(sorted(cls)), tuple(sorted(grouped[cls], key=lambda b: b.source)))
-        for cls in sorted(grouped, key=lambda c: sorted(c))
+        [
+            (tuple(sorted(cls)), tuple(sorted(grouped[cls], key=lambda b: b.source)))
+            for cls in sorted(grouped, key=lambda c: sorted(c))
+        ]
     )
     ambient = len(system.basis.elements) - len(system.graph.horizontal_edges)
     smooth_dim = ambient - len(analytic)
-    t_params = tuple(f"t[{i}]" for i in system.graph.passage_indices())
-    absorption = tuple((b.unit, f"s[{b.i_exp[0][0]}]") for b in binomials)
+    t_params = tuple([f"t[{i}]" for i in system.graph.passage_indices()])
+    absorption = tuple([(b.unit, f"s[{b.i_exp[0][0]}]") for b in binomials])
     return LocalModel(system, smooth_dim, t_params, analytic, blocks, absorption)
 
 
@@ -305,7 +307,7 @@ def can_smooth(
             )
         blocks.append(tuple(sorted(cls)))
     return SmoothingWitness(
-        tuple(f"t[{i}]" for i in sorted(passages_to_smooth, reverse=True)),
+        tuple([f"t[{i}]" for i in sorted(passages_to_smooth, reverse=True)]),
         tuple(sorted(blocks)),
     )
 

@@ -5,7 +5,9 @@ used before it moved to fraction-free elimination over the Gaussian integers.
 It is deliberately slow and obvious: every pivot row is scaled to 1 and every
 other row is cleared with exact Q(i) arithmetic.  ``reduce_vector`` is the
 dense residual that subtracts a multiple of the whole pivot row, zero entries
-included.
+included.  ``vec_add``, ``vec_sub`` and ``vec_scale`` are the dense vector
+helpers these oracles and a few tests are written with; the library itself
+has no use for them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,19 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from strata.gaussian import ONE, GaussianRational
-from strata.linalg import Vector, vec_scale, vec_sub
+from strata.linalg import Vector
+
+
+def vec_add(u: Sequence[GaussianRational], v: Sequence[GaussianRational]) -> Vector:
+    return [a + b for a, b in zip(u, v)]
+
+
+def vec_sub(u: Sequence[GaussianRational], v: Sequence[GaussianRational]) -> Vector:
+    return [a - b for a, b in zip(u, v)]
+
+
+def vec_scale(c: GaussianRational, v: Sequence[GaussianRational]) -> Vector:
+    return [c * a for a in v]
 
 
 def rref(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[Vector], list[int]]:

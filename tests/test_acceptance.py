@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from oracle_linalg import vec_add, vec_scale
 from strata import linalg
 from strata.aim import pairwise_circum_decompose, pairwise_cross_witness, tangent_absolute, lemma_bound
 from strata.cli import main as cli_main
@@ -269,7 +270,7 @@ def _pairwise_bruteforce_infeasible(system, target) -> bool:
         vec = [ZERO] * width
         for c, row in zip(coords, reduced):
             if c:
-                vec = linalg.vec_add(vec, linalg.vec_scale(c, row))
+                vec = vec_add(vec, vec_scale(c, row))
         pure.append(vec)
     generators = []
     for a, b in combinations(horizontal, 2):
@@ -282,7 +283,7 @@ def _pairwise_bruteforce_infeasible(system, target) -> bool:
             vec = [ZERO] * width
             for c, v in zip(coords, pure):
                 if c:
-                    vec = linalg.vec_add(vec, linalg.vec_scale(c, v))
+                    vec = vec_add(vec, vec_scale(c, v))
             if any(vec):
                 generators.append(vec)
     if not generators:

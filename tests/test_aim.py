@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 import oracle_aim
+from oracle_linalg import vec_add, vec_scale
 from strata import aim, linalg
 from strata.aim import (
     SymplecticData,
@@ -115,7 +116,7 @@ def _lemma_bound_oracle(system, data, cls: CylinderClass) -> int:
         vec = [ZERO] * width
         for c, v in zip(solution[: len(tangent)], tangent):
             if c:
-                vec = linalg.vec_add(vec, linalg.vec_scale(c, v))
+                vec = vec_add(vec, vec_scale(c, v))
         meet.append(vec)
     images = []
     for v in meet:

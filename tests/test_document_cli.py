@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -339,3 +340,115 @@ def test_cli_determinism_across_runs_and_hashseeds():
             second = _run_subprocess(args, "0")
             third = _run_subprocess(args, "424242")
             assert first == second == third
+
+
+# -- one parser per process ------------------------------------------------------
+
+
+def _mixed_command_lines() -> list[tuple[str, ...]]:
+    parallel = str(FIXTURES / "minimal_stratum_parallel.json")
+    two = str(FIXTURES / "intro_two_level.json")
+    stacked = str(FIXTURES / "stacked_cylinders.json")
+    return [
+        ("aim", parallel, "--decompose", "0"),
+        ("aim", parallel),
+        ("aim", "--json", parallel, "--pairwise-cross", "e1", "e3"),
+        ("aim", parallel),
+        ("analyze", two, "--json"),
+        ("analyze", two),
+        ("plumb", "--assume-theorems", "--json", stacked),
+        ("plumb", stacked),
+        ("deform", parallel, "--limit", "2"),
+        ("validate", two, "--json"),
+        ("validate", two),
+        ("aim", parallel, "--decompose", "0", "--limit", "2", "--json"),
+        ("aim", parallel, "--json"),
+        ("analyze", str(FIXTURES / "missing.json")),
+        ("analyze", "--assume-theorems", stacked),
+        ("analyze", stacked),
+    ]
+
+
+def test_main_reuses_one_parser_with_fresh_parser_output(monkeypatch):
+    from strata import cli
+
+    lines = _mixed_command_lines()
+    fresh = []
+    for argv in lines:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run_cli(*argv))
+    reused = [run_cli(*argv) for argv in lines]
+    assert reused == fresh
+    assert cli._parser is not None
+    # A rejected command line leaves the shared parser as it was.
+    with pytest.raises(SystemExit):
+        run_cli("aim", "--decompose")
+    assert [run_cli(*argv) for argv in lines] == fresh
+    for argv in lines:
+        assert vars(cli._parser.parse_args(list(argv))) == vars(cli.build_parser().parse_args(list(argv)))
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    from strata import cli
+
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    for argv in _mixed_command_lines():
+        run_cli(*argv)
+    assert len(built) == 1
+
+
+# -- no Fraction inside rref or literal parsing ------------------------------------
+
+
+class _AnyFraction(type(Fraction)):
+    """Metaclass that keeps ``isinstance(x, CountingFraction)`` true for every Fraction."""
+
+    def __instancecheck__(cls, obj):
+        return isinstance(obj, Fraction)
+
+
+def test_dense_analyze_builds_no_fraction_in_rref_or_literal_parsing(monkeypatch, tmp_path):
+    from strata import document, gaussian, linalg
+
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    monkeypatch.syspath_prepend(bench)
+    import generators
+
+    path = tmp_path / "dense.json"
+    generators.write_document(generators.dense_document(10, 0), str(path))
+
+    built = [0]
+
+    class CountingFraction(Fraction, metaclass=_AnyFraction):
+        def __new__(cls, *args, **kwargs):
+            built[0] += 1
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "Fraction", CountingFraction)
+    monkeypatch.setattr(linalg, "Fraction", CountingFraction)
+    inside = {"rref": [0, 0], "parse_gaussian": [0, 0]}  # calls, Fractions built
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            before = built[0]
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside[name][0] += 1
+                inside[name][1] += built[0] - before
+
+        return wrapper
+
+    monkeypatch.setattr(linalg, "rref", counted("rref", linalg.rref))
+    monkeypatch.setattr(document, "parse_gaussian", counted("parse_gaussian", document.parse_gaussian))
+    code, _ = run_cli("analyze", str(path))
+    assert code == 0
+    assert inside["rref"][0] > 0 and inside["parse_gaussian"][0] > 0
+    assert inside == {"rref": [inside["rref"][0], 0], "parse_gaussian": [inside["parse_gaussian"][0], 0]}
+    # The counter sees constructions through the patched names.
+    before = built[0]
+    assert gaussian.GaussianRational("1/2").re == Fraction(1, 2)
+    assert built[0] - before == 3
