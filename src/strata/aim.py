@@ -112,8 +112,7 @@ def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Vi
             out.append(
                 Violation("minimal", "rank", "minimal stratum requires basis rank = absolute rank")
             )
-        iota_rows = [c.to_vector() for c in data.iota]
-        if linalg.rank(iota_rows) != n:
+        if linalg.rank([c.vector for c in data.iota]) != n:
             out.append(Violation("minimal", "invertible", "inclusion is not injective"))
     return out
 
@@ -173,8 +172,7 @@ def tangent_absolute(system: EquationSystem, data: SymplecticData) -> SubspaceRe
     report = data._tangent.get(system)
     if report is None:
         tangent = linalg.nullspace(system.extended_rows[0], len(system.basis.columns()))
-        iota_rows = [c.to_vector() for c in data.iota]
-        images = [linalg.matvec(iota_rows, v) for v in tangent]
+        images = [linalg.matvec([c.vector for c in data.iota], v) for v in tangent]
         homology_vectors = [linalg.matvec(data.j_inverse, w) for w in images]
         report = data._tangent[system] = _subspace_report(data.j_rows, homology_vectors)
     return report
@@ -249,16 +247,19 @@ def pairwise_cross_witness(
     return CrossWitnessResult(witness, None)
 
 
+def _horizontal_columns(system: EquationSystem) -> dict[int, str]:
+    """Column index of each horizontal vanishing cycle, to its edge id."""
+    index = system.basis.column_index
+    return {index[("l", eid)]: eid for eid in system.graph.horizontal_edges}
+
+
 def _pure_lambda_subspace(system: EquationSystem) -> list[linalg.Vector]:
     """Extended-span vectors supported on horizontal vanishing cycles only."""
     reduced, _ = system.extended_rows
     if not reduced:
         return []
-    horizontal = set(system.graph.horizontal_edges)
-    constraints = []
-    for col, (kind, key) in enumerate(system.basis.columns()):
-        if kind == "b" or key not in horizontal:
-            constraints.append([row[col] for row in reduced])
+    keep = _horizontal_columns(system)
+    constraints = [[row[col] for row in reduced] for col in range(len(reduced[0])) if col not in keep]
     return [linalg.combine(coords, reduced) for coords in linalg.nullspace(constraints, len(reduced))]
 
 
@@ -270,16 +271,13 @@ def _pair_form_candidates(
     pure = _pure_lambda_subspace(system)
     if not pure:
         return []
-    columns = system.basis.columns()
+    index = system.basis.column_index
     preferred_set = set(preferred)
     pairs = sorted(combinations(horizontal, 2), key=lambda ab: not set(ab) <= preferred_set)
     out = []
     for a, b in pairs:
-        constraints = []
-        for col, (kind, key) in enumerate(columns):
-            if kind == "l" and key in (a, b):
-                continue
-            constraints.append([v[col] for v in pure])
+        keep = (index[("l", a)], index[("l", b)])
+        constraints = [[v[col] for v in pure] for col in range(len(pure[0])) if col not in keep]
         for coords in linalg.nullspace(constraints, len(pure)):
             form = Cycle.from_vector(system.basis, linalg.combine(coords, pure))
             if not form.is_zero():
@@ -299,17 +297,18 @@ def pairwise_circum_decompose(
     sum exactly to the input.
     """
     _require_minimal(system, data)
-    horizontal = set(system.graph.horizontal_edges)
-    if cycle.coeffs or not set(cycle.lam) <= horizontal:
+    horizontal = _horizontal_columns(system)
+    carriers = [col for col, c in enumerate(cycle.vector) if c]
+    if not all(col in horizontal for col in carriers):
         raise AimError("input must be a combination of horizontal vanishing-cycle periods")
     if not system.extended_span_contains(cycle):
         raise AimError("input is not in the span of the system and its relations")
-    target_nodes = sorted(cycle.lam)
+    target_nodes = sorted([horizontal[col] for col in carriers])
     candidates = _pair_form_candidates(system, target_nodes)
     if not candidates:
         raise AimError("recombination stuck: the span contains no two-node period forms")
-    matrix_rows = list(zip(*[form.to_vector() for _, form in candidates]))
-    solution = linalg.solve_linear(matrix_rows, cycle.to_vector())
+    matrix_rows = list(zip(*[form.vector for _, form in candidates]))
+    solution = linalg.solve_linear(matrix_rows, cycle.vector)
     if solution is None:
         raise AimError(
             "recombination stuck: the input is not a combination of two-node period"

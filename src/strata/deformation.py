@@ -31,18 +31,14 @@ class PeriodAssignment:
 
     def __init__(self, basis_values: Mapping, lam_values: Mapping, exact: bool = True):
         self.exact = exact
-        if exact:
-            self.basis_values = {
-                k: v if isinstance(v, GaussianRational) else GaussianRational(v)
-                for k, v in basis_values.items()
-            }
-            self.lam_values = {
-                k: v if isinstance(v, GaussianRational) else GaussianRational(v)
-                for k, v in lam_values.items()
-            }
-        else:
-            self.basis_values = {k: complex(v) for k, v in basis_values.items()}
-            self.lam_values = {k: complex(v) for k, v in lam_values.items()}
+
+        def convert(v):
+            if not exact:
+                return complex(v)
+            return v if isinstance(v, GaussianRational) else GaussianRational(v)
+
+        self.basis_values = {k: convert(v) for k, v in basis_values.items()}
+        self.lam_values = {k: convert(v) for k, v in lam_values.items()}
 
     def value(self, kind: str, key: str):
         table = self.basis_values if kind == "b" else self.lam_values
@@ -57,19 +53,13 @@ class PeriodAssignment:
 
 
 def evaluate(cycle: Cycle, assignment: PeriodAssignment):
-    """Period of a cycle under an assignment: linear in both arguments."""
-    if assignment.exact:
-        total = ZERO
-        for name, c in cycle.coeffs.items():
-            total = total + c * assignment.value("b", name)
-        for eid, c in cycle.lam.items():
-            total = total + c * assignment.value("l", eid)
-        return total
-    total = 0j
-    for name, c in cycle.coeffs.items():
-        total += c.to_complex() * assignment.value("b", name)
-    for eid, c in cycle.lam.items():
-        total += c.to_complex() * assignment.value("l", eid)
+    """Period of a cycle under an assignment: linear in both arguments.
+    Terms are added in column order, which fixes approximate rounding."""
+    exact = assignment.exact
+    total = ZERO if exact else 0j
+    for (kind, key), c in zip(cycle.basis.columns(), cycle.vector):
+        if c:
+            total = total + (c if exact else c.to_complex()) * assignment.value(kind, key)
     return total
 
 
@@ -174,12 +164,12 @@ def horizontal_decomposition(cycle: Cycle, cls: CylinderClass):
             f"support {sorted(support)} is not contained in the class {list(cls.edges)}"
         )
     coefficients: dict[str, GaussianRational] = {}
-    beta = cycle
+    vector = list(cycle.vector)
     for eid, name in cls.cross_curves:
-        c = cycle.coeffs.get(name, ZERO)
-        coefficients[eid] = c
-        if c:
-            beta = beta - Cycle(cycle.basis, {name: c}, {})
+        col = cycle.basis.column_index[("b", name)]
+        coefficients[eid] = vector[col]
+        vector[col] = ZERO
+    beta = Cycle.from_vector(cycle.basis, vector)
     for eid in cls.edges:
         assert not pair(beta, eid)
     return beta, coefficients

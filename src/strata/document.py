@@ -230,7 +230,7 @@ class AnalysisDocument:
             return None
         if self._symplectic is None:
             iota = tuple(
-                [Cycle.from_vector(self.basis, list(row)) for row in self.raw_symplectic.iota]
+                [Cycle.from_vector(self.basis, row) for row in self.raw_symplectic.iota]
             )
             self._symplectic = SymplecticData(
                 self.raw_symplectic.j_matrix,
@@ -488,6 +488,8 @@ def load_document(path: str) -> AnalysisDocument:
         raise DocumentParseError(str(exc), path)
     except json.JSONDecodeError as exc:
         raise DocumentParseError(exc.msg, f"{path}:{exc.lineno}:{exc.colno}")
+    except ValueError as exc:  # e.g. an integer longer than sys.get_int_max_str_digits()
+        raise DocumentParseError(str(exc), path)
     return parse_document(data, path="$")
 
 

@@ -35,7 +35,7 @@ def hor_support(cycle: Cycle) -> frozenset[str]:
 def top_level(cycle: Cycle) -> int | None:
     """Highest level carrying a nonzero coefficient; None for the zero cycle."""
     levels = cycle.basis.column_levels
-    return max((level for level, x in zip(levels, cycle.to_vector()) if x), default=None)
+    return max((level for level, x in zip(levels, cycle.vector) if x), default=None)
 
 
 class Equation:
@@ -182,7 +182,7 @@ class EquationSystem:
             self.graph.horizontal_edges
         )
         self._rref: tuple[tuple[Equation, ...], tuple[tuple[str, str], ...]] | None = None
-        self._row_vectors: list[linalg.Vector] = []
+        self._row_vectors: list[tuple[GaussianRational, ...]] = []  # the rref rows' vectors
         self._pivot_cols: list[int] = []
         self._pairing_columns: dict[str, list[GaussianRational]] = {}  # edge -> row pairings
         self._reduction: LambdaRelationSet | None = None
@@ -192,12 +192,11 @@ class EquationSystem:
     # -- canonical row basis --------------------------------------------------
 
     def _compute_rref(self):
-        vectors = [eq.cycle.to_vector() for eq in self.equations]
-        reduced, pivot_cols = linalg.rref(vectors)
+        reduced, pivot_cols = linalg.rref([eq.cycle.vector for eq in self.equations])
         columns = self.basis.columns()
         rows = tuple([Equation(Cycle.from_vector(self.basis, v)) for v in reduced])
         pivots = tuple([columns[c] for c in pivot_cols])
-        self._row_vectors = reduced
+        self._row_vectors = [eq.cycle.vector for eq in rows]
         self._pivot_cols = pivot_cols
         horizontal = self.graph.horizontal_edges
         self._pairing_columns = {e: [eq.hor_pairings[k] for eq in rows] for k, e in enumerate(horizontal)}
@@ -221,7 +220,7 @@ class EquationSystem:
 
     def span_contains(self, cycle: Cycle) -> bool:
         self.rref_rows
-        return linalg.in_span(cycle.to_vector(), self._row_vectors, self._pivot_cols)
+        return linalg.in_span(cycle.vector, self._row_vectors, self._pivot_cols)
 
     def pure_lambda_rows(self) -> list[Cycle]:
         return [eq.cycle for eq in self.rref_rows if eq.cycle.is_lambda_only()]
@@ -248,14 +247,14 @@ class EquationSystem:
         """
         if self._extended is None:
             self.rref_rows
-            rows = self._row_vectors + [rel.to_vector() for rel, _ in self.relations.relations]
-            rows += [f.to_vector() for f in self.ratios.forms(self.basis)]
+            rows = self._row_vectors + [rel.vector for rel, _ in self.relations.relations]
+            rows += [f.vector for f in self.ratios.forms(self.basis)]
             self._extended = linalg.rref(rows)
         return self._extended
 
     def extended_span_contains(self, cycle: Cycle) -> bool:
         """Membership in the span of the rows together with all relations."""
-        return linalg.in_span(cycle.to_vector(), *self.extended_rows)
+        return linalg.in_span(cycle.vector, *self.extended_rows)
 
 
 def system_violations(system: EquationSystem) -> list[Violation]:
@@ -442,12 +441,8 @@ def residue_relation(system: EquationSystem, cycle: Cycle, i: int) -> Cycle:
 
 
 def _residue_form(system: EquationSystem, cycle: Cycle, i: int) -> Cycle:
-    lam: dict[str, GaussianRational] = {}
-    for eid in system.graph.crossing_edges(i):
-        weight = passage_weight(system.graph, eid, i)
-        hit = pair(cycle, eid) * GaussianRational(weight)
-        if hit:
-            lam[eid] = hit
+    graph = system.graph
+    lam = {e: pair(cycle, e) * GaussianRational(passage_weight(graph, e, i)) for e in graph.crossing_edges(i)}
     return Cycle(system.basis, {}, lam)
 
 
@@ -495,7 +490,7 @@ def _match_top_restriction(system: EquationSystem, work: Cycle, level: int) -> C
     if not rows:
         return None
     vectors = system._row_vectors
-    target_vec = work.to_vector()
+    target_vec = work.vector
     constraint_rows: list[list[GaussianRational]] = []
     rhs: list[GaussianRational] = []
     for col, lvl in enumerate(system.basis.column_levels):
@@ -674,14 +669,13 @@ class ConsistencyCertificate:
 
 
 def _monic(cycle: Cycle) -> Cycle:
-    lead = next((c for c in cycle.to_vector() if c), None)
+    lead = next((c for c in cycle.vector if c), None)
     return cycle.scale(ONE / lead) if lead else cycle
 
 
 def _single_lambda_term(cycle: Cycle) -> str | None:
-    if cycle.coeffs or len(cycle.lam) != 1:
-        return None
-    return next(iter(cycle.lam))
+    carriers = [column for column, c in zip(cycle.basis.columns(), cycle.vector) if c]
+    return carriers[0][1] if len(carriers) == 1 and carriers[0][0] == "l" else None
 
 
 def proportionality_obligations(
@@ -708,10 +702,7 @@ def proportionality_obligations(
             if residual.is_zero():
                 forced.append((eid, Cycle(system.basis, {}, {eid: ONE})))
                 continue
-            normalized = _monic(residual)
-            key = tuple([(k, v) for k, v in sorted(normalized.coeffs.items())]) + tuple(
-                [(k, v) for k, v in sorted(normalized.lam.items())]
-            )
+            key = _monic(residual).vector
             if key not in reps:
                 reps[key] = eid
                 order.append(eid)

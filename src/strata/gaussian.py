@@ -11,6 +11,7 @@ explicit-denominator form.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -221,8 +222,10 @@ def _ratio_from_text(text: str, where: str) -> tuple[int, int]:
 
     ``""`` and ``"+"`` read as 1 and ``"-"`` as -1 (the coefficient of a bare
     ``i``).  An ASCII ``[sign]digits[/digits]`` literal is split and read with
-    ``int()``; every other form is handed to ``Fraction(text)``, which decides
-    what else is accepted.
+    ``int()``; every other form is handed to ``Fraction``, which decides what
+    else is accepted.  No value may need more digits than
+    ``sys.get_int_max_str_digits()``: past it, printing fails, and a large
+    exponent would take unbounded time to build.
     """
     if text in ("", "+"):
         return 1, 1
@@ -235,7 +238,18 @@ def _ratio_from_text(text: str, where: str) -> tuple[int, int]:
             q = int(den) if slash else 1
             if q:
                 return int(num), q
-        value = Fraction(text)
+        mantissa, e, exponent = text.replace("E", "e").partition("e")
+        if e and not slash:
+            value, shift = Fraction(mantissa), int(exponent)
+        else:
+            value, shift = Fraction(text), 0
+        if value:
+            # str() raises past the limit, and the shift adds |shift| digits.
+            width = max(len(str(abs(value.numerator))), len(str(value.denominator)))
+            limit = sys.get_int_max_str_digits()
+            if limit and width + abs(shift) > limit:
+                raise ValueError(f"more than {limit} digits")
+            value *= Fraction(10) ** shift
     except (ValueError, ZeroDivisionError):
         raise DocumentParseError(f"malformed rational literal {text!r}", where)
     return value.numerator, value.denominator

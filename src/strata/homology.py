@@ -1,15 +1,18 @@
 """Adapted homology bases, extended cycles, and monodromy.
 
-The coefficient model is an extended relative-homology space: a cycle carries
-one Gaussian-rational coefficient per basis element plus one per vanishing
-cycle (indexed by edge).  Vanishing cycles pair to zero with each other, so
-intersection pairings of any cycle against an edge only see the basis part.
+The coefficient model is an extended relative-homology space: a cycle is a
+vector over the basis column layout, one Gaussian-rational coefficient per
+basis element followed by one per vanishing cycle (edges by id).  Vanishing
+cycles pair to zero with each other, so intersection pairings of any cycle
+against an edge only see the basis part; the basis caches those pairings per
+edge, as (column, pairing) terms, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import BasisError, Violation
@@ -35,8 +38,9 @@ class AdaptedBasis:
     Crossing elements meet exactly one horizontal vanishing cycle, with
     intersection 1; noncrossing elements meet none.  The stated top level and
     the full pairing table against every edge are input data.  The column
-    layout is fixed at construction; the level of each column is read from
-    the graph on first use, since graphs are built before they are validated.
+    layout and its index are fixed at construction; the level of each column
+    and the per-edge pairing terms are derived on first use, since graphs are
+    built before they are validated.
     """
 
     def __init__(self, graph: EnhancedLevelGraph, elements, pairings):
@@ -45,18 +49,17 @@ class AdaptedBasis:
         self._pairings: dict[str, dict[str, int]] = {
             name: dict(table) for name, table in pairings.items()
         }
-        self._index = {el.name: k for k, el in enumerate(self.elements)}
         self.names: tuple[str, ...] = tuple([el.name for el in self.elements])
         self._columns: tuple[tuple[str, str], ...] = tuple(
             [("b", name) for name in self.names]
             + [("l", eid) for eid in sorted(e.id for e in graph.edges)]
         )
+        self.column_index: dict[tuple[str, str], int] = {
+            key: k for k, key in enumerate(self._columns)
+        }
 
     def element(self, name: str) -> BasisElement:
-        return self.elements[self._index[name]]
-
-    def has_element(self, name: str) -> bool:
-        return name in self._index
+        return self.elements[self.column_index[("b", name)]]
 
     def pairing(self, name: str, eid: str) -> int:
         return self._pairings.get(name, {}).get(eid, 0)
@@ -75,6 +78,19 @@ class AdaptedBasis:
             ]
         )
 
+    @cached_property
+    def pairing_terms(self) -> dict[str, tuple[tuple[int, GaussianRational], ...]]:
+        """Per edge of the graph, the (column, pairing) terms of the basis
+        elements with a nonzero pairing against it, in column order."""
+        terms: dict[str, list[tuple[int, GaussianRational]]] = {
+            key: [] for kind, key in self._columns if kind == "l"
+        }
+        for col, name in enumerate(self.names):
+            for eid, p in self._pairings.get(name, {}).items():
+                if p and eid in terms:
+                    terms[eid].append((col, GaussianRational(p)))
+        return {eid: tuple(row) for eid, row in terms.items()}
+
     def crossing_element_for(self, eid: str) -> str | None:
         """The basis element paired with a horizontal edge, if any."""
         for el in self.elements:
@@ -83,10 +99,7 @@ class AdaptedBasis:
         return None
 
     def zero(self) -> "Cycle":
-        return Cycle(self, {}, {})
-
-    def cycle(self, coeffs=None, lam=None) -> "Cycle":
-        return Cycle(self, coeffs or {}, lam or {})
+        return Cycle(self)
 
 
 def validate_adapted(basis: AdaptedBasis, graph: EnhancedLevelGraph) -> list[Violation]:
@@ -170,26 +183,46 @@ def validate_adapted(basis: AdaptedBasis, graph: EnhancedLevelGraph) -> list[Vio
 
 
 class Cycle:
-    """Element of the extended coefficient space over a fixed adapted basis."""
+    """Element of the extended coefficient space over a fixed adapted basis:
+    an immutable vector with one entry per column of ``basis.columns()``."""
 
-    __slots__ = ("basis", "coeffs", "lam")
+    __slots__ = ("basis", "vector")
 
     def __init__(self, basis: AdaptedBasis, coeffs: Mapping | None = None, lam: Mapping | None = None):
+        vector = [ZERO] * len(basis.columns())
+        index = basis.column_index
+        for kind, table, what in (("b", coeffs, "basis element"), ("l", lam, "edge")):
+            for key, c in (table or {}).items():
+                col = index.get((kind, key))
+                if col is None:
+                    raise BasisError(f"unknown {what} {key}")
+                vector[col] = c if isinstance(c, GaussianRational) else GaussianRational(c)
         self.basis = basis
-        self.coeffs: dict[str, GaussianRational] = {}
-        self.lam: dict[str, GaussianRational] = {}
-        for name, c in (coeffs or {}).items():
-            if not basis.has_element(name):
-                raise BasisError(f"unknown basis element {name}")
-            c = c if isinstance(c, GaussianRational) else GaussianRational(c)
-            if c:
-                self.coeffs[name] = c
-        for eid, c in (lam or {}).items():
-            if not basis.graph.has_edge(eid):
-                raise BasisError(f"unknown edge {eid}")
-            c = c if isinstance(c, GaussianRational) else GaussianRational(c)
-            if c:
-                self.lam[eid] = c
+        self.vector: tuple[GaussianRational, ...] = tuple(vector)
+
+    @classmethod
+    def from_vector(cls, basis: AdaptedBasis, vector) -> "Cycle":
+        """The cycle with these column entries; a tuple is kept as it is."""
+        vector = tuple(vector)
+        if len(vector) != len(basis.columns()):
+            raise BasisError(f"vector of length {len(vector)} for {len(basis.columns())} columns")
+        cycle = object.__new__(cls)
+        cycle.basis, cycle.vector = basis, vector
+        return cycle
+
+    @property
+    def coeffs(self) -> Mapping[str, GaussianRational]:
+        """Nonzero basis-element coefficients by name (a read-only view)."""
+        return MappingProxyType({n: c for n, c in zip(self.basis.names, self.vector) if c})
+
+    @property
+    def lam(self) -> Mapping[str, GaussianRational]:
+        """Nonzero vanishing-cycle coefficients by edge id (a read-only view)."""
+        n = len(self.basis.names)
+        return MappingProxyType({e: c for (_, e), c in zip(self.basis.columns()[n:], self.vector[n:]) if c})
+
+    def to_vector(self) -> linalg.Vector:
+        return list(self.vector)
 
     def _check_compatible(self, other: "Cycle") -> None:
         if self.basis is not other.basis:
@@ -197,74 +230,42 @@ class Cycle:
 
     def __add__(self, other: "Cycle") -> "Cycle":
         self._check_compatible(other)
-        coeffs = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            coeffs[k] = coeffs.get(k, ZERO) + v
-        lam = dict(self.lam)
-        for k, v in other.lam.items():
-            lam[k] = lam.get(k, ZERO) + v
-        return Cycle(self.basis, coeffs, lam)
+        # ``x or y`` is whichever entry is nonzero, when at most one is.
+        vector = [x + y if x and y else x or y for x, y in zip(self.vector, other.vector)]
+        return Cycle.from_vector(self.basis, vector)
 
     def __sub__(self, other: "Cycle") -> "Cycle":
-        return self + other.scale(GaussianRational(-1))
+        self._check_compatible(other)
+        return Cycle.from_vector(self.basis, [x - y if y else x for x, y in zip(self.vector, other.vector)])
 
     def scale(self, c) -> "Cycle":
         c = c if isinstance(c, GaussianRational) else GaussianRational(c)
-        return Cycle(
-            self.basis,
-            {k: c * v for k, v in self.coeffs.items()},
-            {k: c * v for k, v in self.lam.items()},
-        )
+        return Cycle.from_vector(self.basis, [c * x if x else x for x in self.vector])
 
     def __neg__(self) -> "Cycle":
         return self.scale(-1)
 
     def is_zero(self) -> bool:
-        return not self.coeffs and not self.lam
+        return not any(self.vector)
 
     def is_lambda_only(self) -> bool:
-        return not self.coeffs
+        return not any(self.vector[: len(self.basis.names)])
 
     def is_real(self) -> bool:
-        return all(c.is_real() for c in self.coeffs.values()) and all(
-            c.is_real() for c in self.lam.values()
-        )
+        return all(c.is_real() for c in self.vector)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cycle):
             return NotImplemented
-        return self.basis is other.basis and self.coeffs == other.coeffs and self.lam == other.lam
-
-    def carriers(self) -> list[tuple[str, str]]:
-        """Nonzero carriers in column order, as ("b"|"l", name) keys."""
-        return [("b", n) for n in self.basis.names if n in self.coeffs] + [
-            ("l", e) for e in sorted(self.lam)
-        ]
-
-    def to_vector(self) -> linalg.Vector:
-        out = []
-        for kind, key in self.basis.columns():
-            table = self.coeffs if kind == "b" else self.lam
-            out.append(table.get(key, ZERO))
-        return out
-
-    @classmethod
-    def from_vector(cls, basis: AdaptedBasis, vector) -> "Cycle":
-        coeffs: dict[str, GaussianRational] = {}
-        lam: dict[str, GaussianRational] = {}
-        for (kind, key), value in zip(basis.columns(), vector):
-            if not value:
-                continue
-            (coeffs if kind == "b" else lam)[key] = value
-        return cls(basis, coeffs, lam)
+        return self.basis is other.basis and self.vector == other.vector
 
     def render(self) -> str:
         """Human form, e.g. ``g1 - g2 + 2*lambda[e1]``."""
         parts: list[str] = []
-        for kind, key in self.carriers():
-            c = self.coeffs[key] if kind == "b" else self.lam[key]
-            symbol = key if kind == "b" else f"lambda[{key}]"
-            parts.append(_render_term(c, symbol, first=not parts))
+        for (kind, key), c in zip(self.basis.columns(), self.vector):
+            if c:
+                symbol = key if kind == "b" else f"lambda[{key}]"
+                parts.append(_render_term(c, symbol, first=not parts))
         return " ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
@@ -287,16 +288,19 @@ def _render_term(c: GaussianRational, symbol: str, first: bool) -> str:
 def pair(cycle: Cycle, eid: str) -> GaussianRational:
     """Intersection pairing of a cycle with the vanishing cycle of an edge.
 
-    Extends the basis pairing table bilinearly; vanishing cycles are disjoint
-    seams, so the lambda components contribute nothing.
+    Extends the basis pairing table bilinearly over the cached pairing terms;
+    vanishing cycles are disjoint seams, so the lambda entries contribute
+    nothing.
     """
-    if not cycle.basis.graph.has_edge(eid):
+    terms = cycle.basis.pairing_terms.get(eid)
+    if terms is None:
         raise BasisError(f"unknown edge {eid}")
+    vector = cycle.vector
     total = ZERO
-    for name, c in cycle.coeffs.items():
-        p = cycle.basis.pairing(name, eid)
-        if p:
-            total = total + c * GaussianRational(p)
+    for col, p in terms:
+        c = vector[col]
+        if c:
+            total = total + c * p
     return total
 
 
@@ -307,7 +311,7 @@ def picard_lefschetz(cycle: Cycle, n: Mapping[str, int]) -> Cycle:
     summed over edges; basis coefficients never change, and pairings against
     every vanishing cycle are preserved.
     """
-    lam = dict(cycle.lam)
+    vector = list(cycle.vector)
     for eid, winding in n.items():
         if winding < 0:
             raise BasisError(f"negative winding number for edge {eid}")
@@ -315,8 +319,9 @@ def picard_lefschetz(cycle: Cycle, n: Mapping[str, int]) -> Cycle:
             continue
         hit = pair(cycle, eid) * GaussianRational(winding)
         if hit:
-            lam[eid] = lam.get(eid, ZERO) + hit
-    return Cycle(cycle.basis, cycle.coeffs, lam)
+            col = cycle.basis.column_index[("l", eid)]
+            vector[col] = vector[col] + hit
+    return Cycle.from_vector(cycle.basis, vector)
 
 
 DECLARED = "declared"
@@ -337,7 +342,7 @@ class LambdaRelationSet:
         self.relations: tuple[tuple[Cycle, str], ...] = tuple(
             [(c, provenance) for c, provenance in relations]
         )
-        rows = [c.to_vector() for c, _ in self.relations]
+        rows = [c.vector for c, _ in self.relations]
         self._rows, self._pivots = linalg.rref(rows)
 
     def with_added(self, extra: Iterable[tuple[Cycle, str]]) -> "LambdaRelationSet":
@@ -349,7 +354,7 @@ class LambdaRelationSet:
 
     def reduce(self, cycle: Cycle) -> Cycle:
         """Canonical residual of a cycle modulo the relation span."""
-        residual = linalg.reduce_vector(cycle.to_vector(), self._rows, self._pivots)
+        residual = linalg.reduce_vector(cycle.vector, self._rows, self._pivots)
         return Cycle.from_vector(self.basis, residual)
 
     def contains(self, cycle: Cycle) -> bool:

@@ -66,7 +66,7 @@ PlumbingEquation = Binomial | Analytic
 
 def _top_restriction(system: EquationSystem, eq: Equation) -> Cycle:
     levels = system.basis.column_levels
-    vector = [x if level == eq.top else ZERO for x, level in zip(eq.cycle.to_vector(), levels)]
+    vector = [x if level == eq.top else ZERO for x, level in zip(eq.cycle.vector, levels)]
     return Cycle.from_vector(system.basis, vector)
 
 
@@ -134,23 +134,11 @@ def convert(system: EquationSystem, assume_theorems: bool = False) -> list[Plumb
 
 def _projective_factor(candidate: Cycle, reference: Cycle) -> GaussianRational | None:
     """rho with candidate == rho * reference, or None."""
-    if candidate.is_zero():
+    col = next((k for k, a in enumerate(candidate.vector) if a), None)
+    if col is None or not reference.vector[col]:
         return None
-    ref_vec = reference.to_vector()
-    cand_vec = candidate.to_vector()
-    rho = None
-    for a, b in zip(cand_vec, ref_vec):
-        if b:
-            rho = a / b
-            break
-        if a:
-            return None
-    if rho is None:
-        return None
-    for a, b in zip(cand_vec, ref_vec):
-        if a != rho * b:
-            return None
-    return rho
+    rho = candidate.vector[col] / reference.vector[col]
+    return rho if candidate == reference.scale(rho) else None
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,160 @@
+"""Reference implementation kept as the oracle for ``strata.homology``.
+
+``Cycle`` here is the dict-based extended cycle that ``strata.homology`` used
+before a cycle became one vector over the basis column layout: two dicts of
+nonzero coefficients, ``coeffs`` by basis-element name and ``lam`` by edge
+id, converted to and from column vectors on demand.  ``pair`` walks the
+coefficient dict against the basis pairing table on every call, and
+``picard_lefschetz`` adds the monodromy terms into a copy of ``lam``.
+``evaluate`` is ``strata.deformation.evaluate`` as it read those dicts: basis
+terms first, then edge terms, each in dict order.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping
+
+from strata.errors import BasisError
+from strata.gaussian import ZERO, GaussianRational
+from strata.homology import AdaptedBasis, _render_term
+
+
+class Cycle:
+    """Element of the extended coefficient space over a fixed adapted basis."""
+
+    __slots__ = ("basis", "coeffs", "lam")
+
+    def __init__(self, basis: AdaptedBasis, coeffs: Mapping | None = None, lam: Mapping | None = None):
+        self.basis = basis
+        self.coeffs: dict[str, GaussianRational] = {}
+        self.lam: dict[str, GaussianRational] = {}
+        for name, c in (coeffs or {}).items():
+            if name not in basis.names:
+                raise BasisError(f"unknown basis element {name}")
+            c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+            if c:
+                self.coeffs[name] = c
+        for eid, c in (lam or {}).items():
+            if not basis.graph.has_edge(eid):
+                raise BasisError(f"unknown edge {eid}")
+            c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+            if c:
+                self.lam[eid] = c
+
+    def _check_compatible(self, other: "Cycle") -> None:
+        if self.basis is not other.basis:
+            raise BasisError("cycles over different bases")
+
+    def __add__(self, other: "Cycle") -> "Cycle":
+        self._check_compatible(other)
+        coeffs = dict(self.coeffs)
+        for k, v in other.coeffs.items():
+            coeffs[k] = coeffs.get(k, ZERO) + v
+        lam = dict(self.lam)
+        for k, v in other.lam.items():
+            lam[k] = lam.get(k, ZERO) + v
+        return Cycle(self.basis, coeffs, lam)
+
+    def __sub__(self, other: "Cycle") -> "Cycle":
+        return self + other.scale(GaussianRational(-1))
+
+    def scale(self, c) -> "Cycle":
+        c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+        return Cycle(
+            self.basis,
+            {k: c * v for k, v in self.coeffs.items()},
+            {k: c * v for k, v in self.lam.items()},
+        )
+
+    def __neg__(self) -> "Cycle":
+        return self.scale(-1)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs and not self.lam
+
+    def is_lambda_only(self) -> bool:
+        return not self.coeffs
+
+    def is_real(self) -> bool:
+        return all(c.is_real() for c in self.coeffs.values()) and all(
+            c.is_real() for c in self.lam.values()
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Cycle):
+            return NotImplemented
+        return self.basis is other.basis and self.coeffs == other.coeffs and self.lam == other.lam
+
+    def carriers(self) -> list[tuple[str, str]]:
+        """Nonzero carriers in column order, as ("b"|"l", name) keys."""
+        return [("b", n) for n in self.basis.names if n in self.coeffs] + [
+            ("l", e) for e in sorted(self.lam)
+        ]
+
+    def to_vector(self) -> list[GaussianRational]:
+        out = []
+        for kind, key in self.basis.columns():
+            table = self.coeffs if kind == "b" else self.lam
+            out.append(table.get(key, ZERO))
+        return out
+
+    @classmethod
+    def from_vector(cls, basis: AdaptedBasis, vector) -> "Cycle":
+        coeffs: dict[str, GaussianRational] = {}
+        lam: dict[str, GaussianRational] = {}
+        for (kind, key), value in zip(basis.columns(), vector):
+            if not value:
+                continue
+            (coeffs if kind == "b" else lam)[key] = value
+        return cls(basis, coeffs, lam)
+
+    def render(self) -> str:
+        parts: list[str] = []
+        for kind, key in self.carriers():
+            c = self.coeffs[key] if kind == "b" else self.lam[key]
+            symbol = key if kind == "b" else f"lambda[{key}]"
+            parts.append(_render_term(c, symbol, first=not parts))
+        return " ".join(parts) if parts else "0"
+
+
+def pair(cycle: Cycle, eid: str) -> GaussianRational:
+    """Intersection pairing of a cycle with the vanishing cycle of an edge."""
+    if not cycle.basis.graph.has_edge(eid):
+        raise BasisError(f"unknown edge {eid}")
+    total = ZERO
+    for name, c in cycle.coeffs.items():
+        p = cycle.basis.pairing(name, eid)
+        if p:
+            total = total + c * GaussianRational(p)
+    return total
+
+
+def picard_lefschetz(cycle: Cycle, n: Mapping[str, int]) -> Cycle:
+    """Monodromy along a degenerating loop with winding numbers ``n``."""
+    lam = dict(cycle.lam)
+    for eid, winding in n.items():
+        if winding < 0:
+            raise BasisError(f"negative winding number for edge {eid}")
+        if winding == 0:
+            continue
+        hit = pair(cycle, eid) * GaussianRational(winding)
+        if hit:
+            lam[eid] = lam.get(eid, ZERO) + hit
+    return Cycle(cycle.basis, cycle.coeffs, lam)
+
+
+def evaluate(cycle: Cycle, assignment):
+    """Period of a cycle under a ``strata.deformation.PeriodAssignment``."""
+    if assignment.exact:
+        total = ZERO
+        for name, c in cycle.coeffs.items():
+            total = total + c * assignment.value("b", name)
+        for eid, c in cycle.lam.items():
+            total = total + c * assignment.value("l", eid)
+        return total
+    total = 0j
+    for name, c in cycle.coeffs.items():
+        total += c.to_complex() * assignment.value("b", name)
+    for eid, c in cycle.lam.items():
+        total += c.to_complex() * assignment.value("l", eid)
+    return total

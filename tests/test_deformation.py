@@ -1,6 +1,14 @@
+import contextlib
+import io
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import oracle_homology as oracle
+from strata.cli import main
+from strata.document import load_document
 
 from strata.deformation import (
     CylinderClass,
@@ -230,3 +238,37 @@ def test_approximate_mode_tolerance():
     cls = CylinderClass(("e1",), (("e1", "d_e1"),))
     moved = apply_deformation(assignment, cls, ShearStretch(Fraction(3), Fraction(1)))
     assert moved.basis_values["d_e1"] == 2 + 3j
+
+
+def test_approximate_residuals_keep_the_dict_summation_order(tmp_path):
+    """Float periods are summed in column order, as the dict-based cycles did."""
+    data = json.loads((Path(__file__).parent.parent / "fixtures" / "parallel_cylinders.json").read_text())
+    data["periods"] = {
+        "mode": "approximate",
+        "basis": {"d1": "1/3+2/7 i", "d2": "5/11+1/13 i", "a1": "3/7", "a2": "2/9"},
+        "lambda": {"e1": "1/3", "e2": "1/3"},
+    }
+    # A row with three terms, so that the summation order shows in the rounding.
+    data["system"]["equations"].append(
+        {"coeffs": {"d1": "1", "d2": "-1", "a1": "1/3", "a2": "2/7"}, "lambda": {"e1": "-3/5"}}
+    )
+    path = tmp_path / "approximate.json"
+    path.write_text(json.dumps(data))
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        main(["deform", "--json", str(path)])
+    rows = json.loads(buffer.getvalue())["reports"][0]["rows"]
+
+    doc = load_document(str(path))
+    system, assignment = doc.system(), doc.periods()
+    (edge, move), = doc.deformation_requests()
+    cls = CylinderClass.from_edge(system, edge)
+    deformed = apply_deformation(assignment, cls, move)
+    assert len(rows) == system.rank == 3
+    assert max(len(eq.cycle.coeffs) + len(eq.cycle.lam) for eq in system.rref_rows) >= 3
+    for row, eq in zip(rows, system.rref_rows):
+        old = oracle.Cycle.from_vector(system.basis, eq.cycle.vector)
+        assert row["residual"] == repr(oracle.evaluate(old, deformed))
+        for values in (assignment, deformed):
+            assert repr(evaluate(eq.cycle, values)) == repr(oracle.evaluate(old, values))
+    assert any(row["residual"] != "0j" for row in rows)

@@ -452,3 +452,51 @@ def test_dense_analyze_builds_no_fraction_in_rref_or_literal_parsing(monkeypatch
     before = built[0]
     assert gaussian.GaussianRational("1/2").re == Fraction(1, 2)
     assert built[0] - before == 3
+
+
+# -- literals at the integer digit limit ---------------------------------------------
+
+
+def _with_g1(tmp_path, literal_json: str) -> str:
+    """intro_two_level with the g1 coefficient replaced by raw JSON text."""
+    text = (FIXTURES / "intro_two_level.json").read_text()
+    assert text.count('"g1": "1"') == 1
+    path = tmp_path / "literal.json"
+    path.write_text(text.replace('"g1": "1"', f'"g1": {literal_json}'))
+    return str(path)
+
+
+def _run_cli_process(*args) -> subprocess.CompletedProcess:
+    # A timeout turns a regression into a failure rather than a hang.
+    return subprocess.run(
+        [sys.executable, "-m", "strata.cli", *args], capture_output=True, text=True, timeout=60
+    )
+
+
+@pytest.mark.parametrize(
+    "command, literal, message",
+    [
+        ("analyze", '"1e5000"', "malformed rational literal '1e5000'"),
+        ("validate", '"1e99999999"', "malformed rational literal '1e99999999'"),
+        ("validate", '"0.5e-99999999"', "malformed rational literal '0.5e-99999999'"),
+        ("analyze", "1" * 5000, "Exceeds the limit (4300 digits)"),
+    ],
+)
+def test_literals_past_the_digit_limit_exit_64(tmp_path, command, literal, message):
+    proc = _run_cli_process(command, _with_g1(tmp_path, literal))
+    assert proc.returncode == 64, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("parse error at ") and message in proc.stdout
+    assert proc.stderr == ""
+
+
+def test_literal_just_under_the_digit_limit_parses_and_prints(tmp_path):
+    assert sys.get_int_max_str_digits() == 4300
+    proc = _run_cli_process("analyze", "--json", _with_g1(tmp_path, '"1e4299"'))
+    assert proc.returncode == 2 and proc.stderr == ""
+    forced = json.loads(proc.stdout)
+    assert forced["certificate"]["verdict"] == "inconsistent"
+    assert "1/1" + "0" * 4299 in proc.stdout  # the g2 coefficient of the rref row, 4300 digits
+    code, output = run_cli("validate", _with_g1(tmp_path, '"-3.5e-4297"'))
+    assert code == 0, output
+    doc = load_document(_with_g1(tmp_path, '"0e99999999"'))
+    assert not doc.raw_equations[0].coeffs["g1"]

@@ -828,3 +828,12 @@ def test_top_match_agrees_at_its_level_and_vanishes_above():
                 for x, y, lvl in zip(match.to_vector(), eq.cycle.to_vector(), levels):
                     assert x == (y if lvl == level else x if lvl < level else ZERO)
     assert checked
+
+
+def test_row_vectors_are_the_rref_rows_tuples(documents):
+    for doc in documents.values():
+        system = doc.system()
+        rows = system.rref_rows
+        assert len(system._row_vectors) == len(rows)
+        assert all(v is eq.cycle.vector for v, eq in zip(system._row_vectors, rows))
+        assert all(type(v) is tuple for v in system._row_vectors)

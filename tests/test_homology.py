@@ -1,5 +1,12 @@
-import pytest
+import random
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle_homology as oracle
+from strata.document import cycle_to_json
 from strata.errors import BasisError
 from strata.gaussian import ZERO, ONE, GaussianRational
 from strata.homology import (
@@ -225,3 +232,123 @@ def test_column_levels_wait_for_first_use():
     assert basis.columns() == (("b", "a"), ("l", "e1"))
     with pytest.raises(KeyError):
         basis.column_levels
+
+
+# -- the vector cycle against the dict-based oracle ------------------------------------
+
+values = st.one_of(
+    st.just(ZERO),
+    st.builds(
+        lambda a, b, d: GaussianRational(Fraction(a, d), Fraction(b, d)),
+        st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3),
+    ),
+)
+
+
+def _random_basis(seed: int) -> AdaptedBasis:
+    r = random.Random(seed)
+    graph = random_graph(r, max_depth=2, max_horizontal=3)
+    return adapted_basis_for(graph, r, noncrossing_per_level=r.randint(0, 2))
+
+
+def _draw_cycle(data, basis: AdaptedBasis) -> tuple[Cycle, oracle.Cycle]:
+    """The same random cycle in both representations, from dicts in a random order."""
+    coeffs, lam = {}, {}
+    for kind, key in data.draw(st.permutations(basis.columns())):
+        if data.draw(st.booleans()):
+            (coeffs if kind == "b" else lam)[key] = data.draw(values)
+    return Cycle(basis, coeffs, lam), oracle.Cycle(basis, coeffs, lam)
+
+
+def _assert_agrees(new: Cycle, old: oracle.Cycle) -> None:
+    basis = new.basis
+    assert new.vector == tuple(old.to_vector())
+    assert new.to_vector() == old.to_vector()
+    assert new.coeffs == old.coeffs and new.lam == old.lam
+    assert (new.is_zero(), new.is_lambda_only(), new.is_real()) == (
+        old.is_zero(), old.is_lambda_only(), old.is_real()
+    )
+    for e in basis.graph.edges:
+        assert pair(new, e.id) == oracle.pair(old, e.id)
+    assert new.render() == old.render()
+    assert cycle_to_json(new) == cycle_to_json(old)
+    assert Cycle.from_vector(basis, old.to_vector()) == new
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_cycles_match_the_dict_oracle(seed, data):
+    basis = _random_basis(seed)
+    (a, oa), (b, ob) = _draw_cycle(data, basis), _draw_cycle(data, basis)
+    c = data.draw(values)
+    pairs = [(a, oa), (b, ob), (a + b, oa + ob), (a - b, oa - ob), (a - a, oa - oa)]
+    pairs += [(a.scale(c), oa.scale(c)), (a.scale(2), oa.scale(2)), (-a, -oa)]
+    for new, old in pairs:
+        _assert_agrees(new, old)
+    assert (a == b) == (oa == ob)
+    same, old_same = Cycle(basis, dict(a.coeffs), dict(a.lam)), oracle.Cycle(basis, oa.coeffs, oa.lam)
+    assert (a == same) and (oa == old_same)
+    twin = _random_basis(seed)  # same layout, another object
+    assert (a == Cycle.from_vector(twin, a.vector)) == (oa == oracle.Cycle.from_vector(twin, oa.to_vector()))
+    winding = {e.id: data.draw(st.integers(0, 3)) for e in basis.graph.edges if data.draw(st.booleans())}
+    _assert_agrees(picard_lefschetz(a, winding), oracle.picard_lefschetz(oa, winding))
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except BasisError as exc:
+        return str(exc)
+    return None
+
+
+def test_cycle_errors_match_the_dict_oracle():
+    basis = adapted_basis_for(loop_graph(2), rng(7))
+    twin = adapted_basis_for(loop_graph(2), rng(7))
+    for coeffs, lam in (({"nope": ONE}, {}), ({"nope": 0}, {}), ({}, {"nope": ONE}), ({"x": 1}, {"y": 1})):
+        message = _outcome(Cycle, basis, coeffs, lam)
+        assert message is not None and message == _outcome(oracle.Cycle, basis, coeffs, lam)
+    a, oa = Cycle(basis, {"d_e1": ONE}), oracle.Cycle(basis, {"d_e1": ONE})
+    b, ob = Cycle(twin, {"d_e1": ONE}), oracle.Cycle(twin, {"d_e1": ONE})
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        assert _outcome(op, a, b) == _outcome(op, oa, ob) == "cycles over different bases"
+    assert _outcome(pair, a, "nope") == _outcome(oracle.pair, oa, "nope") == "unknown edge nope"
+    for winding in ({"e1": -1}, {"nope": 1}, {"nope": 0}):
+        assert _outcome(picard_lefschetz, a, winding) == _outcome(oracle.picard_lefschetz, oa, winding)
+
+
+def test_from_vector_checks_length_and_keeps_the_tuple():
+    basis = adapted_basis_for(loop_graph(2), rng(8))
+    width = len(basis.columns())
+    for n in (0, width - 1, width + 1):
+        with pytest.raises(BasisError, match=f"vector of length {n} for {width} columns"):
+            Cycle.from_vector(basis, [ONE] * n)
+    vector = tuple([GaussianRational(k) for k in range(width)])
+    cycle = Cycle.from_vector(basis, vector)
+    assert cycle.vector is vector
+    assert all(x is y for x, y in zip(Cycle.from_vector(basis, list(vector)).vector, vector))
+
+
+def test_cycle_views_are_read_only():
+    basis = adapted_basis_for(loop_graph(1), rng(9))
+    cycle = Cycle(basis, {"d_e1": ONE}, {"e1": ONE})
+    with pytest.raises(TypeError):
+        cycle.coeffs["d_e1"] = ZERO
+    with pytest.raises(TypeError):
+        cycle.lam["e1"] = ZERO
+    assert cycle.__slots__ == ("basis", "vector")
+
+
+def test_pair_reads_the_cached_pairing_terms(documents):
+    for doc in documents.values():
+        basis = doc.basis
+        terms = basis.pairing_terms
+        assert basis.pairing_terms is terms
+        assert set(terms) == {e.id for e in basis.graph.edges}
+        for eid, row in terms.items():
+            expected = [(k, GaussianRational(basis.pairing(n, eid))) for k, n in enumerate(basis.names)]
+            assert list(row) == [(k, p) for k, p in expected if p]
+    basis = adapted_basis_for(loop_graph(2), rng(10))
+    cycle = Cycle(basis, {"d_e1": ONE, "d_e2": GaussianRational(3)})
+    basis.pairing_terms["e1"] = ((1, GaussianRational(5)),)  # pair must read the cache, not the table
+    assert pair(cycle, "e1") == GaussianRational(15)
