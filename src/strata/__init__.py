@@ -21,6 +21,7 @@ from .equations import (
     ProportionalityData,
     classify_undegeneration,
     consistency_report,
+    correlation_keys,
     cross_equivalence_classes,
     decompose,
     hor_support,

@@ -5,6 +5,11 @@ vanishes".  The system carries the ambient graph and adapted basis, declared
 period relations and proportionality ratios, and a nonvanishing set; every
 derived quantity (row reduction, horizontal supports, cross-equivalence,
 residue relations, undegeneration bookkeeping) is a pure function of those.
+
+Correlation questions are answered in the dual.  The span's horizontal
+pairing vectors form a subspace V of Q(i)^H; its annihilator W (computed once
+per system) cuts V out, so a pairing vector supported on S lies in V exactly
+when it is in the kernel of W's S columns.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from . import linalg
 from .errors import LimitError, SystemDataError, Violation
 from .gaussian import ZERO, ONE, GaussianRational
 from .homology import (
+    CROSSING,
     DERIVED,
     AdaptedBasis,
     Cycle,
@@ -188,6 +194,10 @@ class EquationSystem:
         self._reduction: LambdaRelationSet | None = None
         self._extended: tuple[list[linalg.Vector], list[int]] | None = None
         self._residues: tuple[tuple[int, int, Cycle], ...] | None = None
+        # edge -> annihilator column, and edge -> that column scaled to lead with 1
+        self._annihilator: tuple[dict[str, tuple[GaussianRational, ...]], dict[str, tuple]] | None = None
+        self._edge_bits = {e: 1 << k for k, e in enumerate(self.graph.horizontal_edges)}
+        self._passage_tables: dict[tuple[int, ...], PassageTable] = {}
 
     # -- canonical row basis --------------------------------------------------
 
@@ -307,23 +317,53 @@ def _support_subspace(
     ]
 
 
+def _annihilator(system: EquationSystem) -> tuple[dict[str, tuple[GaussianRational, ...]], dict[str, tuple]]:
+    """Per horizontal edge, its column of the annihilator W, and its pair key.
+
+    W is a basis of the nullspace of the rank x H matrix of the rows'
+    pairings, so a vector x of horizontal pairings belongs to a span element
+    exactly when W x = 0.  The key is the column divided by its first nonzero
+    entry, or the zero column itself.  Computed once per system.
+    """
+    if system._annihilator is None:
+        horizontal = system.graph.horizontal_edges
+        kernel = linalg.nullspace([eq.hor_pairings for eq in system.rref_rows], len(horizontal))
+        columns = {e: tuple([w[k] for w in kernel]) for k, e in enumerate(horizontal)}
+        keys = {}
+        for e, column in columns.items():
+            lead = next((x for x in column if x), None)
+            keys[e] = tuple([x / lead for x in column]) if lead else column
+        system._annihilator = (columns, keys)
+    return system._annihilator
+
+
+def correlation_keys(system: EquationSystem) -> dict[str, tuple]:
+    """A key per horizontal edge: {a, b} is correlated exactly when a and b
+    have equal keys.
+
+    The kernel of W's columns a and b has a vector with both entries nonzero
+    exactly when the columns are both zero or both nonzero and parallel, so
+    pairwise correlation is an equivalence relation.
+    """
+    return _annihilator(system)[1]
+
+
 def is_correlated(system: EquationSystem, edges: Iterable[str]) -> bool:
     """Whether some span element crosses exactly this horizontal edge set.
 
-    The span elements with pairings zero outside the set form a subspace; over
-    an infinite field a finite union of proper subspaces cannot cover it, so
-    the set is realized exactly when no single pairing functional vanishes on
-    the whole subspace.  Pairings are bilinear, so each subspace element's
-    pairings are its coordinates times the rows' cached pairings.
+    The pairing vectors supported on the set are the kernel of the
+    annihilator's columns there; over an infinite field a finite union of
+    proper subspaces cannot cover that kernel, so the set is realized exactly
+    when no coordinate vanishes on the whole kernel.
     """
     wanted = frozenset(edges)
     horizontal = set(system.graph.horizontal_edges)
     if not wanted <= horizontal:
         raise SystemDataError(f"not horizontal edges: {sorted(wanted - horizontal)}")
-    subspace = _support_coords(system, wanted)
-    functionals = [col for eid, col in system._pairing_columns.items() if eid in wanted]
-    images = [linalg.matvec(functionals, coords) for coords in subspace]
-    return all(any(image[k] for image in images) for k in range(len(functionals)))
+    columns = _annihilator(system)[0]
+    members = sorted(wanted)
+    kernel = linalg.nullspace(list(zip(*[columns[e] for e in members])), len(members))
+    return all(any(v[k] for v in kernel) for k in range(len(members)))
 
 
 def correlated_witness(
@@ -578,24 +618,87 @@ def _checked(system, original, h_parts, g_part) -> DecomposeResult:
 # -- undegeneration bookkeeping --------------------------------------------------
 
 
+@dataclass(frozen=True)
+class PassageTable:
+    """What the undegeneration table needs of one kept-passage subset.
+
+    ``row_masks`` has, for each rref row crossing a horizontal edge at its
+    remapped top level, the bitmask of those edges.  ``inverted`` says the
+    remapped levels break the basis order whatever edges are kept.  Each
+    ``(a, b)`` in ``conditions`` is a pair of adjacent basis elements at one
+    remapped level, the second crossing edge ``b``; keeping ``b`` but not the
+    first element's edge ``a`` (0 when it has none) puts a crossing element
+    after one that does not cross.
+    """
+
+    row_masks: tuple[int, ...]
+    inverted: bool
+    conditions: tuple[tuple[int, int], ...]
+
+    def lost(self, kept: int) -> int:
+        return sum(1 for mask in self.row_masks if mask & kept)
+
+    def ordering_caveat(self, kept: int) -> bool:
+        return self.inverted or any(kept & b and not kept & a for a, b in self.conditions)
+
+
+def passage_table(system: EquationSystem, undeg: Undegeneration) -> PassageTable:
+    """The table for ``undeg.kept_passages``, built on first use.
+
+    Relabeling is monotone, so a row's new top is the relabeled old one, and
+    its crossings are the cached horizontal support.
+    """
+    table = system._passage_tables.get(undeg.kept_passages)
+    if table is not None:
+        return table
+    graph = system.graph
+    bits = system._edge_bits
+    remap = {level: undeg.new_level(level) for level in set(system.basis.column_levels)}
+    row_masks = []
+    for eq in system.rref_rows:
+        if eq.top is None:
+            continue
+        top = remap[eq.top]
+        mask = 0
+        for e in eq.hor_support:
+            if remap[graph.edge_level(e)] == top:
+                mask |= bits[e]
+        if mask:
+            row_masks.append(mask)
+    inverted = False
+    conditions = []
+    elements = system.basis.elements
+    for first, second in zip(elements, elements[1:]):
+        above, below = remap[first.level], remap[second.level]
+        if above < below:
+            inverted = True
+            break
+        b = bits.get(second.edge, 0) if above == below and second.kind == CROSSING else 0
+        if b:
+            conditions.append((bits.get(first.edge, 0) if first.kind == CROSSING else 0, b))
+    table = PassageTable(tuple(row_masks), inverted, tuple(conditions))
+    system._passage_tables[undeg.kept_passages] = table
+    return table
+
+
+def _kept_mask(system: EquationSystem, undeg: Undegeneration) -> int:
+    bits = system._edge_bits
+    kept = 0
+    for e in undeg.kept_horizontal:
+        if e not in bits:
+            raise SystemDataError(f"not a horizontal edge: {e}")
+        kept |= bits[e]
+    return kept
+
+
 def lost_count(system: EquationSystem, undeg: Undegeneration) -> int:
     """Rows whose remapped top level crosses a surviving horizontal edge.
 
     Rows that cross a horizontal node at their (relabeled) top level do not
     restrict the smaller boundary stratum; they are the defining equations
-    lost there.  Relabeling is monotone, so a row's new top is the relabeled
-    old one, and its crossings are the cached horizontal support.
+    lost there.
     """
-    graph = system.graph
-    kept = [(eid, undeg.new_level(graph.edge_level(eid))) for eid in undeg.kept_horizontal]
-    count = 0
-    for eq in system.rref_rows:
-        if eq.top is None:
-            continue
-        new_top = undeg.new_level(eq.top)
-        if any(level == new_top and eid in eq.hor_support for eid, level in kept):
-            count += 1
-    return count
+    return passage_table(system, undeg).lost(_kept_mask(system, undeg))
 
 
 @dataclass(frozen=True)
@@ -608,26 +711,21 @@ class UndegClassification:
     ordering_caveat: bool
 
 
-def _remap_is_adapted(system: EquationSystem, undeg: Undegeneration) -> bool:
-    kept = set(undeg.kept_horizontal)
-    keys = []
-    for el in system.basis.elements:
-        still_crossing = el.kind == "crossing" and el.edge in kept
-        keys.append((-undeg.new_level(el.level), 0 if still_crossing else 1))
-    return keys == sorted(keys)
-
-
 def classify_undegeneration(system: EquationSystem, undeg: Undegeneration) -> UndegClassification:
     """Codimension of the boundary piece selected by an undegeneration.
 
     Codimension in the total space is (horizontal kept) + (passages kept) +
     rank - lost; the piece is divisorial exactly when this is rank + 1, and a
-    divisorial piece is reported with the branch that realizes it.
+    divisorial piece is reported with the branch that realizes it.  The
+    horizontal branch needs every kept pair correlated, which is one shared
+    correlation key.  The caveat flags a remap that breaks the basis order.
     """
+    table = passage_table(system, undeg)
+    kept = _kept_mask(system, undeg)
     m = system.rank
     h2 = undeg.horizontal_count
     l2 = undeg.depth
-    c = lost_count(system, undeg)
+    c = table.lost(kept)
     codim_total = h2 + l2 + m - c
     divisorial = codim_total == m + 1
     branch: str | None = None
@@ -635,10 +733,8 @@ def classify_undegeneration(system: EquationSystem, undeg: Undegeneration) -> Un
         if l2 == 1 and h2 == 0:
             branch = "vertical"
         elif l2 == 0:
-            ok = all(
-                is_correlated(system, {a, b})
-                for a, b in combinations(sorted(undeg.kept_horizontal), 2)
-            )
+            keys = correlation_keys(system)
+            ok = len({keys[e] for e in undeg.kept_horizontal}) <= 1
             branch = "horizontal" if ok else "theorem-violating"
         else:
             branch = "theorem-violating"
@@ -648,7 +744,7 @@ def classify_undegeneration(system: EquationSystem, undeg: Undegeneration) -> Un
         lost=c,
         divisorial=divisorial,
         branch=branch,
-        ordering_caveat=not _remap_is_adapted(system, undeg),
+        ordering_caveat=table.ordering_caveat(kept),
     )
 
 

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DocumentParseError
+from .errors import DocumentParseError, LimitError
 
 
 class GaussianRational:
@@ -142,11 +142,11 @@ class GaussianRational:
     def canonical(self) -> str:
         """Explicit-denominator document form, e.g. ``"3/2-1/1 i"``."""
         n, q = _lowest(self.a, self.d)
-        s = f"{n}/{q}"
+        s = f"{int_text(n)}/{int_text(q)}"
         if self.b != 0:
             sign = "-" if self.b < 0 else "+"
             n, q = _lowest(abs(self.b), self.d)
-            s += f"{sign}{n}/{q} i"
+            s += f"{sign}{int_text(n)}/{int_text(q)} i"
         return s
 
     def __str__(self) -> str:
@@ -198,10 +198,20 @@ def _lowest(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
+def int_text(n: int) -> str:
+    """``str(n)``; LimitError when ``n`` has more digits than
+    ``sys.get_int_max_str_digits()`` lets Python print."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise LimitError(f"a computed value needs more than {limit} digits to print") from None
+
+
 def _rational_str(n: int, d: int) -> str:
     """``str(Fraction(n, d))``."""
     n, q = _lowest(n, d)
-    return str(n) if q == 1 else f"{n}/{q}"
+    return int_text(n) if q == 1 else f"{int_text(n)}/{int_text(q)}"
 
 
 def _imag_str(b: int, d: int) -> str:

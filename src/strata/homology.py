@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import BasisError, Violation
-from .gaussian import ZERO, GaussianRational
+from .gaussian import ONE, ZERO, GaussianRational
 from .level_graph import EnhancedLevelGraph
 from . import linalg
 
@@ -274,9 +274,9 @@ class Cycle:
 
 def _render_term(c: GaussianRational, symbol: str, first: bool) -> str:
     if c.is_real():
-        sign = "-" if c.re < 0 else "+"
-        mag = abs(c.re)
-        body = symbol if mag == 1 else f"{mag}*{symbol}"
+        sign = "-" if c.a < 0 else "+"
+        mag = -c if c.a < 0 else c
+        body = symbol if mag == ONE else f"{mag}*{symbol}"
     else:
         sign = "+"
         body = f"({c})*{symbol}"

@@ -1,14 +1,26 @@
-"""Reference implementations kept as oracles for the undegeneration table.
+"""Reference implementations kept as oracles for correlation and the
+undegeneration table.
 
-These are the pair-based routines ``strata.equations`` used before rows
-cached their horizontal pairings and top levels: the top level is read from
-each carrier's element or edge level, the remapped top relabels every carrier,
-and ``lost_count`` pairs each row with each kept horizontal edge again.
+``top_level``, ``remapped_top`` and ``lost_count`` are the pair-based routines
+``strata.equations`` used before rows cached their horizontal pairings and top
+levels: the top level is read from each carrier's element or edge level, the
+remapped top relabels every carrier, and ``lost_count`` pairs each row with
+each kept horizontal edge again.
+
+``is_correlated``, ``remap_is_adapted`` and ``classify_undegeneration`` are the
+primal routines used before the annihilator and the per-passage-subset
+tables: one support-subspace nullspace per correlation query, the basis key
+list rebuilt per undegeneration, and one ``is_correlated`` per kept pair.
 """
 
 from __future__ import annotations
 
-from strata.equations import EquationSystem
+from itertools import combinations
+from typing import Iterable
+
+from strata import linalg
+from strata.equations import EquationSystem, UndegClassification, _support_coords
+from strata.errors import SystemDataError
 from strata.homology import Cycle, pair
 from strata.level_graph import Undegeneration
 
@@ -41,3 +53,59 @@ def lost_count(system: EquationSystem, undeg: Undegeneration) -> int:
                 count += 1
                 break
     return count
+
+
+def is_correlated(system: EquationSystem, edges: Iterable[str]) -> bool:
+    """Whether some span element crosses exactly this horizontal edge set.
+
+    The span elements with pairings zero outside the set form a subspace; the
+    set is realized exactly when no single pairing functional vanishes on the
+    whole subspace.
+    """
+    wanted = frozenset(edges)
+    horizontal = set(system.graph.horizontal_edges)
+    if not wanted <= horizontal:
+        raise SystemDataError(f"not horizontal edges: {sorted(wanted - horizontal)}")
+    subspace = _support_coords(system, wanted)
+    functionals = [col for eid, col in system._pairing_columns.items() if eid in wanted]
+    images = [linalg.matvec(functionals, coords) for coords in subspace]
+    return all(any(image[k] for image in images) for k in range(len(functionals)))
+
+
+def remap_is_adapted(system: EquationSystem, undeg: Undegeneration) -> bool:
+    kept = set(undeg.kept_horizontal)
+    keys = []
+    for el in system.basis.elements:
+        still_crossing = el.kind == "crossing" and el.edge in kept
+        keys.append((-undeg.new_level(el.level), 0 if still_crossing else 1))
+    return keys == sorted(keys)
+
+
+def classify_undegeneration(system: EquationSystem, undeg: Undegeneration) -> UndegClassification:
+    """Codimension, divisoriality, branch and caveat, recomputed per undegeneration."""
+    m = system.rank
+    h2 = undeg.horizontal_count
+    l2 = undeg.depth
+    c = lost_count(system, undeg)
+    codim_total = h2 + l2 + m - c
+    divisorial = codim_total == m + 1
+    branch: str | None = None
+    if divisorial:
+        if l2 == 1 and h2 == 0:
+            branch = "vertical"
+        elif l2 == 0:
+            ok = all(
+                is_correlated(system, {a, b})
+                for a, b in combinations(sorted(undeg.kept_horizontal), 2)
+            )
+            branch = "horizontal" if ok else "theorem-violating"
+        else:
+            branch = "theorem-violating"
+    return UndegClassification(
+        undegeneration=undeg,
+        codim_in_total=codim_total,
+        lost=c,
+        divisorial=divisorial,
+        branch=branch,
+        ordering_caveat=not remap_is_adapted(system, undeg),
+    )

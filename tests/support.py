@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
-from strata.equations import EquationSystem, is_correlated
+from oracle_equations import is_correlated
+from strata.document import parse_document
+from strata.equations import EquationSystem
 from strata.gaussian import GaussianRational
 from strata.homology import AdaptedBasis, BasisElement, Cycle
 from strata.level_graph import Edge, EnhancedLevelGraph, Marking, Vertex, validate
@@ -366,6 +370,16 @@ def aim_parallel_fixture(r: random.Random, genus: int):
 
 
 # -- independent oracles --------------------------------------------------------
+
+
+def cylinders_system(g: int, index: int = 0) -> EquationSystem:
+    """The system of the benchmark's parallel-cylinders document ``index`` of genus ``g``."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import generators
+
+    return parse_document(generators.cylinders_document(g, index)).system()
 
 
 def closure_of_sets(universe, sets) -> list[frozenset]:

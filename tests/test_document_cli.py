@@ -171,6 +171,32 @@ def test_deform_without_periods(tmp_path):
     assert code == 1
 
 
+def test_self_ratio_of_one_validates_with_periods(tmp_path):
+    doc = json.loads((FIXTURES / "parallel_cylinders.json").read_text())
+    doc["system"]["ratios"] = [{"e": "e1", "e'": "e1", "q": "1"}]
+    path = tmp_path / "self_ratio.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("validate", str(path)) == (
+        0, "ok: graph, basis, system, and attached data satisfy all invariants\n"
+    )
+    doc["system"]["ratios"][0]["q"] = "2"
+    path.write_text(json.dumps(doc))
+    code, output = run_cli("validate", str(path))
+    assert code == 1 and "ratio e1~e1: ratio-consistency: self-ratio differs from 1" in output
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_values_past_the_digit_limit_end_in_one_error_line(tmp_path, flags):
+    doc = json.loads((FIXTURES / "intro_two_level.json").read_text())
+    doc["system"]["equations"][0]["coeffs"] = {"g1": "1e2500", "g2": "-3e-2500"}
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(doc))
+    limit = sys.get_int_max_str_digits()
+    assert run_cli("analyze", str(path), *flags) == (
+        1, f"error: a computed value needs more than {limit} digits to print\n"
+    )
+
+
 def test_aim_paths():
     code, output = run_cli("aim", str(FIXTURES / "minimal_stratum_parallel.json"))
     assert code == 0

@@ -38,12 +38,14 @@ from support import (
     adapted_basis_for,
     aim_parallel_fixture,
     assert_decomposition_contract,
+    cylinders_system,
     decomposable_fixture,
     exhaustive_minimal_correlated,
     loop_graph,
     random_graph,
     random_int_cycle,
     random_system,
+    real_parallel_fixture,
     rng,
     two_level_graph,
 )
@@ -687,6 +689,9 @@ def _assert_matches_pair_oracle(system, undeg):
     lost = oracle_equations.lost_count(system, undeg)
     codim = undeg.horizontal_count + undeg.depth + system.rank - lost
     assert (got.lost, got.codim_in_total, got.divisorial) == (lost, codim, codim == system.rank + 1)
+    assert lost_count(system, undeg) == lost
+    assert got == oracle_equations.classify_undegeneration(system, undeg)
+    return got
 
 
 def _random_systems(r, count):
@@ -710,9 +715,29 @@ def test_classify_undegeneration_matches_pair_oracle_on_fixtures(documents):
 
 
 def test_classify_undegeneration_matches_pair_oracle_on_random_systems():
+    deep_caveats = 0
     for system in _random_systems(rng(4501), 300):
         for undeg in enumerate_undegenerations(system.graph):
-            _assert_matches_pair_oracle(system, undeg)
+            got = _assert_matches_pair_oracle(system, undeg)
+            deep_caveats += system.graph.depth >= 2 and got.ordering_caveat
+    assert deep_caveats
+
+
+def test_classify_undegeneration_matches_pair_oracle_on_unordered_bases():
+    # The API accepts bases that validation would refuse; a basis listed
+    # bottom level first breaks the order under every remap that keeps a passage.
+    r = rng(4506)
+    inverted = 0
+    for _ in range(60):
+        graph = random_graph(r, max_depth=2, max_horizontal=2)
+        ordered = adapted_basis_for(graph, r)
+        basis = AdaptedBasis(graph, ordered.elements[::-1], ordered._pairings)
+        rows = [random_int_cycle(basis, r) for _ in range(r.randint(0, 3))]
+        system = EquationSystem(basis, rows)
+        for undeg in enumerate_undegenerations(graph):
+            got = _assert_matches_pair_oracle(system, undeg)
+            inverted += undeg.depth > 0 and got.ordering_caveat
+    assert inverted
 
 
 def test_rows_cache_pairings_top_and_support(documents):
@@ -742,25 +767,35 @@ def _count_pair_calls(monkeypatch):
 
 def test_lost_count_pairs_nothing_during_analyze(monkeypatch, fixture_dir, capsys):
     from strata import cli
+    from strata.document import load_document
 
     counts = _count_pair_calls(monkeypatch)
-    original = equations.lost_count
-    lost_calls = []
+    original_table, original_classify = equations.passage_table, cli.classify_undegeneration
+    tables, rows = [], []
 
-    def watched(system, undeg):
+    def table(system, undeg):
+        tables.append(original_table(system, undeg))
+        return tables[-1]
+
+    def classify(system, undeg):
         counts["on"] = True
         try:
-            lost_calls.append(original(system, undeg))
+            rows.append(original_classify(system, undeg))
         finally:
             counts["on"] = False
-        return lost_calls[-1]
+        return rows[-1]
 
-    monkeypatch.setattr(equations, "lost_count", watched)
-    for name in ("parallel_cylinders", "three_node_pinch", "stacked_cylinders", "triple_node_cover"):
+    monkeypatch.setattr(equations, "passage_table", table)
+    monkeypatch.setattr(cli, "classify_undegeneration", classify)
+    names = ("parallel_cylinders", "three_node_pinch", "stacked_cylinders", "triple_node_cover")
+    for name in names:
         assert cli.main(["analyze", str(fixture_dir / f"{name}.json")]) == 0
     capsys.readouterr()
-    assert len(lost_calls) >= 4 * 4 and any(lost_calls)
+    assert len(rows) >= 4 * 4 and any(row.lost for row in rows)
     assert counts["total"] > 0 and counts["calls"] == 0
+    # One table per kept-passage subset, read by every row that keeps it.
+    subsets = sum(2 ** load_document(str(fixture_dir / f"{n}.json")).graph.depth for n in names)
+    assert len(tables) == len(rows) and len({id(t) for t in tables}) == subsets
 
 
 def test_support_queries_read_cached_pairings(monkeypatch, documents):
@@ -837,3 +872,85 @@ def test_row_vectors_are_the_rref_rows_tuples(documents):
         assert len(system._row_vectors) == len(rows)
         assert all(v is eq.cycle.vector for v, eq in zip(system._row_vectors, rows))
         assert all(type(v) is tuple for v in system._row_vectors)
+
+
+# -- correlation in the dual ---------------------------------------------------------------
+
+
+def _correlation_systems(documents):
+    systems = [doc.system() for doc in documents.values()]
+    systems += list(_random_systems(rng(4601), 80))
+    r = rng(4602)
+    systems += [real_parallel_fixture(r)[0] for _ in range(20)]
+    systems += [aim_parallel_fixture(r, genus)[0] for genus in (2, 3, 4, 5)]
+    systems += [cylinders_system(g, index) for g in range(2, 9) for index in (0, 1)]
+    return systems
+
+
+def test_is_correlated_matches_the_primal_oracle_on_every_subset(documents):
+    from itertools import combinations
+
+    checked = 0
+    for system in _correlation_systems(documents):
+        horizontal = system.graph.horizontal_edges
+        for size in range(len(horizontal) + 1):
+            for combo in combinations(horizontal, size):
+                assert is_correlated(system, combo) == oracle_equations.is_correlated(system, combo)
+                checked += 1
+    assert checked > 1600
+
+
+def test_correlation_keys_decide_every_pair(documents):
+    from itertools import combinations
+
+    for system in _correlation_systems(documents):
+        keys = equations.correlation_keys(system)
+        assert sorted(keys) == sorted(system.graph.horizontal_edges)
+        for a, b in combinations(system.graph.horizontal_edges, 2):
+            assert (keys[a] == keys[b]) == oracle_equations.is_correlated(system, {a, b})
+
+
+def test_annihilator_cuts_out_the_pairing_image(documents):
+    for system in _correlation_systems(documents)[:40]:
+        columns, _ = equations._annihilator(system)
+        horizontal = system.graph.horizontal_edges
+        width = len(next(iter(columns.values()), ()))
+        assert width == len(horizontal) - linalg.rank([eq.hor_pairings for eq in system.rref_rows])
+        for eq in system.rref_rows:
+            for k in range(width):
+                total = sum((columns[e][k] * x for e, x in zip(horizontal, eq.hor_pairings)), ZERO)
+                assert not total
+
+
+def test_is_correlated_refuses_non_horizontal_edges(documents):
+    system = documents["intro_two_level"].system()
+    with pytest.raises(SystemDataError, match="not horizontal edges"):
+        is_correlated(system, {"e"})
+    with pytest.raises(SystemDataError, match="not a horizontal edge"):
+        lost_count(system, Undegeneration.make([], ["e"]))
+
+
+def test_classify_undegeneration_matches_the_primal_oracle_on_bench_cylinders():
+    for g in range(2, 7):
+        system = cylinders_system(g)
+        rows = [_assert_matches_pair_oracle(system, u) for u in enumerate_undegenerations(system.graph)]
+        assert sum(row.branch == "horizontal" for row in rows) == 1
+        assert any(row.ordering_caveat for row in rows)
+
+
+def test_undegeneration_table_runs_one_rref_however_many_rows(monkeypatch):
+    system = cylinders_system(9)
+    system.rref_rows
+    undegs = enumerate_undegenerations(system.graph)
+    assert len(undegs) == 2**9
+    calls = []
+    original = linalg.rref
+
+    def counting(rows):
+        calls.append(1)
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    rows = [classify_undegeneration(system, u) for u in undegs]
+    assert len(calls) <= 1
+    assert [row.branch for row in rows if row.divisorial] == ["horizontal"]
