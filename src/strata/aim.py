@@ -9,10 +9,9 @@ directly assertable condition rank(B J B^T) = dim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 from . import linalg
@@ -29,21 +28,23 @@ from .gaussian import GaussianRational
 from .homology import Cycle, pair
 
 
-@dataclass(frozen=True)
 class SymplecticData:
     """Absolute homology: skew form, inclusion into the model, lambda images."""
 
-    j_matrix: tuple[tuple[int, ...], ...]
-    iota: tuple[Cycle, ...]  # image of each absolute basis vector
-    u_lambda: dict[str, tuple[GaussianRational, ...]]
-    minimal: bool = False
-    # Results that also depend on a system, held per system object (by identity, weakly).
-    _problems: WeakKeyDictionary = field(
-        default_factory=WeakKeyDictionary, init=False, repr=False, compare=False
-    )
-    _tangent: WeakKeyDictionary = field(
-        default_factory=WeakKeyDictionary, init=False, repr=False, compare=False
-    )
+    def __init__(
+        self,
+        j_matrix: tuple[tuple[int, ...], ...],
+        iota: tuple[Cycle, ...],  # image of each absolute basis vector
+        u_lambda: dict[str, tuple[GaussianRational, ...]],
+        minimal: bool = False,
+    ):
+        self.j_matrix = j_matrix
+        self.iota = iota
+        self.u_lambda = u_lambda
+        self.minimal = minimal
+        # Results that also depend on a system, held per system object (by identity, weakly).
+        self._problems: WeakKeyDictionary = WeakKeyDictionary()
+        self._tangent: WeakKeyDictionary = WeakKeyDictionary()
 
     @property
     def dim(self) -> int:
@@ -138,8 +139,7 @@ def _require_minimal(system: EquationSystem, data: SymplecticData | None) -> Non
         _require_valid(data, system)
 
 
-@dataclass(frozen=True)
-class SubspaceReport:
+class SubspaceReport(NamedTuple):
     """A subspace in absolute homology coordinates with its restricted form."""
 
     basis_rows: tuple[tuple[GaussianRational, ...], ...]
@@ -178,8 +178,7 @@ def tangent_absolute(system: EquationSystem, data: SymplecticData) -> SubspaceRe
     return report
 
 
-@dataclass(frozen=True)
-class LemmaBoundReport:
+class LemmaBoundReport(NamedTuple):
     dim: int
     bound_satisfied: bool
 
@@ -214,8 +213,7 @@ def lemma_bound(system: EquationSystem, data: SymplecticData, cls: CylinderClass
     return LemmaBoundReport(dim, dim <= 1)
 
 
-@dataclass(frozen=True)
-class CrossWitnessResult:
+class CrossWitnessResult(NamedTuple):
     witness: Cycle | None
     diagnostic: str | None
 

@@ -9,9 +9,8 @@ on explicit period assignments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .equations import EquationSystem, cross_equivalence_classes, hor_support
 from .errors import DeformationError, Violation
@@ -93,8 +92,7 @@ def validate_assignment(assignment: PeriodAssignment, system: EquationSystem) ->
     return out
 
 
-@dataclass(frozen=True)
-class CylinderClass:
+class CylinderClass(NamedTuple):
     """One cross-equivalence class with a designated cross-curve per node."""
 
     edges: tuple[str, ...]
@@ -121,16 +119,20 @@ class CylinderClass:
         return tuple([name for _, name in self.cross_curves])
 
 
-@dataclass(frozen=True)
-class ShearStretch:
-    """Vertical stretch r > 0 and shear s, acting as (x, y) -> (x + s y, r y)."""
-
+class _ShearStretch(NamedTuple):
     r: Fraction
     s: Fraction
 
-    def __post_init__(self):
-        if self.r <= 0:
-            raise DeformationError(f"stretch factor must be positive, got {self.r}")
+
+class ShearStretch(_ShearStretch):
+    """Vertical stretch r > 0 and shear s, acting as (x, y) -> (x + s y, r y)."""
+
+    __slots__ = ()
+
+    def __new__(cls, r: Fraction, s: Fraction) -> "ShearStretch":
+        if r <= 0:
+            raise DeformationError(f"stretch factor must be positive, got {r}")
+        return super().__new__(cls, r, s)
 
 
 def apply_deformation(
@@ -177,16 +179,14 @@ def horizontal_decomposition(cycle: Cycle, cls: CylinderClass):
     return beta, coefficients
 
 
-@dataclass(frozen=True)
-class RowOutcome:
+class RowOutcome(NamedTuple):
     index: int
     status: str  # "preserved" | "not-covered" | "residual-nonzero"
     residual: str
     note: str
 
 
-@dataclass(frozen=True)
-class DeformationReport:
+class DeformationReport(NamedTuple):
     rows: tuple[RowOutcome, ...]
 
     @property

@@ -10,9 +10,8 @@ mathematical problems are returned as violations (exit 1).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .aim import SymplecticData, symplectic_problems
 from .deformation import PeriodAssignment, ShearStretch, validate_assignment
@@ -55,36 +54,31 @@ def _optional(data: dict, key: str, kind: type, path: str):
     return _expect(data[key], kind, f"{path}.{key}")
 
 
-@dataclass
-class RawEquation:
+class RawEquation(NamedTuple):
     coeffs: dict[str, GaussianRational]
     lam: dict[str, GaussianRational]
 
 
-@dataclass
-class RawRelation:
+class RawRelation(NamedTuple):
     coeffs: dict[str, GaussianRational]
     lam: dict[str, GaussianRational]
     provenance: str
 
 
-@dataclass
-class RawSymplectic:
+class RawSymplectic(NamedTuple):
     j_matrix: tuple[tuple[int, ...], ...]
     iota: tuple[tuple[GaussianRational, ...], ...]
     u_lambda: dict[str, tuple[GaussianRational, ...]]
     minimal: bool
 
 
-@dataclass
-class RawPeriods:
+class RawPeriods(NamedTuple):
     basis_values: dict[str, Any]
     lam_values: dict[str, Any]
     exact: bool
 
 
-@dataclass
-class DeformationSpec:
+class DeformationSpec(NamedTuple):
     class_edge: str
     r: Fraction
     s: Fraction

@@ -14,10 +14,9 @@ when it is in the kernel of W's S columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .errors import LimitError, SystemDataError, Violation
@@ -507,8 +506,7 @@ def residue_forms(system: EquationSystem) -> tuple[tuple[int, int, Cycle], ...]:
 # -- decomposition --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecomposeResult:
+class DecomposeResult(NamedTuple):
     feasible: bool
     h_parts: tuple[Cycle, ...] = ()
     g_part: Cycle | None = None
@@ -618,8 +616,7 @@ def _checked(system, original, h_parts, g_part) -> DecomposeResult:
 # -- undegeneration bookkeeping --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PassageTable:
+class PassageTable(NamedTuple):
     """What the undegeneration table needs of one kept-passage subset.
 
     ``row_masks`` has, for each rref row crossing a horizontal edge at its
@@ -701,8 +698,7 @@ def lost_count(system: EquationSystem, undeg: Undegeneration) -> int:
     return passage_table(system, undeg).lost(_kept_mask(system, undeg))
 
 
-@dataclass(frozen=True)
-class UndegClassification:
+class UndegClassification(NamedTuple):
     undegeneration: Undegeneration
     codim_in_total: int
     lost: int
@@ -751,8 +747,7 @@ def classify_undegeneration(system: EquationSystem, undeg: Undegeneration) -> Un
 # -- consistency engine -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConsistencyCertificate:
+class ConsistencyCertificate(NamedTuple):
     verdict: str  # "consistent" | "consistent-with-obligations" | "inconsistent"
     rule: str | None = None
     forced: Cycle | None = None

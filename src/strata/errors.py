@@ -7,7 +7,7 @@ unmet preconditions) and for parse failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class StrataError(Exception):
@@ -66,8 +66,7 @@ class DocumentParseError(StrataError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed invariant: which object, which rule, and what went wrong."""
 
     subject: str

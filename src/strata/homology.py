@@ -10,10 +10,9 @@ edge, as (column, pairing) terms, on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BasisError, Violation
 from .gaussian import ONE, ZERO, GaussianRational
@@ -24,8 +23,7 @@ CROSSING = "crossing"
 NONCROSSING = "noncrossing"
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     name: str
     level: int
     kind: str

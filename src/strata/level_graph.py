@@ -9,31 +9,28 @@ graph by keeping a subset of level passages and a subset of horizontal edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import lcm
+from typing import NamedTuple
 
 from .errors import GraphError, Violation
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: str
     genus: int
     level: int
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: str
     ends: tuple[str, str]
     top: str | None = None
     kappa: int | None = None
 
 
-@dataclass(frozen=True)
-class Marking:
+class Marking(NamedTuple):
     vertex: str
     order: int
 
@@ -133,8 +130,7 @@ class EnhancedLevelGraph:
         return len(seen) == len(self.vertices)
 
 
-@dataclass(frozen=True)
-class LevelPassage:
+class LevelPassage(NamedTuple):
     index: int
     crossing: tuple[str, ...]
 
@@ -253,8 +249,7 @@ def codim(graph: EnhancedLevelGraph) -> int:
     return len(graph.horizontal_edges) + graph.depth
 
 
-@dataclass(frozen=True)
-class Undegeneration:
+class Undegeneration(NamedTuple):
     """Partial smoothing: keep some passages and some horizontal edges.
 
     Vertical edges all of whose crossed passages are smoothed disappear; they

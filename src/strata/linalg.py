@@ -16,7 +16,6 @@ rationals are built: each entry goes from its Z[i] ints straight to an
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -229,29 +228,56 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+
+    They are the diagonal of its Smith normal form, reached here by
+    unimodular row and column operations on plain ints (Cohen, *A Course in
+    Computational Algebraic Number Theory*, §2.4): an entry of least absolute
+    value goes to the corner and reduces its row and column, until both are
+    clear and it divides every remaining entry.  Their number is the rank and
+    their product the gcd of the maximal nonzero minors.
+    """
+    m = [list(map(int, row)) for row in rows]
+    factors: list[int] = []
+    while True:
+        m = [row for row in m if any(row)]
+        if not m:
+            return factors
+        _, i, j = min((abs(x), i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x)
+        m[0], m[i] = m[i], m[0]
+        for row in m:
+            row[0], row[j] = row[j], row[0]
+        top = m[0]
+        p = top[0]
+        for row in m[1:]:
+            q = row[0] // p
+            if q:
+                for k, x in enumerate(top):
+                    row[k] -= q * x
+        for k in range(1, len(top)):
+            q = top[k] // p
+            if q:
+                for row in m:
+                    row[k] -= q * row[0]
+        if any(top[1:]) or any(row[0] for row in m[1:]):
+            continue  # a remainder smaller than p is left; it is the next pivot
+        stray = next((row for row in m[1:] if any(x % p for x in row)), None)
+        if stray is not None:
+            top[:] = [a + b for a, b in zip(top, stray)]
+            continue
+        factors.append(abs(p))
+        m = [row[1:] for row in m[1:]]
+
+
 def lattice_is_saturated(generators: Sequence[Sequence[int]]) -> bool:
     """Whether the lattice spanned by integer row vectors equals its saturation.
 
     The quotient of the ambient integer lattice by the row lattice is
-    torsion-free exactly when the gcd of all maximal minors of a generating
-    matrix is 1; the gcd of the r x r minors equals the product of the
-    invariant factors.
+    torsion-free exactly when every invariant factor of a generating matrix
+    is 1.
     """
-    if not generators:
-        return True
-    rational = [[GaussianRational(x) for x in row] for row in generators]
-    r = rank(rational)
-    if r == 0:
-        return True
-    ncols = len(generators[0])
-    g = 0
-    for row_idx in combinations(range(len(generators)), r):
-        for col_idx in combinations(range(ncols), r):
-            minor = bareiss_det([[generators[i][j] for j in col_idx] for i in row_idx])
-            g = gcd(g, abs(minor))
-            if g == 1:
-                return True
-    return g == 1
+    return all(d == 1 for d in invariant_factors(generators))
 
 
 def clear_denominators(values: Sequence[Fraction]) -> list[int]:

@@ -11,8 +11,8 @@ their top-level restriction as leading part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .equations import (
@@ -26,8 +26,7 @@ from .gaussian import ONE, ZERO, GaussianRational
 from .homology import Cycle, pair
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(NamedTuple):
     """Normalized unit * s^I - s^J with disjoint positive supports, gcd 1."""
 
     unit: str
@@ -49,8 +48,7 @@ class Binomial:
         return f"exp({self.unit})*{monomial(self.i_exp)} - {monomial(self.j_exp)} = 0"
 
 
-@dataclass(frozen=True)
-class Analytic:
+class Analytic(NamedTuple):
     """An equation extending holomorphically, with its linear leading part."""
 
     symbol: str
@@ -141,8 +139,7 @@ def _projective_factor(candidate: Cycle, reference: Cycle) -> GaussianRational |
     return rho if candidate == reference.scale(rho) else None
 
 
-@dataclass(frozen=True)
-class LocalModel:
+class LocalModel(NamedTuple):
     """Product structure of a local irreducible component near the boundary.
 
     The smooth factor carries the passage parameters and the non-crossing
@@ -185,8 +182,7 @@ def local_model(converted: list[PlumbingEquation], system: EquationSystem) -> Lo
     return LocalModel(system, smooth_dim, t_params, analytic, blocks, absorption)
 
 
-@dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(NamedTuple):
     smooth: bool
     saturated: bool
     generators: tuple[tuple[int, ...], ...]
@@ -200,8 +196,8 @@ def lattice_analysis(binomials: list[Binomial]) -> LatticeReport:
     """Exponent-lattice analysis of one class's binomial system.
 
     The difference vectors I - J span the exponent lattice; the report states
-    whether that lattice is saturated in the ambient integer lattice (gcd of
-    maximal minors 1) and whether the factor is smooth, detected by
+    whether that lattice is saturated in the ambient integer lattice (every
+    invariant factor 1) and whether the factor is smooth, detected by
     iteratively eliminating binomials with a lone unit-exponent side whose
     variable appears nowhere else.
     """
@@ -246,8 +242,7 @@ def _smooth_by_elimination(binomials: list[Binomial]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SmoothingWitness:
+class SmoothingWitness(NamedTuple):
     t_directions: tuple[str, ...]
     class_blocks: tuple[tuple[str, ...], ...]
 
@@ -300,8 +295,7 @@ def can_smooth(
     )
 
 
-@dataclass(frozen=True)
-class HurwitzCertificate:
+class HurwitzCertificate(NamedTuple):
     kind: str  # "impossible-horizontal-node" | "smooth-normal-crossing"
     edges: tuple[str, ...]
     detail: str

@@ -7,15 +7,20 @@ other row is cleared with exact Q(i) arithmetic.  ``reduce_vector`` is the
 dense residual that subtracts a multiple of the whole pivot row, zero entries
 included.  ``vec_add``, ``vec_sub`` and ``vec_scale`` are the dense vector
 helpers these oracles and a few tests are written with; the library itself
-has no use for them.
+has no use for them.  ``lattice_is_saturated`` is the maximal-minors test
+the library used before it read the invariant factors of a Smith normal
+form; it enumerates C(rows, r) * C(cols, r) minors, so keep it to small
+shapes.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import gcd
 from typing import Iterable, Sequence
 
 from strata.gaussian import ONE, GaussianRational
-from strata.linalg import Vector
+from strata.linalg import Vector, bareiss_det, rank
 
 
 def vec_add(u: Sequence[GaussianRational], v: Sequence[GaussianRational]) -> Vector:
@@ -76,3 +81,23 @@ def reduce_vector(
             factor = res[p]
             res = vec_sub(res, vec_scale(factor, row))
     return res
+
+
+def maximal_minors_gcd(generators: Sequence[Sequence[int]]) -> int:
+    """gcd of every r x r minor, r the rank (1 at rank 0): the product of
+    the invariant factors."""
+    r = rank([[GaussianRational(x) for x in row] for row in generators])
+    if r == 0:
+        return 1
+    g = 0
+    for row_idx in combinations(range(len(generators)), r):
+        for col_idx in combinations(range(len(generators[0])), r):
+            minor = bareiss_det([[generators[i][j] for j in col_idx] for i in row_idx])
+            g = gcd(g, abs(minor))
+    return g
+
+
+def lattice_is_saturated(generators: Sequence[Sequence[int]]) -> bool:
+    """The quotient by the row lattice is torsion-free exactly when the gcd
+    of the maximal minors is 1."""
+    return maximal_minors_gcd(generators) == 1

@@ -8,7 +8,7 @@ import pytest
 
 import oracle_homology as oracle
 from strata.cli import main
-from strata.document import load_document
+from strata.document import load_document, parse_document
 
 from strata.deformation import (
     CylinderClass,
@@ -80,8 +80,23 @@ def test_apply_deformation_matrix_action():
 
 
 def test_stretch_must_be_positive():
-    with pytest.raises(DeformationError):
-        ShearStretch(Fraction(0), Fraction(1))
+    for r in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(DeformationError) as raised:
+            ShearStretch(r, Fraction(1))
+        assert str(raised.value) == f"stretch factor must be positive, got {r}"
+        with pytest.raises(DeformationError):
+            ShearStretch(r=r, s=Fraction(1))
+
+
+@pytest.mark.parametrize("literal", ["0", "-1/2"])
+def test_stretch_must_be_positive_through_the_document(fixture_dir, literal):
+    data = json.loads((fixture_dir / "parallel_cylinders.json").read_text())
+    data["deformations"][0]["r"] = literal
+    doc = parse_document(data)
+    assert "stretch-positive" in [v.rule for v in doc.violations()]
+    with pytest.raises(DeformationError) as raised:
+        doc.deformation_requests()
+    assert str(raised.value) == f"stretch factor must be positive, got {literal}"
 
 
 def test_group_law():

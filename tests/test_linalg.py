@@ -1,4 +1,7 @@
+import random
+import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -88,6 +91,81 @@ def test_lattice_saturation():
     assert linalg.lattice_is_saturated([[1, 0], [0, 1]])
     assert not linalg.lattice_is_saturated([[2, 2], [0, 4]])
     assert linalg.lattice_is_saturated([])
+
+
+@st.composite
+def int_lattices(draw):
+    """Small integer generator matrices, often rank-deficient or of index > 1."""
+    ncols = draw(st.integers(1, 5))
+    entry = st.integers(-4, 4)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=4))
+    if rows and draw(st.booleans()):
+        k = draw(st.integers(0, len(rows) - 1))
+        rows.append([draw(st.integers(-3, 3)) * x for x in rows[k]])
+    if rows and draw(st.booleans()):
+        rows[0] = [draw(st.sampled_from([2, 3, -2])) * x for x in rows[0]]
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return rows
+
+
+def _check_invariant_factors(rows):
+    before = [list(row) for row in rows]
+    factors = linalg.invariant_factors(rows)
+    assert rows == before
+    assert len(factors) == linalg.rank([[GaussianRational(x) for x in row] for row in rows])
+    assert all(d > 0 for d in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert prod(factors) == oracle_linalg.maximal_minors_gcd(rows)
+    assert linalg.lattice_is_saturated(rows) == oracle_linalg.lattice_is_saturated(rows)
+
+
+@given(int_lattices())
+@settings(max_examples=300, deadline=None)
+def test_invariant_factors_match_the_minors_oracle(rows):
+    _check_invariant_factors(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[0, 0]],
+        [[0], [0]],
+        [[1]],
+        [[6]],
+        [[2], [3]],
+        [[2], [4]],
+        [[2, 4], [1, 2]],
+        [[0, 0], [2, 0]],
+        [[2, 0], [0, 3]],
+        [[4, 6, 10], [6, 9, 15]],
+    ],
+)
+def test_invariant_factors_edge_shapes(rows):
+    _check_invariant_factors(rows)
+
+
+def test_invariant_factors_known():
+    assert linalg.invariant_factors([[2, 0], [0, 3]]) == [1, 6]
+    assert linalg.invariant_factors([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]) == [2, 6, 12]
+    assert linalg.invariant_factors([[2], [4]]) == [2]
+
+
+def test_saturation_of_a_rank_12_lattice_is_fast():
+    # Doubling one generator gives index 2: every maximal minor is even, so the
+    # minors test would enumerate all C(24, 12) of them.
+    rng = random.Random(12)
+    rows = [[rng.randint(-3, 3) for _ in range(24)] for _ in range(12)]
+    doubled = [[2 * x for x in rows[0]]] + rows[1:]
+    start = time.perf_counter()
+    factors = linalg.invariant_factors(doubled)
+    saturated = linalg.lattice_is_saturated(doubled)
+    elapsed = time.perf_counter() - start
+    assert len(factors) == 12 and factors[-1] % 2 == 0
+    assert not saturated
+    assert elapsed < 1.0
+    assert linalg.lattice_is_saturated([[int(i == j) for j in range(12)] + row[12:] for i, row in enumerate(rows)])
 
 
 def test_clear_denominators():

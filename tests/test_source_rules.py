@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "strata").glob("*.py"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+SOURCES = sorted((SRC / "strata").glob("*.py"))
 
 
 def _generator_built_tuples(tree: ast.AST) -> list[int]:
@@ -56,3 +60,37 @@ def test_cycles_are_read_as_vectors(path):
 def test_the_vector_rule_sees_calls():
     tree = ast.parse("a = c.to_vector()\nb = eq.cycle.to_vector()\nc = x.vector\nd = to_vector\n")
     assert _to_vector_calls(tree) == [1, 2]
+
+
+def _dataclass_imports(tree: ast.AST) -> list[int]:
+    """Lines importing ``dataclasses``: records are NamedTuples, cheap to create at import."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    assert _dataclass_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_dataclass_rule_sees_both_forms():
+    tree = ast.parse("import dataclasses\nfrom dataclasses import dataclass\nimport typing\n")
+    assert _dataclass_imports(tree) == [1, 2]
+
+
+def test_the_cli_starts_without_dataclasses_or_inspect():
+    probe = (
+        "import sys\n"
+        "import strata.cli\n"
+        "strata.cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert proc.stdout == "[]\n"
