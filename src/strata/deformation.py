@@ -80,13 +80,12 @@ def validate_assignment(assignment: PeriodAssignment, system: EquationSystem) ->
             out.append(Violation(f"period lambda[{edge.id}]", "complete", "missing edge value"))
     if out:
         return out
-    for k, (rel, _) in enumerate(system.relations.relations):
+    for k, rel in enumerate(system.relations):
         if not _is_zero(evaluate(rel, assignment), assignment.exact):
             out.append(Violation(f"relation {k}", "relations-hold", f"{rel.render()} != 0"))
-    for e, ep, q in system.ratios.entries:
-        if e == ep:
-            continue  # holds once q = 1, which the system's violations demand
-        form = Cycle(system.basis, {}, {e: GaussianRational(1), ep: GaussianRational(-q)})
+    # A self-ratio has no form: it holds once q = 1, which the system's violations demand.
+    linked = [(e, ep) for e, ep, _ in system.ratios.entries if e != ep]
+    for (e, ep), form in zip(linked, system.ratio_forms):
         if not _is_zero(evaluate(form, assignment), assignment.exact):
             out.append(Violation(f"ratio {e}~{ep}", "ratios-hold", "declared ratio violated"))
     return out

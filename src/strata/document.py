@@ -18,14 +18,7 @@ from .deformation import PeriodAssignment, ShearStretch, validate_assignment
 from .equations import EquationSystem, ProportionalityData, system_violations
 from .errors import DocumentParseError, Violation
 from .gaussian import GaussianRational, parse_gaussian, parse_rational
-from .homology import (
-    DECLARED,
-    AdaptedBasis,
-    BasisElement,
-    Cycle,
-    LambdaRelationSet,
-    validate_adapted,
-)
+from .homology import AdaptedBasis, BasisElement, Cycle, validate_adapted
 from .level_graph import Edge, EnhancedLevelGraph, Marking, Vertex, validate
 
 SCHEMA_VERSION = "sbv-1"
@@ -55,14 +48,10 @@ def _optional(data: dict, key: str, kind: type, path: str):
 
 
 class RawEquation(NamedTuple):
+    """The coefficients of an equation or relation, as parsed."""
+
     coeffs: dict[str, GaussianRational]
     lam: dict[str, GaussianRational]
-
-
-class RawRelation(NamedTuple):
-    coeffs: dict[str, GaussianRational]
-    lam: dict[str, GaussianRational]
-    provenance: str
 
 
 class RawSymplectic(NamedTuple):
@@ -93,7 +82,7 @@ class AnalysisDocument:
         basis: AdaptedBasis,
         equations: list[RawEquation],
         ratios: list[tuple[str, str, Fraction]],
-        relations: list[RawRelation],
+        relations: list[RawEquation],
         real: bool,
         minimal_stratum: bool,
         nonvanishing: list[str],
@@ -200,20 +189,12 @@ class AnalysisDocument:
 
     def system(self) -> EquationSystem:
         if self._system is None:
-            cycles = [Cycle(self.basis, eq.coeffs, eq.lam) for eq in self.raw_equations]
-            relations = LambdaRelationSet(
-                self.basis,
-                [
-                    (Cycle(self.basis, rel.coeffs, rel.lam), rel.provenance)
-                    for rel in self.raw_relations
-                ],
-            )
             self._system = EquationSystem(
                 self.basis,
-                cycles,
+                [Cycle(self.basis, eq.coeffs, eq.lam) for eq in self.raw_equations],
                 real=self.real,
                 minimal_stratum=self.minimal_stratum,
-                relations=relations,
+                relations=[Cycle(self.basis, rel.coeffs, rel.lam) for rel in self.raw_relations],
                 ratios=ProportionalityData(self.raw_ratios),
                 nonvanishing=self.nonvanishing,
             )
@@ -271,6 +252,14 @@ def _parse_gaussian_map(
     for key in sorted(data):
         out[key] = _literal(data[key], f"{path}.{key}", seen)
     return out
+
+
+def _parse_equation(item: Any, path: str, seen: dict[str, GaussianRational]) -> RawEquation:
+    item = _expect(item, dict, path)
+    return RawEquation(
+        _parse_gaussian_map(_get(item, "coeffs", dict, path, default={}), f"{path}.coeffs", seen),
+        _parse_gaussian_map(_get(item, "lambda", dict, path, default={}), f"{path}.lambda", seen),
+    )
 
 
 def _parse_graph(data: dict, path: str) -> EnhancedLevelGraph:
@@ -345,20 +334,10 @@ def parse_document(data: Any, path: str = "$") -> AnalysisDocument:
     seen: dict[str, GaussianRational] = {}  # this load's literal text -> value
     system_data = _get(data, "system", dict, path)
     sp = f"{path}.system"
-    equations = []
-    for k, item in enumerate(_get(system_data, "equations", list, sp, default=[])):
-        eq_path = f"{sp}.equations[{k}]"
-        item = _expect(item, dict, eq_path)
-        equations.append(
-            RawEquation(
-                _parse_gaussian_map(
-                    _get(item, "coeffs", dict, eq_path, default={}), f"{eq_path}.coeffs", seen
-                ),
-                _parse_gaussian_map(
-                    _get(item, "lambda", dict, eq_path, default={}), f"{eq_path}.lambda", seen
-                ),
-            )
-        )
+    equations = [
+        _parse_equation(item, f"{sp}.equations[{k}]", seen)
+        for k, item in enumerate(_get(system_data, "equations", list, sp, default=[]))
+    ]
     ratios = []
     for k, item in enumerate(_get(system_data, "ratios", list, sp, default=[])):
         rp = f"{sp}.ratios[{k}]"
@@ -373,19 +352,8 @@ def parse_document(data: Any, path: str = "$") -> AnalysisDocument:
     relations = []
     for k, item in enumerate(_get(system_data, "relations", list, sp, default=[])):
         rp = f"{sp}.relations[{k}]"
-        item = _expect(item, dict, rp)
-        provenance = item.get("provenance", DECLARED)
-        relations.append(
-            RawRelation(
-                _parse_gaussian_map(
-                    _get(item, "coeffs", dict, rp, default={}), f"{rp}.coeffs", seen
-                ),
-                _parse_gaussian_map(
-                    _get(item, "lambda", dict, rp, default={}), f"{rp}.lambda", seen
-                ),
-                _expect(provenance, str, f"{rp}.provenance"),
-            )
-        )
+        relations.append(_parse_equation(item, rp, seen))
+        _expect(item.get("provenance", ""), str, f"{rp}.provenance")  # free text, not used
     flags = _get(system_data, "flags", dict, sp, default={})
     real = _expect(flags.get("real", False), bool, f"{sp}.flags.real")
     minimal = _expect(flags.get("minimal_stratum", False), bool, f"{sp}.flags.minimal_stratum")
@@ -482,6 +450,8 @@ def load_document(path: str) -> AnalysisDocument:
         raise DocumentParseError(str(exc), path)
     except json.JSONDecodeError as exc:
         raise DocumentParseError(exc.msg, f"{path}:{exc.lineno}:{exc.colno}")
+    except RecursionError:
+        raise DocumentParseError("arrays or objects nested too deeply", path)
     except ValueError as exc:  # e.g. an integer longer than sys.get_int_max_str_digits()
         raise DocumentParseError(str(exc), path)
     return parse_document(data, path="$")

@@ -15,6 +15,7 @@ when it is in the kernel of W's S columns.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
@@ -23,7 +24,6 @@ from .errors import LimitError, SystemDataError, Violation
 from .gaussian import ZERO, ONE, GaussianRational
 from .homology import (
     CROSSING,
-    DERIVED,
     AdaptedBasis,
     Cycle,
     LambdaRelationSet,
@@ -71,7 +71,6 @@ class ProportionalityData:
         self.entries: tuple[tuple[str, str, Fraction], ...] = tuple(
             [(e, ep, Fraction(q)) for e, ep, q in entries]
         )
-        self._closure = None
 
     def __bool__(self) -> bool:
         return bool(self.entries)
@@ -89,20 +88,19 @@ class ProportionalityData:
             if e == ep and q != 1:
                 out.append(Violation(subject, "ratio-consistency", "self-ratio differs from 1"))
         if not out:
-            for conflict in self.closure()[1]:
+            for conflict in self.closure[1]:
                 out.append(Violation(f"ratio {conflict[0]}~{conflict[1]}", "ratio-consistency", conflict[2]))
         return out
 
+    @cached_property
     def closure(self):
         """Transitive closure.
 
-        Returns (ratio_to_root, conflicts) where ratio_to_root maps each
+        The pair (ratio_to_root, conflicts), where ratio_to_root maps each
         declared edge to (root, q) with period(edge) = q * period(root), roots
         chosen as the smallest edge of each connected component.  Built once:
         the entries never change.
         """
-        if self._closure is not None:
-            return self._closure
         adjacency: dict[str, list[tuple[str, Fraction]]] = {}
         for e, ep, q in self.entries:
             if q == 0:
@@ -130,14 +128,13 @@ class ProportionalityData:
                     else:
                         ratio[y] = (root, ry)
                         queue.append(y)
-        self._closure = (ratio, conflicts)
-        return self._closure
+        return ratio, conflicts
 
     def ratio(self, e: str, ep: str) -> Fraction | None:
         """q with period(e) = q * period(e'), when the closure links them."""
         if e == ep:
             return Fraction(1)
-        closure, _ = self.closure()
+        closure, _ = self.closure
         if e not in closure or ep not in closure:
             return None
         root_e, q_e = closure[e]
@@ -146,16 +143,6 @@ class ProportionalityData:
             return None
         return q_e / q_ep
 
-    def forms(self, basis: AdaptedBasis) -> list[Cycle]:
-        out = []
-        for e, ep, q in self.entries:
-            if e == ep:
-                continue
-            out.append(
-                Cycle(basis, {}, {e: ONE, ep: GaussianRational(-q)})
-            )
-        return out
-
 
 class EquationSystem:
     """Ambient data plus a list of defining equations.
@@ -163,6 +150,8 @@ class EquationSystem:
     The stored equation list may be redundant; the canonical row basis is the
     reduced row echelon form against the basis ordering followed by the
     lambda columns, and the rank of that basis is the codimension ``m``.
+    Every span, table and partition derived from the inputs is a cached
+    property, computed on first use.
     """
 
     def __init__(
@@ -171,7 +160,7 @@ class EquationSystem:
         equations: Sequence[Cycle],
         real: bool = False,
         minimal_stratum: bool = False,
-        relations: LambdaRelationSet | None = None,
+        relations: Iterable[Cycle] = (),
         ratios: ProportionalityData | None = None,
         nonvanishing: Iterable[str] = (),
     ):
@@ -180,60 +169,74 @@ class EquationSystem:
         self.equations: tuple[Equation, ...] = tuple([Equation(c) for c in equations])
         self.real = real
         self.minimal_stratum = minimal_stratum
-        self.relations = relations if relations is not None else LambdaRelationSet(basis)
+        self.relations: tuple[Cycle, ...] = tuple(relations)
         self.ratios = ratios if ratios is not None else ProportionalityData()
         # Horizontal nodes carry simple poles, so their periods never vanish.
         self.nonvanishing: frozenset[str] = frozenset(nonvanishing) | frozenset(
             self.graph.horizontal_edges
         )
-        self._rref: tuple[tuple[Equation, ...], tuple[tuple[str, str], ...]] | None = None
-        self._row_vectors: list[tuple[GaussianRational, ...]] = []  # the rref rows' vectors
-        self._pivot_cols: list[int] = []
-        self._pairing_columns: dict[str, list[GaussianRational]] = {}  # edge -> row pairings
-        self._reduction: LambdaRelationSet | None = None
-        self._extended: tuple[list[linalg.Vector], list[int]] | None = None
-        self._residues: tuple[tuple[int, int, Cycle], ...] | None = None
-        # edge -> annihilator column, and edge -> that column scaled to lead with 1
-        self._annihilator: tuple[dict[str, tuple[GaussianRational, ...]], dict[str, tuple]] | None = None
-        self._edge_bits = {e: 1 << k for k, e in enumerate(self.graph.horizontal_edges)}
         self._passage_tables: dict[tuple[int, ...], PassageTable] = {}
 
     # -- canonical row basis --------------------------------------------------
 
-    def _compute_rref(self):
+    @cached_property
+    def _reduction(self) -> tuple[tuple[Equation, ...], list[int]]:
+        """The rref rows, as equations, and their pivot columns."""
         reduced, pivot_cols = linalg.rref([eq.cycle.vector for eq in self.equations])
-        columns = self.basis.columns()
-        rows = tuple([Equation(Cycle.from_vector(self.basis, v)) for v in reduced])
-        pivots = tuple([columns[c] for c in pivot_cols])
-        self._row_vectors = [eq.cycle.vector for eq in rows]
-        self._pivot_cols = pivot_cols
-        horizontal = self.graph.horizontal_edges
-        self._pairing_columns = {e: [eq.hor_pairings[k] for eq in rows] for k, e in enumerate(horizontal)}
-        self._rref = (rows, pivots)
+        return tuple([Equation(Cycle.from_vector(self.basis, v)) for v in reduced]), pivot_cols
 
     @property
     def rref_rows(self) -> tuple[Equation, ...]:
-        if self._rref is None:
-            self._compute_rref()
-        return self._rref[0]
+        # A plain property, and the first read of the reduction everywhere:
+        # bench/tracing.py times the reduction by wrapping this getter.
+        return self._reduction[0]
 
-    @property
+    @cached_property
+    def _pivot_cols(self) -> list[int]:
+        self.rref_rows  # computes the reduction, when due, through its traced getter
+        return self._reduction[1]
+
+    @cached_property
     def pivots(self) -> tuple[tuple[str, str], ...]:
-        if self._rref is None:
-            self._compute_rref()
-        return self._rref[1]
+        columns = self.basis.columns()
+        return tuple([columns[c] for c in self._pivot_cols])
 
     @property
     def rank(self) -> int:
         return len(self.rref_rows)
 
+    @cached_property
+    def _row_vectors(self) -> list[tuple[GaussianRational, ...]]:
+        """The rref rows' own vectors."""
+        return [eq.cycle.vector for eq in self.rref_rows]
+
+    @cached_property
+    def _pairing_columns(self) -> dict[str, list[GaussianRational]]:
+        """Per horizontal edge, the rows' pairings against it."""
+        rows = self.rref_rows
+        return {e: [eq.hor_pairings[k] for eq in rows] for k, e in enumerate(self.graph.horizontal_edges)}
+
+    @cached_property
+    def _edge_bits(self) -> dict[str, int]:
+        return {e: 1 << k for k, e in enumerate(self.graph.horizontal_edges)}
+
     def span_contains(self, cycle: Cycle) -> bool:
-        self.rref_rows
         return linalg.in_span(cycle.vector, self._row_vectors, self._pivot_cols)
 
-    def pure_lambda_rows(self) -> list[Cycle]:
-        return [eq.cycle for eq in self.rref_rows if eq.cycle.is_lambda_only()]
+    # -- relation spans ---------------------------------------------------------
 
+    @cached_property
+    def ratio_forms(self) -> tuple[Cycle, ...]:
+        """``lambda[e] - q lambda[e']`` per declared ratio with e != e', in order."""
+        return tuple(
+            [
+                Cycle(self.basis, {}, {e: ONE, ep: GaussianRational(-q)})
+                for e, ep, q in self.ratios.entries
+                if e != ep
+            ]
+        )
+
+    @cached_property
     def reduction_relations(self) -> LambdaRelationSet:
         """Declared relations, ratio relations, and pure-period rows combined.
 
@@ -241,29 +244,85 @@ class EquationSystem:
         span is the right thing to reduce residue forms and log-coefficient
         vectors by.
         """
-        if self._reduction is None:
-            extra = [(f, DERIVED) for f in self.ratios.forms(self.basis)]
-            extra += [(c, DERIVED) for c in self.pure_lambda_rows()]
-            self._reduction = self.relations.with_added(extra)
-        return self._reduction
+        pure = [eq.cycle for eq in self.rref_rows if eq.cycle.is_lambda_only()]
+        return LambdaRelationSet(self.basis, [*self.relations, *self.ratio_forms, *pure])
 
-    @property
+    @cached_property
     def extended_rows(self) -> tuple[list[linalg.Vector], list[int]]:
         """Rref rows and pivots of the rows, declared relations and ratio forms.
 
         This extended span is where the tangent space, the parallel-class
         bound and the proportionality decompositions are read off.
         """
-        if self._extended is None:
-            self.rref_rows
-            rows = self._row_vectors + [rel.vector for rel, _ in self.relations.relations]
-            rows += [f.vector for f in self.ratios.forms(self.basis)]
-            self._extended = linalg.rref(rows)
-        return self._extended
+        rows = self._row_vectors + [rel.vector for rel in self.relations]
+        return linalg.rref(rows + [f.vector for f in self.ratio_forms])
 
     def extended_span_contains(self, cycle: Cycle) -> bool:
         """Membership in the span of the rows together with all relations."""
         return linalg.in_span(cycle.vector, *self.extended_rows)
+
+    # -- correlation and residues -----------------------------------------------
+
+    @cached_property
+    def annihilator(self) -> tuple[dict[str, tuple[GaussianRational, ...]], dict[str, tuple]]:
+        """Per horizontal edge, its column of the annihilator W, and its pair key.
+
+        W is a basis of the nullspace of the rank x H matrix of the rows'
+        pairings, so a vector x of horizontal pairings belongs to a span element
+        exactly when W x = 0.  The key is the column divided by its first nonzero
+        entry, or the zero column itself.
+        """
+        horizontal = self.graph.horizontal_edges
+        kernel = linalg.nullspace([eq.hor_pairings for eq in self.rref_rows], len(horizontal))
+        columns = {e: tuple([w[k] for w in kernel]) for k, e in enumerate(horizontal)}
+        keys = {}
+        for e, column in columns.items():
+            lead = next((x for x in column if x), None)
+            keys[e] = tuple([x / lead for x in column]) if lead else column
+        return columns, keys
+
+    @cached_property
+    def cross_equivalence_classes(self) -> tuple[frozenset[str], ...]:
+        """Partition of the horizontal edges generated by the rref-row supports."""
+        parent: dict[str, str] = {e: e for e in self.graph.horizontal_edges}
+
+        def find(x: str) -> str:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(a: str, b: str) -> None:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                if rb < ra:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+
+        for eq in self.rref_rows:
+            support = sorted(eq.hor_support)
+            for a, b in zip(support, support[1:]):
+                union(a, b)
+        groups: dict[str, set[str]] = {}
+        for e in parent:
+            groups.setdefault(find(e), set()).add(e)
+        return tuple([frozenset(groups[root]) for root in sorted(groups)])
+
+    @cached_property
+    def residue_forms(self) -> tuple[tuple[int, int, Cycle], ...]:
+        """All nonzero residue forms (row index, passage, form) of the rref rows.
+
+        The rows lie in the span by construction, and every passage at or
+        below a row's top level is visited in order.
+        """
+        out = []
+        for j, eq in enumerate(self.rref_rows):
+            for i in self.graph.passage_indices():
+                if eq.top is not None and i <= eq.top:
+                    form = _residue_form(self, eq.cycle, i)
+                    if not form.is_zero():
+                        out.append((j, i, form))
+        return tuple(out)
 
 
 def system_violations(system: EquationSystem) -> list[Violation]:
@@ -274,7 +333,7 @@ def system_violations(system: EquationSystem) -> list[Violation]:
                 out.append(
                     Violation(f"equation {k}", "real-coefficients", "complex coefficient in a real system")
                 )
-    for k, (rel, _) in enumerate(system.relations.relations):
+    for k, rel in enumerate(system.relations):
         if not rel.is_real():
             out.append(Violation(f"relation {k}", "rational-relations", "relation coefficients must be rational"))
     out.extend(system.ratios.violations(system.graph))
@@ -317,23 +376,8 @@ def _support_subspace(
 
 
 def _annihilator(system: EquationSystem) -> tuple[dict[str, tuple[GaussianRational, ...]], dict[str, tuple]]:
-    """Per horizontal edge, its column of the annihilator W, and its pair key.
-
-    W is a basis of the nullspace of the rank x H matrix of the rows'
-    pairings, so a vector x of horizontal pairings belongs to a span element
-    exactly when W x = 0.  The key is the column divided by its first nonzero
-    entry, or the zero column itself.  Computed once per system.
-    """
-    if system._annihilator is None:
-        horizontal = system.graph.horizontal_edges
-        kernel = linalg.nullspace([eq.hor_pairings for eq in system.rref_rows], len(horizontal))
-        columns = {e: tuple([w[k] for w in kernel]) for k, e in enumerate(horizontal)}
-        keys = {}
-        for e, column in columns.items():
-            lead = next((x for x in column if x), None)
-            keys[e] = tuple([x / lead for x in column]) if lead else column
-        system._annihilator = (columns, keys)
-    return system._annihilator
+    """Per horizontal edge, its column of the annihilator W, and its pair key."""
+    return system.annihilator
 
 
 def correlation_keys(system: EquationSystem) -> dict[str, tuple]:
@@ -402,29 +446,7 @@ def correlated_witness(
 
 def cross_equivalence_classes(system: EquationSystem) -> tuple[frozenset[str], ...]:
     """Partition of the horizontal edges generated by the rref-row supports."""
-    parent: dict[str, str] = {e: e for e in system.graph.horizontal_edges}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
-    for eq in system.rref_rows:
-        support = sorted(eq.hor_support)
-        for a, b in zip(support, support[1:]):
-            union(a, b)
-    groups: dict[str, set[str]] = {}
-    for e in parent:
-        groups.setdefault(find(e), set()).add(e)
-    return tuple([frozenset(groups[root]) for root in sorted(groups)])
+    return system.cross_equivalence_classes
 
 
 def primitive_sets(system: EquationSystem, limit: int = 12) -> tuple[frozenset[str], ...]:
@@ -486,21 +508,8 @@ def _residue_form(system: EquationSystem, cycle: Cycle, i: int) -> Cycle:
 
 
 def residue_forms(system: EquationSystem) -> tuple[tuple[int, int, Cycle], ...]:
-    """All nonzero residue forms (row index, passage, form) of the rref rows.
-
-    Computed once per system: the rows lie in the span by construction, and
-    every passage at or below a row's top level is visited in order.
-    """
-    if system._residues is None:
-        out = []
-        for j, eq in enumerate(system.rref_rows):
-            for i in system.graph.passage_indices():
-                if eq.top is not None and i <= eq.top:
-                    form = _residue_form(system, eq.cycle, i)
-                    if not form.is_zero():
-                        out.append((j, i, form))
-        system._residues = tuple(out)
-    return system._residues
+    """All nonzero residue forms (row index, passage, form) of the rref rows."""
+    return system.residue_forms
 
 
 # -- decomposition --------------------------------------------------------------
@@ -780,10 +789,10 @@ def proportionality_obligations(
     Returns (obligations, forced_vanishing) where the second lists members
     whose period symbol reduces to zero outright.
     """
-    relations = system.reduction_relations()
+    relations = system.reduction_relations
     obligations: list[tuple[str, str]] = []
     forced: list[tuple[str, Cycle]] = []
-    for cls in cross_equivalence_classes(system):
+    for cls in system.cross_equivalence_classes:
         if len(cls) < 2:
             continue
         reps: dict[tuple, str] = {}
@@ -827,8 +836,8 @@ def consistency_report(system: EquationSystem, assume_theorems: bool = False) ->
     trace.append("R1: every horizontal-crossing row crosses at least two nodes")
 
     # R2
-    relations = system.reduction_relations()
-    forms = residue_forms(system)
+    relations = system.reduction_relations
+    forms = system.residue_forms
     for j, i, form in forms:
         residual = relations.reduce(form)
         if residual.is_zero():
@@ -843,11 +852,11 @@ def consistency_report(system: EquationSystem, assume_theorems: bool = False) ->
                 "inconsistent", "R2", _monic(residual), (), tuple(trace)
             )
         if assume_theorems:
-            relations = relations.with_added([(form, DERIVED)])
+            relations = relations.with_added([form])
     trace.append(f"R2: {len(forms)} residue forms reduce without forcing a nonvanishing period")
 
     # R3
-    for cls in cross_equivalence_classes(system):
+    for cls in system.cross_equivalence_classes:
         levels = {graph.edge_level(e) for e in cls}
         if len(levels) > 1:
             trace.append(f"R3: class {sorted(cls)} spans levels {sorted(levels)}")

@@ -322,29 +322,24 @@ def picard_lefschetz(cycle: Cycle, n: Mapping[str, int]) -> Cycle:
     return Cycle.from_vector(cycle.basis, vector)
 
 
-DECLARED = "declared"
-DERIVED = "derived"
-
-
 class LambdaRelationSet:
-    """Homogeneous linear relations among period symbols.
+    """The span of homogeneous linear relations among period symbols.
 
     Each relation is a cycle asserted to have identically vanishing period;
     relations may mix vanishing-cycle symbols with basis-element symbols (for
-    declared absolute-homology identities).  The set keeps its reduced echelon
-    form against the ambient column order.
+    declared absolute-homology identities).  The set keeps only the reduced
+    echelon form of the span against the ambient column order.  That form is
+    canonical, so adding cycles to it gives the rows and pivots a rebuild from
+    every relation would.
     """
 
-    def __init__(self, basis: AdaptedBasis, relations: Iterable[tuple[Cycle, str]] = ()):
+    def __init__(self, basis: AdaptedBasis, cycles: Iterable[Cycle] = ()):
         self.basis = basis
-        self.relations: tuple[tuple[Cycle, str], ...] = tuple(
-            [(c, provenance) for c, provenance in relations]
-        )
-        rows = [c.vector for c, _ in self.relations]
-        self._rows, self._pivots = linalg.rref(rows)
+        self._rows, self._pivots = linalg.rref([c.vector for c in cycles])
 
-    def with_added(self, extra: Iterable[tuple[Cycle, str]]) -> "LambdaRelationSet":
-        return LambdaRelationSet(self.basis, list(self.relations) + list(extra))
+    def with_added(self, cycles: Iterable[Cycle]) -> "LambdaRelationSet":
+        """The span of these cycles and the echelon rows."""
+        return LambdaRelationSet(self.basis, self.echelon + list(cycles))
 
     @property
     def echelon(self) -> list[Cycle]:

@@ -83,7 +83,7 @@ def convert(system: EquationSystem, assume_theorems: bool = False) -> list[Plumb
         raise ConversionError(
             f"system is inconsistent (rule {certificate.rule}); nothing to convert"
         )
-    relations = system.reduction_relations()
+    relations = system.reduction_relations
     out: list[PlumbingEquation] = []
     n_units = 0
     n_analytic = 0

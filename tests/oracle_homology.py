@@ -8,12 +8,22 @@ coefficient dict against the basis pairing table on every call, and
 ``picard_lefschetz`` adds the monodromy terms into a copy of ``lam``.
 ``evaluate`` is ``strata.deformation.evaluate`` as it read those dicts: basis
 terms first, then edge terms, each in dict order.
+
+``RelationFold`` is ``strata.homology.LambdaRelationSet`` as it was before
+the set kept only its echelon form: it keeps every relation it was given, and
+``with_added`` row-reduces all of them again.  ``refolding_report`` runs
+``consistency_report`` on a copy of a system whose relation span is a
+``RelationFold``, so the R2 fold under ``assume_theorems`` rebuilds the span
+from every cycle at each step.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from functools import cached_property
+from typing import Iterable, Mapping
 
+from strata import homology, linalg
+from strata.equations import ConsistencyCertificate, EquationSystem, consistency_report
 from strata.errors import BasisError
 from strata.gaussian import ZERO, GaussianRational
 from strata.homology import AdaptedBasis, _render_term
@@ -158,3 +168,46 @@ def evaluate(cycle: Cycle, assignment):
     for eid, c in cycle.lam.items():
         total += c.to_complex() * assignment.value("l", eid)
     return total
+
+
+class RelationFold:
+    """The span of every relation given, rebuilt from all of them on each addition."""
+
+    def __init__(self, basis: AdaptedBasis, cycles: Iterable[homology.Cycle] = ()):
+        self.basis = basis
+        self.cycles = tuple(cycles)
+        self._rows, self._pivots = linalg.rref([c.vector for c in self.cycles])
+
+    def with_added(self, cycles: Iterable[homology.Cycle]) -> "RelationFold":
+        return RelationFold(self.basis, self.cycles + tuple(cycles))
+
+    @property
+    def echelon(self) -> list[homology.Cycle]:
+        return [homology.Cycle.from_vector(self.basis, row) for row in self._rows]
+
+    def reduce(self, cycle: homology.Cycle) -> homology.Cycle:
+        residual = linalg.reduce_vector(cycle.vector, self._rows, self._pivots)
+        return homology.Cycle.from_vector(self.basis, residual)
+
+    def contains(self, cycle: homology.Cycle) -> bool:
+        return self.reduce(cycle).is_zero()
+
+
+class _RefoldingSystem(EquationSystem):
+    @cached_property
+    def reduction_relations(self) -> RelationFold:
+        pure = [eq.cycle for eq in self.rref_rows if eq.cycle.is_lambda_only()]
+        return RelationFold(self.basis, [*self.relations, *self.ratio_forms, *pure])
+
+
+def refolding_report(system: EquationSystem, assume_theorems: bool = False) -> ConsistencyCertificate:
+    twin = _RefoldingSystem(
+        system.basis,
+        [eq.cycle for eq in system.equations],
+        real=system.real,
+        minimal_stratum=system.minimal_stratum,
+        relations=system.relations,
+        ratios=system.ratios,
+        nonvanishing=system.nonvanishing,
+    )
+    return consistency_report(twin, assume_theorems=assume_theorems)

@@ -303,7 +303,6 @@ def aim_parallel_fixture(r: random.Random, genus: int):
     """
     from strata.aim import SymplecticData
     from strata.equations import ProportionalityData
-    from strata.homology import LambdaRelationSet
 
     graph = loop_graph(genus)
     basis = adapted_basis_for(graph, noncrossing_per_level=genus)
@@ -324,16 +323,10 @@ def aim_parallel_fixture(r: random.Random, genus: int):
         rows.append(
             Cycle(basis, {}, {edges[k]: GaussianRational(1), edges[0]: GaussianRational(-q[k - 1])})
         )
-    relations = LambdaRelationSet(
-        basis,
-        [
-            (
-                Cycle(basis, {names_a[k]: GaussianRational(1)}, {edges[k]: GaussianRational(-1)}),
-                "declared",
-            )
-            for k in range(genus)
-        ],
-    )
+    relations = [
+        Cycle(basis, {names_a[k]: GaussianRational(1)}, {edges[k]: GaussianRational(-1)})
+        for k in range(genus)
+    ]
     ratios = ProportionalityData(
         [(edges[k], edges[0], q[k - 1]) for k in range(1, genus)]
     )
@@ -406,6 +399,15 @@ def exhaustive_minimal_correlated(system: EquationSystem) -> list[frozenset]:
         s for s in correlated if not any(t < s for t in correlated)
     ]
     return sorted(minimal, key=lambda s: sorted(s))
+
+
+def ratio_forms(system: EquationSystem) -> list[Cycle]:
+    """``lambda[e] - q lambda[e']`` per declared ratio with e != e', built by hand."""
+    return [
+        Cycle(system.basis, {}, {e: GaussianRational(1), ep: GaussianRational(-q)})
+        for e, ep, q in system.ratios.entries
+        if e != ep
+    ]
 
 
 def fraction_vector(values) -> list[Fraction]:

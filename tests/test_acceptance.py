@@ -52,6 +52,7 @@ from support import (
     loop_graph,
     random_graph,
     random_system,
+    ratio_forms,
     real_parallel_fixture,
     rng,
 )
@@ -256,8 +257,8 @@ def _pairwise_bruteforce_infeasible(system, target) -> bool:
     columns = system.basis.columns()
     width = len(columns)
     extended = [eq.cycle.to_vector() for eq in system.rref_rows]
-    extended += [rel.to_vector() for rel, _ in system.relations.relations]
-    extended += [f.to_vector() for f in system.ratios.forms(system.basis)]
+    extended += [rel.to_vector() for rel in system.relations]
+    extended += [f.to_vector() for f in ratio_forms(system)]
     reduced, _ = linalg.rref(extended)
     horizontal = sorted(system.graph.horizontal_edges)
     # Pure-period part of the extended span.

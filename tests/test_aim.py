@@ -24,7 +24,7 @@ from strata.equations import EquationSystem, hor_support
 from strata.errors import AimError, LimitError
 from strata.gaussian import ZERO, ONE, GaussianRational
 from strata.homology import Cycle
-from support import adapted_basis_for, aim_parallel_fixture, loop_graph, rng
+from support import adapted_basis_for, aim_parallel_fixture, loop_graph, ratio_forms, rng
 
 
 def _lagrangian_instance():
@@ -98,8 +98,8 @@ def _lemma_bound_oracle(system, data, cls: CylinderClass) -> int:
     columns = system.basis.columns()
     width = len(columns)
     constraints = [eq.cycle.to_vector() for eq in system.rref_rows]
-    constraints += [rel.to_vector() for rel, _ in system.relations.relations]
-    constraints += [f.to_vector() for f in system.ratios.forms(system.basis)]
+    constraints += [rel.to_vector() for rel in system.relations]
+    constraints += [f.to_vector() for f in ratio_forms(system)]
     tangent = linalg.nullspace(constraints, width) if constraints else linalg.identity(width)
     support = []
     for eid, name in cls.cross_curves:

@@ -230,12 +230,8 @@ def test_randomized_theorem_instance():
 
 def test_approximate_relation_tolerance():
     basis = adapted_basis_for(loop_graph(2))
-    from strata.homology import LambdaRelationSet
-
     relation = Cycle(basis, {}, {"e1": ONE, "e2": -ONE})
-    system = EquationSystem(
-        basis, [], real=True, relations=LambdaRelationSet(basis, [(relation, "declared")])
-    )
+    system = EquationSystem(basis, [], real=True, relations=[relation])
     base = {name: 0j for name in basis.names}
     nearly = PeriodAssignment(base, {"e1": 2.0, "e2": 2.0 + 1e-12}, exact=False)
     assert validate_assignment(nearly, system) == []

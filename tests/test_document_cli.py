@@ -90,6 +90,41 @@ def test_non_array_deformations_is_parse_error(tmp_path):
     assert output == "parse error at $.deformations: expected array, got int\n"
 
 
+@pytest.mark.parametrize("provenance", [7, None, ["declared"], {"by": "hand"}])
+def test_non_string_provenance_is_parse_error(tmp_path, provenance):
+    doc = json.loads((FIXTURES / "minimal_stratum_parallel.json").read_text())
+    doc["system"]["relations"][1]["provenance"] = provenance
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, output = run_cli("validate", str(bad))
+    assert code == 64
+    assert output.startswith("parse error at $.system.relations[1].provenance: expected string, got ")
+    assert output.count("\n") == 1
+
+
+def test_provenance_is_free_text(tmp_path):
+    doc = json.loads((FIXTURES / "minimal_stratum_parallel.json").read_text())
+    reference = tmp_path / "reference.json"
+    reference.write_text(json.dumps(doc))
+    del doc["system"]["relations"][0]["provenance"]
+    doc["system"]["relations"][1]["provenance"] = "read off the cover, by hand"
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    for command in ("validate", "analyze"):
+        assert run_cli(command, str(edited)) == run_cli(command, str(reference))
+
+
+@pytest.mark.parametrize("where", ["top", "graph"])
+def test_deeply_nested_json_is_parse_error(tmp_path, where):
+    deep = "[" * 100000 + "]" * 100000
+    text = deep if where == "top" else '{"schema": "sbv-1", "graph": ' + deep + "}"
+    bad = tmp_path / "deep.json"
+    bad.write_text(text)
+    code, output = run_cli("validate", str(bad))
+    assert code == 64
+    assert output == f"parse error at {bad}: arrays or objects nested too deeply\n"
+
+
 def test_unknown_basis_reference_is_violation(tmp_path):
     doc = json.loads((FIXTURES / "three_node_pinch.json").read_text())
     doc["system"]["equations"][0]["coeffs"]["zz"] = "1"

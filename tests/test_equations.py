@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import oracle_equations
+import oracle_homology
 from strata import equations, homology, linalg
 from strata.equations import (
     EquationSystem,
@@ -23,7 +24,7 @@ from strata.equations import (
 )
 from strata.errors import LimitError, SystemDataError
 from strata.gaussian import ZERO, ONE, GaussianRational
-from strata.homology import DECLARED, AdaptedBasis, BasisElement, Cycle, LambdaRelationSet, pair, picard_lefschetz
+from strata.homology import AdaptedBasis, BasisElement, Cycle, pair, picard_lefschetz
 from strata.level_graph import (
     Edge,
     EnhancedLevelGraph,
@@ -45,6 +46,7 @@ from support import (
     random_graph,
     random_int_cycle,
     random_system,
+    ratio_forms,
     real_parallel_fixture,
     rng,
     two_level_graph,
@@ -66,9 +68,7 @@ def flip_orientation(system: EquationSystem, eid: str) -> EquationSystem:
         lam = {e: (-v if e == eid else v) for e, v in c.lam.items()}
         return Cycle(new_basis, dict(c.coeffs), lam)
 
-    relations = LambdaRelationSet(
-        new_basis, [(flip_cycle(c), p) for c, p in system.relations.relations]
-    )
+    relations = [flip_cycle(c) for c in system.relations]
     ratios = ProportionalityData(
         [
             (e, ep, -q if (e == eid) != (ep == eid) else q)
@@ -580,13 +580,10 @@ def _system_with_relations(r) -> EquationSystem:
     """Seeded random system that also carries declared relations and ratios."""
     graph = random_graph(r, max_depth=3, max_horizontal=3)
     plain = random_system(graph, r, rank=r.randint(1, 3))
-    relations = LambdaRelationSet(
-        plain.basis,
-        [
-            (Cycle(plain.basis, {}, {e.id: r.randint(-2, 2) for e in graph.edges}), DECLARED)
-            for _ in range(r.randint(0, 2))
-        ],
-    )
+    relations = [
+        Cycle(plain.basis, {}, {e.id: r.randint(-2, 2) for e in graph.edges})
+        for _ in range(r.randint(0, 2))
+    ]
     horizontal = sorted(graph.horizontal_edges)
     entries = [
         (a, b, Fraction(r.choice([-3, -1, 1, 2]), r.randint(1, 3)))
@@ -623,8 +620,8 @@ def test_extended_rows_is_the_rref_of_rows_relations_and_ratios():
     systems += [aim_parallel_fixture(r, g)[0] for g in (2, 3, 4)]
     for system in systems:
         oracle = [eq.cycle.to_vector() for eq in system.rref_rows]
-        oracle += [rel.to_vector() for rel, _ in system.relations.relations]
-        oracle += [form.to_vector() for form in system.ratios.forms(system.basis)]
+        oracle += [rel.to_vector() for rel in system.relations]
+        oracle += [form.to_vector() for form in ratio_forms(system)]
         assert system.extended_rows == linalg.rref(oracle)
 
 
@@ -679,6 +676,67 @@ def test_r2_trace_counts_the_residue_forms():
             seen += 1
             assert line.startswith(f"R2: {len(residue_forms(system))} residue forms ")
     assert seen
+
+
+def test_building_a_system_with_relations_runs_no_rref(monkeypatch, fixture_dir):
+    from strata.document import load_document
+
+    doc = load_document(str(fixture_dir / "minimal_stratum_parallel.json"))
+    calls = [0]
+    original_rref = linalg.rref
+
+    def counting(rows):
+        calls[0] += 1
+        return original_rref(rows)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    system = doc.system()
+    assert system.relations and calls[0] == 0
+
+
+def test_system_relations_are_the_parsed_cycles(documents):
+    doc = documents["minimal_stratum_parallel"]
+    relations = doc.system().relations
+    assert type(relations) is tuple
+    assert relations == tuple(
+        [Cycle(doc.basis, {f"a{k}": ONE}, {f"e{k}": -ONE}) for k in (1, 2, 3)]
+    )
+
+
+def test_cross_equivalence_classes_are_computed_once():
+    r = rng(4406)
+    for _ in range(10):
+        system = _system_with_relations(r)
+        classes = cross_equivalence_classes(system)
+        consistency_report(system)
+        assert cross_equivalence_classes(system) is classes
+        assert system.cross_equivalence_classes is classes
+
+
+def test_assume_theorems_fold_matches_the_from_scratch_oracle(monkeypatch):
+    # No fixture's output changes under --assume-theorems, so the digests
+    # cannot guard this fold; seeded random systems with passages do.
+    folds = [0]
+    original = oracle_homology.RelationFold.with_added
+
+    def counting(self, cycles):
+        folds[0] += 1
+        return original(self, cycles)
+
+    monkeypatch.setattr(oracle_homology.RelationFold, "with_added", counting)
+    r = rng(4405)
+    verdicts = set()
+    cases = 0
+    while cases < 80:
+        system = _system_with_relations(r)
+        if not system.graph.passage_indices():
+            continue
+        cases += 1
+        for assume in (False, True):
+            got = consistency_report(system, assume_theorems=assume)
+            assert got == oracle_homology.refolding_report(system, assume_theorems=assume)
+            verdicts.add((got.verdict, got.rule))
+    assert folds[0] >= 20 and len(verdicts) >= 3
 
 
 # -- cached row carriers and the undegeneration table -------------------------------------

@@ -165,10 +165,7 @@ def test_relation_set_reduction():
     basis = adapted_basis_for(graph)
     rel = LambdaRelationSet(
         basis,
-        [
-            (Cycle(basis, {}, {"e1": ONE, "e2": -ONE}), "declared"),
-            (Cycle(basis, {}, {"e2": ONE, "e3": -ONE}), "declared"),
-        ],
+        [Cycle(basis, {}, {"e1": ONE, "e2": -ONE}), Cycle(basis, {}, {"e2": ONE, "e3": -ONE})],
     )
     target = Cycle(basis, {}, {"e1": ONE, "e3": -ONE})
     assert rel.contains(target)
@@ -315,6 +312,49 @@ def test_cycle_errors_match_the_dict_oracle():
     assert _outcome(pair, a, "nope") == _outcome(oracle.pair, oa, "nope") == "unknown edge nope"
     for winding in ({"e1": -1}, {"nope": 1}, {"nope": 0}):
         assert _outcome(picard_lefschetz, a, winding) == _outcome(oracle.picard_lefschetz, oa, winding)
+
+
+# -- the relation span fold against the from-scratch oracle ---------------------------
+
+
+def _draw_relation(data, basis: AdaptedBasis, earlier: list[Cycle]) -> Cycle:
+    """A random cycle, or one in the span of the earlier ones."""
+    if earlier and data.draw(st.booleans()):
+        total = basis.zero()
+        for c in earlier:
+            total = total + c.scale(data.draw(values))
+        return total
+    return _draw_cycle(data, basis)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_adding_to_the_echelon_form_matches_a_rebuild(seed, data):
+    basis = _random_basis(seed)
+    original: list[Cycle] = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        original.append(_draw_relation(data, basis, original))
+    extra: list[Cycle] = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        extra.append(_draw_relation(data, basis, original + extra))
+    probes = [_draw_relation(data, basis, original + extra) for _ in range(3)]
+    probes += [_draw_cycle(data, basis)[0] for _ in range(2)]
+
+    added = LambdaRelationSet(basis, original).with_added(extra)
+    rebuilt = LambdaRelationSet(basis, original + extra)
+    folded = LambdaRelationSet(basis, original)
+    oracle_fold = oracle.RelationFold(basis, original)
+    for c in extra:
+        folded, oracle_fold = folded.with_added([c]), oracle_fold.with_added([c])
+    for span in (added, folded):
+        for other in (rebuilt, oracle_fold):
+            assert span.echelon == other.echelon
+            assert span._pivots == other._pivots
+            for probe in probes:
+                assert span.reduce(probe) == other.reduce(probe)
+                assert span.contains(probe) == other.contains(probe)
+    for c in original + extra:
+        assert added.contains(c)
 
 
 def test_from_vector_checks_length_and_keeps_the_tuple():

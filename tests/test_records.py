@@ -35,7 +35,7 @@ EXPECTED = {
     "Analytic", "BasisElement", "Binomial", "ConsistencyCertificate", "CrossWitnessResult",
     "CylinderClass", "DecomposeResult", "DeformationReport", "DeformationSpec", "Edge",
     "HurwitzCertificate", "LatticeReport", "LemmaBoundReport", "LevelPassage", "LocalModel",
-    "Marking", "PassageTable", "RawEquation", "RawPeriods", "RawRelation", "RawSymplectic",
+    "Marking", "PassageTable", "RawEquation", "RawPeriods", "RawSymplectic",
     "RowOutcome", "ShearStretch", "SmoothingWitness", "SubspaceReport", "UndegClassification",
     "Undegeneration", "Vertex", "Violation",
 }

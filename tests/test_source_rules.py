@@ -94,3 +94,57 @@ def test_the_cli_starts_without_dataclasses_or_inspect():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+
+def _is_attribute_target(target: ast.expr) -> bool:
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return any(_is_attribute_target(t) for t in target.elts)
+    if isinstance(target, ast.Starred):
+        return _is_attribute_target(target.value)
+    return isinstance(target, ast.Attribute)
+
+
+def _attribute_writes_in_module_functions(tree: ast.Module) -> list[int]:
+    """Lines where a module-level function assigns to an attribute (``x.attr = ...``).
+
+    Derived state belongs in the owning class, as cached properties; a module
+    function reads it and never writes into an object from outside.
+    """
+    lines = []
+    for function in tree.body:
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                if any(_is_attribute_target(t) for t in targets):
+                    lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_functions_write_no_attributes(path):
+    assert _attribute_writes_in_module_functions(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_attribute_rule_sees_every_form():
+    tree = ast.parse(
+        "def f(s):\n"
+        "    s.a = 1\n"
+        "    s.b += 1\n"
+        "    s.c: int = 1\n"
+        "    x, (s.d, *s.e) = 1, (2, 3)\n"
+        "    s.t[k] = 1\n"
+        "    x = s.a\n"
+        "    def g():\n"
+        "        s.f = 1\n"
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        self.a = 1\n"
+        "s.g = 1\n"
+    )
+    assert _attribute_writes_in_module_functions(tree) == [2, 3, 4, 5, 9]
