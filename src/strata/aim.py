@@ -72,7 +72,7 @@ def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Vi
             if data.j_matrix[a][b] != -data.j_matrix[b][a]:
                 out.append(Violation("J", "skew", f"J[{a}][{b}] != -J[{b}][{a}]"))
                 return out
-    if data.j_inverse is None:
+    if linalg.bareiss_det(data.j_matrix) == 0:
         out.append(Violation("J", "nondegenerate", "intersection matrix is singular"))
     if len(data.iota) != n:
         out.append(

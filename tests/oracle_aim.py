@@ -1,10 +1,13 @@
 """Reference implementations kept as oracles for the symplectic fast paths.
 
 ``matvec`` is the dense product ``strata.linalg`` used before it skipped zero
-entries.  ``tangent_absolute`` and ``subspace_report`` are the tangent-image
-pipeline ``strata.aim`` ran before J, its inverse and the image were memoised:
-every call inverts J afresh and the Gram matrix recomputes ``J v`` for every
-(v, w) pair.  They are deliberately slow and obvious.
+entries.  ``validate_symplectic`` is the gate ``strata.aim`` ran before it
+tested nondegeneracy by an integer determinant: it inverts J over Q(i) and
+calls J degenerate when there is no inverse.  ``tangent_absolute`` and
+``subspace_report`` are the tangent-image pipeline ``strata.aim`` ran before
+J, its inverse and the image were memoised: every call inverts J afresh and
+the Gram matrix recomputes ``J v`` for every (v, w) pair.  They are
+deliberately slow and obvious.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from strata import linalg
-from strata.aim import SubspaceReport, SymplecticData, validate_symplectic
+from strata.aim import SubspaceReport, SymplecticData
 from strata.equations import EquationSystem
-from strata.errors import AimError
+from strata.errors import AimError, Violation
 from strata.gaussian import ZERO, GaussianRational
+from strata.homology import pair
 
 
 def matvec(rows: Sequence[Sequence[GaussianRational]], v: Sequence[GaussianRational]) -> linalg.Vector:
@@ -48,3 +52,59 @@ def tangent_absolute(system: EquationSystem, data: SymplecticData) -> SubspaceRe
     assert j_inv is not None
     homology_vectors = [matvec(j_inv, w) for w in images]
     return subspace_report(data.j_matrix, homology_vectors)
+
+
+def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Violation]:
+    out: list[Violation] = []
+    n = data.dim
+    for row in data.j_matrix:
+        if len(row) != n:
+            out.append(Violation("J", "shape", "intersection matrix is not square"))
+            return out
+    for a in range(n):
+        for b in range(n):
+            if data.j_matrix[a][b] != -data.j_matrix[b][a]:
+                out.append(Violation("J", "skew", f"J[{a}][{b}] != -J[{b}][{a}]"))
+                return out
+    j_rows = [[GaussianRational(x) for x in row] for row in data.j_matrix]
+    if linalg.invert(j_rows) is None:
+        out.append(Violation("J", "nondegenerate", "intersection matrix is singular"))
+    if len(data.iota) != n:
+        out.append(
+            Violation("iota", "shape", f"{len(data.iota)} rows for a rank-{n} absolute basis")
+        )
+    edge_ids = sorted(e.id for e in system.graph.edges)
+    known = set(edge_ids)
+    for eid in edge_ids:
+        if eid not in data.u_lambda:
+            out.append(Violation(f"u_lambda {eid}", "complete", "missing vanishing-cycle image"))
+        elif len(data.u_lambda[eid]) != n:
+            out.append(Violation(f"u_lambda {eid}", "shape", f"vector length != {n}"))
+    for eid in data.u_lambda:
+        if eid not in known:
+            out.append(Violation(f"u_lambda {eid}", "unknown-edge", "no such edge"))
+    if out:
+        return out
+    for a in range(n):
+        for eid in edge_ids:
+            lhs = matvec(j_rows, data.u_lambda[eid])[a]
+            rhs = pair(data.iota[a], eid)
+            if lhs != rhs:
+                out.append(
+                    Violation(
+                        f"adjunction ({a}, {eid})", "adjunction",
+                        f"<x_{a}, u(lambda)> = {lhs} but <iota(x_{a}), lambda> = {rhs}",
+                    )
+                )
+    if data.minimal != system.minimal_stratum:
+        out.append(
+            Violation("minimal", "flags", "symplectic data and system disagree on minimality")
+        )
+    if data.minimal:
+        if len(system.basis.elements) != n:
+            out.append(
+                Violation("minimal", "rank", "minimal stratum requires basis rank = absolute rank")
+            )
+        if linalg.rank([c.vector for c in data.iota]) != n:
+            out.append(Violation("minimal", "invertible", "inclusion is not injective"))
+    return out

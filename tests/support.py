@@ -365,14 +365,19 @@ def aim_parallel_fixture(r: random.Random, genus: int):
 # -- independent oracles --------------------------------------------------------
 
 
-def cylinders_system(g: int, index: int = 0) -> EquationSystem:
-    """The system of the benchmark's parallel-cylinders document ``index`` of genus ``g``."""
+def cylinders_document(g: int, index: int = 0):
+    """The benchmark's parallel-cylinders document ``index`` of genus ``g``, parsed."""
     bench = str(Path(__file__).resolve().parent.parent / "bench")
     if bench not in sys.path:
         sys.path.insert(0, bench)
     import generators
 
-    return parse_document(generators.cylinders_document(g, index)).system()
+    return parse_document(generators.cylinders_document(g, index))
+
+
+def cylinders_system(g: int, index: int = 0) -> EquationSystem:
+    """The system of the benchmark's parallel-cylinders document ``index`` of genus ``g``."""
+    return cylinders_document(g, index).system()
 
 
 def closure_of_sets(universe, sets) -> list[frozenset]:

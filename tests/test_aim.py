@@ -24,7 +24,14 @@ from strata.equations import EquationSystem, hor_support
 from strata.errors import AimError, LimitError
 from strata.gaussian import ZERO, ONE, GaussianRational
 from strata.homology import Cycle
-from support import adapted_basis_for, aim_parallel_fixture, loop_graph, ratio_forms, rng
+from support import (
+    adapted_basis_for,
+    aim_parallel_fixture,
+    cylinders_document,
+    loop_graph,
+    ratio_forms,
+    rng,
+)
 
 
 def _lagrangian_instance():
@@ -360,6 +367,61 @@ def _change_absolute_basis(data: SymplecticData, r) -> SymplecticData:
     p_inv_t = [[p_inv[b][a] for b in range(n)] for a in range(n)]
     u_lambda = {eid: tuple(linalg.matvec(p_inv_t, u)) for eid, u in data.u_lambda.items()}
     return SymplecticData(j_new, tuple(iota), u_lambda, data.minimal)
+
+
+def _singular_variants(data: SymplecticData) -> list[SymplecticData]:
+    """J with its first row and column zeroed (still skew, now singular), and J = 0."""
+    n = data.dim
+    cut = tuple(
+        tuple(0 if 0 in (a, b) else x for b, x in enumerate(row)) for a, row in enumerate(data.j_matrix)
+    )
+    zero = tuple(tuple(0 for _ in range(n)) for _ in range(n))
+    return [SymplecticData(j, data.iota, data.u_lambda, data.minimal) for j in (cut, zero)]
+
+
+def _assert_gates_agree(data, system):
+    problems = validate_symplectic(data, system)
+    assert problems == oracle_aim.validate_symplectic(data, system)
+    assert [str(v) for v in problems] == [str(v) for v in oracle_aim.validate_symplectic(data, system)]
+    return problems
+
+
+def test_determinant_gate_matches_the_inverse_gate_on_fixtures(documents):
+    checked = 0
+    for name, doc in sorted(documents.items()):
+        data = doc.symplectic()
+        if data is None:
+            continue
+        system = doc.system()
+        assert _assert_gates_agree(data, system) == [], name
+        for singular in _singular_variants(data):
+            problems = _assert_gates_agree(singular, system)
+            assert "nondegenerate" in [v.rule for v in problems], name
+        checked += 1
+    assert checked == 2
+
+
+def test_determinant_gate_on_empty_and_singular_j():
+    basis, data = _lagrangian_instance()
+    system = EquationSystem(basis, [])
+    assert _assert_gates_agree(SymplecticData((), (), {}, False), system) == []
+    no_j = SymplecticData((), data.iota, {}, False)
+    assert [v.rule for v in _assert_gates_agree(no_j, system)] == ["shape"]
+    for singular in _singular_variants(data):
+        assert [v.rule for v in _assert_gates_agree(singular, system)] == ["nondegenerate"]
+    # A nonsingular J whose rows are not unimodular: det 4.
+    doubled = tuple(tuple(2 * x for x in row) for row in data.j_matrix)
+    assert _assert_gates_agree(SymplecticData(doubled, data.iota, {}, False), system) == []
+
+
+@pytest.mark.parametrize("g", range(2, 13))
+def test_determinant_gate_matches_the_inverse_gate_on_bench_cylinders(g):
+    doc = cylinders_document(g)
+    data, system = doc.symplectic(), doc.system()
+    assert _assert_gates_agree(data, system) == []
+    for singular in _singular_variants(data):
+        problems = _assert_gates_agree(singular, system)
+        assert problems and problems[0].rule == "nondegenerate"
 
 
 def test_tangent_matches_oracle_on_fixtures(documents):

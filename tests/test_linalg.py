@@ -235,7 +235,10 @@ def test_rref_matches_oracle(rows):
     ],
 )
 def test_rref_edge_shapes(rows):
-    assert linalg.rref(rows) == oracle_linalg.rref(rows)
+    expected = oracle_linalg.rref(rows)
+    assert linalg.rref(rows) == expected
+    assert sparse_path(rows) == expected
+    assert linalg._rref_dense(rows) == expected
 
 
 @pytest.mark.parametrize("unit", [-ONE, I, -I], ids=["-1", "i", "-i"])
@@ -250,6 +253,146 @@ def test_rref_unit_running_pivot(unit):
         reduced, pivots = linalg.rref(rows)
         assert (reduced, pivots) == oracle_linalg.rref(rows)
         assert pivots == [0, 1, 2]
+
+
+# -- the sparse and dense elimination paths, each against the oracle -----------
+
+# Entries of every kind the paths treat differently: units (running pivots of
+# -1, i and -i), small Gaussian rationals (non-unit pivots) and entries
+# hundreds of digits long.
+huge = st.integers(-(10**300), 10**300)
+path_entries = st.one_of(
+    st.sampled_from([ONE, -ONE, I, -I]),
+    qi,
+    st.builds(GaussianRational, st.builds(Fraction, huge, st.integers(1, 10**200)), huge),
+)
+
+
+@st.composite
+def filled_matrices(draw):
+    """Matrices of any fill from 0 to 100%, with zero rows, down to no rows or one column."""
+    nrows = draw(st.integers(0, 8))
+    ncols = draw(st.integers(1, 9)) if nrows else 0
+    fill = draw(st.floats(0, 1))
+    rows = [
+        [draw(path_entries) if draw(st.floats(0, 1)) < fill else ZERO for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, nrows)), [ZERO] * ncols)
+    return rows
+
+
+def z_rows(rows):
+    """Rows scaled to Z[i] as ``{col: (re, im)}``, the sparse path's input."""
+    out = []
+    for row in rows:
+        den = prod(x.d for x in row)
+        out.append({j: (x.a * den // x.d, x.b * den // x.d) for j, x in enumerate(row) if x})
+    return out
+
+
+def sparse_path(rows):
+    return linalg._rref_sparse(z_rows(rows), len(rows[0]) if rows else 0)
+
+
+@given(filled_matrices())
+@settings(max_examples=300, deadline=None)
+def test_each_rref_path_matches_oracle(rows):
+    expected = oracle_linalg.rref(rows)
+    assert linalg.rref(rows) == expected
+    assert sparse_path(rows) == expected
+    assert linalg._rref_dense(rows) == expected
+
+
+def _count(monkeypatch, name):
+    calls = []
+    original = getattr(linalg, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, name, counting)
+    return calls
+
+
+def _fallback_matrix():
+    """Sparse enough for the sparse path; the pivot row of column 0 fills the first row.
+
+    Row 0 has 7 of 10 entries, under DENSE_ROW; row 1 is the sparsest with an
+    entry in column 0, so row 0 becomes row 0 - row 1 with 9 entries.
+    """
+    g = GaussianRational
+    rows = [[ONE] * 7 + [ZERO] * 3, [ONE] + [ZERO] * 6 + [g(2), I, g(Fraction(-1, 3))]]
+    rows += [[ZERO] * 10 for _ in range(4)]
+    rows.append([ZERO] * 9 + [g(3, 1)])
+    return rows
+
+
+def test_the_mid_reduction_fallback_fires_and_matches_the_oracle(monkeypatch):
+    rows = _fallback_matrix()
+    nonzero = sum(1 for row in rows for x in row if x)
+    assert nonzero < linalg.SPARSE_FILL * len(rows) * len(rows[0])
+    entries = _count(monkeypatch, "rref")
+    sparse = _count(monkeypatch, "_rref_sparse")
+    dense = _count(monkeypatch, "_rref_dense")
+    assert linalg.rref(rows) == oracle_linalg.rref(rows)
+    # One rref call: the fallback goes to the dense helper, never back through rref.
+    assert (len(entries), len(sparse), len(dense)) == (1, 1, 1)
+    # The sparse path had pivoted column 0 before it handed its rows over.
+    assert len(dense[0][0]) == len(rows) - 4
+
+
+def test_the_fallback_matches_the_oracle_at_any_bound(monkeypatch):
+    """Every row has an entry in column 0 and as many entries as the bound
+    allows, so the first pivot pushes most rows past it."""
+    r = random.Random(12)
+    dense = _count(monkeypatch, "_rref_dense")
+    runs = 0
+    for bound in (0.3, 0.5, 0.75):
+        monkeypatch.setattr(linalg, "DENSE_ROW", bound)
+        for _ in range(40):
+            ncols = r.randint(8, 14)
+            rows = []
+            for _ in range(r.randint(2, 8)):
+                support = [0] + r.sample(range(1, ncols), int(bound * ncols) - 1)
+                rows.append([
+                    GaussianRational(r.choice([1, 2, -3]), r.choice([0, 0, 1])) if j in support else ZERO
+                    for j in range(ncols)
+                ])
+            assert sparse_path(rows) == oracle_linalg.rref(rows)
+            runs += 1
+    assert len(dense) > runs // 2, (len(dense), runs)
+
+
+def _sparse_plus_dense_row(n):
+    """Rows with two entries each, plus one row full of distinct entries."""
+    g = GaussianRational
+    rows = [[ZERO] * n for _ in range(n - 1)]
+    for k, row in enumerate(rows):
+        row[k], row[(k + 3) % n] = g(k % 3 + 1), g(-1, k % 2)
+    rows.insert(n // 2, [g(j + 1, j % 3 - 1) for j in range(n)])
+    return rows
+
+
+def _arrow(n):
+    """A full first row and first column, and a diagonal."""
+    g = GaussianRational
+    rows = [[g(k % 4 + 1) if k == j else ZERO for j in range(n)] for k in range(n)]
+    for k in range(n):
+        rows[0][k] = rows[k][0] = g(k + 2, k % 2)
+    return rows
+
+
+@pytest.mark.parametrize("shape", [_sparse_plus_dense_row, _arrow], ids=["dense-row", "arrow"])
+@pytest.mark.parametrize("n", [6, 13, 24])
+def test_adversarial_shapes_match_the_oracle(shape, n):
+    rows = shape(n)
+    expected = oracle_linalg.rref(rows)
+    assert linalg.rref(rows) == expected
+    assert sparse_path(rows) == expected
+    assert linalg._rref_dense(rows) == expected
 
 
 # -- sparse matvec against the dense oracle ------------------------------------

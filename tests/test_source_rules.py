@@ -82,6 +82,52 @@ def test_the_dataclass_rule_sees_both_forms():
     assert _dataclass_imports(tree) == [1, 2]
 
 
+# Every module imported here is paid by each fresh `strata` process, at import and,
+# without bytecode caches, at compile time; a new one has to be added on purpose.
+STDLIB_IMPORTS = {
+    "argparse", "json", "sys", "fractions", "math", "typing", "functools", "itertools", "weakref",
+    "types", "__future__",
+}
+
+
+def _absolute_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, top-level module) of every ``import x`` and ``from x import y``;
+    relative imports of the package itself are left out."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_pinned_stdlib_modules_are_imported(path):
+    imports = _absolute_imports(ast.parse(path.read_text(), str(path)))
+    assert [(line, name) for line, name in imports if name not in STDLIB_IMPORTS] == []
+
+
+def test_the_pinned_imports_are_all_used():
+    used = set()
+    for path in SOURCES:
+        used |= {name for _, name in _absolute_imports(ast.parse(path.read_text(), str(path)))}
+    assert used == STDLIB_IMPORTS
+
+
+def test_the_import_rule_sees_both_forms():
+    tree = ast.parse(
+        "import os\n"
+        "import os.path, json\n"
+        "from collections import deque\n"
+        "from . import linalg\n"
+        "from .gaussian import ONE\n"
+        "def f():\n"
+        "    import random\n"
+    )
+    assert _absolute_imports(tree) == [(1, "os"), (2, "os"), (2, "json"), (3, "collections"), (7, "random")]
+
+
 def test_the_cli_starts_without_dataclasses_or_inspect():
     probe = (
         "import sys\n"
