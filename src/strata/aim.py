@@ -24,7 +24,7 @@ from .equations import (
     is_correlated,  # noqa: F401  (bench/tracing.py wraps strata.aim.is_correlated)
 )
 from .errors import AimError, LimitError, Violation
-from .gaussian import GaussianRational
+from .gaussian import ONE, ZERO, GaussianRational
 from .homology import Cycle, pair
 
 
@@ -51,13 +51,9 @@ class SymplecticData:
         return len(self.j_matrix)
 
     @cached_property
-    def j_rows(self) -> list[linalg.Vector]:
-        return [[GaussianRational(x) for x in row] for row in self.j_matrix]
-
-    @cached_property
     def j_inverse(self) -> list[linalg.Vector] | None:
         """Exact inverse of J, or None when J is singular."""
-        return linalg.invert(self.j_rows)
+        return linalg.invert([[GaussianRational(x) for x in row] for row in self.j_matrix])
 
 
 def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Violation]:
@@ -72,7 +68,7 @@ def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Vi
             if data.j_matrix[a][b] != -data.j_matrix[b][a]:
                 out.append(Violation("J", "skew", f"J[{a}][{b}] != -J[{b}][{a}]"))
                 return out
-    if linalg.bareiss_det(data.j_matrix) == 0:
+    if linalg.int_singular(data.j_matrix):
         out.append(Violation("J", "nondegenerate", "intersection matrix is singular"))
     if len(data.iota) != n:
         out.append(
@@ -92,7 +88,7 @@ def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Vi
         return out
     # Adjunction: pairing an absolute vector against a lambda image downstairs
     # equals pairing its inclusion against the vanishing cycle upstairs.
-    j_images = {eid: linalg.matvec(data.j_rows, data.u_lambda[eid]) for eid in edge_ids}
+    j_images = {eid: linalg.int_matvec(data.j_matrix, data.u_lambda[eid]) for eid in edge_ids}
     for a in range(n):
         for eid in edge_ids:
             lhs = j_images[eid][a]
@@ -148,10 +144,10 @@ class SubspaceReport(NamedTuple):
     symplectic: bool
 
 
-def _subspace_report(j_rows, vectors: Sequence[Sequence[GaussianRational]]) -> SubspaceReport:
+def _subspace_report(j_matrix, vectors: Sequence[Sequence[GaussianRational]]) -> SubspaceReport:
     reduced, _ = linalg.rref(vectors)
     dim = len(reduced)
-    j_images = [linalg.matvec(j_rows, v) for v in reduced]
+    j_images = [linalg.int_matvec(j_matrix, v) for v in reduced]
     gram = [linalg.matvec(j_images, w) for w in reduced]
     form_rank = linalg.rank(gram)
     return SubspaceReport(
@@ -174,7 +170,7 @@ def tangent_absolute(system: EquationSystem, data: SymplecticData) -> SubspaceRe
         tangent = linalg.nullspace(system.extended_rows[0], len(system.basis.columns()))
         images = [linalg.matvec([c.vector for c in data.iota], v) for v in tangent]
         homology_vectors = [linalg.matvec(data.j_inverse, w) for w in images]
-        report = data._tangent[system] = _subspace_report(data.j_rows, homology_vectors)
+        report = data._tangent[system] = _subspace_report(data.j_matrix, homology_vectors)
     return report
 
 
@@ -264,22 +260,41 @@ def _pure_lambda_subspace(system: EquationSystem) -> list[linalg.Vector]:
 def _pair_form_candidates(
     system: EquationSystem, preferred: Sequence[str]
 ) -> list[tuple[tuple[str, str], Cycle]]:
-    """Two-node period forms in the extended span, preferred pairs first."""
+    """Two-node period forms in the extended span, preferred pairs first.
+
+    A pair's forms are the kernel of columns a and b of the annihilator W of the
+    pure-lambda subspace.  One reduction of ``[P | I]``, P those columns of ``pure``,
+    gives W and the forms' coordinates over ``pure``, scaled as ``linalg.nullspace`` would.
+    """
     horizontal = sorted(system.graph.horizontal_edges)
     pure = _pure_lambda_subspace(system)
     if not pure:
         return []
-    index = system.basis.column_index
+    h, k = len(horizontal), len(pure)
+    cols = [system.basis.column_index[("l", e)] for e in horizontal]
+    red, pivots = linalg.rref([[v[c] for c in cols] + u for v, u in zip(pure, linalg.identity(k))])
+    free = [f for f in range(h) if f not in pivots]
+    coords = dict.fromkeys(horizontal, linalg.zeros(k)) | {horizontal[p]: row[h:] for row, p in zip(red, pivots)}
+    columns = {e: [ONE if f == a else ZERO for f in free] for a, e in enumerate(horizontal)}
+    columns.update({horizontal[p]: [-row[f] for f in free] for row, p in zip(red, pivots)})
+    leads = {e: next((x for x in w if x), None) for e, w in columns.items()}
+    keys = {e: lead and tuple([x / lead for x in columns[e]]) for e, lead in leads.items()}
     preferred_set = set(preferred)
     pairs = sorted(combinations(horizontal, 2), key=lambda ab: not set(ab) <= preferred_set)
     out = []
     for a, b in pairs:
-        keep = (index[("l", a)], index[("l", b)])
-        constraints = [[v[col] for v in pure] for col in range(len(pure[0])) if col not in keep]
-        for coords in linalg.nullspace(constraints, len(pure)):
-            form = Cycle.from_vector(system.basis, linalg.combine(coords, pure))
-            if not form.is_zero():
-                out.append(((a, b), form))
+        ka, kb = keys[a], keys[b]
+        if ka is None and kb is None:
+            # With the columns reversed, echelon rows are nullspace's basis, last first.
+            two, _ = linalg.rref([[*coords[a][::-1], ONE, ZERO], [*coords[b][::-1], ZERO, ONE]])
+            kernel = [(row[k], row[k + 1]) for row in reversed(two)]
+        elif ka is None or kb is None or ka == kb:
+            x, y = (ONE, ZERO) if ka is None else (ZERO, ONE) if kb is None else (leads[b], -leads[a])
+            last = next(c for c in reversed(linalg.combine((x, y), (coords[a], coords[b]))) if c)
+            kernel = [(x / last, y / last)]
+        else:
+            kernel = []
+        out += [((a, b), Cycle(system.basis, {}, {a: x, b: y})) for x, y in kernel]
     return out
 
 

@@ -245,6 +245,23 @@ def _literal(value, where: str, seen: dict[str, GaussianRational]) -> GaussianRa
     return z
 
 
+def _int_row(row: Any, path: str) -> tuple[int, ...]:
+    """The ints of a JSON array; the per-entry check, with paths, runs only on a bad row."""
+    row = _expect(row, list, path)
+    if set(map(type, row)) <= {int}:
+        return tuple(row)
+    return tuple([_expect(x, int, f"{path}[{b}]") for b, x in enumerate(row)])
+
+
+def _literal_row(row: Any, path: str, seen: dict[str, GaussianRational]) -> tuple[GaussianRational, ...]:
+    """``_literal`` on each entry of a JSON array; read entry by entry, with paths, if ``seen`` misses one."""
+    row = _expect(row, list, path)
+    try:
+        return tuple(list(map(seen.__getitem__, row)))
+    except (KeyError, TypeError):  # new or non-text literal; unhashable entry
+        return tuple([_literal(x, f"{path}[{b}]", seen) for b, x in enumerate(row)])
+
+
 def _parse_gaussian_map(
     data: dict, path: str, seen: dict[str, GaussianRational]
 ) -> dict[str, GaussianRational]:
@@ -366,26 +383,14 @@ def parse_document(data: Any, path: str = "$") -> AnalysisDocument:
     if "symplectic" in data and data["symplectic"] is not None:
         ydata = _expect(data["symplectic"], dict, f"{path}.symplectic")
         yp = f"{path}.symplectic"
-        j_rows = []
-        for a, row in enumerate(_get(ydata, "J", list, yp)):
-            row = _expect(row, list, f"{yp}.J[{a}]")
-            j_rows.append(tuple([_expect(x, int, f"{yp}.J[{a}][{b}]") for b, x in enumerate(row)]))
-        iota_rows = []
-        for a, row in enumerate(_get(ydata, "iota", list, yp)):
-            row = _expect(row, list, f"{yp}.iota[{a}]")
-            iota_rows.append(
-                tuple([_literal(x, f"{yp}.iota[{a}][{b}]", seen) for b, x in enumerate(row)])
-            )
-        u_lambda = {}
-        for eid, row in sorted(_get(ydata, "u_lambda", dict, yp).items()):
-            row = _expect(row, list, f"{yp}.u_lambda.{eid}")
-            u_lambda[eid] = tuple(
-                [_literal(x, f"{yp}.u_lambda.{eid}[{b}]", seen) for b, x in enumerate(row)]
-            )
+        j_rows = [_int_row(row, f"{yp}.J[{a}]") for a, row in enumerate(_get(ydata, "J", list, yp))]
+        iota = _get(ydata, "iota", list, yp)
+        iota_rows = [_literal_row(row, f"{yp}.iota[{a}]", seen) for a, row in enumerate(iota)]
+        u_lambda = _get(ydata, "u_lambda", dict, yp)
         symplectic = RawSymplectic(
             tuple(j_rows),
             tuple(iota_rows),
-            u_lambda,
+            {eid: _literal_row(row, f"{yp}.u_lambda.{eid}", seen) for eid, row in sorted(u_lambda.items())},
             _expect(ydata.get("minimal", False), bool, f"{yp}.minimal"),
         )
 

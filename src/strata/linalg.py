@@ -11,7 +11,8 @@ rows as dicts of nonzero entries and updates only the rows with an entry in
 the pivot column; the dense path is a Bareiss pass over full rows, and a
 sparse reduction whose rows fill past ``DENSE_ROW`` finishes on it.  Rationals
 are built once, in the final division, from Z[i] ints straight to ``(a, b,
-d)``.  ``bareiss_det`` is the dense idea over Z.
+d)``.  ``bareiss_det`` is the dense idea over Z; ``int_singular`` picks it or
+the sparse path by the same fill rule.
 """
 
 from __future__ import annotations
@@ -322,6 +323,24 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def int_singular(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether a square integer matrix is singular, reduced on dict rows below ``SPARSE_FILL``."""
+    n = len(rows)
+    if n * n - sum([row.count(0) for row in rows]) < SPARSE_FILL * n * n:
+        return len(_rref_sparse([{j: (x, 0) for j, x in enumerate(row) if x} for row in rows], n)[1]) < n
+    return bareiss_det(rows) == 0
+
+
+def int_matvec(rows: Sequence[Sequence[int]], v: Sequence[GaussianRational]) -> Vector:
+    """``rows · v`` for integer rows, summed on ints over one denominator of ``v``'s nonzero entries."""
+    den = lcm(*[x.d for x in v if x])
+    terms = [(j, x.a * (den // x.d), x.b * (den // x.d)) for j, x in enumerate(v) if x]
+    return [
+        _from_ints(sum([row[j] * a for j, a, _ in terms]), sum([row[j] * b for j, _, b in terms]), den)
+        for row in rows
+    ]
 
 
 def invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:

@@ -6,20 +6,23 @@ tested nondegeneracy by an integer determinant: it inverts J over Q(i) and
 calls J degenerate when there is no inverse.  ``tangent_absolute`` and
 ``subspace_report`` are the tangent-image pipeline ``strata.aim`` ran before
 J, its inverse and the image were memoised: every call inverts J afresh and
-the Gram matrix recomputes ``J v`` for every (v, w) pair.  They are
-deliberately slow and obvious.
+the Gram matrix recomputes ``J v`` for every (v, w) pair.
+``pair_form_candidates`` is the pair-form search ``strata.aim`` ran before it
+read every pair off one annihilator: one nullspace per horizontal pair.  They
+are deliberately slow and obvious.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Sequence
 
 from strata import linalg
-from strata.aim import SubspaceReport, SymplecticData
+from strata.aim import SubspaceReport, SymplecticData, _pure_lambda_subspace
 from strata.equations import EquationSystem
 from strata.errors import AimError, Violation
 from strata.gaussian import ZERO, GaussianRational
-from strata.homology import pair
+from strata.homology import Cycle, pair
 
 
 def matvec(rows: Sequence[Sequence[GaussianRational]], v: Sequence[GaussianRational]) -> linalg.Vector:
@@ -107,4 +110,25 @@ def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Vi
             )
         if linalg.rank([c.vector for c in data.iota]) != n:
             out.append(Violation("minimal", "invertible", "inclusion is not injective"))
+    return out
+
+
+def pair_form_candidates(
+    system: EquationSystem, preferred: Sequence[str]
+) -> list[tuple[tuple[str, str], Cycle]]:
+    horizontal = sorted(system.graph.horizontal_edges)
+    pure = _pure_lambda_subspace(system)
+    if not pure:
+        return []
+    index = system.basis.column_index
+    preferred_set = set(preferred)
+    pairs = sorted(combinations(horizontal, 2), key=lambda ab: not set(ab) <= preferred_set)
+    out = []
+    for a, b in pairs:
+        keep = (index[("l", a)], index[("l", b)])
+        constraints = [[v[col] for v in pure] for col in range(len(pure[0])) if col not in keep]
+        for coords in linalg.nullspace(constraints, len(pure)):
+            form = Cycle.from_vector(system.basis, linalg.combine(coords, pure))
+            if not form.is_zero():
+                out.append(((a, b), form))
     return out

@@ -365,14 +365,25 @@ def aim_parallel_fixture(r: random.Random, genus: int):
 # -- independent oracles --------------------------------------------------------
 
 
-def cylinders_document(g: int, index: int = 0):
-    """The benchmark's parallel-cylinders document ``index`` of genus ``g``, parsed."""
+def _generators():
     bench = str(Path(__file__).resolve().parent.parent / "bench")
     if bench not in sys.path:
         sys.path.insert(0, bench)
     import generators
 
-    return parse_document(generators.cylinders_document(g, index))
+    return generators
+
+
+def cylinders_document(g: int, index: int = 0):
+    """The benchmark's parallel-cylinders document ``index`` of genus ``g``, parsed."""
+    return parse_document(_generators().cylinders_document(g, index))
+
+
+def write_cylinders_document(path, g: int, index: int = 0) -> str:
+    """Write that document to ``path`` as the benchmark does; returns the path as text."""
+    generators = _generators()
+    generators.write_document(generators.cylinders_document(g, index), str(path))
+    return str(path)
 
 
 def cylinders_system(g: int, index: int = 0) -> EquationSystem:

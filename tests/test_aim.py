@@ -1,4 +1,5 @@
 import gc
+from functools import cached_property
 import sys
 import weakref
 
@@ -31,6 +32,7 @@ from support import (
     loop_graph,
     ratio_forms,
     rng,
+    write_cylinders_document,
 )
 
 
@@ -424,6 +426,49 @@ def test_determinant_gate_matches_the_inverse_gate_on_bench_cylinders(g):
         assert problems and problems[0].rule == "nondegenerate"
 
 
+def _mutated_j(j_matrix, r) -> list[tuple[tuple[int, ...], ...]]:
+    """Random skew J (dense, then sparse), J with one or two entries broken, J with a
+    row and its column zeroed, and J with one row replaced by a multiple of another."""
+    n = len(j_matrix)
+    out = []
+    for density in (1.0, 0.1):
+        m = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                if r.random() < density:
+                    m[a][b] = r.randint(-2, 2)
+                    m[b][a] = -m[a][b]
+        out.append(m)
+    for broken in (1, 2):
+        m = [list(row) for row in j_matrix]
+        for _ in range(broken):
+            m[r.randrange(n)][r.randrange(n)] += r.choice([-1, 1])
+        out.append(m)
+    m = [list(row) for row in j_matrix]
+    a = r.randrange(n)
+    m[a] = [0] * n
+    for row in m:
+        row[a] = 0
+    out.append(m)
+    m = [list(row) for row in j_matrix]
+    m[0] = [3 * x for x in m[-1]]
+    out.append(m)
+    return [tuple([tuple(row) for row in m]) for m in out]
+
+
+def test_determinant_gate_matches_the_inverse_gate_on_mutated_j():
+    r = rng(71)
+    rules = set()
+    for g in (2, 3, 4, 6):
+        doc = cylinders_document(g)
+        data, system = doc.symplectic(), doc.system()
+        for _ in range(4):
+            for j_matrix in _mutated_j(data.j_matrix, r):
+                variant = SymplecticData(j_matrix, data.iota, data.u_lambda, data.minimal)
+                rules.update(v.rule for v in _assert_gates_agree(variant, system))
+    assert {"skew", "nondegenerate", "adjunction"} <= rules
+
+
 def test_tangent_matches_oracle_on_fixtures(documents):
     checked = 0
     for name, doc in sorted(documents.items()):
@@ -532,3 +577,140 @@ def test_rejected_data_raises_on_every_call(documents):
     for _ in range(2):
         with pytest.raises(AimError, match="singular"):
             tangent_absolute(system, singular)
+
+
+# -- pair forms read off one annihilator -------------------------------------------
+
+
+def _preferred_lists(system) -> list[list[str]]:
+    horizontal = sorted(system.graph.horizontal_edges)
+    return [[], horizontal[:2], horizontal[-3:], horizontal, horizontal[1::2] + ["not-an-edge"]]
+
+
+def _assert_candidates_match(system) -> list:
+    """Equal candidate lists, in order and value, for every preferred list."""
+    found = []
+    for preferred in _preferred_lists(system):
+        candidates = aim._pair_form_candidates(system, preferred)
+        assert candidates == oracle_aim.pair_form_candidates(system, preferred), preferred
+        found.extend(candidates)
+    return found
+
+
+def test_pair_forms_match_the_per_pair_oracle_on_fixtures(documents):
+    for name, doc in sorted(documents.items()):
+        _assert_candidates_match(doc.system())
+
+
+def test_pair_forms_match_the_per_pair_oracle_on_parallel_classes():
+    r = rng(61)
+    for genus in range(2, 9):
+        system, _ = aim_parallel_fixture(r, genus)
+        assert _assert_candidates_match(system), genus
+
+
+@pytest.mark.parametrize("g", range(2, 13))
+def test_pair_forms_match_the_per_pair_oracle_on_bench_cylinders(g):
+    assert _assert_candidates_match(cylinders_document(g).system())
+
+
+def _lambda_system(n_horizontal: int, rows: list[dict], relations=(), seed_basis=None):
+    basis = adapted_basis_for(loop_graph(n_horizontal), seed_basis)
+    cycles = [Cycle(basis, row.get("b", {}), row.get("l", {})) for row in rows]
+    relations = [Cycle(basis, {}, lam) for lam in relations]
+    return EquationSystem(basis, cycles, relations=relations)
+
+
+I = GaussianRational(0, 1)
+
+
+def _supports(system) -> list[tuple[tuple[str, str], list[str]]]:
+    _assert_candidates_match(system)
+    return [(ab, sorted(form.lam)) for ab, form in aim._pair_form_candidates(system, [])]
+
+
+def test_pair_forms_when_annihilator_columns_vanish():
+    # lambda[e1] and lambda[e2] in the span: W's columns e1 and e2 are zero, e3's is not.
+    both = _lambda_system(3, [{"l": {"e1": ONE}}, {"l": {"e2": 2 + I}}])
+    assert _supports(both) == [
+        (("e1", "e2"), ["e1"]), (("e1", "e2"), ["e2"]), (("e1", "e3"), ["e1"]), (("e2", "e3"), ["e2"]),
+    ]
+    # One zero column (e2) beside nonzero ones, two of them parallel (e3, e4).
+    one = _lambda_system(
+        4, [{"l": {"e2": ONE}}, {"l": {"e3": 3, "e4": -I}}, {"b": {"d_e1": ONE}, "l": {"e1": 2}}]
+    )
+    assert _supports(one) == [
+        (("e1", "e2"), ["e2"]), (("e2", "e3"), ["e2"]), (("e2", "e4"), ["e2"]), (("e3", "e4"), ["e3", "e4"]),
+    ]
+    # Every pure-lambda vector is in the span: W is empty, so every column is zero.
+    full = _lambda_system(3, [{"l": {"e1": ONE, "e2": ONE}}, {"l": {"e2": I, "e3": -1}}, {"l": {"e3": 5}}])
+    assert len(_supports(full)) == 6
+    # A span with no pure-lambda vector has no forms.
+    assert _supports(_lambda_system(2, [{"b": {"d_e1": ONE}, "l": {"e1": ONE}}])) == []
+
+
+def test_pair_forms_match_the_per_pair_oracle_on_random_systems():
+    r = rng(62)
+    units = [ONE, -ONE, I, 1 + I, GaussianRational(2), GaussianRational(1, 3) / 2]
+    kinds = set()
+    for trial in range(60):
+        h = r.randint(2, 6)
+        edges = [f"e{k + 1}" for k in range(h)]
+        rows = []
+        for _ in range(r.randint(1, h + 2)):
+            support = r.sample(edges, min(h, r.choice([1, 1, 2, 2, 3])))
+            row = {"l": {e: r.choice(units) for e in support}}
+            if r.random() < 0.3:
+                row["b"] = {f"d_{r.choice(edges)}": r.choice(units)}
+            rows.append(row)
+        relations = [
+            {e: GaussianRational(r.randint(-2, 2) or 1) for e in r.sample(edges, 2)} for _ in range(r.randint(0, 2))
+        ]
+        system = _lambda_system(h, rows, relations, seed_basis=r)
+        _assert_candidates_match(system)
+        sizes: dict[tuple[str, str], list[int]] = {}
+        for ab, form in aim._pair_form_candidates(system, []):
+            sizes.setdefault(ab, []).append(len(form.lam))
+        kinds.update(tuple(v) for v in sizes.values())
+    # Both of W's columns zero, one zero, and both nonzero and parallel.
+    assert {(1, 1), (1,), (2,)} <= kinds
+
+
+# -- what the symplectic block costs a verdict ----------------------------------------
+
+
+@pytest.mark.parametrize("g", [12, 16])
+def test_aim_decompose_makes_at_most_three_nullspace_calls(monkeypatch, capsys, tmp_path, g):
+    path = write_cylinders_document(tmp_path / "cylinders.json", g)
+    kernels = _count_calls(monkeypatch, linalg.nullspace)
+    assert main(["aim", path, "--decompose", str(g - 1)]) == 0
+    assert "(pairwise-circumference)" in capsys.readouterr().out
+    # The tangent image, the class's bound, and the pure-lambda subspace.
+    assert len(kernels) <= 3
+
+
+def _count_gaussian_j(monkeypatch) -> list:
+    """Builds of J over Q(i): only ``j_inverse``, which the tangent image reads, makes one."""
+    built = []
+    original = SymplecticData.__dict__["j_inverse"].func
+
+    def counting(self):
+        built.append(self)
+        return original(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(SymplecticData, "j_inverse")
+    monkeypatch.setattr(SymplecticData, "j_inverse", prop)
+    return built
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "plumb", "aim"])
+def test_only_the_tangent_image_builds_gaussian_j(monkeypatch, capsys, tmp_path, fixture_dir, command):
+    paths = [str(fixture_dir / "minimal_stratum_parallel.json"), write_cylinders_document(tmp_path / "cylinders.json", 5)]
+    built = _count_gaussian_j(monkeypatch)
+    products = _count_calls(monkeypatch, linalg.matvec)  # over Q(i); the gate multiplies J on ints
+    for path in paths:
+        assert main([command, path]) == 0
+    capsys.readouterr()
+    assert len(built) == (2 if command == "aim" else 0)
+    assert command == "aim" or products == []

@@ -83,6 +83,22 @@ def test_bareiss_det():
     assert linalg.bareiss_det([[0, 1], [1, 0]]) == -1
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 9),
+    fill=st.sampled_from([0.0, 0.05, 0.15, 0.3, 1.0]),
+    seed=st.integers(0, 10**6),
+)
+def test_integer_matrix_helpers_agree_with_their_oracles(n, fill, seed):
+    r = random.Random(seed)
+    rows = [[r.choice([-3, -1, 1, 2, 10**30]) if r.random() < fill else 0 for _ in range(n)] for _ in range(n)]
+    if n > 1 and r.random() < 0.3:
+        rows[-1] = [2 * x for x in rows[0]]  # dependent rows at any fill
+    assert linalg.int_singular(rows) == (linalg.bareiss_det(rows) == 0)
+    v = [GaussianRational(r.randint(-3, 3), r.choice([0, 1, -2])) / r.choice([1, 2, 3, 7]) for _ in range(n)]
+    assert linalg.int_matvec(rows, v) == oracle_aim.matvec([[GaussianRational(x) for x in row] for row in rows], v)
+
+
 def test_lattice_saturation():
     assert linalg.lattice_is_saturated([[2, -3]])
     assert linalg.lattice_is_saturated([[1, 1, -2]])

@@ -14,15 +14,25 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SOURCES = sorted((SRC / "strata").glob("*.py"))
 
 
+# Iterators without a length: a tuple built from one grows by resizing, like a genexpr.
+LENGTHLESS = ("map", "filter", "zip")
+
+
+def _lengthless(arg: ast.AST) -> bool:
+    return isinstance(arg, ast.GeneratorExp) or (
+        isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name) and arg.func.id in LENGTHLESS
+    )
+
+
 def _generator_built_tuples(tree: ast.AST) -> list[int]:
-    """Lines of ``tuple(<genexpr>)`` calls and ``*<genexpr>`` arguments."""
+    """Lines of ``tuple(<genexpr>)`` and ``tuple(map(...))``-style calls, and ``*<genexpr>`` arguments."""
     lines = []
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id == "tuple"
-            and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
+            and any(_lengthless(arg) for arg in node.args)
         ):
             lines.append(node.lineno)
         if isinstance(node, ast.Starred) and isinstance(node.value, ast.GeneratorExp):
@@ -39,6 +49,8 @@ def test_tuples_are_built_from_lists(path):
 def test_the_rule_sees_both_forms():
     tree = ast.parse("a = tuple(x for x in y)\nb = lcm(*(x for x in y))\nc = tuple([x for x in y])\n")
     assert _generator_built_tuples(tree) == [1, 2]
+    tree = ast.parse("a = tuple(map(f, y))\nb = tuple(list(map(f, y)))\nc = tuple(zip(x, y))\n")
+    assert _generator_built_tuples(tree) == [1, 3]
 
 
 def _to_vector_calls(tree: ast.AST) -> list[int]:
