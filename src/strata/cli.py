@@ -6,6 +6,11 @@ obstruction, 4 deformation hypothesis violation, 64 parse error.  Output is
 byte-identical across runs for identical input: every collection printed here
 is explicitly ordered and nothing is stamped with times or paths beyond the
 input name.
+
+Each ``cmd_*`` handler returns its exit code, its report (the ``--json``
+payload, with cycles left as ``Cycle`` values) and a text renderer that reads
+the report.  ``main`` runs only the requested rendering, inside its error
+guard, and prints the finished output once.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import json
 import sys
 
 from .aim import (
-    CrossWitnessResult,
     at_most_two_decompose,
     lemma_bound,
     pairwise_circum_decompose,
@@ -38,7 +42,9 @@ from .errors import (
     StrataError,
 )
 from .level_graph import codim, enumerate_undegenerations
-from .plumbing import Binomial, convert, hurwitz_rule, lattice_analysis, local_model
+from .plumbing import (
+    Analytic, Binomial, LatticeReport, convert, hurwitz_rule, lattice_analysis, local_model
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,42 +90,77 @@ def main(argv=None) -> int:
         print(f"parse error at {exc}")
         return 64
     try:
-        if args.command != "validate":
-            problems = [str(v) for v in doc.violations()]
-            if problems:
-                _emit(args, {"command": args.command, "violations": problems},
-                      ["invalid document:"] + [f"  {p}" for p in problems])
-                return 1
-        return args.handler(doc, args)
+        problems = [str(v) for v in doc.violations()]
+        if problems and args.command != "validate":
+            report = {"command": args.command, "violations": problems}
+            code, text = 1, lambda r: ["invalid document:"] + [f"  {p}" for p in r["violations"]]
+        else:
+            code, report, text = args.handler(doc, args, problems)
+        if args.json:
+            output = json.dumps(report, sort_keys=True, indent=2, default=cycle_to_json)
+        else:
+            output = "\n".join(text(report))
     except StrataError as exc:
         print(f"error: {exc}")
         return 1
+    print(output)
+    return code
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _says(line: str):
+    """A text renderer that prints one fixed line."""
+    return lambda report: [line]
 
 
-def cmd_validate(doc: AnalysisDocument, args) -> int:
-    problems = [str(v) for v in doc.violations()]
-    payload = {"command": "validate", "violations": problems}
-    lines = [f"violations: {len(problems)}"] + [f"  {p}" for p in problems]
+def cmd_validate(doc: AnalysisDocument, args, problems: list[str]):
+    return int(bool(problems)), {"command": "validate", "violations": problems}, _validate_text
+
+
+def _validate_text(report) -> list[str]:
+    problems = report["violations"]
     if not problems:
-        lines = ["ok: graph, basis, system, and attached data satisfy all invariants"]
-    _emit(args, payload, lines)
-    return 0 if not problems else 1
+        return ["ok: graph, basis, system, and attached data satisfy all invariants"]
+    return [f"violations: {len(problems)}"] + [f"  {p}" for p in problems]
 
 
-def cmd_analyze(doc: AnalysisDocument, args) -> int:
+def cmd_analyze(doc: AnalysisDocument, args, problems: list[str]):
     system = doc.system()
     graph = doc.graph
     certificate = consistency_report(system, assume_theorems=args.assume_theorems)
     classes = cross_equivalence_classes(system)
+    residues = residue_forms(system)
+    table = []
+    n_choices = len(graph.passage_indices()) + len(graph.horizontal_edges)
+    if n_choices <= args.limit:
+        for und in enumerate_undegenerations(graph):
+            cls = classify_undegeneration(system, und)
+            table.append({
+                "passages": und.kept_passages, "horizontal": und.kept_horizontal,
+                "lost": cls.lost, "codim": cls.codim_in_total, "divisorial": cls.divisorial,
+                "branch": cls.branch, "ordering_caveat": cls.ordering_caveat,
+            })
+    report = {
+        "command": "analyze",
+        "classes": [sorted(cls) for cls in classes],
+        "obligations": certificate.obligations,
+        "residues": [{"row": j, "passage": i, "form": form} for j, i, form in residues],
+        "undegenerations": table,
+        "undegenerations_skipped": n_choices > args.limit,
+        "certificate": {
+            "verdict": certificate.verdict, "rule": certificate.rule,
+            "forced": certificate.forced, "trace": certificate.trace,
+        },
+    }
+    code = 0 if certificate.consistent else 2
+    return code, report, lambda r: _analyze_text(r, system, n_choices, args.limit)
 
+
+def _listed(lines: list[str]) -> list[str]:
+    return lines or ["  (none)"]
+
+
+def _analyze_text(report, system, n_choices: int, limit: int) -> list[str]:
+    graph = system.graph
     lines = [
         f"graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges"
         f" ({len(graph.horizontal_edges)} horizontal), depth {graph.depth},"
@@ -128,320 +169,235 @@ def cmd_analyze(doc: AnalysisDocument, args) -> int:
         + (", minimal stratum" if system.minimal_stratum else ""),
         "",
         "cross-equivalence classes:",
+        *_listed([f"  {{{', '.join(cls)}}}" for cls in report["classes"]]),
+        "required proportionalities:",
+        *_listed([f"  lambda[{a}] ~ lambda[{b}]" for a, b in report["obligations"]]),
+        "residue relations:",
+        *_listed([
+            f"  row {r['row']}, passage {r['passage']}: {r['form'].render()} = 0"
+            for r in report["residues"]
+        ]),
     ]
-    class_json = [sorted(cls) for cls in classes]
-    if classes:
-        lines += [f"  {{{', '.join(sorted(cls))}}}" for cls in classes]
-    else:
-        lines.append("  (none)")
-
-    lines.append("required proportionalities:")
-    if certificate.obligations:
-        lines += [f"  lambda[{a}] ~ lambda[{b}]" for a, b in certificate.obligations]
-    else:
-        lines.append("  (none)")
-
-    residues = residue_forms(system)
-    lines.append("residue relations:")
-    if residues:
-        lines += [
-            f"  row {j}, passage {i}: {form.render()} = 0" for j, i, form in residues
-        ]
-    else:
-        lines.append("  (none)")
-
-    undeg_json = []
-    undeg_skipped = False
-    n_choices = len(graph.passage_indices()) + len(graph.horizontal_edges)
-    if n_choices <= args.limit:
-        lines.append("undegenerations:")
-        for und in enumerate_undegenerations(graph):
-            cls = classify_undegeneration(system, und)
-            passages = "{" + ",".join(str(i) for i in und.kept_passages) + "}"
-            horizontal = "{" + ",".join(und.kept_horizontal) + "}"
-            row = (
-                f"  passages={passages} horizontal={horizontal}"
-                f" L'={und.depth} H'={und.horizontal_count} lost={cls.lost}"
-                f" codim={cls.codim_in_total}"
-            )
-            if cls.divisorial:
-                row += f" divisorial[{cls.branch}]"
-            if cls.ordering_caveat:
-                row += " (non-adapted remap)"
-            lines.append(row)
-            undeg_json.append(
-                {
-                    "passages": list(und.kept_passages),
-                    "horizontal": list(und.kept_horizontal),
-                    "lost": cls.lost,
-                    "codim": cls.codim_in_total,
-                    "divisorial": cls.divisorial,
-                    "branch": cls.branch,
-                    "ordering_caveat": cls.ordering_caveat,
-                }
-            )
-    else:
-        undeg_skipped = True
+    if report["undegenerations_skipped"]:
         lines.append(
-            f"undegenerations: skipped ({n_choices} passage/edge choices exceed --limit {args.limit})"
+            f"undegenerations: skipped ({n_choices} passage/edge choices exceed --limit {limit})"
         )
-
-    lines.append("")
-    lines.append(f"certificate: {certificate.verdict.upper()}")
-    if certificate.rule:
-        lines.append(f"  rule: {certificate.rule}")
-    if certificate.forced is not None:
-        lines.append(f"  forced: {certificate.forced.render()} = 0")
-    for step in certificate.trace:
-        lines.append(f"  trace: {step}")
-
-    payload = {
-        "command": "analyze",
-        "classes": class_json,
-        "obligations": [[a, b] for a, b in certificate.obligations],
-        "residues": [
-            {"row": j, "passage": i, "form": cycle_to_json(form)} for j, i, form in residues
-        ],
-        "undegenerations": undeg_json,
-        "undegenerations_skipped": undeg_skipped,
-        "certificate": {
-            "verdict": certificate.verdict,
-            "rule": certificate.rule,
-            "forced": cycle_to_json(certificate.forced) if certificate.forced else None,
-            "trace": list(certificate.trace),
-        },
-    }
-    _emit(args, payload, lines)
-    return 0 if certificate.consistent else 2
+    else:
+        lines.append("undegenerations:")
+        lines += [_undegeneration_text(row) for row in report["undegenerations"]]
+    certificate = report["certificate"]
+    lines += ["", f"certificate: {certificate['verdict'].upper()}"]
+    if certificate["rule"]:
+        lines.append(f"  rule: {certificate['rule']}")
+    if certificate["forced"] is not None:
+        lines.append(f"  forced: {certificate['forced'].render()} = 0")
+    return lines + [f"  trace: {step}" for step in certificate["trace"]]
 
 
-def _render_plumbing(system, item) -> tuple[str, str]:
-    source = system.rref_rows[item.source]
-    period = f"{source.cycle.render()} = 0"
-    if isinstance(item, Binomial):
-        return period, item.render()
-    return period, f"(extends to the boundary) {item.render()}"
+def _undegeneration_text(row) -> str:
+    passages, horizontal = row["passages"], row["horizontal"]
+    text = (
+        f"  passages={{{','.join([str(i) for i in passages])}}}"
+        f" horizontal={{{','.join(horizontal)}}} L'={len(passages)} H'={len(horizontal)}"
+        f" lost={row['lost']} codim={row['codim']}"
+    )
+    if row["divisorial"]:
+        text += f" divisorial[{row['branch']}]"
+    if row["ordering_caveat"]:
+        text += " (non-adapted remap)"
+    return text
 
 
-def cmd_plumb(doc: AnalysisDocument, args) -> int:
+def cmd_plumb(doc: AnalysisDocument, args, problems: list[str]):
     system = doc.system()
     try:
         converted = convert(system, assume_theorems=args.assume_theorems)
     except ConversionError as exc:
-        payload = {"command": "plumb", "obstruction": str(exc), "missing": exc.missing}
-        lines = [f"conversion obstruction: {exc}"]
-        if exc.missing:
-            lines.append(f"  required relation: {exc.missing}")
-        _emit(args, payload, lines)
-        return 3
+        report = {"command": "plumb", "obstruction": str(exc), "missing": exc.missing}
+        return 3, report, _obstruction_text
     model = local_model(converted, system)
-
-    lines = ["period equation -> plumbing equation:"]
-    table_json = []
+    equations = []
     for item in converted:
-        period, plumb = _render_plumbing(system, item)
-        lines.append(f"  {period}  |  {plumb}")
-        entry = {"source": item.source, "period": period}
+        entry = {"source": item.source, "period": system.rref_rows[item.source].render()}
         if isinstance(item, Binomial):
-            entry.update(
-                {
-                    "type": "binomial",
-                    "unit": item.unit,
-                    "I": {eid: n for eid, n in item.i_exp},
-                    "J": {eid: n for eid, n in item.j_exp},
-                }
-            )
+            entry.update(type="binomial", unit=item.unit, I=dict(item.i_exp), J=dict(item.j_exp))
         else:
-            entry.update(
-                {
-                    "type": "analytic",
-                    "symbol": item.symbol,
-                    "top_restriction": cycle_to_json(item.top_restriction),
-                }
-            )
-        table_json.append(entry)
-
-    lines.append("")
-    lines.append(
-        f"local model: smooth factor of dimension {model.smooth_dim}"
-        + (f" with free passage parameters {', '.join(model.t_params)}" if model.t_params else "")
-    )
-    blocks_json = []
-    for variables, binomials in model.blocks:
-        report = lattice_analysis(list(binomials))
-        lines.append(
-            f"  binomial factor on {{{', '.join(variables)}}}: {report.label},"
-            f" lattice {'saturated' if report.saturated else 'not saturated'}"
-        )
-        for b in binomials:
-            lines.append(f"    {b.render()}")
-        blocks_json.append(
-            {
-                "variables": list(variables),
-                "smooth": report.smooth,
-                "saturated": report.saturated,
-                "generators": [list(g) for g in report.generators],
-            }
-        )
-    if not model.blocks:
-        lines.append("  no binomial factors: purely analytic local equations")
-
+            entry.update(type="analytic", symbol=item.symbol, top_restriction=item.top_restriction)
+        equations.append(entry)
+    blocks = [
+        {"variables": variables, **lattice_analysis(list(binomials))._asdict()}
+        for variables, binomials in model.blocks
+    ]
     certificate = hurwitz_rule(system)
-    cert_json = None
-    if certificate is not None:
-        lines.append(f"residue certificate: {certificate.kind}: {certificate.detail}")
-        cert_json = {
-            "kind": certificate.kind,
-            "edges": list(certificate.edges),
-            "detail": certificate.detail,
-        }
-
-    payload = {
+    report = {
         "command": "plumb",
-        "equations": table_json,
+        "equations": equations,
         "model": {
-            "smooth_dim": model.smooth_dim,
-            "t_params": list(model.t_params),
-            "blocks": blocks_json,
-            "unit_absorption": [list(x) for x in model.unit_absorption],
+            "smooth_dim": model.smooth_dim, "t_params": model.t_params,
+            "blocks": blocks, "unit_absorption": model.unit_absorption,
         },
-        "residue_certificate": cert_json,
+        "residue_certificate": None if certificate is None else certificate._asdict(),
     }
-    _emit(args, payload, lines)
-    return 0
+    return 0, report, _plumb_text
 
 
-def cmd_deform(doc: AnalysisDocument, args) -> int:
+def _obstruction_text(report) -> list[str]:
+    lines = [f"conversion obstruction: {report['obstruction']}"]
+    if report["missing"]:
+        lines.append(f"  required relation: {report['missing']}")
+    return lines
+
+
+def _plumb_text(report) -> list[str]:
+    rendered = {}  # source row -> the binomial's text, also listed under its block
+    lines = ["period equation -> plumbing equation:"]
+    for e in report["equations"]:
+        if e["type"] == "binomial":
+            binomial = Binomial(e["unit"], tuple(e["I"].items()), tuple(e["J"].items()), e["source"])
+            plumb = rendered[e["source"]] = binomial.render()
+        else:
+            analytic = Analytic(e["symbol"], e["top_restriction"], e["source"])
+            plumb = f"(extends to the boundary) {analytic.render()}"
+        lines.append(f"  {e['period']}  |  {plumb}")
+    model = report["model"]
+    t_params = model["t_params"]
+    lines += [
+        "",
+        f"local model: smooth factor of dimension {model['smooth_dim']}"
+        + (f" with free passage parameters {', '.join(t_params)}" if t_params else ""),
+    ]
+    for block in model["blocks"]:
+        members = set(block["variables"])
+        lattice = LatticeReport(block["smooth"], block["saturated"], block["generators"])
+        lines.append(
+            f"  binomial factor on {{{', '.join(block['variables'])}}}: {lattice.label},"
+            f" lattice {'saturated' if lattice.saturated else 'not saturated'}"
+        )
+        lines += [
+            f"    {rendered[e['source']]}"
+            for e in report["equations"]
+            if e["type"] == "binomial" and e["I"].keys() | e["J"].keys() <= members
+        ]
+    if not model["blocks"]:
+        lines.append("  no binomial factors: purely analytic local equations")
+    certificate = report["residue_certificate"]
+    if certificate is not None:
+        lines.append(f"residue certificate: {certificate['kind']}: {certificate['detail']}")
+    return lines
+
+
+def cmd_deform(doc: AnalysisDocument, args, problems: list[str]):
     system = doc.system()
     assignment = doc.periods()
     requests = doc.deformation_requests()
     if assignment is None or not requests:
-        _emit(
-            args,
-            {"command": "deform", "violations": ["document carries no periods or no deformations"]},
-            ["nothing to do: document needs a periods block and a deformations list"],
-        )
-        return 1
-    lines = []
-    reports_json = []
-    all_ok = True
+        violations = ["document carries no periods or no deformations"]
+        text = _says("nothing to do: document needs a periods block and a deformations list")
+        return 1, {"command": "deform", "violations": violations}, text
+    reports = []
     try:
         for edge, move in requests:
             cls = CylinderClass.from_edge(system, edge)
-            report = check_preserved(system, assignment, cls, move)
-            all_ok = all_ok and report.all_preserved
-            lines.append(
-                f"class {{{', '.join(cls.edges)}}} under r={move.r}, s={move.s}:"
-            )
-            rows_json = []
-            for row in report.rows:
-                note = f" ({row.note})" if row.note else ""
-                lines.append(f"  row {row.index}: {row.status}, residual {row.residual}{note}")
-                rows_json.append(
-                    {
-                        "row": row.index,
-                        "status": row.status,
-                        "residual": row.residual,
-                        "note": row.note,
-                    }
-                )
-            reports_json.append(
-                {
-                    "class": list(cls.edges),
-                    "r": str(move.r),
-                    "s": str(move.s),
-                    "rows": rows_json,
-                    "preserved": report.all_preserved,
-                }
-            )
+            outcome = check_preserved(system, assignment, cls, move)
+            rows = [
+                {"row": row.index, "status": row.status, "residual": row.residual, "note": row.note}
+                for row in outcome.rows
+            ]
+            reports.append({
+                "class": cls.edges, "r": str(move.r), "s": str(move.s),
+                "rows": rows, "preserved": outcome.all_preserved,
+            })
     except DeformationError as exc:
-        _emit(args, {"command": "deform", "error": str(exc)}, [f"hypothesis violation: {exc}"])
-        return 4
+        return 4, {"command": "deform", "error": str(exc)}, _says(f"hypothesis violation: {exc}")
+    all_ok = all([r["preserved"] for r in reports])
     verdict = "preserved" if all_ok else "hypothesis-violation"
-    lines.append(f"deformation: {verdict}")
-    _emit(args, {"command": "deform", "reports": reports_json, "verdict": verdict}, lines)
-    return 0 if all_ok else 4
+    report = {"command": "deform", "reports": reports, "verdict": verdict}
+    return (0 if all_ok else 4), report, _deform_text
 
 
-def cmd_aim(doc: AnalysisDocument, args) -> int:
+def _deform_text(report) -> list[str]:
+    lines = []
+    for r in report["reports"]:
+        lines.append(f"class {{{', '.join(r['class'])}}} under r={r['r']}, s={r['s']}:")
+        for row in r["rows"]:
+            note = f" ({row['note']})" if row["note"] else ""
+            lines.append(f"  row {row['row']}: {row['status']}, residual {row['residual']}{note}")
+    return lines + [f"deformation: {report['verdict']}"]
+
+
+def cmd_aim(doc: AnalysisDocument, args, problems: list[str]):
     system = doc.system()
     data = doc.symplectic()
     if data is None:
-        _emit(args, {"command": "aim", "violations": ["document carries no symplectic data"]},
-              ["nothing to do: document needs a symplectic block"])
-        return 1
-    lines = []
-    payload: dict = {"command": "aim"}
+        report = {"command": "aim", "violations": ["document carries no symplectic data"]}
+        return 1, report, _says("nothing to do: document needs a symplectic block")
     try:
-        report = tangent_absolute(system, data)
-        lines.append(
-            f"tangent image in absolute homology: dim {report.dim},"
-            f" restricted form rank {report.form_rank},"
-            f" {'symplectic' if report.symplectic else 'NOT symplectic'}"
-        )
-        payload["tangent"] = {
-            "dim": report.dim,
-            "form_rank": report.form_rank,
-            "symplectic": report.symplectic,
-        }
-        bounds_json = []
+        tangent = tangent_absolute(system, data)
+        bounds = []
         for cls_edges in cross_equivalence_classes(system):
-            label = "{" + ", ".join(sorted(cls_edges)) + "}"
-            anchor = sorted(cls_edges)[0]
+            edges = sorted(cls_edges)
             try:
-                cls = CylinderClass.from_edge(system, anchor)
-                bound = lemma_bound(system, data, cls)
+                bound = lemma_bound(system, data, CylinderClass.from_edge(system, edges[0]))
             except (AimError, DeformationError) as exc:
-                lines.append(f"class {label}: parallel-deformation bound skipped ({exc})")
-                bounds_json.append({"class": sorted(cls_edges), "skipped": str(exc)})
-                continue
-            lines.append(
-                f"class {label}: parallel-deformation dimension {bound.dim},"
-                f" bound {'satisfied' if bound.bound_satisfied else 'VIOLATED'}"
-            )
-            bounds_json.append(
-                {
-                    "class": sorted(cls_edges),
-                    "dim": bound.dim,
-                    "bound_satisfied": bound.bound_satisfied,
-                }
-            )
-        payload["bounds"] = bounds_json
-
-        if getattr(args, "pairwise_cross", None):
-            e1, e2 = args.pairwise_cross
-            result: CrossWitnessResult = pairwise_cross_witness(system, data, e1, e2)
-            if result.witness is not None:
-                lines.append(f"pairwise witness for ({e1}, {e2}): {result.witness.render()} = 0")
-                payload["pairwise_cross"] = {"witness": cycle_to_json(result.witness)}
+                bounds.append({"class": edges, "skipped": str(exc)})
             else:
-                lines.append(f"pairwise witness for ({e1}, {e2}): absent; {result.diagnostic}")
-                payload["pairwise_cross"] = {"witness": None, "diagnostic": result.diagnostic}
-
-        if getattr(args, "decompose", None) is not None:
+                bounds.append({"class": edges, **bound._asdict()})
+        report = {
+            "command": "aim",
+            "tangent": {
+                "dim": tangent.dim, "form_rank": tangent.form_rank, "symplectic": tangent.symplectic,
+            },
+            "bounds": bounds,
+        }
+        if args.pairwise_cross:
+            result = pairwise_cross_witness(system, data, *args.pairwise_cross)
+            report["pairwise_cross"] = {"witness": result.witness}
+            if result.witness is None:
+                report["pairwise_cross"]["diagnostic"] = result.diagnostic
+        if args.decompose is not None:
             idx = args.decompose
             if not 0 <= idx < system.rank:
                 raise AimError(f"row index {idx} out of range (rank {system.rank})")
             row = system.rref_rows[idx].cycle
             if row.is_lambda_only():
-                parts = pairwise_circum_decompose(row, system, data)
-                kind = "pairwise-circumference"
+                kind, parts = "pairwise-circumference", pairwise_circum_decompose(row, system, data)
             else:
-                parts = at_most_two_decompose(row, system, data, limit=args.limit)
                 kind = "at-most-two-nodes"
-            lines.append(f"decomposition of row {idx} ({kind}):")
-            for part in parts:
-                lines.append(f"  {part.render()} = 0")
-            payload["decompose"] = {
-                "row": idx,
-                "kind": kind,
-                "parts": [cycle_to_json(p) for p in parts],
-            }
+                parts = at_most_two_decompose(row, system, data, limit=args.limit)
+            report["decompose"] = {"row": idx, "kind": kind, "parts": parts}
     except AimError as exc:
-        _emit(args, {"command": "aim", "error": str(exc)}, [f"aim error: {exc}"])
-        return 1
-    _emit(args, payload, lines)
-    return 0
+        return 1, {"command": "aim", "error": str(exc)}, _says(f"aim error: {exc}")
+    return 0, report, lambda r: _aim_text(r, args.pairwise_cross)
+
+
+def _aim_text(report, pair) -> list[str]:
+    tangent = report["tangent"]
+    lines = [
+        f"tangent image in absolute homology: dim {tangent['dim']},"
+        f" restricted form rank {tangent['form_rank']},"
+        f" {'symplectic' if tangent['symplectic'] else 'NOT symplectic'}"
+    ]
+    for bound in report["bounds"]:
+        label = "{" + ", ".join(bound["class"]) + "}"
+        if "skipped" in bound:
+            lines.append(f"class {label}: parallel-deformation bound skipped ({bound['skipped']})")
+        else:
+            lines.append(
+                f"class {label}: parallel-deformation dimension {bound['dim']},"
+                f" bound {'satisfied' if bound['bound_satisfied'] else 'VIOLATED'}"
+            )
+    if "pairwise_cross" in report:
+        witness = report["pairwise_cross"]["witness"]
+        found = (
+            f"{witness.render()} = 0" if witness is not None
+            else f"absent; {report['pairwise_cross']['diagnostic']}"
+        )
+        lines.append(f"pairwise witness for ({pair[0]}, {pair[1]}): {found}")
+    if "decompose" in report:
+        decompose = report["decompose"]
+        lines.append(f"decomposition of row {decompose['row']} ({decompose['kind']}):")
+        lines += [f"  {part.render()} = 0" for part in decompose["parts"]]
+    return lines
 
 
 if __name__ == "__main__":

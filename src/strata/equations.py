@@ -375,11 +375,6 @@ def _support_subspace(
     ]
 
 
-def _annihilator(system: EquationSystem) -> tuple[dict[str, tuple[GaussianRational, ...]], dict[str, tuple]]:
-    """Per horizontal edge, its column of the annihilator W, and its pair key."""
-    return system.annihilator
-
-
 def correlation_keys(system: EquationSystem) -> dict[str, tuple]:
     """A key per horizontal edge: {a, b} is correlated exactly when a and b
     have equal keys.
@@ -388,7 +383,7 @@ def correlation_keys(system: EquationSystem) -> dict[str, tuple]:
     exactly when the columns are both zero or both nonzero and parallel, so
     pairwise correlation is an equivalence relation.
     """
-    return _annihilator(system)[1]
+    return system.annihilator[1]
 
 
 def is_correlated(system: EquationSystem, edges: Iterable[str]) -> bool:
@@ -403,7 +398,7 @@ def is_correlated(system: EquationSystem, edges: Iterable[str]) -> bool:
     horizontal = set(system.graph.horizontal_edges)
     if not wanted <= horizontal:
         raise SystemDataError(f"not horizontal edges: {sorted(wanted - horizontal)}")
-    columns = _annihilator(system)[0]
+    columns = system.annihilator[0]
     members = sorted(wanted)
     kernel = linalg.nullspace(list(zip(*[columns[e] for e in members])), len(members))
     return all(any(v[k] for v in kernel) for k in range(len(members)))

@@ -268,6 +268,79 @@ def test_aim_decompose_honours_limit(fmt):
     assert code == 0
 
 
+def _cylinders_variant(tmp_path, edit) -> str:
+    doc = json.loads((FIXTURES / "parallel_cylinders.json").read_text())
+    edit(doc)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _cut_to_first_equation(doc):
+    doc["system"]["equations"] = doc["system"]["equations"][:1]
+
+
+def _complex_coefficients(doc):
+    doc["system"]["flags"]["real"] = False
+
+
+def _two_bad_self_ratios(doc):
+    doc["system"]["ratios"] = [{"e": "e1", "e'": "e1", "q": "2"}, {"e": "e2", "e'": "e2", "q": "3"}]
+
+
+SELF_RATIO = "ratio-consistency: self-ratio differs from 1"
+OBSTRUCTION = "row 0: no relation links the period over e2 to the one over e1"
+REFUSALS = {
+    "plumb-obstruction": (
+        "plumb", _cut_to_first_equation, 3,
+        f"conversion obstruction: {OBSTRUCTION}\n  required relation: lambda[e2] ~ lambda[e1]\n",
+        {"command": "plumb", "missing": "lambda[e2] ~ lambda[e1]", "obstruction": OBSTRUCTION},
+    ),
+    "deform-complex": (
+        "deform", _complex_coefficients, 4,
+        "hypothesis violation: cylinder deformation requires real coefficients\n",
+        {"command": "deform", "error": "cylinder deformation requires real coefficients"},
+    ),
+    "validate-violations": (
+        "validate", _two_bad_self_ratios, 1,
+        f"violations: 2\n  ratio e1~e1: {SELF_RATIO}\n  ratio e2~e2: {SELF_RATIO}\n",
+        {"command": "validate", "violations": [f"ratio e1~e1: {SELF_RATIO}", f"ratio e2~e2: {SELF_RATIO}"]},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_refusals_print_their_pinned_output(tmp_path, case):
+    command, edit, code, text, payload = REFUSALS[case]
+    path = _cylinders_variant(tmp_path, edit)
+    assert run_cli(command, path) == (code, text)
+    assert run_cli(command, path, "--json") == (code, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def test_json_output_renders_no_text(monkeypatch):
+    from strata.plumbing import Binomial
+
+    path = str(FIXTURES / "parallel_cylinders.json")
+    expected = run_cli("plumb", path, "--json")
+    calls = []
+    original = Binomial.render
+    monkeypatch.setattr(Binomial, "render", lambda self: calls.append(self) or original(self))
+    assert run_cli("plumb", path, "--json") == expected
+    assert calls == []
+    assert "exp(f1)*s[e1] - s[e2] = 0" in run_cli("plumb", path)[1]
+    assert len(calls) == 1  # rendered once for the table, reused under its block
+
+
+def test_decompose_out_of_range_prints_its_pinned_output():
+    path = str(FIXTURES / "minimal_stratum_parallel.json")
+    assert run_cli("aim", path, "--decompose", "99") == (
+        1, "aim error: row index 99 out of range (rank 4)\n"
+    )
+    assert run_cli("aim", path, "--decompose", "99", "--json") == (
+        1, '{\n  "command": "aim",\n  "error": "row index 99 out of range (rank 4)"\n}\n'
+    )
+
+
 def _two_vertical_document():
     return {
         "schema": "sbv-1",

@@ -970,7 +970,7 @@ def test_correlation_keys_decide_every_pair(documents):
 
 def test_annihilator_cuts_out_the_pairing_image(documents):
     for system in _correlation_systems(documents)[:40]:
-        columns, _ = equations._annihilator(system)
+        columns, _ = system.annihilator
         horizontal = system.graph.horizontal_edges
         width = len(next(iter(columns.values()), ()))
         assert width == len(horizontal) - linalg.rank([eq.hor_pairings for eq in system.rref_rows])

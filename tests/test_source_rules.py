@@ -206,3 +206,45 @@ def test_the_attribute_rule_sees_every_form():
         "s.g = 1\n"
     )
     assert _attribute_writes_in_module_functions(tree) == [2, 3, 4, 5, 9]
+
+
+def _prints_outside_main(tree: ast.Module) -> list[int]:
+    """Lines of ``print`` calls outside the module-level ``main``.
+
+    A command's output is built in full, inside ``main``'s error guard, and
+    printed once: an error raised while rendering still ends in one line.
+    """
+    in_main = {
+        id(node)
+        for function in tree.body
+        if isinstance(function, ast.FunctionDef) and function.name == "main"
+        for node in ast.walk(function)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "print"
+        and id(node) not in in_main
+    )
+
+
+def test_the_cli_prints_only_in_main():
+    path = SRC / "strata" / "cli.py"
+    assert _prints_outside_main(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_print_rule_sees_helpers():
+    tree = ast.parse(
+        "def main():\n"
+        "    print('done')\n"
+        "def _emit(lines):\n"
+        "    for line in lines:\n"
+        "        print(line)\n"
+        "print('at import')\n"
+        "class C:\n"
+        "    def main(self):\n"
+        "        print(self)\n"
+    )
+    assert _prints_outside_main(tree) == [5, 6, 9]
