@@ -9,7 +9,6 @@ directly assertable condition rank(B J B^T) = dim.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple, Sequence
 from weakref import WeakKeyDictionary
@@ -21,7 +20,7 @@ from .equations import (
     correlated_witness,
     cross_equivalence_classes,
     hor_support,
-    is_correlated,  # noqa: F401  (bench/tracing.py wraps strata.aim.is_correlated)
+    is_correlated,
 )
 from .errors import AimError, LimitError, Violation
 from .gaussian import ONE, ZERO, GaussianRational
@@ -49,11 +48,6 @@ class SymplecticData:
     @property
     def dim(self) -> int:
         return len(self.j_matrix)
-
-    @cached_property
-    def j_inverse(self) -> list[linalg.Vector] | None:
-        """Exact inverse of J, or None when J is singular."""
-        return linalg.invert([[GaussianRational(x) for x in row] for row in self.j_matrix])
 
 
 def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Violation]:
@@ -144,33 +138,32 @@ class SubspaceReport(NamedTuple):
     symplectic: bool
 
 
-def _subspace_report(j_matrix, vectors: Sequence[Sequence[GaussianRational]]) -> SubspaceReport:
-    reduced, _ = linalg.rref(vectors)
-    dim = len(reduced)
-    j_images = [linalg.int_matvec(j_matrix, v) for v in reduced]
-    gram = [linalg.matvec(j_images, w) for w in reduced]
-    form_rank = linalg.rank(gram)
-    return SubspaceReport(
-        tuple([tuple(row) for row in reduced]), dim, form_rank, form_rank == dim
-    )
-
-
 def tangent_absolute(system: EquationSystem, data: SymplecticData) -> SubspaceReport:
     """Absolute-homology image of the tangent space to the candidate variety.
 
     The tangent space is the annihilator, inside the extended model, of the
     equations together with every declared relation and ratio; its pullback
     along the inclusion lands in absolute cohomology and is reported in
-    homology coordinates via the inverse intersection form.  Computed once
-    per (data, system) pair.
+    homology coordinates z = J^-1 w, read off one reduction of ``[J | w_1 ..
+    w_m]`` (J is invertible past the gate).  The form on the z's is
+    z_i^T J z_j = z_i^T w_j.  Computed once per (data, system) pair.
     """
     _require_valid(data, system)
     report = data._tangent.get(system)
     if report is None:
         tangent = linalg.nullspace(system.extended_rows[0], len(system.basis.columns()))
         images = [linalg.matvec([c.vector for c in data.iota], v) for v in tangent]
-        homology_vectors = [linalg.matvec(data.j_inverse, w) for w in images]
-        report = data._tangent[system] = _subspace_report(data.j_matrix, homology_vectors)
+        j_and_images = [
+            [GaussianRational(x) for x in row] + [w[a] for w in images]
+            for a, row in enumerate(data.j_matrix)
+        ]
+        solved, _ = linalg.rref(j_and_images)
+        homology_vectors = [[row[data.dim + i] for row in solved] for i in range(len(images))]
+        reduced, _ = linalg.rref(homology_vectors)
+        form_rank = linalg.rank([linalg.matvec(homology_vectors, w) for w in images])
+        report = data._tangent[system] = SubspaceReport(
+            tuple([tuple(row) for row in reduced]), len(reduced), form_rank, form_rank == len(reduced)
+        )
     return report
 
 
@@ -388,10 +381,11 @@ def at_most_two_decompose(
 ) -> list[Cycle]:
     """Split an equation into summands crossing at most two horizontal nodes.
 
-    Repeatedly subtracts witnesses supported on proper correlated subsets; in
-    the minimal stratum the pairwise witnesses the recursion needs are
-    guaranteed, so failure to find one is reported as evidence against the
-    data rather than tolerated.  The subset search is exponential in the
+    Repeatedly subtracts a witness supported on the first proper correlated
+    subset, smallest first and then lexicographic, built once that subset is
+    found by ``is_correlated``; in the minimal stratum the pairwise witnesses
+    the recursion needs are guaranteed, so failure to find one is reported as
+    evidence against the data rather than tolerated.  The subset search is exponential in the
     horizontal edge count, so more than ``limit`` edges raise LimitError.
     """
     _require_minimal(system, data)
@@ -413,19 +407,14 @@ def at_most_two_decompose(
         if len(support) <= 2:
             out.append(work)
             continue
-        found = None
-        for size in range(1, len(support)):
-            for combo in combinations(support, size):
-                found = correlated_witness(system, frozenset(combo))
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
+        subsets = (c for size in range(1, len(support)) for c in combinations(support, size))
+        correlated = next((c for c in subsets if is_correlated(system, c)), None)
+        if correlated is None:
             raise AimError(
                 f"no proper correlated subset of {support} has a witness; the"
                 " minimal-stratum decomposition guarantee fails for this system"
             )
+        found = correlated_witness(system, correlated)
         anchor = next(e for e in support if pair(found, e))
         factor = pair(work, anchor) / pair(found, anchor)
         piece = found.scale(factor)

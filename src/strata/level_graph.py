@@ -51,9 +51,6 @@ class EnhancedLevelGraph:
         self._vertex_map = {v.id: v for v in self.vertices}
         self._edge_map = {e.id: e for e in self.edges}
 
-    def vertex(self, vid: str) -> Vertex:
-        return self._vertex_map[vid]
-
     def edge(self, eid: str) -> Edge:
         return self._edge_map[eid]
 

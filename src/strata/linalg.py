@@ -289,16 +289,6 @@ def identity(n: int) -> list[Vector]:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def invert(rows: Sequence[Sequence[GaussianRational]]) -> list[Vector] | None:
-    """Exact inverse of a square matrix, or None if singular."""
-    n = len(rows)
-    augmented = [list(r) + ident_row for r, ident_row in zip(rows, identity(n))]
-    red, pivots = rref(augmented)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in red]
-
-
 # -- integer lattice helpers -------------------------------------------------
 
 

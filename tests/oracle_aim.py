@@ -8,8 +8,11 @@ calls J degenerate when there is no inverse.  ``tangent_absolute`` and
 J, its inverse and the image were memoised: every call inverts J afresh and
 the Gram matrix recomputes ``J v`` for every (v, w) pair.
 ``pair_form_candidates`` is the pair-form search ``strata.aim`` ran before it
-read every pair off one annihilator: one nullspace per horizontal pair.  They
-are deliberately slow and obvious.
+read every pair off one annihilator: one nullspace per horizontal pair.
+``at_most_two_decompose`` is the split ``strata.aim`` ran before it tested
+subsets with ``is_correlated``: it builds a full ``correlated_witness`` for
+every subset it tries.  J is inverted by ``oracle_linalg.invert``.  They are
+deliberately slow and obvious.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
+from oracle_linalg import invert
 from strata import linalg
-from strata.aim import SubspaceReport, SymplecticData, _pure_lambda_subspace
-from strata.equations import EquationSystem
-from strata.errors import AimError, Violation
+from strata.aim import SubspaceReport, SymplecticData, _pure_lambda_subspace, _require_minimal
+from strata.equations import EquationSystem, correlated_witness, hor_support
+from strata.errors import AimError, LimitError, Violation
 from strata.gaussian import ZERO, GaussianRational
 from strata.homology import Cycle, pair
 
@@ -51,7 +55,7 @@ def tangent_absolute(system: EquationSystem, data: SymplecticData) -> SubspaceRe
     iota_rows = [c.to_vector() for c in data.iota]
     images = [matvec(iota_rows, v) for v in tangent]
     j_rows = [[GaussianRational(x) for x in row] for row in data.j_matrix]
-    j_inv = linalg.invert(j_rows)
+    j_inv = invert(j_rows)
     assert j_inv is not None
     homology_vectors = [matvec(j_inv, w) for w in images]
     return subspace_report(data.j_matrix, homology_vectors)
@@ -70,7 +74,7 @@ def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Vi
                 out.append(Violation("J", "skew", f"J[{a}][{b}] != -J[{b}][{a}]"))
                 return out
     j_rows = [[GaussianRational(x) for x in row] for row in data.j_matrix]
-    if linalg.invert(j_rows) is None:
+    if invert(j_rows) is None:
         out.append(Violation("J", "nondegenerate", "intersection matrix is singular"))
     if len(data.iota) != n:
         out.append(
@@ -132,3 +136,45 @@ def pair_form_candidates(
             if not form.is_zero():
                 out.append(((a, b), form))
     return out
+
+
+def at_most_two_decompose(
+    cycle: Cycle, system: EquationSystem, data: SymplecticData | None = None, limit: int = 12
+) -> list[Cycle]:
+    _require_minimal(system, data)
+    n_horizontal = len(system.graph.horizontal_edges)
+    if n_horizontal > limit:
+        raise LimitError(f"{n_horizontal} horizontal edges exceed the search limit {limit}")
+    if not system.extended_span_contains(cycle):
+        raise AimError("input is not in the span of the system and its relations")
+    out: list[Cycle] = []
+    stack = [cycle]
+    for _ in range(4 ** (n_horizontal + 1) + len(stack)):
+        if not stack:
+            return out
+        work = stack.pop()
+        if work.is_zero():
+            continue
+        support = sorted(hor_support(work))
+        if len(support) <= 2:
+            out.append(work)
+            continue
+        found = None
+        for size in range(1, len(support)):
+            for combo in combinations(support, size):
+                found = correlated_witness(system, frozenset(combo))
+                if found is not None:
+                    break
+            if found is not None:
+                break
+        if found is None:
+            raise AimError(
+                f"no proper correlated subset of {support} has a witness; the"
+                " minimal-stratum decomposition guarantee fails for this system"
+            )
+        anchor = next(e for e in support if pair(found, e))
+        factor = pair(work, anchor) / pair(found, anchor)
+        piece = found.scale(factor)
+        stack.append(piece)
+        stack.append(work - piece)
+    raise AssertionError("decomposition failed to terminate")

@@ -10,7 +10,9 @@ helpers these oracles and a few tests are written with; the library itself
 has no use for them.  ``lattice_is_saturated`` is the maximal-minors test
 the library used before it read the invariant factors of a Smith normal
 form; it enumerates C(rows, r) * C(cols, r) minors, so keep it to small
-shapes.
+shapes.  ``invert`` is the exact inverse the library computed by reducing
+``[A | I]`` before its one caller, the tangent image, solved ``J z = w``
+directly; it is built on the ``rref`` above.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import combinations
 from math import gcd
 from typing import Iterable, Sequence
 
-from strata.gaussian import ONE, GaussianRational
+from strata.gaussian import ONE, ZERO, GaussianRational
 from strata.linalg import Vector, bareiss_det, rank
 
 
@@ -69,6 +71,16 @@ def rref(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[Vector], list
             break
     out = work[:r]
     return out, pivots
+
+
+def invert(rows: Sequence[Sequence[GaussianRational]]) -> list[Vector] | None:
+    """Exact inverse of a square matrix, or None if singular."""
+    n = len(rows)
+    identity = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    red, pivots = rref([list(r) + e for r, e in zip(rows, identity)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in red]
 
 
 def reduce_vector(

@@ -1,12 +1,11 @@
 import gc
-from functools import cached_property
 import sys
 import weakref
 
 import pytest
 
 import oracle_aim
-from oracle_linalg import vec_add, vec_scale
+from oracle_linalg import invert, vec_add, vec_scale
 from strata import aim, linalg
 from strata.aim import (
     SymplecticData,
@@ -365,7 +364,7 @@ def _change_absolute_basis(data: SymplecticData, r) -> SymplecticData:
             if p[a][c]:
                 total = total + data.iota[c].scale(p[a][c])
         iota.append(total)
-    p_inv = linalg.invert([[GaussianRational(x) for x in row] for row in p])
+    p_inv = invert([[GaussianRational(x) for x in row] for row in p])
     p_inv_t = [[p_inv[b][a] for b in range(n)] for a in range(n)]
     u_lambda = {eid: tuple(linalg.matvec(p_inv_t, u)) for eid, u in data.u_lambda.items()}
     return SymplecticData(j_new, tuple(iota), u_lambda, data.minimal)
@@ -493,6 +492,16 @@ def test_tangent_matches_oracle_on_parallel_classes():
             assert report == oracle_aim.tangent_absolute(system, variant), genus
 
 
+@pytest.mark.parametrize("g", range(2, 13))
+def test_tangent_matches_oracle_on_bench_cylinders(g):
+    # In another absolute basis J is dense, at the sizes the benchmark runs.
+    doc = cylinders_document(g)
+    system = doc.system()
+    for variant in (doc.symplectic(), _change_absolute_basis(doc.symplectic(), rng(56 + g))):
+        assert validate_symplectic(variant, system) == []
+        assert tangent_absolute(system, variant) == oracle_aim.tangent_absolute(system, variant), g
+
+
 def test_tangent_matches_oracle_when_not_symplectic():
     basis, data = _lagrangian_instance()
     system = EquationSystem(
@@ -500,6 +509,15 @@ def test_tangent_matches_oracle_when_not_symplectic():
         [Cycle(basis, {"n0_0": ONE}, {}), Cycle(basis, {"n0_2": ONE}, {})],
     )
     assert tangent_absolute(system, data) == oracle_aim.tangent_absolute(system, data)
+
+
+def _rebind(monkeypatch, original, replacement) -> None:
+    """Point every ``strata`` module binding of ``original`` at ``replacement``."""
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "strata" or mod_name.startswith("strata."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
 
 def _count_calls(monkeypatch, original) -> list:
@@ -510,23 +528,38 @@ def _count_calls(monkeypatch, original) -> list:
         calls.append(args)
         return original(*args, **kwargs)
 
-    for mod_name, module in list(sys.modules.items()):
-        if mod_name == "strata" or mod_name.startswith("strata."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+    _rebind(monkeypatch, original, counting)
     return calls
 
 
+def _count_j_solves(monkeypatch, j_matrices) -> list:
+    """``linalg.rref`` calls, through every ``strata`` binding, whose first n columns are one
+    of the given J over Q(i): the tangent image reads J^-1 w off one such reduction."""
+    targets = [[[GaussianRational(x) for x in row] for row in j] for j in j_matrices]
+    original = linalg.rref
+    solves = []
+
+    def counting(rows):
+        rows = list(rows)
+        for j in targets:
+            if len(rows) == len(j) and all(row[: len(j)] == j_row for row, j_row in zip(rows, j)):
+                solves.append(rows)
+        return original(rows)
+
+    _rebind(monkeypatch, original, counting)
+    return solves
+
+
 def test_aim_verdict_validates_and_inverts_once(monkeypatch, capsys, fixture_dir):
+    path = fixture_dir / "minimal_stratum_parallel.json"
+    solves = _count_j_solves(monkeypatch, [load_document(str(path)).symplectic().j_matrix])
     validations = _count_calls(monkeypatch, aim.validate_symplectic)
-    inversions = _count_calls(monkeypatch, linalg.invert)
     eliminations = _count_calls(monkeypatch, linalg.rref)
-    code = main(["aim", str(fixture_dir / "minimal_stratum_parallel.json")])
+    code = main(["aim", str(path)])
     assert code == 0
     assert "bound satisfied" in capsys.readouterr().out
     assert len(validations) == 1
-    assert len(inversions) == 1
+    assert len(solves) == 1
     # The class's lemma_bound reuses the handler's tangent image (21 before).
     assert len(eliminations) <= 11
 
@@ -689,28 +722,61 @@ def test_aim_decompose_makes_at_most_three_nullspace_calls(monkeypatch, capsys, 
     assert len(kernels) <= 3
 
 
-def _count_gaussian_j(monkeypatch) -> list:
-    """Builds of J over Q(i): only ``j_inverse``, which the tangent image reads, makes one."""
-    built = []
-    original = SymplecticData.__dict__["j_inverse"].func
-
-    def counting(self):
-        built.append(self)
-        return original(self)
-
-    prop = cached_property(counting)
-    prop.__set_name__(SymplecticData, "j_inverse")
-    monkeypatch.setattr(SymplecticData, "j_inverse", prop)
-    return built
-
-
 @pytest.mark.parametrize("command", ["validate", "analyze", "plumb", "aim"])
 def test_only_the_tangent_image_builds_gaussian_j(monkeypatch, capsys, tmp_path, fixture_dir, command):
     paths = [str(fixture_dir / "minimal_stratum_parallel.json"), write_cylinders_document(tmp_path / "cylinders.json", 5)]
-    built = _count_gaussian_j(monkeypatch)
+    j_matrices = [load_document(path).symplectic().j_matrix for path in paths]
+    solves = _count_j_solves(monkeypatch, j_matrices)
     products = _count_calls(monkeypatch, linalg.matvec)  # over Q(i); the gate multiplies J on ints
     for path in paths:
         assert main([command, path]) == 0
     capsys.readouterr()
-    assert len(built) == (2 if command == "aim" else 0)
+    assert len(solves) == (2 if command == "aim" else 0)
     assert command == "aim" or products == []
+
+
+# -- the at-most-two split against the per-subset witness search ------------------------
+
+
+def test_at_most_two_decompose_builds_one_witness_per_split(monkeypatch, documents):
+    doc = documents["minimal_stratum_parallel"]
+    system, data = doc.system(), doc.symplectic()
+    wide = Cycle(
+        doc.basis,
+        {"d1": GaussianRational(2), "d2": GaussianRational(-1), "d3": GaussianRational(-1)},
+        {},
+    )
+    witnesses = _count_calls(monkeypatch, aim.correlated_witness)
+    parts = at_most_two_decompose(wide, system, data)
+    # One split, and its witness is built once the correlated subset is known (4 before).
+    assert len(parts) == 2
+    assert len(witnesses) == 1
+
+
+def _decompose_outcome(decompose, cycle, system, data):
+    try:
+        return decompose(cycle, system, data)
+    except (AimError, LimitError) as exc:
+        return type(exc), str(exc)
+
+
+def test_at_most_two_decompose_matches_the_per_subset_oracle(documents):
+    r = rng(57)
+    doc = documents["minimal_stratum_parallel"]
+    systems = [(doc.system(), doc.symplectic())]
+    systems += [aim_parallel_fixture(r, genus) for genus in range(2, 8) for _ in range(3)]
+    split = compared = 0
+    for system, data in systems:
+        generators = [eq.cycle for eq in system.rref_rows] + list(system.relations)
+        for _ in range(15):
+            cycle = system.basis.zero()
+            for generator in generators:
+                c = r.randint(-2, 2)
+                if c:
+                    cycle = cycle + generator.scale(GaussianRational(c))
+            got = _decompose_outcome(at_most_two_decompose, cycle, system, data)
+            assert got == _decompose_outcome(oracle_aim.at_most_two_decompose, cycle, system, data)
+            split += isinstance(got, list) and len(got) > 1
+            compared += 1
+    assert compared == 285
+    assert split > compared // 2

@@ -248,3 +248,42 @@ def test_the_print_rule_sees_helpers():
         "        print(self)\n"
     )
     assert _prints_outside_main(tree) == [5, 6, 9]
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, name) of every imported name the module never reads.
+
+    A read is a ``Name`` node, the root of every ``Attribute`` chain among them,
+    annotations included; ``from __future__`` imports are directives, not names.
+    """
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in read]
+
+
+# The package's __init__ imports to re-export; every other module imports to use.
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_read(path):
+    assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_unused_import_rule_sees_every_form():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os.path, json\n"
+        "import numpy as np\n"
+        "from . import linalg\n"
+        "from .equations import hor_support, is_correlated  # noqa: F401\n"
+        "from typing import Sequence\n"
+        "def f(x: Sequence[int]) -> None:\n"
+        "    return os.path.join(linalg.rref(x), hor_support)\n"
+    )
+    assert _unused_imports(tree) == [(2, "json"), (3, "np"), (5, "is_correlated")]
