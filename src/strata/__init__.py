@@ -21,12 +21,10 @@ from .equations import (
     ProportionalityData,
     classify_undegeneration,
     consistency_report,
-    correlation_keys,
     cross_equivalence_classes,
     decompose,
     hor_support,
     is_correlated,
-    lost_count,
     primitive_sets,
     residue_relation,
     top_level,
@@ -57,7 +55,6 @@ from .homology import (
 from .level_graph import (
     Edge,
     EnhancedLevelGraph,
-    LevelPassage,
     Marking,
     Undegeneration,
     Vertex,
@@ -65,7 +62,6 @@ from .level_graph import (
     enumerate_undegenerations,
     lcm_weight,
     passage_weight,
-    passages,
     top_vertices_have_horizontal,
     validate,
 )

@@ -435,16 +435,16 @@ def _missing(path: str, key: str):
 def _parse_period_value(value, exact: bool, path: str):
     if exact:
         return parse_gaussian(value, path)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        re_part = value[0]
-        im_part = value[1]
-        if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (re_part, im_part)):
-            return complex(re_part, im_part)
-    if isinstance(value, str):
-        return parse_gaussian(value, path).to_complex()
-    raise DocumentParseError("expected a number, [re, im] pair, or gaussian literal", path)
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    if not isinstance(value, str) and not all(type(x) in (int, float) for x in parts):
+        raise DocumentParseError("expected a number, [re, im] pair, or gaussian literal", path)
+    try:
+        z = parse_gaussian(value, path).to_complex() if isinstance(value, str) else complex(*parts)
+    except OverflowError:  # an int or a literal past the float range
+        z = complex("nan")
+    if z - z != 0:  # inf - inf and nan - nan are nan, so some part is not finite
+        raise DocumentParseError("expected a finite number", path)
+    return z
 
 
 def load_document(path: str) -> AnalysisDocument:

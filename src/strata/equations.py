@@ -166,7 +166,7 @@ class EquationSystem:
     ):
         self.basis = basis
         self.graph = basis.graph
-        self.equations: tuple[Equation, ...] = tuple([Equation(c) for c in equations])
+        self.equations: tuple[Cycle, ...] = tuple(equations)
         self.real = real
         self.minimal_stratum = minimal_stratum
         self.relations: tuple[Cycle, ...] = tuple(relations)
@@ -182,7 +182,7 @@ class EquationSystem:
     @cached_property
     def _reduction(self) -> tuple[tuple[Equation, ...], list[int]]:
         """The rref rows, as equations, and their pivot columns."""
-        reduced, pivot_cols = linalg.rref([eq.cycle.vector for eq in self.equations])
+        reduced, pivot_cols = linalg.rref([c.vector for c in self.equations])
         return tuple([Equation(Cycle.from_vector(self.basis, v)) for v in reduced]), pivot_cols
 
     @property
@@ -195,11 +195,6 @@ class EquationSystem:
     def _pivot_cols(self) -> list[int]:
         self.rref_rows  # computes the reduction, when due, through its traced getter
         return self._reduction[1]
-
-    @cached_property
-    def pivots(self) -> tuple[tuple[str, str], ...]:
-        columns = self.basis.columns()
-        return tuple([columns[c] for c in self._pivot_cols])
 
     @property
     def rank(self) -> int:
@@ -270,7 +265,8 @@ class EquationSystem:
         W is a basis of the nullspace of the rank x H matrix of the rows'
         pairings, so a vector x of horizontal pairings belongs to a span element
         exactly when W x = 0.  The key is the column divided by its first nonzero
-        entry, or the zero column itself.
+        entry, or the zero column itself; two edges are correlated exactly when
+        their keys agree (both columns zero, or both nonzero and parallel).
         """
         horizontal = self.graph.horizontal_edges
         kernel = linalg.nullspace([eq.hor_pairings for eq in self.rref_rows], len(horizontal))
@@ -309,6 +305,25 @@ class EquationSystem:
         return tuple([frozenset(groups[root]) for root in sorted(groups)])
 
     @cached_property
+    def residuals(self) -> dict[str, tuple[Cycle, tuple, GaussianRational | None]]:
+        """Per horizontal edge in a class of two or more (past R1, the only
+        edges a row crosses): its period symbol reduced modulo
+        ``reduction_relations``, the residual's monic vector (its key) and its
+        first nonzero entry (its lead, None for a zero residual).  Two periods
+        are proportional exactly when both have leads and equal keys, in the
+        ratio of their leads.
+        """
+        relations = self.reduction_relations
+        out = {}
+        for cls in self.cross_equivalence_classes:
+            if len(cls) > 1:
+                for eid in sorted(cls):
+                    residual = relations.reduce(Cycle(self.basis, {}, {eid: ONE}))
+                    lead = next((c for c in residual.vector if c), None)
+                    out[eid] = (residual, _monic(residual).vector, lead)
+        return out
+
+    @cached_property
     def residue_forms(self) -> tuple[tuple[int, int, Cycle], ...]:
         """All nonzero residue forms (row index, passage, form) of the rref rows.
 
@@ -328,8 +343,8 @@ class EquationSystem:
 def system_violations(system: EquationSystem) -> list[Violation]:
     out: list[Violation] = []
     if system.real:
-        for k, eq in enumerate(system.equations):
-            if not eq.cycle.is_real():
+        for k, cycle in enumerate(system.equations):
+            if not cycle.is_real():
                 out.append(
                     Violation(f"equation {k}", "real-coefficients", "complex coefficient in a real system")
                 )
@@ -373,17 +388,6 @@ def _support_subspace(
         Cycle.from_vector(system.basis, linalg.combine(coords, system._row_vectors))
         for coords in _support_coords(system, allowed, max_level)
     ]
-
-
-def correlation_keys(system: EquationSystem) -> dict[str, tuple]:
-    """A key per horizontal edge: {a, b} is correlated exactly when a and b
-    have equal keys.
-
-    The kernel of W's columns a and b has a vector with both entries nonzero
-    exactly when the columns are both zero or both nonzero and parallel, so
-    pairwise correlation is an equivalence relation.
-    """
-    return system.annihilator[1]
 
 
 def is_correlated(system: EquationSystem, edges: Iterable[str]) -> bool:
@@ -692,16 +696,6 @@ def _kept_mask(system: EquationSystem, undeg: Undegeneration) -> int:
     return kept
 
 
-def lost_count(system: EquationSystem, undeg: Undegeneration) -> int:
-    """Rows whose remapped top level crosses a surviving horizontal edge.
-
-    Rows that cross a horizontal node at their (relabeled) top level do not
-    restrict the smaller boundary stratum; they are the defining equations
-    lost there.
-    """
-    return passage_table(system, undeg).lost(_kept_mask(system, undeg))
-
-
 class UndegClassification(NamedTuple):
     undegeneration: Undegeneration
     codim_in_total: int
@@ -733,7 +727,7 @@ def classify_undegeneration(system: EquationSystem, undeg: Undegeneration) -> Un
         if l2 == 1 and h2 == 0:
             branch = "vertical"
         elif l2 == 0:
-            keys = correlation_keys(system)
+            keys = system.annihilator[1]
             ok = len({keys[e] for e in undeg.kept_horizontal}) <= 1
             branch = "horizontal" if ok else "theorem-violating"
         else:
@@ -778,31 +772,27 @@ def proportionality_obligations(
 ) -> tuple[list[tuple[str, str]], list[tuple[str, Cycle]]]:
     """Missing proportionalities per cross-equivalence class.
 
-    Reduces each member period symbol modulo the combined relation span and
-    groups projectively-equal residuals; classes whose members fall into more
-    than one group owe the proportionalities linking consecutive groups.
-    Returns (obligations, forced_vanishing) where the second lists members
-    whose period symbol reduces to zero outright.
+    Groups each class's members by the key of their reduced period symbol
+    (``EquationSystem.residuals``); classes whose members fall into more than
+    one group owe the proportionalities linking consecutive groups.  Returns
+    (obligations, forced_vanishing) where the second lists members whose
+    period symbol reduces to zero outright.
     """
-    relations = system.reduction_relations
+    residuals = system.residuals
     obligations: list[tuple[str, str]] = []
     forced: list[tuple[str, Cycle]] = []
     for cls in system.cross_equivalence_classes:
         if len(cls) < 2:
             continue
-        reps: dict[tuple, str] = {}
-        order: list[str] = []
+        firsts: dict[tuple, str] = {}
         for eid in sorted(cls):
-            residual = relations.reduce(Cycle(system.basis, {}, {eid: ONE}))
-            if residual.is_zero():
+            _, key, lead = residuals[eid]
+            if lead is None:
                 forced.append((eid, Cycle(system.basis, {}, {eid: ONE})))
-                continue
-            key = _monic(residual).vector
-            if key not in reps:
-                reps[key] = eid
-                order.append(eid)
-        for a, b in zip(order, order[1:]):
-            obligations.append((a, b))
+            else:
+                firsts.setdefault(key, eid)
+        order = list(firsts.values())
+        obligations += zip(order, order[1:])
     return obligations, forced
 
 

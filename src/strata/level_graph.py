@@ -127,15 +127,6 @@ class EnhancedLevelGraph:
         return len(seen) == len(self.vertices)
 
 
-class LevelPassage(NamedTuple):
-    index: int
-    crossing: tuple[str, ...]
-
-
-def passages(graph: EnhancedLevelGraph) -> tuple[LevelPassage, ...]:
-    return tuple([LevelPassage(i, graph.crossing_edges(i)) for i in graph.passage_indices()])
-
-
 def validate(graph: EnhancedLevelGraph) -> list[Violation]:
     """All level-graph invariants; an empty list means the graph is usable."""
     out: list[Violation] = []

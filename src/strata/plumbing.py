@@ -22,7 +22,7 @@ from .equations import (
     cross_equivalence_classes,
 )
 from .errors import ConversionError, PlumbingError
-from .gaussian import ONE, ZERO, GaussianRational
+from .gaussian import ONE, ZERO
 from .homology import Cycle, pair
 
 
@@ -83,7 +83,7 @@ def convert(system: EquationSystem, assume_theorems: bool = False) -> list[Plumb
         raise ConversionError(
             f"system is inconsistent (rule {certificate.rule}); nothing to convert"
         )
-    relations = system.reduction_relations
+    residuals = system.residuals
     out: list[PlumbingEquation] = []
     n_units = 0
     n_analytic = 0
@@ -94,22 +94,21 @@ def convert(system: EquationSystem, assume_theorems: bool = False) -> list[Plumb
             continue
         support = sorted(eq.hor_support)
         ref = support[0]
-        ref_residual = relations.reduce(Cycle(system.basis, {}, {ref: ONE}))
-        if ref_residual.is_zero():
+        _, ref_key, ref_lead = residuals[ref]
+        if ref_lead is None:
             raise ConversionError(
                 f"period over {ref} is forced to vanish; no binomial normal form",
                 missing=f"lambda[{ref}] nonvanishing",
             )
         ratios: list[Fraction] = []
         for eid in support:
-            residual = relations.reduce(Cycle(system.basis, {}, {eid: ONE}))
-            rho = _projective_factor(residual, ref_residual)
-            if rho is None:
+            _, key, lead = residuals[eid]
+            if key != ref_key:
                 raise ConversionError(
                     f"row {k}: no relation links the period over {eid} to the one over {ref}",
                     missing=f"lambda[{eid}] ~ lambda[{ref}]",
                 )
-            q = pair(eq.cycle, eid) * rho
+            q = pair(eq.cycle, eid) * (lead / ref_lead)
             if not q.is_real():
                 raise ConversionError(
                     f"row {k}: period ratio between {eid} and {ref} is not rational",
@@ -128,15 +127,6 @@ def convert(system: EquationSystem, assume_theorems: bool = False) -> list[Plumb
         n_units += 1
         out.append(Binomial(f"f{n_units}", i_exp, j_exp, k))
     return out
-
-
-def _projective_factor(candidate: Cycle, reference: Cycle) -> GaussianRational | None:
-    """rho with candidate == rho * reference, or None."""
-    col = next((k for k, a in enumerate(candidate.vector) if a), None)
-    if col is None or not reference.vector[col]:
-        return None
-    rho = candidate.vector[col] / reference.vector[col]
-    return rho if candidate == reference.scale(rho) else None
 
 
 class LocalModel(NamedTuple):

@@ -203,7 +203,7 @@ class _RefoldingSystem(EquationSystem):
 def refolding_report(system: EquationSystem, assume_theorems: bool = False) -> ConsistencyCertificate:
     twin = _RefoldingSystem(
         system.basis,
-        [eq.cycle for eq in system.equations],
+        system.equations,
         real=system.real,
         minimal_stratum=system.minimal_stratum,
         relations=system.relations,

@@ -1,0 +1,108 @@
+"""Reference implementations kept as oracles for the residual table.
+
+``convert`` is ``strata.plumbing.convert`` as it was before
+``EquationSystem.residuals``: every horizontal-crossing row reduces the
+reference node's period symbol and each crossed node's again, modulo
+``reduction_relations``, and ``projective_factor`` reads the ratio of two
+residuals off their first nonzero column.  ``proportionality_obligations``
+is ``strata.equations.proportionality_obligations`` from the same time: it
+reduces each class member and groups the residuals by their monic vectors.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from strata import linalg
+from strata.equations import EquationSystem, _monic, consistency_report
+from strata.errors import ConversionError
+from strata.gaussian import ONE, GaussianRational
+from strata.homology import Cycle, pair
+from strata.plumbing import Analytic, Binomial, PlumbingEquation, _top_restriction
+
+
+def convert(system: EquationSystem, assume_theorems: bool = False) -> list[PlumbingEquation]:
+    certificate = consistency_report(system, assume_theorems=assume_theorems)
+    if not certificate.consistent:
+        raise ConversionError(
+            f"system is inconsistent (rule {certificate.rule}); nothing to convert"
+        )
+    relations = system.reduction_relations
+    out: list[PlumbingEquation] = []
+    n_units = 0
+    n_analytic = 0
+    for k, eq in enumerate(system.rref_rows):
+        if not eq.hor_support:
+            n_analytic += 1
+            out.append(Analytic(f"G{n_analytic}", _top_restriction(system, eq), k))
+            continue
+        support = sorted(eq.hor_support)
+        ref = support[0]
+        ref_residual = relations.reduce(Cycle(system.basis, {}, {ref: ONE}))
+        if ref_residual.is_zero():
+            raise ConversionError(
+                f"period over {ref} is forced to vanish; no binomial normal form",
+                missing=f"lambda[{ref}] nonvanishing",
+            )
+        ratios: list[Fraction] = []
+        for eid in support:
+            residual = relations.reduce(Cycle(system.basis, {}, {eid: ONE}))
+            rho = projective_factor(residual, ref_residual)
+            if rho is None:
+                raise ConversionError(
+                    f"row {k}: no relation links the period over {eid} to the one over {ref}",
+                    missing=f"lambda[{eid}] ~ lambda[{ref}]",
+                )
+            q = pair(eq.cycle, eid) * rho
+            if not q.is_real():
+                raise ConversionError(
+                    f"row {k}: period ratio between {eid} and {ref} is not rational",
+                    missing=f"rational ratio lambda[{eid}] ~ lambda[{ref}]",
+                )
+            ratios.append(q.as_fraction())
+        exponents = linalg.clear_denominators(ratios)
+        if exponents[0] < 0:
+            exponents = [-n for n in exponents]
+        if all(n > 0 for n in exponents) or all(n < 0 for n in exponents):
+            raise ConversionError(
+                f"row {k}: all log coefficients share a sign; boundary point not in closure"
+            )
+        i_exp = tuple([(eid, n) for eid, n in zip(support, exponents) if n > 0])
+        j_exp = tuple([(eid, -n) for eid, n in zip(support, exponents) if n < 0])
+        n_units += 1
+        out.append(Binomial(f"f{n_units}", i_exp, j_exp, k))
+    return out
+
+
+def projective_factor(candidate: Cycle, reference: Cycle) -> GaussianRational | None:
+    """rho with candidate == rho * reference, or None."""
+    col = next((k for k, a in enumerate(candidate.vector) if a), None)
+    if col is None or not reference.vector[col]:
+        return None
+    rho = candidate.vector[col] / reference.vector[col]
+    return rho if candidate == reference.scale(rho) else None
+
+
+def proportionality_obligations(
+    system: EquationSystem,
+) -> tuple[list[tuple[str, str]], list[tuple[str, Cycle]]]:
+    relations = system.reduction_relations
+    obligations: list[tuple[str, str]] = []
+    forced: list[tuple[str, Cycle]] = []
+    for cls in system.cross_equivalence_classes:
+        if len(cls) < 2:
+            continue
+        reps: dict[tuple, str] = {}
+        order: list[str] = []
+        for eid in sorted(cls):
+            residual = relations.reduce(Cycle(system.basis, {}, {eid: ONE}))
+            if residual.is_zero():
+                forced.append((eid, Cycle(system.basis, {}, {eid: ONE})))
+                continue
+            key = _monic(residual).vector
+            if key not in reps:
+                reps[key] = eid
+                order.append(eid)
+        for a, b in zip(order, order[1:]):
+            obligations.append((a, b))
+    return obligations, forced

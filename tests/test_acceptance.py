@@ -342,7 +342,7 @@ def test_criterion_10_aim_suite(capsys):
         triple = load_document(str(FIXTURES / "triple_node_cover.json"))
         forced = EquationSystem(
             triple.basis,
-            [eq.cycle for eq in triple.system().equations],
+            triple.system().equations,
             real=True,
             minimal_stratum=True,
             relations=triple.system().relations,

@@ -193,7 +193,7 @@ def test_lemma_bound_gates():
     parallel_system, parallel_data = aim_parallel_fixture(r, 2)
     stripped = EquationSystem(
         parallel_system.basis,
-        [eq.cycle for eq in parallel_system.equations],
+        parallel_system.equations,
         real=True,
         minimal_stratum=True,
         relations=parallel_system.relations,
@@ -222,7 +222,7 @@ def test_pairwise_cross_witness_negative(documents):
         pairwise_cross_witness(system, None, "e1", "e2")
     forced = EquationSystem(
         system.basis,
-        [eq.cycle for eq in system.equations],
+        system.equations,
         real=system.real,
         minimal_stratum=True,
         relations=system.relations,
@@ -271,7 +271,7 @@ def test_pairwise_circum_refusal(documents):
     # the target, so the refusal is genuine and not an artifact of the gate.
     forced = EquationSystem(
         basis,
-        [eq.cycle for eq in system.equations],
+        system.equations,
         real=system.real,
         minimal_stratum=True,
         relations=system.relations,

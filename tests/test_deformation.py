@@ -37,8 +37,8 @@ def test_evaluate_examples(documents):
     system = doc.system()
     assignment = doc.periods()
     assert evaluate(system.basis.zero(), assignment) == ZERO
-    for eq in system.equations:
-        assert evaluate(eq.cycle, assignment) == ZERO
+    for cycle in system.equations:
+        assert evaluate(cycle, assignment) == ZERO
     assert evaluate(Cycle(system.basis, {"d1": ONE}, {}), assignment) == GaussianRational(1, 1)
 
 

@@ -394,6 +394,20 @@ def test_analyze_limit_skips_table(tmp_path):
     assert "skipped" in output and "passages=" not in output
 
 
+@pytest.mark.parametrize("command", ["validate", "deform"])
+@pytest.mark.parametrize(
+    "value",
+    ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, '"1e400"', "[1, NaN]", "[0, -Infinity]", "[1e400, 0]"],
+)
+def test_non_finite_approximate_periods_are_parse_errors(tmp_path, command, value):
+    data = json.loads((FIXTURES / "parallel_cylinders.json").read_text())
+    data["periods"]["mode"] = "approximate"
+    data["periods"]["lambda"]["e1"] = "VALUE"
+    path = tmp_path / "periods.json"
+    path.write_text(json.dumps(data).replace('"VALUE"', value))
+    assert run_cli(command, str(path)) == (64, "parse error at $.periods.lambda.e1: expected a finite number\n")
+
+
 def test_console_script_installed():
     import shutil
 
@@ -404,6 +418,21 @@ def test_console_script_installed():
         [exe, "validate", str(FIXTURES / "three_node_pinch.json")], capture_output=True
     )
     assert proc.returncode == 0
+
+
+def test_console_script_target_runs_in_process(monkeypatch, capsys):
+    """The wiring an install turns into the ``strata`` script, checked without one."""
+    import importlib
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((FIXTURES.parent / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"] == {"strata": "strata.cli:main"}
+    module, _, name = pyproject["project"]["scripts"]["strata"].partition(":")
+    target = getattr(importlib.import_module(module), name)
+    # A console script calls its target with no arguments, so it reads sys.argv.
+    monkeypatch.setattr(sys, "argv", ["strata", "validate", str(FIXTURES / "three_node_pinch.json")])
+    assert target() == 0
+    assert capsys.readouterr().out.startswith("ok: ")
 
 
 def test_json_outputs_parse_and_roundtrip():

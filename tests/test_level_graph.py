@@ -11,7 +11,6 @@ from strata.level_graph import (
     enumerate_undegenerations,
     lcm_weight,
     passage_weight,
-    passages,
     top_vertices_have_horizontal,
     validate,
 )
@@ -228,9 +227,8 @@ def test_composition_error_paths():
 
 def test_passages_listing():
     graph = two_level_graph((2, 3))
-    listing = passages(graph)
-    assert [p.index for p in listing] == [-1]
-    assert listing[0].crossing == ("v1", "v2")
+    assert graph.passage_indices() == (-1,)
+    assert graph.crossing_edges(-1) == ("v1", "v2")
 
 
 def test_derived_edge_data_is_computed_once_and_matches_a_scan():

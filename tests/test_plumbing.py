@@ -1,8 +1,16 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from strata.equations import EquationSystem, ProportionalityData
+import oracle_plumbing
+from strata import cli, homology, plumbing
+from strata.equations import (
+    ConsistencyCertificate,
+    EquationSystem,
+    ProportionalityData,
+    proportionality_obligations,
+)
 from strata.errors import ConversionError, PlumbingError
 from strata.gaussian import ONE, GaussianRational
 from strata.homology import Cycle
@@ -15,7 +23,14 @@ from strata.plumbing import (
     lattice_analysis,
     local_model,
 )
-from support import adapted_basis_for, loop_graph, rng, two_level_graph
+from support import (
+    adapted_basis_for,
+    cylinders_system,
+    loop_graph,
+    rng,
+    two_level_graph,
+    write_cylinders_document,
+)
 
 
 def test_convert_worked_example(documents):
@@ -295,3 +310,126 @@ def test_hurwitz_rule():
 
     empty = EquationSystem(vertical_basis, [])
     assert hurwitz_rule(empty) is None
+
+
+# -- the residual table against the per-row reductions ------------------------------
+
+
+def _outcome(fn, system, assume_theorems):
+    """The converted rows, or the ConversionError's text and ``missing``."""
+    try:
+        return fn(system, assume_theorems=assume_theorems)
+    except ConversionError as exc:
+        return str(exc), exc.missing
+
+
+def _assert_matches_oracle(system, assume_theorems=False):
+    got = _outcome(convert, system, assume_theorems)
+    assert got == _outcome(oracle_plumbing.convert, system, assume_theorems)
+    assert proportionality_obligations(system) == oracle_plumbing.proportionality_obligations(system)
+    relations = system.reduction_relations
+    for eid, (residual, _, _) in system.residuals.items():
+        assert residual == relations.reduce(Cycle(system.basis, {}, {eid: ONE}))
+    return got
+
+
+def test_residual_table_matches_the_per_row_reductions_on_fixtures_and_cylinders(documents):
+    for doc in documents.values():
+        for assume in (False, True):
+            _assert_matches_oracle(doc.system(), assume)
+    for g in range(2, 13):
+        assert isinstance(_assert_matches_oracle(cylinders_system(g)), list)
+
+
+def _random_conversion_system(r) -> EquationSystem:
+    """Rows crossing random sets of 2-4 horizontal loops, with random relations,
+    single-node relations and ratios, some of them complex."""
+    basis = adapted_basis_for(loop_graph(r.randint(2, 4)))
+    edges = basis.graph.horizontal_edges
+
+    def coefficient():
+        return GaussianRational(r.choice([-2, -1, 1, 2]), r.choice([0, 0, 0, 1]))
+
+    rows = []
+    for _ in range(r.randint(1, 3)):
+        coeffs = {f"d_{e}": coefficient() for e in r.sample(edges, r.randint(0, len(edges)))}
+        if r.random() < 0.5:
+            coeffs["n0_0"] = coefficient()
+        rows.append(Cycle(basis, coeffs, {e: coefficient() for e in edges if r.random() < 0.15}))
+    relations = [
+        Cycle(basis, {}, {a: ONE, b: coefficient()}) for a, b in combinations(edges, 2) if r.random() < 0.2
+    ]
+    relations += [Cycle(basis, {}, {e: ONE}) for e in edges if r.random() < 0.05]
+    ratios = ProportionalityData(
+        [
+            (a, b, Fraction(r.choice([-3, -1, 1, 2]), r.randint(1, 3)))
+            for a, b in zip(edges, edges[1:])
+            if r.random() < 0.4
+        ]
+    )
+    return EquationSystem(basis, rows, relations=relations, ratios=ratios)
+
+
+def _kind(outcome) -> str:
+    if isinstance(outcome, list):
+        return "converted"
+    text = outcome[0]
+    kinds = ("inconsistent", "forced to vanish", "no relation links", "not rational", "share a sign")
+    return next(kind for kind in kinds if kind in text)
+
+
+def test_residual_table_matches_the_per_row_reductions_on_random_systems(monkeypatch):
+    def passing(system, assume_theorems=False):
+        return ConsistencyCertificate("consistent")
+
+    r = rng(5301)
+    kinds = set()
+    for _ in range(400):
+        system = _random_conversion_system(r)
+        assume = r.random() < 0.5
+        kinds.add(_kind(_assert_matches_oracle(system, assume)))
+        if plumbing.consistency_report(system, assume_theorems=assume).rule == "R5":
+            # R5 refuses a period forced to vanish before convert reads the table;
+            # past a passing gate, the table's zero residuals reach convert.
+            with monkeypatch.context() as patched:
+                patched.setattr(plumbing, "consistency_report", passing)
+                patched.setattr(oracle_plumbing, "consistency_report", passing)
+                kinds.add(_kind(_assert_matches_oracle(system, assume)))
+    assert kinds == {
+        "converted", "inconsistent", "forced to vanish", "no relation links", "not rational", "share a sign"
+    }
+
+
+# analyze's LambdaRelationSet.reduce calls per fixture before the residual table;
+# the table may not add any.
+ANALYZE_REDUCTIONS = {
+    "double_cover_relation": 6, "intro_two_level": 1, "minimal_stratum_parallel": 3,
+    "parallel_cylinders": 2, "stacked_cylinders": 2, "three_node_pinch": 3, "triple_node_cover": 3,
+}
+
+
+def test_each_period_symbol_is_reduced_once(monkeypatch, fixture_dir, tmp_path, capsys):
+    counts = [0]
+    original = homology.LambdaRelationSet.reduce
+
+    def counting(self, cycle):
+        counts[0] += 1
+        return original(self, cycle)
+
+    def reductions(*argv):
+        counts[0] = 0
+        cli.main(list(argv))
+        return counts[0]
+
+    monkeypatch.setattr(homology.LambdaRelationSet, "reduce", counting)
+    g9 = write_cylinders_document(tmp_path / "g9.json", 9)
+    # One reduction per horizontal node; re-reducing per row made plumb's 33.
+    assert reductions("plumb", g9) == 9
+    assert reductions("analyze", g9) == 9
+    for name, most in ANALYZE_REDUCTIONS.items():
+        path = str(fixture_dir / f"{name}.json")
+        analyze = reductions("analyze", path)
+        assert analyze <= most
+        # plumb converts from the table its R5 check built, reducing nothing more.
+        assert reductions("plumb", path) == analyze
+    capsys.readouterr()

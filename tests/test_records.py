@@ -14,7 +14,7 @@ import pytest
 from strata import aim, deformation, document, equations, errors, homology, level_graph, plumbing
 from strata.deformation import RowOutcome, ShearStretch
 from strata.errors import Violation
-from strata.level_graph import Edge, LevelPassage, Undegeneration
+from strata.level_graph import Edge, Undegeneration
 
 MODULES = (aim, deformation, document, equations, errors, homology, level_graph, plumbing)
 
@@ -34,7 +34,7 @@ RECORDS = sorted(
 EXPECTED = {
     "Analytic", "BasisElement", "Binomial", "ConsistencyCertificate", "CrossWitnessResult",
     "CylinderClass", "DecomposeResult", "DeformationReport", "DeformationSpec", "Edge",
-    "HurwitzCertificate", "LatticeReport", "LemmaBoundReport", "LevelPassage", "LocalModel",
+    "HurwitzCertificate", "LatticeReport", "LemmaBoundReport", "LocalModel",
     "Marking", "PassageTable", "RawEquation", "RawPeriods", "RawSymplectic",
     "RowOutcome", "ShearStretch", "SmoothingWitness", "SubspaceReport", "UndegClassification",
     "Undegeneration", "Vertex", "Violation",
@@ -93,7 +93,6 @@ def test_violation_prints_as_before():
 
 def test_index_fields_read_the_field():
     assert RowOutcome(3, "preserved", "0", "").index == 3
-    assert LevelPassage(-1, ("v1",)).index == -1
 
 
 def test_a_positive_stretch_is_a_record(fixture_dir):

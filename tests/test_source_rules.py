@@ -287,3 +287,149 @@ def test_the_unused_import_rule_sees_every_form():
         "    return os.path.join(linalg.rref(x), hor_support)\n"
     )
     assert _unused_imports(tree) == [(2, "json"), (3, "np"), (5, "is_correlated")]
+
+
+# -- reach ---------------------------------------------------------------------------
+
+# Public names that no `src/strata` module reads, kept as declared library API.
+LIBRARY_API = (
+    # Paper results the acceptance criteria check: primitive sets (criterion 5),
+    # residue relations against Picard-Lefschetz monodromy (7), decomposition (8).
+    "equations.primitive_sets",
+    "equations.residue_relation",
+    "homology.picard_lefschetz",
+    "equations.decompose",
+    "equations.DecomposeResult.components",
+    # The smoothing claim of the paper's abstract, reached only as library code.
+    "plumbing.can_smooth",
+    # Read by the benchmark's traced run.
+    "homology.Cycle.to_vector",
+    # Helpers the tests call.
+    "homology.LambdaRelationSet.contains",
+    "level_graph.EnhancedLevelGraph.has_edge",
+    "level_graph.Undegeneration.surviving_edges",
+    "level_graph.Undegeneration.target_codim",
+    "level_graph.Undegeneration.then",
+    "level_graph.top_vertices_have_horizontal",
+)
+
+
+def _bound_names(function) -> set[str]:
+    """Names a function binds itself (parameters, assignment targets, imports,
+    nested definitions), not those bound inside a nested function or class."""
+    args = function.args
+    names = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg] if a}
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name.split(".")[0] for a in node.names}
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif not isinstance(node, ast.Lambda):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _reads(module: str, tree: ast.Module) -> list[tuple[tuple[str | None, str], ast.AST]]:
+    """(key, node) of every read in a module.
+
+    A ``Name`` load that no enclosing function binds is keyed (module, name)
+    when it names one of this module's definitions or a name imported from a
+    package module.  An ``Attribute`` load is keyed (None, attribute), a read
+    of every method and property so named, and also (module, attribute) when
+    its base names an imported package module.
+    """
+    own = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    imported = {}  # alias -> (module, name); name None for a module itself
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                imported[a.asname or a.name] = (node.module, a.name) if node.module else (a.name, None)
+    out = []
+
+    def visit(node, bound):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            bound = bound | _bound_names(node)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+            if node.id in own:
+                out.append(((module, node.id), node))
+            elif node.id in imported and imported[node.id][1] is not None:
+                out.append((imported[node.id], node))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append(((None, node.attr), node))
+            base = node.value
+            if isinstance(base, ast.Name) and base.id not in bound and imported.get(base.id, ("", ""))[1] is None:
+                out.append(((imported[base.id][0], node.attr), node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, frozenset())
+    return out
+
+
+def _unread(trees: dict[str, ast.Module]) -> list[str]:
+    """Qualified names of the public module-level functions and classes, and the
+    public methods and properties of module-level classes, that no module reads
+    outside their own definition.  ``__init__`` only re-exports, so its imports
+    are not reads."""
+    reads = [read for module, tree in trees.items() if module != "__init__" for read in _reads(module, tree)]
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [(f"{module}.{node.name}", (module, node.name), node)]
+            if isinstance(node, ast.ClassDef):
+                members += [
+                    (f"{module}.{node.name}.{item.name}", (None, item.name), item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                ]
+            for qualified, key, definition in members:
+                if key[1].startswith("_"):
+                    continue
+                inside = {id(n) for n in ast.walk(definition)}
+                if not any(k == key and id(n) not in inside for k, n in reads):
+                    out.append(qualified)
+    return out
+
+
+def test_every_public_name_is_read_or_declared_library_api():
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    assert sorted(_unread(trees)) == sorted(LIBRARY_API)
+
+
+def test_the_reach_rule_resolves_reads_through_imports():
+    sources = {
+        "__init__": "from .a import Table, helper, used, wrapper\nfrom .c import passages\n",
+        "a": (
+            "def used(x):\n"
+            "    return helper(x)\n"
+            "def helper(x):\n"
+            "    return helper(x - 1) if x else 0\n"
+            "def wrapper(x):\n"
+            "    return wrapper(x)\n"
+            "class Table:\n"
+            "    @property\n"
+            "    def rows(self):\n"
+            "        return self.rows\n"
+            "    def lost(self):\n"
+            "        return 0\n"
+            "    def _mask(self):\n"
+            "        return 0\n"
+        ),
+        "b": (
+            "from . import a\n"
+            "from .a import used, wrapper\n"
+            "def run(t, passages):\n"
+            "    return used(passages), a.Table, t.lost()\n"
+            "def shadow(wrapper):\n"
+            "    return wrapper\n"
+        ),
+        "c": "def passages(graph):\n    return graph\n",
+    }
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    assert _unread(trees) == ["a.wrapper", "a.Table.rows", "b.run", "b.shadow", "c.passages"]
