@@ -296,11 +296,16 @@ def pairwise_circum_decompose(
 ) -> list[Cycle]:
     """Write a pure circumference-period equation as two-node proportionalities.
 
-    Solves for a combination of two-node period forms in the extended span,
-    preferring forms supported on the input's own nodes, then repeatedly
-    rewrites away any term touching an outside node.  Every output is a
-    two-node (or smaller) period form in the extended span and the outputs
-    sum exactly to the input.
+    One solve over the two-node period forms in the extended span, the pairs
+    inside the input's node set T listed first, is enough.  A pair's forms
+    span every pure-span vector on that pair, so in any solution the forms
+    meeting an outside node o cancel at o and regroup as pure-span vectors on
+    pairs avoiding o; eliminating each outside node in turn writes the input
+    over the pairs inside T.  ``solve_linear`` pivots from the left and sets
+    free variables to 0, so it gives every later form weight zero.  With one
+    node a, every form meeting a is a multiple of e_a, so the solve uses one
+    of those alone.  Every output is a two-node (or smaller) period form on T,
+    and the outputs sum to the input.
     """
     _require_minimal(system, data)
     horizontal = _horizontal_columns(system)
@@ -321,59 +326,14 @@ def pairwise_circum_decompose(
             " forms; no pairwise decomposition exists in this span"
         )
     terms = [form.scale(c) for c, (_, form) in zip(solution, candidates) if c]
-    terms = _rewrite_outside_terms(terms, set(target_nodes))
+    inside = set(target_nodes)
     total = system.basis.zero()
     for t in terms:
         total = total + t
-        assert len(t.lam) <= 2 and not t.coeffs
+        assert len(t.lam) <= 2 and not t.coeffs and set(t.lam) <= inside
         assert system.extended_span_contains(t)
     assert (total - cycle).is_zero()
     return terms
-
-
-def _rewrite_outside_terms(terms: list[Cycle], inside: set[str]) -> list[Cycle]:
-    """Eliminate terms meeting outside nodes by pairwise recombination."""
-    work = [t for t in terms if not t.is_zero()]
-    for _ in range(10_000):
-        mixed = None
-        for idx, t in enumerate(work):
-            outside_nodes = sorted(set(t.lam) - inside)
-            if outside_nodes and len(set(t.lam) & inside) > 0:
-                mixed = (idx, t, outside_nodes[0])
-                break
-        if mixed is None:
-            keep = [t for t in work if set(t.lam) <= inside]
-            drop = [t for t in work if not set(t.lam) <= inside]
-            if drop:
-                total = drop[0]
-                for t in drop[1:]:
-                    total = total + t
-                if not total.is_zero():
-                    raise AimError(
-                        "recombination stuck: outside-node terms do not cancel"
-                    )
-            return keep
-        idx, term1, node = mixed
-        partner = None
-        for k, t in enumerate(work):
-            if k != idx and node in t.lam:
-                partner = k
-                break
-        if partner is None:
-            raise AimError(f"recombination stuck: unmatched outside node {node}")
-        c1 = term1.lam[node]
-        c2 = work[partner].lam[node]
-        scaled = term1.scale(c2 / c1)
-        new_terms = [
-            t for k, t in enumerate(work) if k not in (idx, partner)
-        ]
-        combined1 = term1 + scaled
-        combined2 = work[partner] - scaled
-        for t in (combined1, combined2):
-            if not t.is_zero():
-                new_terms.append(t)
-        work = new_terms
-    raise AssertionError("recombination failed to terminate")
 
 
 def at_most_two_decompose(

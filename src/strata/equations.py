@@ -98,8 +98,9 @@ class ProportionalityData:
 
         The pair (ratio_to_root, conflicts), where ratio_to_root maps each
         declared edge to (root, q) with period(edge) = q * period(root), roots
-        chosen as the smallest edge of each connected component.  Built once:
-        the entries never change.
+        chosen as the smallest edge of each connected component, and conflicts
+        lists each declared entry the closure contradicts, once, in declared
+        order and direction.  Built once: the entries never change.
         """
         adjacency: dict[str, list[tuple[str, Fraction]]] = {}
         for e, ep, q in self.entries:
@@ -108,7 +109,6 @@ class ProportionalityData:
             adjacency.setdefault(e, []).append((ep, q))
             adjacency.setdefault(ep, []).append((e, 1 / q))
         ratio: dict[str, tuple[str, Fraction]] = {}
-        conflicts: list[tuple[str, str, str]] = []
         for root in sorted(adjacency):
             if root in ratio:
                 continue
@@ -118,16 +118,15 @@ class ProportionalityData:
                 x = queue.pop(0)
                 _, rx = ratio[x]
                 for y, q_xy in adjacency[x]:
-                    # period(x) = q_xy * period(y), so period(y) = period(x)/q_xy
-                    ry = rx / q_xy
-                    if y in ratio:
-                        if ratio[y][1] != ry:
-                            conflicts.append(
-                                (x, y, f"chain gives {ry}, declared closure gives {ratio[y][1]}")
-                            )
-                    else:
-                        ratio[y] = (root, ry)
+                    if y not in ratio:
+                        # period(x) = q_xy * period(y), so period(y) = period(x)/q_xy
+                        ratio[y] = (root, rx / q_xy)
                         queue.append(y)
+        conflicts = [
+            (e, ep, f"chain gives {ratio[e][1] / q}, declared closure gives {ratio[ep][1]}")
+            for e, ep, q in self.entries
+            if q and ratio[e][1] / q != ratio[ep][1]
+        ]
         return ratio, conflicts
 
     def ratio(self, e: str, ep: str) -> Fraction | None:
@@ -311,7 +310,9 @@ class EquationSystem:
         ``reduction_relations``, the residual's monic vector (its key) and its
         first nonzero entry (its lead, None for a zero residual).  Two periods
         are proportional exactly when both have leads and equal keys, in the
-        ratio of their leads.
+        ratio of their leads.  A zero residual puts its period in the span of
+        the relations, so only systems that ``consistency_report`` refuses
+        (at R5 at the latest) have a None lead.
         """
         relations = self.reduction_relations
         out = {}
@@ -767,33 +768,28 @@ def _single_lambda_term(cycle: Cycle) -> str | None:
     return carriers[0][1] if len(carriers) == 1 and carriers[0][0] == "l" else None
 
 
-def proportionality_obligations(
-    system: EquationSystem,
-) -> tuple[list[tuple[str, str]], list[tuple[str, Cycle]]]:
+def proportionality_obligations(system: EquationSystem) -> list[tuple[str, str]]:
     """Missing proportionalities per cross-equivalence class.
 
     Groups each class's members by the key of their reduced period symbol
     (``EquationSystem.residuals``); classes whose members fall into more than
-    one group owe the proportionalities linking consecutive groups.  Returns
-    (obligations, forced_vanishing) where the second lists members whose
-    period symbol reduces to zero outright.
+    one group owe the proportionalities linking consecutive groups.  A member
+    whose symbol reduces to zero joins no group; ``consistency_report``
+    refuses such a system at R5 before it asks for obligations.
     """
     residuals = system.residuals
     obligations: list[tuple[str, str]] = []
-    forced: list[tuple[str, Cycle]] = []
     for cls in system.cross_equivalence_classes:
         if len(cls) < 2:
             continue
         firsts: dict[tuple, str] = {}
         for eid in sorted(cls):
             _, key, lead = residuals[eid]
-            if lead is None:
-                forced.append((eid, Cycle(system.basis, {}, {eid: ONE})))
-            else:
+            if lead is not None:
                 firsts.setdefault(key, eid)
         order = list(firsts.values())
         obligations += zip(order, order[1:])
-    return obligations, forced
+    return obligations
 
 
 def consistency_report(system: EquationSystem, assume_theorems: bool = False) -> ConsistencyCertificate:
@@ -803,9 +799,10 @@ def consistency_report(system: EquationSystem, assume_theorems: bool = False) ->
     R2  residue forms must not force a nonvanishing period to zero;
     R3  cross-equivalence classes lie at a single level;
     R4  rows cross no horizontal node strictly below their top level;
-    R5  periods within a class must be proportional (missing ratios are
-        obligations), and the combined relations must not force a
-        nonvanishing period to zero.
+    R5  the combined relations must not force a nonvanishing period to zero
+        (a unit vector in their span is one of their echelon rows, so past
+        this every residual is nonzero), and periods within a class must be
+        proportional (missing ratios are obligations).
     """
     trace: list[str] = []
     graph = system.graph
@@ -864,11 +861,7 @@ def consistency_report(system: EquationSystem, assume_theorems: bool = False) ->
         if eid is not None and eid in system.nonvanishing:
             trace.append(f"R5: combined relations force {_monic(rel).render()} = 0")
             return ConsistencyCertificate("inconsistent", "R5", _monic(rel), (), tuple(trace))
-    obligations, forced = proportionality_obligations(system)
-    for eid, form in forced:
-        if eid in system.nonvanishing:
-            trace.append(f"R5: period of {eid} is forced to vanish")
-            return ConsistencyCertificate("inconsistent", "R5", form, (), tuple(trace))
+    obligations = proportionality_obligations(system)
     if obligations:
         trace.append(
             "R5: missing proportionalities "

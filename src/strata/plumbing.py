@@ -76,7 +76,9 @@ def convert(system: EquationSystem, assume_theorems: bool = False) -> list[Plumb
     multiple of the reference node's, modulo the declared relations, ratios,
     and pure-period rows.  Failing that is a conversion obstruction; a
     coefficient vector of one sign would contradict the boundary point lying
-    in the closure at all.
+    in the closure at all.  Each ratio is a quotient of leads from
+    ``EquationSystem.residuals``: the consistency gate refuses every system
+    with a zero residual, so every lead read here is nonzero.
     """
     certificate = consistency_report(system, assume_theorems=assume_theorems)
     if not certificate.consistent:
@@ -95,11 +97,6 @@ def convert(system: EquationSystem, assume_theorems: bool = False) -> list[Plumb
         support = sorted(eq.hor_support)
         ref = support[0]
         _, ref_key, ref_lead = residuals[ref]
-        if ref_lead is None:
-            raise ConversionError(
-                f"period over {ref} is forced to vanish; no binomial normal form",
-                missing=f"lambda[{ref}] nonvanishing",
-            )
         ratios: list[Fraction] = []
         for eid in support:
             _, key, lead = residuals[eid]

@@ -188,10 +188,10 @@ def parse_gaussian(value, where: str = "<literal>") -> GaussianRational:
     if body.endswith("*"):
         body = body[:-1]
     # Split off the trailing imaginary term at the last sign that is neither
-    # leading nor part of a fraction.
+    # leading, part of a fraction, nor an exponent's sign.
     split = -1
     for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "/+-*":
+        if body[k] in "+-" and body[k - 1] not in "/+-*eE":
             split = k
             break
     if split < 0:

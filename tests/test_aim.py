@@ -1,6 +1,7 @@
 import gc
 import sys
 import weakref
+from itertools import combinations
 
 import pytest
 
@@ -647,11 +648,11 @@ def test_pair_forms_match_the_per_pair_oracle_on_bench_cylinders(g):
     assert _assert_candidates_match(cylinders_document(g).system())
 
 
-def _lambda_system(n_horizontal: int, rows: list[dict], relations=(), seed_basis=None):
+def _lambda_system(n_horizontal: int, rows: list[dict], relations=(), seed_basis=None, minimal_stratum=False):
     basis = adapted_basis_for(loop_graph(n_horizontal), seed_basis)
     cycles = [Cycle(basis, row.get("b", {}), row.get("l", {})) for row in rows]
     relations = [Cycle(basis, {}, lam) for lam in relations]
-    return EquationSystem(basis, cycles, relations=relations)
+    return EquationSystem(basis, cycles, relations=relations, minimal_stratum=minimal_stratum)
 
 
 I = GaussianRational(0, 1)
@@ -707,6 +708,47 @@ def test_pair_forms_match_the_per_pair_oracle_on_random_systems():
         kinds.update(tuple(v) for v in sizes.values())
     # Both of W's columns zero, one zero, and both nonzero and parallel.
     assert {(1, 1), (1,), (2,)} <= kinds
+
+
+def _cancelled_through(forms: list[Cycle], r) -> Cycle | None:
+    """Two forms on different pairs sharing a node, combined so that node cancels, or None."""
+    pairs = [(f, g) for f, g in combinations(forms, 2) if set(f.lam) & set(g.lam) and set(f.lam) != set(g.lam)]
+    if not pairs:
+        return None
+    f, g = r.choice(pairs)
+    o = r.choice(sorted(set(f.lam) & set(g.lam)))
+    return f.scale(g.lam[o]) - g.scale(f.lam[o])
+
+
+def test_pairwise_decomposition_stays_on_the_target_nodes():
+    # Any combination of pair forms, also one cancelled through a shared outside
+    # node, splits into forms on the target's own nodes that sum to it.
+    r = rng(64)
+    units = [ONE, -ONE, I, 1 + I, GaussianRational(2), GaussianRational(1, 3) / 2]
+    cancelled = 0
+    for trial in range(40):
+        h = r.randint(3, 7)
+        edges = [f"e{k + 1}" for k in range(h)]
+        supports = [r.sample(edges, r.choice([2, 2, 3])) for _ in range(r.randint(1, h))]
+        rows = [{"l": {e: r.choice(units) for e in support}} for support in supports]
+        system = _lambda_system(h, rows, seed_basis=r, minimal_stratum=True)
+        forms = [form for _, form in aim._pair_form_candidates(system, [])]
+        if not forms:
+            continue
+        for _ in range(6):
+            target = system.basis.zero()
+            for form in r.sample(forms, r.randint(1, min(3, len(forms)))):
+                target = target + form.scale(r.choice(units))
+            through = _cancelled_through(forms, r)
+            if through is not None and r.random() < 0.5:
+                target, cancelled = target.scale(r.choice([ZERO, ONE])) + through, cancelled + 1
+            parts = pairwise_circum_decompose(target, system)
+            total = system.basis.zero()
+            for part in parts:
+                assert set(part.lam) <= set(target.lam) and not part.coeffs
+                total = total + part
+            assert total == target
+    assert cancelled > 20
 
 
 # -- what the symplectic block costs a verdict ----------------------------------------

@@ -220,6 +220,30 @@ def test_self_ratio_of_one_validates_with_periods(tmp_path):
     assert code == 1 and "ratio e1~e1: ratio-consistency: self-ratio differs from 1" in output
 
 
+RATIO_CONFLICTS = {
+    "chain": (
+        [("e1", "e2", "2"), ("e2", "e3", "3"), ("e1", "e3", "5")],
+        "ratio e2~e3: ratio-consistency: chain gives 1/6, declared closure gives 1/5",
+    ),
+    "declared-twice": (
+        [("e1", "e2", "2"), ("e1", "e2", "3")],
+        "ratio e1~e2: ratio-consistency: chain gives 1/3, declared closure gives 1/2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RATIO_CONFLICTS))
+def test_a_conflicting_ratio_is_reported_once_as_declared(tmp_path, case):
+    entries, violation = RATIO_CONFLICTS[case]
+    doc = json.loads((FIXTURES / "three_node_pinch.json").read_text())
+    doc["system"]["ratios"] = [{"e": e, "e'": ep, "q": q} for e, ep, q in entries]
+    path = tmp_path / "conflict.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("validate", str(path)) == (1, f"violations: 1\n  {violation}\n")
+    payload = {"command": "validate", "violations": [violation]}
+    assert run_cli("validate", str(path), "--json") == (1, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
 @pytest.mark.parametrize("flags", [(), ("--json",)])
 def test_values_past_the_digit_limit_end_in_one_error_line(tmp_path, flags):
     doc = json.loads((FIXTURES / "intro_two_level.json").read_text())

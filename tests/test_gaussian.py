@@ -210,7 +210,20 @@ LITERALS = [
     "", " ", "x", "1+", "1//2", "i i", "1+2", "/3", "3/", "--1", "+-1", "1/-2", "1/+2",
     "1-/2i", "i*", "*i", "1**i", "1+*i", "1e", "e", "_1", "1_", "1__0", "1.2.3", "١٢",
     "²", "1/2/3", "1 / 2", " - 3 / 4 i ", "1" * 5000,
+    "2e-3i", "1+2e-3i", "1+2E+3i", "2e-3", "2e3i", "1e-3+2i", "1e-3-2e-3i", "e-3i", "1e+i",
 ]
+
+
+# A sign right after an exponent's e belongs to the exponent, not to the imaginary part.
+SIGNED_EXPONENTS = {
+    "2e-3i": (0, Fraction(1, 500)), "1+2e-3i": (1, Fraction(1, 500)), "1+2E+3i": (1, 2000),
+    "2e-3": (Fraction(1, 500), 0), "2e3i": (0, 2000), "1e-3+2i": (Fraction(1, 1000), 2),
+}
+
+
+@pytest.mark.parametrize("text", sorted(SIGNED_EXPONENTS))
+def test_signed_exponents_stay_in_their_term(text):
+    assert parse_gaussian(text) == GaussianRational(*SIGNED_EXPONENTS[text])
 
 
 @pytest.mark.parametrize("text", LITERALS)

@@ -6,7 +6,6 @@ import pytest
 import oracle_plumbing
 from strata import cli, homology, plumbing
 from strata.equations import (
-    ConsistencyCertificate,
     EquationSystem,
     ProportionalityData,
     proportionality_obligations,
@@ -326,7 +325,7 @@ def _outcome(fn, system, assume_theorems):
 def _assert_matches_oracle(system, assume_theorems=False):
     got = _outcome(convert, system, assume_theorems)
     assert got == _outcome(oracle_plumbing.convert, system, assume_theorems)
-    assert proportionality_obligations(system) == oracle_plumbing.proportionality_obligations(system)
+    assert proportionality_obligations(system) == oracle_plumbing.proportionality_obligations(system)[0]
     relations = system.reduction_relations
     for eid, (residual, _, _) in system.residuals.items():
         assert residual == relations.reduce(Cycle(system.basis, {}, {eid: ONE}))
@@ -374,30 +373,44 @@ def _kind(outcome) -> str:
     if isinstance(outcome, list):
         return "converted"
     text = outcome[0]
-    kinds = ("inconsistent", "forced to vanish", "no relation links", "not rational", "share a sign")
+    kinds = ("inconsistent", "no relation links", "not rational", "share a sign")
     return next(kind for kind in kinds if kind in text)
 
 
-def test_residual_table_matches_the_per_row_reductions_on_random_systems(monkeypatch):
-    def passing(system, assume_theorems=False):
-        return ConsistencyCertificate("consistent")
-
+def test_residual_table_matches_the_per_row_reductions_on_random_systems():
     r = rng(5301)
     kinds = set()
     for _ in range(400):
         system = _random_conversion_system(r)
         assume = r.random() < 0.5
         kinds.add(_kind(_assert_matches_oracle(system, assume)))
-        if plumbing.consistency_report(system, assume_theorems=assume).rule == "R5":
-            # R5 refuses a period forced to vanish before convert reads the table;
-            # past a passing gate, the table's zero residuals reach convert.
-            with monkeypatch.context() as patched:
-                patched.setattr(plumbing, "consistency_report", passing)
-                patched.setattr(oracle_plumbing, "consistency_report", passing)
-                kinds.add(_kind(_assert_matches_oracle(system, assume)))
-    assert kinds == {
-        "converted", "inconsistent", "forced to vanish", "no relation links", "not rational", "share a sign"
-    }
+    assert kinds == {"converted", "inconsistent", "no relation links", "not rational", "share a sign"}
+
+
+def _r5_outcome(system) -> tuple[bool, bool]:
+    """Whether the system has a zero residual, and whether R5 refused it; in
+    both modes a zero residual is refused, and R5 refuses only by its echelon check."""
+    zero = any(lead is None for _, _, lead in system.residuals.values())
+    refused = False
+    for assume in (False, True):
+        certificate = plumbing.consistency_report(system, assume_theorems=assume)
+        assert not (zero and certificate.consistent)
+        if certificate.rule == "R5":
+            assert certificate.trace[-1].startswith("R5: combined relations force ")
+            refused = True
+    return zero, refused
+
+
+def test_a_zero_residual_is_refused_by_the_r5_echelon_check(documents):
+    systems = [doc.system() for doc in documents.values()] + [cylinders_system(g) for g in range(2, 13)]
+    r = rng(5301)
+    for _ in range(400):
+        systems.append(_random_conversion_system(r))
+        r.random()  # the mode draw of the oracle test above, so both see the same systems
+    seen = {_r5_outcome(system) for system in systems}
+    # Zero residuals occur, refused at R5 or before it, and so do R5 refusals
+    # of systems whose residuals are all nonzero.
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # analyze's LambdaRelationSet.reduce calls per fixture before the residual table;

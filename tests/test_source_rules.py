@@ -94,6 +94,42 @@ def test_the_dataclass_rule_sees_both_forms():
     assert _dataclass_imports(tree) == [1, 2]
 
 
+def _literal_capped_loops(tree: ast.AST) -> list[int]:
+    """Lines of loops over ``range(...)`` whose far end (the stop, or the start
+    when the step is negative) is built from literals alone: a loop's cap comes
+    from the input (edge counts, depth) or from ``--limit``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            call = node.iter
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "range":
+                args = call.args
+                descending = len(args) == 3 and isinstance(args[2], ast.UnaryOp) and isinstance(args[2].op, ast.USub)
+                cap = args[0] if descending or len(args) == 1 else args[1]
+                if not any(isinstance(n, (ast.Name, ast.Attribute, ast.Call, ast.Subscript)) for n in ast.walk(cap)):
+                    lines.append(call.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_loop_is_capped_by_a_literal(path):
+    assert _literal_capped_loops(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_loop_cap_rule_sees_literal_stops():
+    tree = ast.parse(
+        "for _ in range(10_000):\n    pass\n"
+        "for k in range(1, 10 ** 4, 2):\n    pass\n"
+        "xs = [k for k in range(8)]\n"
+        "for k in range(len(xs)):\n    pass\n"
+        "for k in range(1, n + 1):\n    pass\n"
+        "ys = set(range(5))\n"
+        "for k in range(len(xs) - 1, 0, -1):\n    pass\n"
+        "for k in range(9, n, -1):\n    pass\n"
+    )
+    assert _literal_capped_loops(tree) == [1, 3, 5, 13]
+
+
 # Every module imported here is paid by each fresh `strata` process, at import and,
 # without bytecode caches, at compile time; a new one has to be added on purpose.
 STDLIB_IMPORTS = {
