@@ -10,6 +10,7 @@ directly assertable condition rank(B J B^T) = dim.
 from __future__ import annotations
 
 from itertools import combinations
+from math import lcm
 from typing import NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
@@ -81,13 +82,20 @@ def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Vi
     if out:
         return out
     # Adjunction: pairing an absolute vector against a lambda image downstairs
-    # equals pairing its inclusion against the vanishing cycle upstairs.
-    j_images = {eid: linalg.int_matvec(data.j_matrix, data.u_lambda[eid]) for eid in edge_ids}
-    for a in range(n):
+    # equals pairing its inclusion against the vanishing cycle upstairs.  J u is
+    # summed on ints over u's common denominator and compared cross-multiplied.
+    scaled = {}
+    for eid in edge_ids:
+        u = data.u_lambda[eid]
+        den = lcm(*[x.d for x in u if x])
+        scaled[eid] = den, [(j, x.a * (den // x.d), x.b * (den // x.d)) for j, x in enumerate(u) if x]
+    for a, row in enumerate(data.j_matrix):
         for eid in edge_ids:
-            lhs = j_images[eid][a]
+            den, terms = scaled[eid]
+            la, lb = sum([row[j] * x for j, x, _ in terms]), sum([row[j] * y for j, _, y in terms])
             rhs = pair(data.iota[a], eid)
-            if lhs != rhs:
+            if la * rhs.d != rhs.a * den or lb * rhs.d != rhs.b * den:
+                lhs = GaussianRational(la, lb) / den
                 out.append(
                     Violation(
                         f"adjunction ({a}, {eid})", "adjunction",
@@ -251,18 +259,20 @@ def _pure_lambda_subspace(system: EquationSystem) -> list[linalg.Vector]:
 
 
 def _pair_form_candidates(
-    system: EquationSystem, preferred: Sequence[str]
-) -> list[tuple[tuple[str, str], Cycle]]:
-    """Two-node period forms in the extended span, preferred pairs first.
+    system: EquationSystem, nodes: Sequence[str]
+) -> tuple[bool, list[tuple[tuple[str, str], Cycle]]]:
+    """Whether the extended span holds a two-node period form, and the forms of the
+    pairs holding min(2, len(nodes)) of ``nodes``, in ``combinations`` order.
 
     A pair's forms are the kernel of columns a and b of the annihilator W of the
-    pure-lambda subspace.  One reduction of ``[P | I]``, P those columns of ``pure``,
-    gives W and the forms' coordinates over ``pure``, scaled as ``linalg.nullspace`` would.
+    pure-lambda subspace, nonzero exactly when a column is zero or the two are parallel.
+    One reduction of ``[P | I]``, P those columns of ``pure``, gives W and the forms'
+    coordinates over ``pure``, scaled as ``linalg.nullspace`` would.
     """
     horizontal = sorted(system.graph.horizontal_edges)
     pure = _pure_lambda_subspace(system)
     if not pure:
-        return []
+        return False, []
     h, k = len(horizontal), len(pure)
     cols = [system.basis.column_index[("l", e)] for e in horizontal]
     red, pivots = linalg.rref([[v[c] for c in cols] + u for v, u in zip(pure, linalg.identity(k))])
@@ -272,10 +282,12 @@ def _pair_form_candidates(
     columns.update({horizontal[p]: [-row[f] for f in free] for row, p in zip(red, pivots)})
     leads = {e: next((x for x in w if x), None) for e, w in columns.items()}
     keys = {e: lead and tuple([x / lead for x in columns[e]]) for e, lead in leads.items()}
-    preferred_set = set(preferred)
-    pairs = sorted(combinations(horizontal, 2), key=lambda ab: not set(ab) <= preferred_set)
+    found = h > 1 and (None in keys.values() or len(set(keys.values())) < h)
+    inside = set(nodes)
     out = []
-    for a, b in pairs:
+    for a, b in combinations(horizontal, 2):
+        if (a in inside) + (b in inside) < min(2, len(inside)):
+            continue
         ka, kb = keys[a], keys[b]
         if ka is None and kb is None:
             # With the columns reversed, echelon rows are nullspace's basis, last first.
@@ -288,7 +300,7 @@ def _pair_form_candidates(
         else:
             kernel = []
         out += [((a, b), Cycle(system.basis, {}, {a: x, b: y})) for x, y in kernel]
-    return out
+    return found, out
 
 
 def pairwise_circum_decompose(
@@ -296,16 +308,15 @@ def pairwise_circum_decompose(
 ) -> list[Cycle]:
     """Write a pure circumference-period equation as two-node proportionalities.
 
-    One solve over the two-node period forms in the extended span, the pairs
-    inside the input's node set T listed first, is enough.  A pair's forms
-    span every pure-span vector on that pair, so in any solution the forms
-    meeting an outside node o cancel at o and regroup as pure-span vectors on
-    pairs avoiding o; eliminating each outside node in turn writes the input
-    over the pairs inside T.  ``solve_linear`` pivots from the left and sets
-    free variables to 0, so it gives every later form weight zero.  With one
-    node a, every form meeting a is a multiple of e_a, so the solve uses one
-    of those alone.  Every output is a two-node (or smaller) period form on T,
-    and the outputs sum to the input.
+    One solve over the forms of the pairs inside the input's node set T is
+    enough.  A pair's forms span every pure-span vector on that pair, so in
+    any solution over all pairs the forms meeting an outside node o cancel at
+    o and regroup as pure-span vectors on pairs avoiding o; eliminating each
+    outside node in turn writes the input over the pairs inside T.  With one
+    node a, every form meeting a is a multiple of e_a, so the pairs holding a
+    are enough.  ``solve_linear`` pivots from the left, so this is the solution
+    over all pairs with these listed first.  Every output is a two-node (or
+    smaller) period form on T, and the outputs sum to the input.
     """
     _require_minimal(system, data)
     horizontal = _horizontal_columns(system)
@@ -315,8 +326,8 @@ def pairwise_circum_decompose(
     if not system.extended_span_contains(cycle):
         raise AimError("input is not in the span of the system and its relations")
     target_nodes = sorted([horizontal[col] for col in carriers])
-    candidates = _pair_form_candidates(system, target_nodes)
-    if not candidates:
+    found, candidates = _pair_form_candidates(system, target_nodes)
+    if not found:
         raise AimError("recombination stuck: the span contains no two-node period forms")
     matrix_rows = list(zip(*[form.vector for _, form in candidates]))
     solution = linalg.solve_linear(matrix_rows, cycle.vector)

@@ -10,7 +10,9 @@ input name.
 Each ``cmd_*`` handler returns its exit code, its report (the ``--json``
 payload, with cycles left as ``Cycle`` values) and a text renderer that reads
 the report.  ``main`` runs only the requested rendering, inside its error
-guard, and prints the finished output once.
+guard, and prints the finished output once.  The ``--json`` rendering is
+``_json_text``, which writes the bytes of ``json.dumps(report, sort_keys=True,
+indent=2)`` itself: no other JSON output path exists.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import (
     DocumentParseError,
     StrataError,
 )
+from .homology import Cycle
 from .level_graph import codim, enumerate_undegenerations
 from .plumbing import (
     Analytic, Binomial, LatticeReport, convert, hurwitz_rule, lattice_analysis, local_model
@@ -97,7 +100,7 @@ def main(argv=None) -> int:
         else:
             code, report, text = args.handler(doc, args, problems)
         if args.json:
-            output = json.dumps(report, sort_keys=True, indent=2, default=cycle_to_json)
+            output = _json_text(report)
         else:
             output = "\n".join(text(report))
     except StrataError as exc:
@@ -105,6 +108,34 @@ def main(argv=None) -> int:
         return 1
     print(output)
     return code
+
+
+_quote = json.encoder.encode_basestring_ascii
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, default=cycle_to_json)``, byte for byte,
+    without the pure-Python encoder ``indent`` selects.  It takes what a report holds:
+    str, int, bool, None, dicts with str keys, lists, tuples and ``Cycle`` values.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return repr(value)
+    if kind is bool or value is None:
+        return _LITERALS[value]
+    if kind is Cycle:
+        return _json_text(cycle_to_json(value), newline)
+    inner = newline + "  "
+    if kind is dict:
+        items = [f"{_quote(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if kind is list or isinstance(value, tuple):
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _says(line: str):

@@ -22,14 +22,16 @@ from .homology import AdaptedBasis, BasisElement, Cycle, validate_adapted
 from .level_graph import Edge, EnhancedLevelGraph, Marking, Vertex, validate
 
 SCHEMA_VERSION = "sbv-1"
+_KIND_NAMES = {dict: "object", list: "array", str: "string", int: "integer", bool: "boolean"}
 
 
 def _expect(data: Any, kind: type, path: str):
-    names = {dict: "object", list: "array", str: "string", int: "integer", bool: "boolean"}
+    if type(data) is kind:
+        return data
     if kind is int and isinstance(data, bool):
-        raise DocumentParseError(f"expected {names[kind]}", path)
+        raise DocumentParseError(f"expected {_KIND_NAMES[kind]}", path)
     if not isinstance(data, kind):
-        raise DocumentParseError(f"expected {names[kind]}, got {type(data).__name__}", path)
+        raise DocumentParseError(f"expected {_KIND_NAMES[kind]}, got {type(data).__name__}", path)
     return data
 
 
@@ -38,7 +40,8 @@ def _get(data: dict, key: str, kind: type, path: str, default=_expect):
         if default is _expect:
             raise DocumentParseError(f"missing required key {key!r}", path)
         return default
-    return _expect(data[key], kind, f"{path}.{key}")
+    value = data[key]
+    return value if type(value) is kind else _expect(value, kind, f"{path}.{key}")
 
 
 def _optional(data: dict, key: str, kind: type, path: str):

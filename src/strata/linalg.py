@@ -323,16 +323,6 @@ def int_singular(rows: Sequence[Sequence[int]]) -> bool:
     return bareiss_det(rows) == 0
 
 
-def int_matvec(rows: Sequence[Sequence[int]], v: Sequence[GaussianRational]) -> Vector:
-    """``rows · v`` for integer rows, summed on ints over one denominator of ``v``'s nonzero entries."""
-    den = lcm(*[x.d for x in v if x])
-    terms = [(j, x.a * (den // x.d), x.b * (den // x.d)) for j, x in enumerate(v) if x]
-    return [
-        _from_ints(sum([row[j] * a for j, a, _ in terms]), sum([row[j] * b for j, _, b in terms]), den)
-        for row in rows
-    ]
-
-
 def invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:
     """The nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
 

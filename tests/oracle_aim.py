@@ -9,6 +9,9 @@ J, its inverse and the image were memoised: every call inverts J afresh and
 the Gram matrix recomputes ``J v`` for every (v, w) pair.
 ``pair_form_candidates`` is the pair-form search ``strata.aim`` ran before it
 read every pair off one annihilator: one nullspace per horizontal pair.
+``pairwise_circum_decompose`` is the solve ``strata.aim`` ran before it built
+forms only for the pairs the input's nodes can use: one solve over the forms
+of every pair, the pairs inside the input's nodes first.
 ``at_most_two_decompose`` is the split ``strata.aim`` ran before it tested
 subsets with ``is_correlated``: it builds a full ``correlated_witness`` for
 every subset it tries.  J is inverted by ``oracle_linalg.invert``.  They are
@@ -136,6 +139,20 @@ def pair_form_candidates(
             if not form.is_zero():
                 out.append(((a, b), form))
     return out
+
+
+def pairwise_circum_decompose(cycle: Cycle, system: EquationSystem) -> list[Cycle]:
+    nodes = [e for e, c in cycle.lam.items() if c]
+    candidates = pair_form_candidates(system, nodes)
+    if not candidates:
+        raise AimError("recombination stuck: the span contains no two-node period forms")
+    solution = linalg.solve_linear(list(zip(*[form.vector for _, form in candidates])), cycle.vector)
+    if solution is None:
+        raise AimError(
+            "recombination stuck: the input is not a combination of two-node period"
+            " forms; no pairwise decomposition exists in this span"
+        )
+    return [form.scale(c) for c, (_, form) in zip(solution, candidates) if c]
 
 
 def at_most_two_decompose(

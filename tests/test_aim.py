@@ -1,4 +1,5 @@
 import gc
+import json
 import sys
 import weakref
 from itertools import combinations
@@ -426,6 +427,62 @@ def test_determinant_gate_matches_the_inverse_gate_on_bench_cylinders(g):
         assert problems and problems[0].rule == "nondegenerate"
 
 
+HALF_U_VIOLATIONS = [
+    "adjunction (0, e1): adjunction: <x_0, u(lambda)> = 1/2 but <iota(x_0), lambda> = 1",
+    "adjunction (1, e1): adjunction: <x_1, u(lambda)> = -1/2 but <iota(x_1), lambda> = 0",
+    "adjunction (2, e1): adjunction: <x_2, u(lambda)> = 1/2 but <iota(x_2), lambda> = 0",
+    "adjunction (3, e1): adjunction: <x_3, u(lambda)> = -1/2 but <iota(x_3), lambda> = 0",
+    "adjunction (4, e1): adjunction: <x_4, u(lambda)> = 1/2 but <iota(x_4), lambda> = 0",
+    "adjunction (5, e1): adjunction: <x_5, u(lambda)> = -1/2 but <iota(x_5), lambda> = 0",
+]
+
+
+def test_adjunction_text_with_a_non_unit_denominator(tmp_path, capsys, fixture_dir):
+    doc = json.loads((fixture_dir / "minimal_stratum_parallel.json").read_text())
+    doc["symplectic"]["u_lambda"]["e1"] = ["1/2"] * 6
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == "".join(
+        [f"{line}\n" for line in ["violations: 6", *[f"  {v}" for v in HALF_U_VIOLATIONS]]]
+    )
+    assert main(["validate", str(path), "--json"]) == 1
+    payload = {"command": "validate", "violations": HALF_U_VIOLATIONS}
+    assert capsys.readouterr().out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _gaussian_entry(r) -> GaussianRational:
+    return GaussianRational(r.randint(-3, 3), r.randint(-2, 2)) / r.choice([1, 2, 3, 6, 1 + I, 2 - I])
+
+
+def _scaled(data: SymplecticData, c: GaussianRational) -> SymplecticData:
+    """iota and every lambda image times c: the pairings scale alike, so the adjunction holds."""
+    iota = tuple([x.scale(c) for x in data.iota])
+    u_lambda = {eid: tuple([c * x for x in u]) for eid, u in data.u_lambda.items()}
+    return SymplecticData(data.j_matrix, iota, u_lambda, data.minimal)
+
+
+def test_adjunction_gate_matches_the_oracle_on_gaussian_u(documents):
+    r = rng(71)
+    instances = [(doc.symplectic(), doc.system()) for _, doc in sorted(documents.items()) if doc.symplectic()]
+    instances += [(doc.symplectic(), doc.system()) for doc in map(cylinders_document, (2, 5, 9))]
+    violated = 0
+    for data, system in instances:
+        c = GaussianRational(r.choice([1, 2, 5]), r.choice([1, -3])) / r.choice([2, 3, 1 + I])
+        scaled = _scaled(data, c)
+        assert _assert_gates_agree(scaled, system) == []
+        for _ in range(4):
+            u_lambda = dict(scaled.u_lambda)
+            for eid in r.sample(sorted(u_lambda), r.randint(1, len(u_lambda))):
+                u = list(u_lambda[eid])
+                for k in r.sample(range(len(u)), r.randint(1, len(u))):
+                    u[k] = r.choice([u[k] + _gaussian_entry(r), _gaussian_entry(r), u[k] / 2])
+                u_lambda[eid] = tuple(u)
+            variant = SymplecticData(scaled.j_matrix, scaled.iota, u_lambda, scaled.minimal)
+            violated += bool(_assert_gates_agree(variant, system))
+    assert violated >= 15
+
+
 def _mutated_j(j_matrix, r) -> list[tuple[tuple[int, ...], ...]]:
     """Random skew J (dense, then sparse), J with one or two entries broken, J with a
     row and its column zeroed, and J with one row replaced by a multiple of another."""
@@ -616,17 +673,25 @@ def test_rejected_data_raises_on_every_call(documents):
 # -- pair forms read off one annihilator -------------------------------------------
 
 
-def _preferred_lists(system) -> list[list[str]]:
+def _node_lists(system) -> list[list[str]]:
     horizontal = sorted(system.graph.horizontal_edges)
-    return [[], horizontal[:2], horizontal[-3:], horizontal, horizontal[1::2] + ["not-an-edge"]]
+    return [[], horizontal[:1], horizontal[:2], horizontal[-3:], horizontal, horizontal[1::2] + ["not-an-edge"]]
+
+
+def _usable(pair, nodes) -> bool:
+    """Whether a decomposition of an input on ``nodes`` reads the pair's forms."""
+    return len(set(pair) & set(nodes)) >= min(2, len(set(nodes)))
 
 
 def _assert_candidates_match(system) -> list:
-    """Equal candidate lists, in order and value, for every preferred list."""
+    """For every node list, the oracle's forms of the usable pairs, in order and value,
+    and "a form exists" exactly when the oracle finds one for some pair."""
+    everything = oracle_aim.pair_form_candidates(system, [])
     found = []
-    for preferred in _preferred_lists(system):
-        candidates = aim._pair_form_candidates(system, preferred)
-        assert candidates == oracle_aim.pair_form_candidates(system, preferred), preferred
+    for nodes in _node_lists(system):
+        exists, candidates = aim._pair_form_candidates(system, nodes)
+        assert exists == bool(everything), nodes
+        assert candidates == [(ab, form) for ab, form in everything if _usable(ab, nodes)], nodes
         found.extend(candidates)
     return found
 
@@ -660,7 +725,7 @@ I = GaussianRational(0, 1)
 
 def _supports(system) -> list[tuple[tuple[str, str], list[str]]]:
     _assert_candidates_match(system)
-    return [(ab, sorted(form.lam)) for ab, form in aim._pair_form_candidates(system, [])]
+    return [(ab, sorted(form.lam)) for ab, form in aim._pair_form_candidates(system, [])[1]]
 
 
 def test_pair_forms_when_annihilator_columns_vanish():
@@ -703,7 +768,7 @@ def test_pair_forms_match_the_per_pair_oracle_on_random_systems():
         system = _lambda_system(h, rows, relations, seed_basis=r)
         _assert_candidates_match(system)
         sizes: dict[tuple[str, str], list[int]] = {}
-        for ab, form in aim._pair_form_candidates(system, []):
+        for ab, form in aim._pair_form_candidates(system, [])[1]:
             sizes.setdefault(ab, []).append(len(form.lam))
         kinds.update(tuple(v) for v in sizes.values())
     # Both of W's columns zero, one zero, and both nonzero and parallel.
@@ -722,19 +787,22 @@ def _cancelled_through(forms: list[Cycle], r) -> Cycle | None:
 
 def test_pairwise_decomposition_stays_on_the_target_nodes():
     # Any combination of pair forms, also one cancelled through a shared outside
-    # node, splits into forms on the target's own nodes that sum to it.
+    # node or on one node, splits into forms on the target's own nodes that sum
+    # to it: the forms the solve over every pair gives.
     r = rng(64)
     units = [ONE, -ONE, I, 1 + I, GaussianRational(2), GaussianRational(1, 3) / 2]
-    cancelled = 0
+    cancelled = single = 0
     for trial in range(40):
         h = r.randint(3, 7)
         edges = [f"e{k + 1}" for k in range(h)]
         supports = [r.sample(edges, r.choice([2, 2, 3])) for _ in range(r.randint(1, h))]
         rows = [{"l": {e: r.choice(units) for e in support}} for support in supports]
         system = _lambda_system(h, rows, seed_basis=r, minimal_stratum=True)
-        forms = [form for _, form in aim._pair_form_candidates(system, [])]
+        forms = [form for _, form in aim._pair_form_candidates(system, [])[1]]
         if not forms:
             continue
+        targets = [form.scale(r.choice(units)) for form in forms if len(form.lam) == 1]
+        single += len(targets)
         for _ in range(6):
             target = system.basis.zero()
             for form in r.sample(forms, r.randint(1, min(3, len(forms)))):
@@ -742,13 +810,44 @@ def test_pairwise_decomposition_stays_on_the_target_nodes():
             through = _cancelled_through(forms, r)
             if through is not None and r.random() < 0.5:
                 target, cancelled = target.scale(r.choice([ZERO, ONE])) + through, cancelled + 1
+            targets.append(target)
+        for target in targets:
             parts = pairwise_circum_decompose(target, system)
+            assert parts == oracle_aim.pairwise_circum_decompose(target, system)
             total = system.basis.zero()
             for part in parts:
                 assert set(part.lam) <= set(target.lam) and not part.coeffs
                 total = total + part
             assert total == target
-    assert cancelled > 20
+    assert cancelled > 20 and single > 10
+
+
+NO_FORMS = "recombination stuck: the span contains no two-node period forms"
+NOT_A_COMBINATION = (
+    "recombination stuck: the input is not a combination of two-node period forms;"
+    " no pairwise decomposition exists in this span"
+)
+
+
+def _refusal(target: Cycle, system) -> str:
+    with pytest.raises(AimError) as refused:
+        pairwise_circum_decompose(target, system)
+    return str(refused.value)
+
+
+def test_pairwise_refusals_tell_no_forms_from_forms_elsewhere():
+    e123 = {"e1": ONE, "e2": ONE, "e3": ONE}
+    # The pure span is <e1+e2+e3>: no two-node form anywhere.
+    alone = _lambda_system(3, [{"l": e123}], minimal_stratum=True)
+    assert _refusal(Cycle(alone.basis, {}, e123), alone) == NO_FORMS
+    assert _refusal(alone.basis.zero(), alone) == NO_FORMS
+    # The pure span is <e1+e2+e3, e4+e5>: the one form lies outside the input's nodes.
+    beside = _lambda_system(5, [{"l": e123}, {"l": {"e4": ONE, "e5": -I}}], minimal_stratum=True)
+    assert _refusal(Cycle(beside.basis, {}, e123), beside) == NOT_A_COMBINATION
+    assert pairwise_circum_decompose(beside.basis.zero(), beside) == []
+    # One horizontal node: no pair at all, though lambda[e1] is in the span.
+    single = _lambda_system(1, [{"l": {"e1": ONE}}], minimal_stratum=True)
+    assert _refusal(Cycle(single.basis, {}, {"e1": 2 + I}), single) == NO_FORMS
 
 
 # -- what the symplectic block costs a verdict ----------------------------------------
@@ -762,6 +861,22 @@ def test_aim_decompose_makes_at_most_three_nullspace_calls(monkeypatch, capsys, 
     assert "(pairwise-circumference)" in capsys.readouterr().out
     # The tangent image, the class's bound, and the pure-lambda subspace.
     assert len(kernels) <= 3
+
+
+def test_aim_decompose_builds_forms_for_the_one_usable_pair(monkeypatch, capsys, tmp_path):
+    path = write_cylinders_document(tmp_path / "cylinders.json", 9)
+    built = []
+    original = aim._pair_form_candidates
+
+    def recording(system, nodes):
+        built.append(original(system, nodes))
+        return built[-1]
+
+    monkeypatch.setattr(aim, "_pair_form_candidates", recording)
+    assert main(["aim", path, "--decompose", "8", "--json"]) == 0
+    capsys.readouterr()
+    # The row lies on two of the 9 nodes: 1 pair of 36.
+    assert [sorted({ab for ab, _ in forms}) for _, forms in built] == [[("e01", "e09")]]
 
 
 @pytest.mark.parametrize("command", ["validate", "analyze", "plumb", "aim"])

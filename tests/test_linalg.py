@@ -95,8 +95,6 @@ def test_integer_matrix_helpers_agree_with_their_oracles(n, fill, seed):
     if n > 1 and r.random() < 0.3:
         rows[-1] = [2 * x for x in rows[0]]  # dependent rows at any fill
     assert linalg.int_singular(rows) == (linalg.bareiss_det(rows) == 0)
-    v = [GaussianRational(r.randint(-3, 3), r.choice([0, 1, -2])) / r.choice([1, 2, 3, 7]) for _ in range(n)]
-    assert linalg.int_matvec(rows, v) == oracle_aim.matvec([[GaussianRational(x) for x in row] for row in rows], v)
 
 
 def test_lattice_saturation():

@@ -191,6 +191,39 @@ def test_the_cli_starts_without_dataclasses_or_inspect():
 
 
 
+def _json_dumps_uses(tree: ast.AST) -> list[int]:
+    """Lines reading ``json.dumps`` or importing ``dumps`` from ``json``: ``--json``
+    output goes through the CLI's own writer, the one JSON output path."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "dumps"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+        )
+        or (isinstance(node, ast.ImportFrom) and node.module == "json" and any(a.name == "dumps" for a in node.names))
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_json_dumps(path):
+    assert _json_dumps_uses(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_the_json_dumps_rule_sees_every_form():
+    tree = ast.parse(
+        "import json\n"
+        "a = json.dumps(x, indent=2)\n"
+        "from json import dumps, loads\n"
+        "f = json.dumps\n"
+        "b = json.loads(s)\n"
+        "c = other.dumps(x)\n"
+    )
+    assert _json_dumps_uses(tree) == [2, 3, 4]
+
+
 def _is_attribute_target(target: ast.expr) -> bool:
     if isinstance(target, (ast.Tuple, ast.List)):
         return any(_is_attribute_target(t) for t in target.elts)
