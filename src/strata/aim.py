@@ -82,20 +82,40 @@ def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Vi
     if out:
         return out
     # Adjunction: pairing an absolute vector against a lambda image downstairs
-    # equals pairing its inclusion against the vanishing cycle upstairs.  J u is
-    # summed on ints over u's common denominator and compared cross-multiplied.
-    scaled = {}
-    for eid in edge_ids:
+    # equals pairing its inclusion against the vanishing cycle upstairs.  Both
+    # sides are summed on ints, row by row over the nonzero columns: J u over
+    # each u's common denominator, and the iota row against the basis pairing
+    # terms over the row's own.  They are compared cross-multiplied.
+    dens, u_cols = [], [[] for _ in range(n)]  # column j -> (edge index, scaled u entry)
+    p_cols: dict[int, list[tuple[int, int]]] = {}  # basis column -> (edge index, int pairing)
+    for k, eid in enumerate(edge_ids):
         u = data.u_lambda[eid]
         den = lcm(*[x.d for x in u if x])
-        scaled[eid] = den, [(j, x.a * (den // x.d), x.b * (den // x.d)) for j, x in enumerate(u) if x]
+        dens.append(den)
+        for j, x in enumerate(u):
+            if x:
+                u_cols[j].append((k, x.a * (den // x.d), x.b * (den // x.d)))
+        for col, p in system.basis.pairing_terms[eid]:
+            p_cols.setdefault(col, []).append((k, p.a))
     for a, row in enumerate(data.j_matrix):
-        for eid in edge_ids:
-            den, terms = scaled[eid]
-            la, lb = sum([row[j] * x for j, x, _ in terms]), sum([row[j] * y for j, _, y in terms])
-            rhs = pair(data.iota[a], eid)
-            if la * rhs.d != rhs.a * den or lb * rhs.d != rhs.b * den:
-                lhs = GaussianRational(la, lb) / den
+        la, lb, ra, rb = [0] * len(dens), [0] * len(dens), [0] * len(dens), [0] * len(dens)
+        for j, v in enumerate(row):
+            if v:
+                for k, x, y in u_cols[j]:
+                    la[k] += v * x
+                    lb[k] += v * y
+        x_a = data.iota[a].vector
+        iden = lcm(*[x.d for x in x_a if x])
+        for col, terms in p_cols.items():
+            x = x_a[col]
+            if x:
+                xa, xb = x.a * (iden // x.d), x.b * (iden // x.d)
+                for k, p in terms:
+                    ra[k] += xa * p
+                    rb[k] += xb * p
+        for k, eid in enumerate(edge_ids):
+            if la[k] * iden != ra[k] * dens[k] or lb[k] * iden != rb[k] * dens[k]:
+                lhs, rhs = GaussianRational(la[k], lb[k]) / dens[k], GaussianRational(ra[k], rb[k]) / iden
                 out.append(
                     Violation(
                         f"adjunction ({a}, {eid})", "adjunction",

@@ -31,6 +31,7 @@ from .aim import (
 from .deformation import CylinderClass, check_preserved
 from .document import AnalysisDocument, cycle_to_json, load_document
 from .equations import (
+    UndegClassification,
     classify_undegeneration,
     consistency_report,
     cross_equivalence_classes,
@@ -117,7 +118,9 @@ _LITERALS = {True: "true", False: "false", None: "null"}
 def _json_text(value, newline: str = "\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=2, default=cycle_to_json)``, byte for byte,
     without the pure-Python encoder ``indent`` selects.  It takes what a report holds:
-    str, int, bool, None, dicts with str keys, lists, tuples and ``Cycle`` values.
+    str, int, bool, None, dicts with str keys, lists, tuples and NamedTuples (as
+    arrays), ``Cycle`` values, and ``UndegClassification`` rows.  A row is written as
+    the object of its seven table keys, from ``_ROW``, also where it is a list item.
     """
     kind = type(value)
     if kind is str:
@@ -128,14 +131,40 @@ def _json_text(value, newline: str = "\n") -> str:
         return _LITERALS[value]
     if kind is Cycle:
         return _json_text(cycle_to_json(value), newline)
+    if kind is UndegClassification:
+        return _row_text(value, newline)
     inner = newline + "  "
     if kind is dict:
         items = [f"{_quote(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
     if kind is list or isinstance(value, tuple):
-        items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+        return _array([
+            _row_text(item, inner) if type(item) is UndegClassification else _json_text(item, inner)
+            for item in value
+        ], newline)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _array(items: list[str], newline: str) -> str:
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+
+
+# An undegeneration row's keys, in sorted order: {0} opens a key's line, {8} closes.
+_ROW = (
+    '{{{0}"branch": {1},{0}"codim": {2},{0}"divisorial": {3},{0}"horizontal": {4},'
+    '{0}"lost": {5},{0}"ordering_caveat": {6},{0}"passages": {7}{8}}}'
+)
+
+
+def _row_text(row: UndegClassification, newline: str) -> str:
+    (passages, horizontal), codim_total, lost, divisorial, branch, caveat = row
+    inner = newline + "  "
+    return _ROW.format(
+        inner, "null" if branch is None else _quote(branch), codim_total, _LITERALS[divisorial],
+        _array([_quote(e) for e in horizontal], inner), lost, _LITERALS[caveat],
+        _array([repr(i) for i in passages], inner), newline,
+    )
 
 
 def _says(line: str):
@@ -163,13 +192,7 @@ def cmd_analyze(doc: AnalysisDocument, args, problems: list[str]):
     table = []
     n_choices = len(graph.passage_indices()) + len(graph.horizontal_edges)
     if n_choices <= args.limit:
-        for und in enumerate_undegenerations(graph):
-            cls = classify_undegeneration(system, und)
-            table.append({
-                "passages": und.kept_passages, "horizontal": und.kept_horizontal,
-                "lost": cls.lost, "codim": cls.codim_in_total, "divisorial": cls.divisorial,
-                "branch": cls.branch, "ordering_caveat": cls.ordering_caveat,
-            })
+        table = [classify_undegeneration(system, und) for und in enumerate_undegenerations(graph)]
     report = {
         "command": "analyze",
         "classes": [sorted(cls) for cls in classes],
@@ -225,16 +248,16 @@ def _analyze_text(report, system, n_choices: int, limit: int) -> list[str]:
     return lines + [f"  trace: {step}" for step in certificate["trace"]]
 
 
-def _undegeneration_text(row) -> str:
-    passages, horizontal = row["passages"], row["horizontal"]
+def _undegeneration_text(row: UndegClassification) -> str:
+    (passages, horizontal), codim_total, lost, divisorial, branch, caveat = row
     text = (
         f"  passages={{{','.join([str(i) for i in passages])}}}"
         f" horizontal={{{','.join(horizontal)}}} L'={len(passages)} H'={len(horizontal)}"
-        f" lost={row['lost']} codim={row['codim']}"
+        f" lost={lost} codim={codim_total}"
     )
-    if row["divisorial"]:
-        text += f" divisorial[{row['branch']}]"
-    if row["ordering_caveat"]:
+    if divisorial:
+        text += f" divisorial[{branch}]"
+    if caveat:
         text += " (non-adapted remap)"
     return text
 

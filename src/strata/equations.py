@@ -641,12 +641,6 @@ class PassageTable(NamedTuple):
     inverted: bool
     conditions: tuple[tuple[int, int], ...]
 
-    def lost(self, kept: int) -> int:
-        return sum(1 for mask in self.row_masks if mask & kept)
-
-    def ordering_caveat(self, kept: int) -> bool:
-        return self.inverted or any(kept & b and not kept & a for a, b in self.conditions)
-
 
 def passage_table(system: EquationSystem, undeg: Undegeneration) -> PassageTable:
     """The table for ``undeg.kept_passages``, built on first use.
@@ -715,13 +709,13 @@ def classify_undegeneration(system: EquationSystem, undeg: Undegeneration) -> Un
     horizontal branch needs every kept pair correlated, which is one shared
     correlation key.  The caveat flags a remap that breaks the basis order.
     """
-    table = passage_table(system, undeg)
+    row_masks, inverted, conditions = passage_table(system, undeg)
     kept = _kept_mask(system, undeg)
     m = system.rank
-    h2 = undeg.horizontal_count
-    l2 = undeg.depth
-    c = table.lost(kept)
-    codim_total = h2 + l2 + m - c
+    h2 = len(undeg.kept_horizontal)
+    l2 = len(undeg.kept_passages)
+    lost = len([mask for mask in row_masks if mask & kept])
+    codim_total = h2 + l2 + m - lost
     divisorial = codim_total == m + 1
     branch: str | None = None
     if divisorial:
@@ -733,14 +727,8 @@ def classify_undegeneration(system: EquationSystem, undeg: Undegeneration) -> Un
             branch = "horizontal" if ok else "theorem-violating"
         else:
             branch = "theorem-violating"
-    return UndegClassification(
-        undegeneration=undeg,
-        codim_in_total=codim_total,
-        lost=c,
-        divisorial=divisorial,
-        branch=branch,
-        ordering_caveat=table.ordering_caveat(kept),
-    )
+    caveat = inverted or any([kept & b and not kept & a for a, b in conditions])
+    return UndegClassification(undeg, codim_total, lost, divisorial, branch, caveat)
 
 
 # -- consistency engine -----------------------------------------------------------

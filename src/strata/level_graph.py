@@ -10,7 +10,6 @@ graph by keeping a subset of level passages and a subset of horizontal edges.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
 from math import lcm
 from typing import NamedTuple
 
@@ -252,14 +251,6 @@ class Undegeneration(NamedTuple):
     def make(passages_kept, horizontal_kept) -> "Undegeneration":
         return Undegeneration(tuple(sorted(passages_kept)), tuple(sorted(horizontal_kept)))
 
-    @property
-    def depth(self) -> int:
-        return len(self.kept_passages)
-
-    @property
-    def horizontal_count(self) -> int:
-        return len(self.kept_horizontal)
-
     def new_level(self, old_level: int) -> int:
         return -sum(1 for p in self.kept_passages if p >= old_level)
 
@@ -271,7 +262,7 @@ class Undegeneration(NamedTuple):
         return tuple(sorted(self.kept_horizontal + self.surviving_vertical(graph)))
 
     def target_codim(self) -> int:
-        return self.depth + self.horizontal_count
+        return len(self.kept_passages) + len(self.kept_horizontal)
 
     def then(self, graph: EnhancedLevelGraph, second: "Undegeneration") -> "Undegeneration":
         """Compose with an undegeneration of the target graph.
@@ -293,18 +284,25 @@ class Undegeneration(NamedTuple):
         return Undegeneration.make(kept, second.kept_horizontal)
 
 
+def _subsets(items) -> list[tuple]:
+    """Every subset of the sorted ``items`` as a sorted tuple, in lexicographic order.
+
+    For items x, *rest the order is (), then x joined to each subset of rest,
+    then the nonempty subsets of rest; built from the last item forwards.
+    """
+    out: list[tuple] = [()]
+    for x in reversed(items):
+        out = [(), *[(x, *s) for s in out], *out[1:]]
+    return out
+
+
 def enumerate_undegenerations(graph: EnhancedLevelGraph) -> list[Undegeneration]:
     """Every (kept passages, kept horizontal) choice, lexicographic on kept-sets."""
-    passage_ids = sorted(graph.passage_indices())
-    horizontals = list(graph.horizontal_edges)
-    passage_subsets = sorted(
-        (tuple(sorted(s)) for n in range(len(passage_ids) + 1) for s in combinations(passage_ids, n))
-    )
-    horizontal_subsets = sorted(
-        (tuple(sorted(s)) for n in range(len(horizontals) + 1) for s in combinations(horizontals, n))
-    )
+    horizontal_subsets = _subsets(graph.horizontal_edges)
     return [
-        Undegeneration(p, h) for p in passage_subsets for h in horizontal_subsets
+        Undegeneration(p, h)
+        for p in _subsets(sorted(graph.passage_indices()))
+        for h in horizontal_subsets
     ]
 
 

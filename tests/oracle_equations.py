@@ -84,8 +84,8 @@ def remap_is_adapted(system: EquationSystem, undeg: Undegeneration) -> bool:
 def classify_undegeneration(system: EquationSystem, undeg: Undegeneration) -> UndegClassification:
     """Codimension, divisoriality, branch and caveat, recomputed per undegeneration."""
     m = system.rank
-    h2 = undeg.horizontal_count
-    l2 = undeg.depth
+    h2 = len(undeg.kept_horizontal)
+    l2 = len(undeg.kept_passages)
     c = lost_count(system, undeg)
     codim_total = h2 + l2 + m - c
     divisorial = codim_total == m + 1

@@ -1,0 +1,26 @@
+"""Reference implementation kept as the oracle for ``strata.level_graph``.
+
+``enumerate_undegenerations`` is the enumerator ``strata.level_graph`` used
+before it built the kept-sets in lexicographic order directly: every subset
+from ``itertools.combinations``, size by size, each sorted, and then the
+whole list sorted, once for the passages and once for the horizontal edges.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from strata.level_graph import EnhancedLevelGraph, Undegeneration
+
+
+def enumerate_undegenerations(graph: EnhancedLevelGraph) -> list[Undegeneration]:
+    """Every (kept passages, kept horizontal) choice, lexicographic on kept-sets."""
+    passage_ids = sorted(graph.passage_indices())
+    horizontals = list(graph.horizontal_edges)
+    passage_subsets = sorted(
+        (tuple(sorted(s)) for n in range(len(passage_ids) + 1) for s in combinations(passage_ids, n))
+    )
+    horizontal_subsets = sorted(
+        (tuple(sorted(s)) for n in range(len(horizontals) + 1) for s in combinations(horizontals, n))
+    )
+    return [Undegeneration(p, h) for p in passage_subsets for h in horizontal_subsets]

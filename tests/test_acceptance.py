@@ -180,7 +180,7 @@ def test_criterion_06_codimension_formula(capsys):
                     if value and und.new_level(graph.edge_level(eid)) == new_top:
                         crossing = True
                 lost += 1 if crossing else 0
-            expected = und.horizontal_count + und.depth + system.rank - lost
+            expected = len(und.kept_horizontal) + len(und.kept_passages) + system.rank - lost
             assert got.codim_in_total == expected
             assert got.divisorial == (expected == system.rank + 1)
 

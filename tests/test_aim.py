@@ -8,7 +8,7 @@ import pytest
 
 import oracle_aim
 from oracle_linalg import invert, vec_add, vec_scale
-from strata import aim, linalg
+from strata import aim, homology, linalg
 from strata.aim import (
     SymplecticData,
     at_most_two_decompose,
@@ -481,6 +481,32 @@ def test_adjunction_gate_matches_the_oracle_on_gaussian_u(documents):
             variant = SymplecticData(scaled.j_matrix, scaled.iota, u_lambda, scaled.minimal)
             violated += bool(_assert_gates_agree(variant, system))
     assert violated >= 15
+
+
+def test_adjunction_gate_reads_pairings_without_pair_calls(documents, monkeypatch):
+    r = rng(72)
+    instances = [(doc.symplectic(), doc.system()) for _, doc in sorted(documents.items()) if doc.symplectic()]
+    instances += [(doc.symplectic(), doc.system()) for doc in map(cylinders_document, (2, 5, 9))]
+    cases = []
+    for data, system in instances:
+        cases.append((data, system))
+        for _ in range(4):
+            iota = list(data.iota)
+            for a in r.sample(range(len(iota)), r.randint(1, 2)):
+                vector = list(iota[a].vector)
+                for col in r.sample(range(len(system.basis.elements)), 2):
+                    vector[col] = r.choice([vector[col] + _gaussian_entry(r), _gaussian_entry(r), vector[col] / 3])
+                iota[a] = Cycle.from_vector(system.basis, vector)
+            cases.append((SymplecticData(data.j_matrix, tuple(iota), data.u_lambda, data.minimal), system))
+    expected = [[str(v) for v in oracle_aim.validate_symplectic(data, system)] for data, system in cases]
+    assert sum(map(bool, expected)) >= 15
+
+    def refuse(*args):
+        raise AssertionError("pair called by the gate")
+
+    monkeypatch.setattr(aim, "pair", refuse)
+    monkeypatch.setattr(homology, "pair", refuse)
+    assert [[str(v) for v in validate_symplectic(data, system)] for data, system in cases] == expected
 
 
 def _mutated_j(j_matrix, r) -> list[tuple[tuple[int, ...], ...]]:

@@ -431,7 +431,7 @@ def test_codim_formula_randomized():
                 if value and und.new_level(graph.edge_level(eid)) == new_top:
                     crossing = True
             lost += 1 if crossing else 0
-        expected = und.horizontal_count + und.depth + system.rank - lost
+        expected = len(und.kept_horizontal) + len(und.kept_passages) + system.rank - lost
         assert got.codim_in_total == expected
         assert got.divisorial == (expected == system.rank + 1)
 
@@ -753,7 +753,7 @@ def test_assume_theorems_fold_matches_the_from_scratch_oracle(monkeypatch):
 def _assert_matches_pair_oracle(system, undeg):
     got = classify_undegeneration(system, undeg)
     lost = oracle_equations.lost_count(system, undeg)
-    codim = undeg.horizontal_count + undeg.depth + system.rank - lost
+    codim = len(undeg.kept_horizontal) + len(undeg.kept_passages) + system.rank - lost
     assert (got.lost, got.codim_in_total, got.divisorial) == (lost, codim, codim == system.rank + 1)
     assert got == oracle_equations.classify_undegeneration(system, undeg)
     return got
@@ -801,7 +801,7 @@ def test_classify_undegeneration_matches_pair_oracle_on_unordered_bases():
         system = EquationSystem(basis, rows)
         for undeg in enumerate_undegenerations(graph):
             got = _assert_matches_pair_oracle(system, undeg)
-            inverted += undeg.depth > 0 and got.ordering_caveat
+            inverted += bool(undeg.kept_passages) and got.ordering_caveat
     assert inverted
 
 

@@ -14,7 +14,8 @@ from strata.level_graph import (
     top_vertices_have_horizontal,
     validate,
 )
-from support import loop_graph, random_graph, rng, two_level_graph
+import oracle_level_graph
+from support import cylinders_document, loop_graph, random_graph, rng, two_level_graph
 
 
 def test_single_vertex_valid():
@@ -137,7 +138,21 @@ def test_undegeneration_codim_matches_kept_counts():
     for _ in range(30):
         graph = random_graph(r)
         for und in enumerate_undegenerations(graph):
-            assert und.target_codim() == und.depth + und.horizontal_count
+            assert und.target_codim() == len(und.kept_passages) + len(und.kept_horizontal)
+
+
+def test_enumeration_matches_the_sorted_combinations_oracle(documents):
+    graphs = [doc.graph for doc in documents.values()]
+    graphs += [cylinders_document(g).graph for g in range(2, 13)]
+    r = rng(19)
+    graphs += [random_graph(r, max_depth=3) for _ in range(120)]
+    assert {graph.depth for graph in graphs} == {0, 1, 2, 3}
+    for graph in graphs:
+        undegenerations = enumerate_undegenerations(graph)
+        assert undegenerations == oracle_level_graph.enumerate_undegenerations(graph)
+        if graph.depth == 2:
+            passages = list(dict.fromkeys([u.kept_passages for u in undegenerations]))
+            assert passages == [(), (-2,), (-2, -1), (-1,)]
 
 
 def test_composition_and_factorization():
@@ -149,7 +164,7 @@ def test_composition_and_factorization():
             continue
         first = full[r.randrange(len(full))]
         # Second step: keep a subset of the relabeled passages and edges.
-        target_passages = sorted(range(-1, -first.depth - 1, -1))
+        target_passages = sorted(range(-1, -len(first.kept_passages) - 1, -1))
         keep_p = [p for p in target_passages if r.random() < 0.5]
         keep_h = [h for h in first.kept_horizontal if r.random() < 0.5]
         second = Undegeneration.make(keep_p, keep_h)
@@ -160,7 +175,7 @@ def test_composition_and_factorization():
         assert set(composed.kept_horizontal) == set(keep_h)
         # Horizontal-then-vertical factorization reaches the same survivors.
         vertical_only = Undegeneration.make(first.kept_passages, graph.horizontal_edges)
-        all_target_passages = tuple(range(-1, -vertical_only.depth - 1, -1))
+        all_target_passages = tuple(range(-1, -len(vertical_only.kept_passages) - 1, -1))
         horizontal_step = Undegeneration.make(all_target_passages, first.kept_horizontal)
         refactored = vertical_only.then(graph, horizontal_step)
         assert refactored.surviving_edges(graph) == first.surviving_edges(graph)
