@@ -24,7 +24,7 @@ from .equations import (
     is_correlated,
 )
 from .errors import AimError, LimitError, Violation
-from .gaussian import ONE, ZERO, GaussianRational
+from .gaussian import ONE, ZERO, GaussianRational, _from_ints
 from .homology import Cycle, pair
 
 
@@ -58,11 +58,12 @@ def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Vi
         if len(row) != n:
             out.append(Violation("J", "shape", "intersection matrix is not square"))
             return out
-    for a in range(n):
-        for b in range(n):
-            if data.j_matrix[a][b] != -data.j_matrix[b][a]:
-                out.append(Violation("J", "skew", f"J[{a}][{b}] != -J[{b}][{a}]"))
-                return out
+    negated = list(zip(*[[-x for x in row] for row in data.j_matrix]))
+    for a, (row, column) in enumerate(zip(data.j_matrix, negated)):
+        if tuple(row) != column:
+            b = next(b for b, (x, y) in enumerate(zip(row, column)) if x != y)
+            out.append(Violation("J", "skew", f"J[{a}][{b}] != -J[{b}][{a}]"))
+            return out
     if linalg.int_singular(data.j_matrix):
         out.append(Violation("J", "nondegenerate", "intersection matrix is singular"))
     if len(data.iota) != n:
@@ -83,42 +84,42 @@ def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Vi
         return out
     # Adjunction: pairing an absolute vector against a lambda image downstairs
     # equals pairing its inclusion against the vanishing cycle upstairs.  Both
-    # sides are summed on ints, row by row over the nonzero columns: J u over
-    # each u's common denominator, and the iota row against the basis pairing
-    # terms over the row's own.  They are compared cross-multiplied.
+    # sides are summed on ints over nonzero terms only, J u over each u's common
+    # denominator and the iota row against the pairing terms over the row's own,
+    # and compared cross-multiplied, in edge order, where either side has a term.
     dens, u_cols = [], [[] for _ in range(n)]  # column j -> (edge index, scaled u entry)
     p_cols: dict[int, list[tuple[int, int]]] = {}  # basis column -> (edge index, int pairing)
     for k, eid in enumerate(edge_ids):
-        u = data.u_lambda[eid]
-        den = lcm(*[x.d for x in u if x])
+        entries = [(j, x) for j, x in enumerate(data.u_lambda[eid]) if x.a or x.b]
+        den = lcm(*[x.d for _, x in entries])
         dens.append(den)
-        for j, x in enumerate(u):
-            if x:
-                u_cols[j].append((k, x.a * (den // x.d), x.b * (den // x.d)))
+        for j, x in entries:
+            u_cols[j].append((k, x.a * (den // x.d), x.b * (den // x.d)))
         for col, p in system.basis.pairing_terms[eid]:
             p_cols.setdefault(col, []).append((k, p.a))
     for a, row in enumerate(data.j_matrix):
-        la, lb, ra, rb = [0] * len(dens), [0] * len(dens), [0] * len(dens), [0] * len(dens)
+        left: dict[int, tuple[int, int]] = {}  # edge index -> J u, scaled by dens
         for j, v in enumerate(row):
             if v:
                 for k, x, y in u_cols[j]:
-                    la[k] += v * x
-                    lb[k] += v * y
+                    re, im = left.get(k, (0, 0))
+                    left[k] = (re + v * x, im + v * y)
         x_a = data.iota[a].vector
-        iden = lcm(*[x.d for x in x_a if x])
-        for col, terms in p_cols.items():
-            x = x_a[col]
-            if x:
-                xa, xb = x.a * (iden // x.d), x.b * (iden // x.d)
-                for k, p in terms:
-                    ra[k] += xa * p
-                    rb[k] += xb * p
-        for k, eid in enumerate(edge_ids):
-            if la[k] * iden != ra[k] * dens[k] or lb[k] * iden != rb[k] * dens[k]:
-                lhs, rhs = GaussianRational(la[k], lb[k]) / dens[k], GaussianRational(ra[k], rb[k]) / iden
+        support = [(x_a[col], terms) for col, terms in p_cols.items() if x_a[col].a or x_a[col].b]
+        iden = lcm(*[x.d for x, _ in support])
+        right: dict[int, tuple[int, int]] = {}  # edge index -> pairing, scaled by iden
+        for x, terms in support:
+            xa, xb = x.a * (iden // x.d), x.b * (iden // x.d)
+            for k, p in terms:
+                re, im = right.get(k, (0, 0))
+                right[k] = (re + xa * p, im + xb * p)
+        for k in sorted(left.keys() | right.keys()):
+            (la, lb), (ra, rb) = left.get(k, (0, 0)), right.get(k, (0, 0))
+            if la * iden != ra * dens[k] or lb * iden != rb * dens[k]:
+                lhs, rhs = GaussianRational(la, lb) / dens[k], GaussianRational(ra, rb) / iden
                 out.append(
                     Violation(
-                        f"adjunction ({a}, {eid})", "adjunction",
+                        f"adjunction ({a}, {edge_ids[k]})", "adjunction",
                         f"<x_{a}, u(lambda)> = {lhs} but <iota(x_{a}), lambda> = {rhs}",
                     )
                 )
@@ -170,8 +171,8 @@ def tangent_absolute(system: EquationSystem, data: SymplecticData) -> SubspaceRe
     """Absolute-homology image of the tangent space to the candidate variety.
 
     The tangent space is the annihilator, inside the extended model, of the
-    equations together with every declared relation and ratio; its pullback
-    along the inclusion lands in absolute cohomology and is reported in
+    equations, relations and ratios, read off their cached echelon rows; its
+    pullback along the inclusion lands in absolute cohomology and is reported in
     homology coordinates z = J^-1 w, read off one reduction of ``[J | w_1 ..
     w_m]`` (J is invertible past the gate).  The form on the z's is
     z_i^T J z_j = z_i^T w_j.  Computed once per (data, system) pair.
@@ -179,10 +180,10 @@ def tangent_absolute(system: EquationSystem, data: SymplecticData) -> SubspaceRe
     _require_valid(data, system)
     report = data._tangent.get(system)
     if report is None:
-        tangent = linalg.nullspace(system.extended_rows[0], len(system.basis.columns()))
+        tangent = linalg.kernel(*system.extended_rows, len(system.basis.columns()))
         images = [linalg.matvec([c.vector for c in data.iota], v) for v in tangent]
         j_and_images = [
-            [GaussianRational(x) for x in row] + [w[a] for w in images]
+            [_from_ints(x, 0, 1) if x else ZERO for x in row] + [w[a] for w in images]
             for a, row in enumerate(data.j_matrix)
         ]
         solved, _ = linalg.rref(j_and_images)

@@ -29,7 +29,7 @@ from .homology import (
     LambdaRelationSet,
     pair,
 )
-from .level_graph import EnhancedLevelGraph, Undegeneration, passage_weight
+from .level_graph import EnhancedLevelGraph, Undegeneration
 
 
 def hor_support(cycle: Cycle) -> frozenset[str]:
@@ -502,9 +502,8 @@ def residue_relation(system: EquationSystem, cycle: Cycle, i: int) -> Cycle:
 
 
 def _residue_form(system: EquationSystem, cycle: Cycle, i: int) -> Cycle:
-    graph = system.graph
-    lam = {e: pair(cycle, e) * GaussianRational(passage_weight(graph, e, i)) for e in graph.crossing_edges(i)}
-    return Cycle(system.basis, {}, lam)
+    weights = system.graph.passage_weights(i)
+    return Cycle(system.basis, {}, {e: pair(cycle, e) * w for e, w in weights.items()})
 
 
 def residue_forms(system: EquationSystem) -> tuple[tuple[int, int, Cycle], ...]:

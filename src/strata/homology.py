@@ -79,14 +79,15 @@ class AdaptedBasis:
     @cached_property
     def pairing_terms(self) -> dict[str, tuple[tuple[int, GaussianRational], ...]]:
         """Per edge of the graph, the (column, pairing) terms of the basis
-        elements with a nonzero pairing against it, in column order."""
+        elements with a nonzero pairing against it, in column order.  A
+        pairing of 1 is held as ``ONE`` itself, which ``pair`` tests for."""
         terms: dict[str, list[tuple[int, GaussianRational]]] = {
             key: [] for kind, key in self._columns if kind == "l"
         }
         for col, name in enumerate(self.names):
             for eid, p in self._pairings.get(name, {}).items():
                 if p and eid in terms:
-                    terms[eid].append((col, GaussianRational(p)))
+                    terms[eid].append((col, ONE if p == 1 else GaussianRational(p)))
         return {eid: tuple(row) for eid, row in terms.items()}
 
     def crossing_element_for(self, eid: str) -> str | None:
@@ -103,7 +104,6 @@ class AdaptedBasis:
 def validate_adapted(basis: AdaptedBasis, graph: EnhancedLevelGraph) -> list[Violation]:
     """Adaptedness invariants of a basis against its graph."""
     out: list[Violation] = []
-    horizontal = set(graph.horizontal_edges)
     edge_ids = {e.id for e in graph.edges}
     levels = set(range(0, -graph.depth - 1, -1))
     seen: set[str] = set()
@@ -125,7 +125,7 @@ def validate_adapted(basis: AdaptedBasis, graph: EnhancedLevelGraph) -> list[Vio
             if eid not in edge_ids:
                 out.append(Violation(subject, "pairings", f"pairing with unknown edge {eid}"))
         if el.kind == CROSSING:
-            if el.edge is None or el.edge not in horizontal:
+            if el.edge is None or el.edge not in graph.horizontal_edges:
                 out.append(
                     Violation(subject, "paired-edge", "crossing element needs a horizontal edge")
                 )
@@ -146,7 +146,7 @@ def validate_adapted(basis: AdaptedBasis, graph: EnhancedLevelGraph) -> list[Vio
                         f" element declares {el.level}",
                     )
                 )
-            for eid in horizontal:
+            for eid in graph.horizontal_edges:
                 want = 1 if eid == el.edge else 0
                 got = basis.pairing(el.name, eid)
                 if got != want:
@@ -159,7 +159,7 @@ def validate_adapted(basis: AdaptedBasis, graph: EnhancedLevelGraph) -> list[Vio
         else:
             if el.edge is not None:
                 out.append(Violation(subject, "paired-edge", "noncrossing element names an edge"))
-            for eid in horizontal:
+            for eid in graph.horizontal_edges:
                 if basis.pairing(el.name, eid) != 0:
                     out.append(
                         Violation(
@@ -288,12 +288,15 @@ def pair(cycle: Cycle, eid: str) -> GaussianRational:
 
     Extends the basis pairing table bilinearly over the cached pairing terms;
     vanishing cycles are disjoint seams, so the lambda entries contribute
-    nothing.
+    nothing.  An edge met by one element with pairing 1, as every horizontal
+    edge of an adapted basis is, pairs to that element's coefficient.
     """
     terms = cycle.basis.pairing_terms.get(eid)
     if terms is None:
         raise BasisError(f"unknown edge {eid}")
     vector = cycle.vector
+    if len(terms) == 1 and terms[0][1] is ONE:
+        return vector[terms[0][0]]
     total = ZERO
     for col, p in terms:
         c = vector[col]

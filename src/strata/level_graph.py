@@ -14,6 +14,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import GraphError, Violation
+from .gaussian import GaussianRational
 
 
 class Vertex(NamedTuple):
@@ -49,6 +50,7 @@ class EnhancedLevelGraph:
         self.markings: tuple[Marking, ...] = tuple(markings)
         self._vertex_map = {v.id: v for v in self.vertices}
         self._edge_map = {e.id: e for e in self.edges}
+        self._weights: dict[int, dict[str, GaussianRational]] = {}
 
     def edge(self, eid: str) -> Edge:
         return self._edge_map[eid]
@@ -106,6 +108,17 @@ class EnhancedLevelGraph:
         if i not in self._crossing:
             raise GraphError(f"no level passage {i} in a graph of depth {self.depth}")
         return self._crossing[i]
+
+    def passage_weights(self, i: int) -> dict[str, GaussianRational]:
+        """Each crossing edge's weight at a passage (its lcm weight over the
+        edge's kappa), in ``crossing_edges`` order; kept from first use."""
+        weights = self._weights.get(i)
+        if weights is None:
+            a = lcm_weight(self, i)
+            weights = self._weights[i] = {
+                e: GaussianRational(a // self.edge(e).kappa) for e in self.crossing_edges(i)
+            }
+        return weights
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -225,10 +238,7 @@ def passage_weight(graph: EnhancedLevelGraph, eid: str, i: int) -> int:
     """Per-edge weight at a passage: lcm weight divided by the edge's kappa."""
     if eid not in graph.crossing_edges(i):
         raise GraphError(f"edge {eid} does not cross passage {i}")
-    a = lcm_weight(graph, i)
-    kappa = graph.edge(eid).kappa
-    assert a % kappa == 0
-    return a // kappa
+    return graph.passage_weights(i)[eid].a
 
 
 def codim(graph: EnhancedLevelGraph) -> int:

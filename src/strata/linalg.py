@@ -234,9 +234,9 @@ def in_span(
     return is_zero_vector(reduce_vector(v, rows, pivots))
 
 
-def nullspace(rows: Iterable[Sequence[GaussianRational]], ncols: int) -> list[Vector]:
-    """Basis of the right kernel, one vector per free column, in column order."""
-    red, pivots = rref(rows)
+def kernel(rows: Sequence[Sequence[GaussianRational]], pivots: Sequence[int], ncols: int) -> list[Vector]:
+    """Basis of the right kernel of rows already in reduced echelon form, with
+    their pivot columns: one vector per free column, in column order."""
     pivot_set = set(pivots)
     basis: list[Vector] = []
     for free in range(ncols):
@@ -244,10 +244,15 @@ def nullspace(rows: Iterable[Sequence[GaussianRational]], ncols: int) -> list[Ve
             continue
         v = zeros(ncols)
         v[free] = ONE
-        for row, p in zip(red, pivots):
+        for row, p in zip(rows, pivots):
             v[p] = -row[free]
         basis.append(v)
     return basis
+
+
+def nullspace(rows: Iterable[Sequence[GaussianRational]], ncols: int) -> list[Vector]:
+    """Basis of the right kernel, one vector per free column, in column order."""
+    return kernel(*rref(rows), ncols)
 
 
 def solve_linear(

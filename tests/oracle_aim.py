@@ -5,8 +5,9 @@ entries.  ``validate_symplectic`` is the gate ``strata.aim`` ran before it
 tested nondegeneracy by an integer determinant: it inverts J over Q(i) and
 calls J degenerate when there is no inverse.  ``tangent_absolute`` and
 ``subspace_report`` are the tangent-image pipeline ``strata.aim`` ran before
-J, its inverse and the image were memoised: every call inverts J afresh and
-the Gram matrix recomputes ``J v`` for every (v, w) pair.
+J, its inverse and the image were memoised: every call inverts J afresh,
+reduces the extended rows again for the tangent space (``oracle_linalg.nullspace``),
+and the Gram matrix recomputes ``J v`` for every (v, w) pair.
 ``pair_form_candidates`` is the pair-form search ``strata.aim`` ran before it
 read every pair off one annihilator: one nullspace per horizontal pair.
 ``pairwise_circum_decompose`` is the solve ``strata.aim`` ran before it built
@@ -14,7 +15,10 @@ forms only for the pairs the input's nodes can use: one solve over the forms
 of every pair, the pairs inside the input's nodes first.
 ``at_most_two_decompose`` is the split ``strata.aim`` ran before it tested
 subsets with ``is_correlated``: it builds a full ``correlated_witness`` for
-every subset it tries.  J is inverted by ``oracle_linalg.invert``.  They are
+every subset it tries.  The gate's skew test compares J with its transpose
+entry by entry, and its adjunction test calls ``pair`` for every (row, edge);
+``pair`` is ``oracle_homology.pair``, which sums every pairing term.
+J is inverted by ``oracle_linalg.invert``.  They are
 deliberately slow and obvious.
 """
 
@@ -23,13 +27,14 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from oracle_linalg import invert
+from oracle_homology import pair
+from oracle_linalg import invert, nullspace
 from strata import linalg
 from strata.aim import SubspaceReport, SymplecticData, _pure_lambda_subspace, _require_minimal
 from strata.equations import EquationSystem, correlated_witness, hor_support
 from strata.errors import AimError, LimitError, Violation
 from strata.gaussian import ZERO, GaussianRational
-from strata.homology import Cycle, pair
+from strata.homology import Cycle
 
 
 def matvec(rows: Sequence[Sequence[GaussianRational]], v: Sequence[GaussianRational]) -> linalg.Vector:
@@ -54,7 +59,7 @@ def tangent_absolute(system: EquationSystem, data: SymplecticData) -> SubspaceRe
     problems = validate_symplectic(data, system)
     if problems:
         raise AimError(f"symplectic data rejected: {problems[0]}")
-    tangent = linalg.nullspace(system.extended_rows[0], len(system.basis.columns()))
+    tangent = nullspace(system.extended_rows[0], len(system.basis.columns()))
     iota_rows = [c.to_vector() for c in data.iota]
     images = [matvec(iota_rows, v) for v in tangent]
     j_rows = [[GaussianRational(x) for x in row] for row in data.j_matrix]

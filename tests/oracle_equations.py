@@ -11,16 +11,22 @@ each kept horizontal edge again.
 primal routines used before the annihilator and the per-passage-subset
 tables: one support-subspace nullspace per correlation query, the basis key
 list rebuilt per undegeneration, and one ``is_correlated`` per kept pair.
+
+``residue_forms`` is the residue-form table built before the graph kept each
+passage's weights: every crossing edge of every row and passage recomputes the
+passage's lcm of kappas and divides it by its own kappa.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import lcm
 from typing import Iterable
 
 from strata import linalg
 from strata.equations import EquationSystem, UndegClassification, _support_coords
 from strata.errors import SystemDataError
+from strata.gaussian import GaussianRational
 from strata.homology import Cycle, pair
 from strata.level_graph import Undegeneration
 
@@ -109,3 +115,20 @@ def classify_undegeneration(system: EquationSystem, undeg: Undegeneration) -> Un
         branch=branch,
         ordering_caveat=not remap_is_adapted(system, undeg),
     )
+
+
+def residue_forms(system: EquationSystem) -> tuple[tuple[int, int, Cycle], ...]:
+    """All nonzero residue forms (row index, passage, form) of the rref rows."""
+    graph = system.graph
+    out = []
+    for j, eq in enumerate(system.rref_rows):
+        for i in graph.passage_indices():
+            if eq.top is not None and i <= eq.top:
+                lam = {}
+                for e in graph.crossing_edges(i):
+                    weight = lcm(*[graph.edge(x).kappa for x in graph.crossing_edges(i)]) // graph.edge(e).kappa
+                    lam[e] = pair(eq.cycle, e) * GaussianRational(weight)
+                form = Cycle(system.basis, {}, lam)
+                if not form.is_zero():
+                    out.append((j, i, form))
+    return tuple(out)

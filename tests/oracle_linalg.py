@@ -12,7 +12,10 @@ the library used before it read the invariant factors of a Smith normal
 form; it enumerates C(rows, r) * C(cols, r) minors, so keep it to small
 shapes.  ``invert`` is the exact inverse the library computed by reducing
 ``[A | I]`` before its one caller, the tangent image, solved ``J z = w``
-directly; it is built on the ``rref`` above.
+directly; it is built on the ``rref`` above.  ``nullspace`` is the kernel
+the library computed before it read kernels off rows already in reduced
+echelon form: it reduces its input with ``strata.linalg.rref`` on every call
+and writes ``-row[free]`` into each pivot entry, zeros included.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from strata.gaussian import ONE, ZERO, GaussianRational
+from strata import linalg
 from strata.linalg import Vector, bareiss_det, rank
 
 
@@ -81,6 +85,22 @@ def invert(rows: Sequence[Sequence[GaussianRational]]) -> list[Vector] | None:
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in red]
+
+
+def nullspace(rows: Iterable[Sequence[GaussianRational]], ncols: int) -> list[Vector]:
+    """Basis of the right kernel, one vector per free column, in column order."""
+    red, pivots = linalg.rref(rows)
+    pivot_set = set(pivots)
+    basis: list[Vector] = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        v = [ZERO] * ncols
+        v[free] = ONE
+        for row, p in zip(red, pivots):
+            v[p] = -row[free]
+        basis.append(v)
+    return basis
 
 
 def reduce_vector(

@@ -386,6 +386,12 @@ def write_cylinders_document(path, g: int, index: int = 0) -> str:
     return str(path)
 
 
+def dense_pool(n: int) -> list:
+    """Every document of the benchmark's dense-complex pool of size ``n``, parsed."""
+    generators = _generators()
+    return [parse_document(generators.dense_document(n, index)) for index in range(generators.POOL_SIZE)]
+
+
 def cylinders_system(g: int, index: int = 0) -> EquationSystem:
     """The system of the benchmark's parallel-cylinders document ``index`` of genus ``g``."""
     return cylinders_document(g, index).system()

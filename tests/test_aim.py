@@ -595,6 +595,85 @@ def test_tangent_matches_oracle_when_not_symplectic():
     assert tangent_absolute(system, data) == oracle_aim.tangent_absolute(system, data)
 
 
+def test_tangent_matches_oracle_on_random_symplectic_systems():
+    # Random Q(i) combinations of a parallel class's rows, some rows left out, in a dense
+    # absolute basis: the tangent image need not be symplectic, and the kernel read off
+    # the extended rows must still be the one the oracle reduces afresh.
+    r = rng(57)
+    shapes = set()
+    for genus in range(2, 7):
+        for _ in range(3):
+            base, data = aim_parallel_fixture(r, genus)
+            rows = r.sample(base.equations, r.randint(1, len(base.equations)))
+            rows.append(rows[0].scale(_gaussian_entry(r) or ONE) + rows[-1].scale(GaussianRational(1, r.randint(-2, 2))))
+            system = EquationSystem(
+                base.basis, rows, minimal_stratum=True, relations=base.relations[: r.randint(0, genus)],
+                ratios=base.ratios,
+            )
+            variant = _change_absolute_basis(data, r)
+            report = tangent_absolute(system, variant)
+            assert report == oracle_aim.tangent_absolute(system, variant), genus
+            shapes.add(report.symplectic)
+    assert shapes == {True, False}
+
+
+def _skew_breaks(j_matrix, r) -> list[tuple]:
+    """J with one entry broken below, above and on the diagonal, with two breaks right of
+    the diagonal in one row (the first failing row), and J held as lists; the gate must
+    name the first break in row-major order."""
+    n = len(j_matrix)
+    out = []
+    for a, b in [(r.randrange(1, n), 0), (0, r.randrange(1, n)), (r.randrange(n),) * 2]:
+        m = [list(row) for row in j_matrix]
+        m[a][b] += r.choice([-1, 1, 2])
+        out.append(m)
+    m = [list(row) for row in j_matrix]
+    a = r.randrange(n - 2)
+    for b in r.sample(range(a + 1, n), 2):
+        m[a][b] += 1
+    out.append(m)
+    return [tuple([tuple(row) for row in m]) for m in out] + [[list(row) for row in j_matrix]]
+
+
+def test_sparse_gate_matches_the_oracle_on_every_kind_of_break(documents):
+    r = rng(73)
+    instances = [(doc.symplectic(), doc.system()) for _, doc in sorted(documents.items()) if doc.symplectic()]
+    instances += [(doc.symplectic(), doc.system()) for doc in map(cylinders_document, (2, 5, 9))]
+    rules = []
+    for data, system in instances:
+        n, width = data.dim, len(system.basis.columns())
+        variants = [SymplecticData(j, data.iota, data.u_lambda, data.minimal) for j in _skew_breaks(data.j_matrix, r)]
+        for _ in range(3):
+            # Complex u, some images zeroed; iota rows perturbed on basis and on lambda columns.
+            u_lambda = dict(data.u_lambda)
+            for eid in r.sample(sorted(u_lambda), r.randint(1, len(u_lambda))):
+                u_lambda[eid] = r.choice([(ZERO,) * n, tuple([x * (1 + I) for x in u_lambda[eid]])])
+            iota = list(data.iota)
+            for a in r.sample(range(n), r.randint(1, n)):
+                vector = list(iota[a].vector)
+                for col in r.sample(range(width), r.randint(1, 3)):
+                    vector[col] = r.choice([ZERO, vector[col] + _gaussian_entry(r), _gaussian_entry(r)])
+                iota[a] = Cycle.from_vector(system.basis, vector)
+            variants += [
+                SymplecticData(data.j_matrix, data.iota, u_lambda, data.minimal),
+                SymplecticData(data.j_matrix, tuple(iota), data.u_lambda, data.minimal),
+                SymplecticData(data.j_matrix, tuple(iota), u_lambda, data.minimal),
+            ]
+        for variant in variants:
+            rules += [v.rule for v in _assert_gates_agree(variant, system)]
+    assert rules.count("skew") == 4 * len(instances)
+    assert rules.count("adjunction") >= 50
+
+
+def test_aim_pairwise_cross_reduces_once_less(monkeypatch, capsys, tmp_path):
+    path = write_cylinders_document(tmp_path / "cylinders.json", 9)
+    eliminations = _count_calls(monkeypatch, linalg.rref)
+    assert main(["aim", path, "--pairwise-cross", "e01", "e02"]) == 0
+    capsys.readouterr()
+    # The tangent image reads its kernel off the cached extended rows (10 before).
+    assert len(eliminations) == 9
+
+
 def _rebind(monkeypatch, original, replacement) -> None:
     """Point every ``strata`` module binding of ``original`` at ``replacement``."""
     for mod_name, module in list(sys.modules.items()):

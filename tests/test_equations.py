@@ -41,6 +41,7 @@ from support import (
     assert_decomposition_contract,
     cylinders_system,
     decomposable_fixture,
+    dense_pool,
     exhaustive_minimal_correlated,
     loop_graph,
     random_graph,
@@ -620,6 +621,21 @@ def test_residue_forms_match_residue_relation_on_random_systems():
                     if not form.is_zero():
                         expected.append((j, i, form))
         assert list(residue_forms(system)) == expected
+
+
+def test_residue_forms_match_the_per_edge_weight_oracle(documents):
+    systems = [doc.system() for _, doc in sorted(documents.items())]
+    systems += [doc.system() for n in range(8, 15) for doc in dense_pool(n)]
+    r = rng(4404)
+    for depth in (1, 2, 3):
+        for _ in range(25):
+            graph = random_graph(r, max_depth=depth, max_horizontal=2)
+            systems.append(random_system(graph, r, rank=r.randint(1, 4)))
+    deep = 0
+    for system in systems:
+        assert residue_forms(system) == oracle_equations.residue_forms(system)
+        deep += system.graph.depth == 3 and bool(residue_forms(system))
+    assert deep >= 3
 
 
 def test_extended_rows_is_the_rref_of_rows_relations_and_ratios():

@@ -13,6 +13,7 @@ from strata.homology import (
     AdaptedBasis,
     BasisElement,
     Cycle,
+    NONCROSSING,
     LambdaRelationSet,
     pair,
     picard_lefschetz,
@@ -392,3 +393,40 @@ def test_pair_reads_the_cached_pairing_terms(documents):
     cycle = Cycle(basis, {"d_e1": ONE, "d_e2": GaussianRational(3)})
     basis.pairing_terms["e1"] = ((1, GaussianRational(5)),)  # pair must read the cache, not the table
     assert pair(cycle, "e1") == GaussianRational(15)
+
+
+def _mixed_pairing_basis(r: random.Random) -> tuple[AdaptedBasis, dict[str, str]]:
+    """A basis with an arbitrary pairing table, not an adapted one, and the shape of
+    each edge's terms: none, one unit term, one non-unit term, or several."""
+    graph = random_graph(r, max_depth=2, max_horizontal=3)
+    names = [f"b{k}" for k in range(r.randint(2, 4))]
+    pairings: dict[str, dict[str, int]] = {name: {} for name in names}
+    shapes = {}
+    for e in graph.edges:
+        shapes[e.id] = shape = r.choice(["none", "unit", "non-unit", "several"])
+        if shape == "unit":
+            pairings[r.choice(names)][e.id] = 1
+        elif shape == "non-unit":
+            pairings[r.choice(names)][e.id] = r.choice([-1, 2, -3])
+        elif shape == "several":
+            for name in r.sample(names, r.randint(2, len(names))):
+                pairings[name][e.id] = r.choice([-2, -1, 1, 2])
+    return AdaptedBasis(graph, [BasisElement(name, 0, NONCROSSING, None) for name in names], pairings), shapes
+
+
+def test_pair_matches_the_oracle_on_unit_and_other_terms():
+    r = rng(81)
+    entries = [ZERO, ONE, -ONE, GaussianRational(2, -1), GaussianRational(Fraction(1, 3), Fraction(-5, 2))]
+    seen = set()
+    for _ in range(150):
+        basis, shapes = _mixed_pairing_basis(r)
+        for eid, row in basis.pairing_terms.items():
+            assert all(p is ONE for _, p in row if p == ONE)
+        for _ in range(4):
+            coeffs = {name: r.choice(entries) for name in basis.names}
+            lam = {e.id: r.choice(entries) for e in basis.graph.edges}
+            new, old = Cycle(basis, coeffs, lam), oracle.Cycle(basis, coeffs, lam)
+            for eid, shape in shapes.items():
+                assert pair(new, eid) == oracle.pair(old, eid)
+                seen.add((shape, any(not new.vector[col] for col, _ in basis.pairing_terms[eid])))
+    assert {(shape, zero) for shape in ("unit", "non-unit", "several") for zero in (False, True)} <= seen

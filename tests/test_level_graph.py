@@ -1,6 +1,7 @@
 import pytest
 
 from strata.errors import GraphError
+from strata.gaussian import GaussianRational
 from strata.level_graph import (
     Edge,
     EnhancedLevelGraph,
@@ -262,9 +263,12 @@ def test_derived_edge_data_is_computed_once_and_matches_a_scan():
             )
             assert graph.crossing_edges(i) == scan
             assert graph.crossing_edges(i) is graph.crossing_edges(i)
+            weights = graph.passage_weights(i)
+            assert graph.passage_weights(i) is weights and list(weights) == list(scan)
             for e in scan:
                 kappa = graph.edge(e).kappa
                 assert passage_weight(graph, e, i) * kappa == lcm_weight(graph, i)
+                assert weights[e] == GaussianRational(lcm_weight(graph, i) // kappa)
         for und in enumerate_undegenerations(graph):
             survivors = tuple(
                 e for e in vertical

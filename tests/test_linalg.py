@@ -319,6 +319,35 @@ def test_each_rref_path_matches_oracle(rows):
     assert linalg._rref_dense(rows) == expected
 
 
+# -- kernels read off reduced rows, against the nullspace that reduced each call --
+
+zi = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@st.composite
+def zi_matrices(draw):
+    """Random Z[i] matrices, sparse or dense, with zero rows and repeated rows."""
+    nrows = draw(st.integers(0, 7))
+    ncols = draw(st.integers(1, 8))
+    fill = draw(st.sampled_from([0.15, 0.5, 1.0]))
+    rows = [[draw(zi) if draw(st.floats(0, 1)) < fill else ZERO for _ in range(ncols)] for _ in range(nrows)]
+    if rows and draw(st.booleans()):
+        rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    return rows
+
+
+@given(st.one_of(zi_matrices(), qi_matrices(), filled_matrices()))
+@settings(max_examples=300, deadline=None)
+def test_kernel_of_reduced_rows_matches_the_nullspace_oracle(rows):
+    ncols = len(rows[0]) if rows else 3
+    expected = oracle_linalg.nullspace(rows, ncols)
+    assert linalg.kernel(*linalg.rref(rows), ncols) == expected
+    assert linalg.nullspace(rows, ncols) == expected
+    # Reading the kernel reduces nothing: it takes rows already in echelon form.
+    reduced, pivots = oracle_linalg.rref(rows)
+    assert linalg.kernel(reduced, pivots, ncols) == expected
+
+
 def _count(monkeypatch, name):
     calls = []
     original = getattr(linalg, name)

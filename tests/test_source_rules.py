@@ -367,6 +367,7 @@ LIBRARY_API = (
     "equations.primitive_sets",
     "equations.residue_relation",
     "homology.picard_lefschetz",
+    "level_graph.passage_weight",
     "equations.decompose",
     "equations.DecomposeResult.components",
     # The smoothing claim of the paper's abstract, reached only as library code.
