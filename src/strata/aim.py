@@ -9,7 +9,7 @@ directly assertable condition rank(B J B^T) = dim.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import lcm
 from typing import NamedTuple, Sequence
 from weakref import WeakKeyDictionary
@@ -58,7 +58,7 @@ def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Vi
         if len(row) != n:
             out.append(Violation("J", "shape", "intersection matrix is not square"))
             return out
-    negated = list(zip(*[[-x for x in row] for row in data.j_matrix]))
+    negated = list(zip(*[map(int.__neg__, row) for row in data.j_matrix]))
     for a, (row, column) in enumerate(zip(data.j_matrix, negated)):
         if tuple(row) != column:
             b = next(b for b, (x, y) in enumerate(zip(row, column)) if x != y)
@@ -99,11 +99,11 @@ def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Vi
             p_cols.setdefault(col, []).append((k, p.a))
     for a, row in enumerate(data.j_matrix):
         left: dict[int, tuple[int, int]] = {}  # edge index -> J u, scaled by dens
-        for j, v in enumerate(row):
-            if v:
-                for k, x, y in u_cols[j]:
-                    re, im = left.get(k, (0, 0))
-                    left[k] = (re + v * x, im + v * y)
+        for j in compress(count(), row):
+            v = row[j]
+            for k, x, y in u_cols[j]:
+                re, im = left.get(k, (0, 0))
+                left[k] = (re + v * x, im + v * y)
         x_a = data.iota[a].vector
         support = [(x_a[col], terms) for col, terms in p_cols.items() if x_a[col].a or x_a[col].b]
         iden = lcm(*[x.d for x, _ in support])
@@ -173,21 +173,30 @@ def tangent_absolute(system: EquationSystem, data: SymplecticData) -> SubspaceRe
     The tangent space is the annihilator, inside the extended model, of the
     equations, relations and ratios, read off their cached echelon rows; its
     pullback along the inclusion lands in absolute cohomology and is reported in
-    homology coordinates z = J^-1 w, read off one reduction of ``[J | w_1 ..
-    w_m]`` (J is invertible past the gate).  The form on the z's is
-    z_i^T J z_j = z_i^T w_j.  Computed once per (data, system) pair.
+    homology coordinates z = J^-1 w (J is invertible past the gate).  A monomial
+    J, one entry J[a][c] per row in distinct columns as a Darboux basis gives,
+    has z_c = w_a / J[a][c]; any other J is solved by one reduction of ``[J |
+    w_1 .. w_m]``.  The form on the z's is z_i^T J z_j = z_i^T w_j.  Computed
+    once per (data, system) pair.
     """
     _require_valid(data, system)
     report = data._tangent.get(system)
     if report is None:
         tangent = linalg.kernel(*system.extended_rows, len(system.basis.columns()))
         images = [linalg.matvec([c.vector for c in data.iota], v) for v in tangent]
-        j_and_images = [
-            [_from_ints(x, 0, 1) if x else ZERO for x in row] + [w[a] for w in images]
-            for a, row in enumerate(data.j_matrix)
-        ]
-        solved, _ = linalg.rref(j_and_images)
-        homology_vectors = [[row[data.dim + i] for row in solved] for i in range(len(images))]
+        entries = [[(c, x) for c, x in enumerate(row) if x] for row in data.j_matrix]
+        if all(len(e) == 1 for e in entries) and len({e[0][0] for e in entries}) == data.dim:
+            homology_vectors = [linalg.zeros(data.dim) for _ in images]
+            for a, ((c, x),) in enumerate(entries):
+                for z, w in zip(homology_vectors, images):
+                    z[c] = w[a] / x
+        else:
+            j_and_images = [
+                [_from_ints(x, 0, 1) if x else ZERO for x in row] + [w[a] for w in images]
+                for a, row in enumerate(data.j_matrix)
+            ]
+            solved, _ = linalg.rref(j_and_images)
+            homology_vectors = [[row[data.dim + i] for row in solved] for i in range(len(images))]
         reduced, _ = linalg.rref(homology_vectors)
         form_rank = linalg.rank([linalg.matvec(homology_vectors, w) for w in images])
         report = data._tangent[system] = SubspaceReport(

@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
@@ -97,36 +98,41 @@ class ProportionalityData:
         """Transitive closure.
 
         The pair (ratio_to_root, conflicts), where ratio_to_root maps each
-        declared edge to (root, q) with period(edge) = q * period(root), roots
-        chosen as the smallest edge of each connected component, and conflicts
-        lists each declared entry the closure contradicts, once, in declared
-        order and direction.  Built once: the entries never change.
+        declared edge to (root, num, den) with period(edge) = num/den *
+        period(root) in lowest terms, roots chosen as the smallest edge of each
+        connected component, and conflicts lists each declared entry the
+        closure contradicts, once, in declared order and direction.  Built
+        once, on int pairs: the entries never change.
         """
-        adjacency: dict[str, list[tuple[str, Fraction]]] = {}
+        adjacency: dict[str, list[tuple[str, int, int]]] = {}
         for e, ep, q in self.entries:
-            if q == 0:
-                continue
-            adjacency.setdefault(e, []).append((ep, q))
-            adjacency.setdefault(ep, []).append((e, 1 / q))
-        ratio: dict[str, tuple[str, Fraction]] = {}
+            if q:
+                adjacency.setdefault(e, []).append((ep, q.numerator, q.denominator))
+                adjacency.setdefault(ep, []).append((e, q.denominator, q.numerator))
+        ratio: dict[str, tuple[str, int, int]] = {}
         for root in sorted(adjacency):
             if root in ratio:
                 continue
-            ratio[root] = (root, Fraction(1))
+            ratio[root] = (root, 1, 1)
             queue = [root]
             while queue:
                 x = queue.pop(0)
-                _, rx = ratio[x]
-                for y, q_xy in adjacency[x]:
+                _, xn, xd = ratio[x]
+                for y, qn, qd in adjacency[x]:
                     if y not in ratio:
                         # period(x) = q_xy * period(y), so period(y) = period(x)/q_xy
-                        ratio[y] = (root, rx / q_xy)
+                        n, d = xn * qd, xd * qn
+                        g = gcd(n, d) if d > 0 else -gcd(n, d)
+                        ratio[y] = (root, n // g, d // g)
                         queue.append(y)
-        conflicts = [
-            (e, ep, f"chain gives {ratio[e][1] / q}, declared closure gives {ratio[ep][1]}")
-            for e, ep, q in self.entries
-            if q and ratio[e][1] / q != ratio[ep][1]
-        ]
+        conflicts = []
+        for e, ep, q in self.entries:
+            if q:
+                (_, n, d), (_, n_ep, d_ep) = ratio[e], ratio[ep]
+                n, d = n * q.denominator, d * q.numerator  # the chain's ratio[e] / q
+                if n * d_ep != d * n_ep:
+                    text = f"chain gives {Fraction(n, d)}, declared closure gives {Fraction(n_ep, d_ep)}"
+                    conflicts.append((e, ep, text))
         return ratio, conflicts
 
     def ratio(self, e: str, ep: str) -> Fraction | None:
@@ -136,11 +142,11 @@ class ProportionalityData:
         closure, _ = self.closure
         if e not in closure or ep not in closure:
             return None
-        root_e, q_e = closure[e]
-        root_ep, q_ep = closure[ep]
+        root_e, n_e, d_e = closure[e]
+        root_ep, n_ep, d_ep = closure[ep]
         if root_e != root_ep:
             return None
-        return q_e / q_ep
+        return Fraction(n_e * d_ep, d_e * n_ep)
 
 
 class EquationSystem:

@@ -105,6 +105,7 @@ def validate_adapted(basis: AdaptedBasis, graph: EnhancedLevelGraph) -> list[Vio
     """Adaptedness invariants of a basis against its graph."""
     out: list[Violation] = []
     edge_ids = {e.id for e in graph.edges}
+    horizontal = set(graph.horizontal_edges)
     levels = set(range(0, -graph.depth - 1, -1))
     seen: set[str] = set()
     paired: dict[str, str] = {}
@@ -121,11 +122,12 @@ def validate_adapted(basis: AdaptedBasis, graph: EnhancedLevelGraph) -> list[Vio
         if el.kind not in (CROSSING, NONCROSSING):
             out.append(Violation(subject, "kind", f"unknown kind {el.kind!r}"))
             continue
-        for eid in basis._pairings.get(el.name, {}):
+        pairings = basis._pairings.get(el.name, {})
+        for eid in pairings:
             if eid not in edge_ids:
                 out.append(Violation(subject, "pairings", f"pairing with unknown edge {eid}"))
         if el.kind == CROSSING:
-            if el.edge is None or el.edge not in graph.horizontal_edges:
+            if el.edge is None or el.edge not in horizontal:
                 out.append(
                     Violation(subject, "paired-edge", "crossing element needs a horizontal edge")
                 )
@@ -146,27 +148,18 @@ def validate_adapted(basis: AdaptedBasis, graph: EnhancedLevelGraph) -> list[Vio
                         f" element declares {el.level}",
                     )
                 )
+        elif el.edge is not None:
+            out.append(Violation(subject, "paired-edge", "noncrossing element names an edge"))
+        # The nonzero horizontal pairings against the table they should be; edge by edge only on a mismatch.
+        want = {el.edge: 1} if el.kind == CROSSING else {}
+        if {eid: p for eid, p in pairings.items() if p and eid in horizontal} != want:
             for eid in graph.horizontal_edges:
-                want = 1 if eid == el.edge else 0
-                got = basis.pairing(el.name, eid)
-                if got != want:
-                    out.append(
-                        Violation(
-                            subject, "crossing-pairings",
-                            f"pairing with {eid} is {got}, expected {want}",
-                        )
-                    )
-        else:
-            if el.edge is not None:
-                out.append(Violation(subject, "paired-edge", "noncrossing element names an edge"))
-            for eid in graph.horizontal_edges:
-                if basis.pairing(el.name, eid) != 0:
-                    out.append(
-                        Violation(
-                            subject, "noncrossing-pairings",
-                            f"nonzero pairing with horizontal edge {eid}",
-                        )
-                    )
+                got, expected = basis.pairing(el.name, eid), want.get(eid, 0)
+                if got != expected:
+                    text = f"pairing with {eid} is {got}, expected {expected}"
+                    if el.kind == NONCROSSING:
+                        text = f"nonzero pairing with horizontal edge {eid}"
+                    out.append(Violation(subject, f"{el.kind}-pairings", text))
 
     key = [(-el.level, 0 if el.kind == CROSSING else 1, el.name) for el in basis.elements]
     if key != sorted(key):
@@ -250,7 +243,7 @@ class Cycle:
         return not any(self.vector[: len(self.basis.names)])
 
     def is_real(self) -> bool:
-        return all(c.is_real() for c in self.vector)
+        return not any([c.b for c in self.vector])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cycle):

@@ -12,12 +12,14 @@ the pivot column; the dense path is a Bareiss pass over full rows, and a
 sparse reduction whose rows fill past ``DENSE_ROW`` finishes on it.  Rationals
 are built once, in the final division, from Z[i] ints straight to ``(a, b,
 d)``.  ``bareiss_det`` is the dense idea over Z; ``int_singular`` picks it or
-the sparse path by the same fill rule.
+the sparse path by the same fill rule.  ``rank`` and ``int_singular`` first
+read the rows' leading columns, and eliminate only when one repeats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -272,8 +274,23 @@ def solve_linear(
     return x
 
 
+def _distinct_leads(leads: Iterable[int | None]) -> int | None:
+    """The number of nonzero rows when their leading columns (None for a zero row)
+    are pairwise distinct, else None.  Such rows are an echelon form up to row
+    order (McConnell et al. 2011, a certificate before the elimination)."""
+    seen: set[int] = set()
+    for lead in leads:
+        if lead in seen:
+            return None
+        if lead is not None:
+            seen.add(lead)
+    return len(seen)
+
+
 def rank(rows: Iterable[Sequence[GaussianRational]]) -> int:
-    return len(rref(rows)[0])
+    rows = list(rows)
+    known = _distinct_leads(next((j for j, x in enumerate(row) if x.a or x.b), None) for row in rows)
+    return len(rref(rows)[0]) if known is None else known
 
 
 def matvec(rows: Sequence[Sequence[GaussianRational]], v: Sequence[GaussianRational]) -> Vector:
@@ -321,8 +338,12 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def int_singular(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether a square integer matrix is singular, reduced on dict rows below ``SPARSE_FILL``."""
+    """Whether a square integer matrix is singular, reduced on dict rows below ``SPARSE_FILL``
+    when its leading columns repeat."""
     n = len(rows)
+    known = _distinct_leads(next(compress(count(), row), None) for row in rows)
+    if known is not None:
+        return known < n
     if n * n - sum([row.count(0) for row in rows]) < SPARSE_FILL * n * n:
         return len(_rref_sparse([{j: (x, 0) for j, x in enumerate(row) if x} for row in rows], n)[1]) < n
     return bareiss_det(rows) == 0

@@ -15,16 +15,21 @@ list rebuilt per undegeneration, and one ``is_correlated`` per kept pair.
 ``residue_forms`` is the residue-form table built before the graph kept each
 passage's weights: every crossing edge of every row and passage recomputes the
 passage's lcm of kappas and divides it by its own kappa.
+
+``ratio_closure`` and ``ratio`` are the proportionality closure and lookup
+built on ``Fraction`` before the closure moved to (numerator, denominator)
+int pairs; ``ratio_closure`` maps each edge to (root, Fraction).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import Iterable
 
 from strata import linalg
-from strata.equations import EquationSystem, UndegClassification, _support_coords
+from strata.equations import EquationSystem, ProportionalityData, UndegClassification, _support_coords
 from strata.errors import SystemDataError
 from strata.gaussian import GaussianRational
 from strata.homology import Cycle, pair
@@ -132,3 +137,45 @@ def residue_forms(system: EquationSystem) -> tuple[tuple[int, int, Cycle], ...]:
                 if not form.is_zero():
                     out.append((j, i, form))
     return tuple(out)
+
+
+def ratio_closure(ratios: ProportionalityData):
+    """(ratio_to_root, conflicts) of the declared ratios, on Fractions."""
+    adjacency: dict[str, list[tuple[str, Fraction]]] = {}
+    for e, ep, q in ratios.entries:
+        if q == 0:
+            continue
+        adjacency.setdefault(e, []).append((ep, q))
+        adjacency.setdefault(ep, []).append((e, 1 / q))
+    ratio: dict[str, tuple[str, Fraction]] = {}
+    for root in sorted(adjacency):
+        if root in ratio:
+            continue
+        ratio[root] = (root, Fraction(1))
+        queue = [root]
+        while queue:
+            x = queue.pop(0)
+            _, rx = ratio[x]
+            for y, q_xy in adjacency[x]:
+                if y not in ratio:
+                    ratio[y] = (root, rx / q_xy)
+                    queue.append(y)
+    conflicts = [
+        (e, ep, f"chain gives {ratio[e][1] / q}, declared closure gives {ratio[ep][1]}")
+        for e, ep, q in ratios.entries
+        if q and ratio[e][1] / q != ratio[ep][1]
+    ]
+    return ratio, conflicts
+
+
+def ratio(ratios: ProportionalityData, e: str, ep: str) -> Fraction | None:
+    if e == ep:
+        return Fraction(1)
+    closure, _ = ratio_closure(ratios)
+    if e not in closure or ep not in closure:
+        return None
+    root_e, q_e = closure[e]
+    root_ep, q_ep = closure[ep]
+    if root_e != root_ep:
+        return None
+    return q_e / q_ep

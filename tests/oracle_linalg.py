@@ -12,7 +12,9 @@ the library used before it read the invariant factors of a Smith normal
 form; it enumerates C(rows, r) * C(cols, r) minors, so keep it to small
 shapes.  ``invert`` is the exact inverse the library computed by reducing
 ``[A | I]`` before its one caller, the tangent image, solved ``J z = w``
-directly; it is built on the ``rref`` above.  ``nullspace`` is the kernel
+directly; it is built on the ``rref`` above.  ``rank`` and ``int_singular`` are
+the rank and singularity tests the library ran before it read leading columns
+first: they always eliminate.  ``nullspace`` is the kernel
 the library computed before it read kernels off rows already in reduced
 echelon form: it reduces its input with ``strata.linalg.rref`` on every call
 and writes ``-row[free]`` into each pivot entry, zeros included.
@@ -26,7 +28,7 @@ from typing import Iterable, Sequence
 
 from strata.gaussian import ONE, ZERO, GaussianRational
 from strata import linalg
-from strata.linalg import Vector, bareiss_det, rank
+from strata.linalg import SPARSE_FILL, Vector, _rref_sparse, bareiss_det
 
 
 def vec_add(u: Sequence[GaussianRational], v: Sequence[GaussianRational]) -> Vector:
@@ -101,6 +103,18 @@ def nullspace(rows: Iterable[Sequence[GaussianRational]], ncols: int) -> list[Ve
             v[p] = -row[free]
         basis.append(v)
     return basis
+
+
+def rank(rows: Iterable[Sequence[GaussianRational]]) -> int:
+    return len(linalg.rref(rows)[0])
+
+
+def int_singular(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether a square integer matrix is singular, reduced on dict rows below ``SPARSE_FILL``."""
+    n = len(rows)
+    if n * n - sum([row.count(0) for row in rows]) < SPARSE_FILL * n * n:
+        return len(_rref_sparse([{j: (x, 0) for j, x in enumerate(row) if x} for row in rows], n)[1]) < n
+    return bareiss_det(rows) == 0
 
 
 def reduce_vector(

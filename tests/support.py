@@ -6,6 +6,7 @@ reproducible without configuration.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import sys
@@ -14,9 +15,10 @@ from itertools import combinations
 from pathlib import Path
 
 from oracle_equations import is_correlated
+from oracle_linalg import invert
 from strata.document import parse_document
 from strata.equations import EquationSystem
-from strata.gaussian import GaussianRational
+from strata.gaussian import GaussianRational, parse_gaussian
 from strata.homology import AdaptedBasis, BasisElement, Cycle
 from strata.level_graph import Edge, EnhancedLevelGraph, Marking, Vertex, validate
 
@@ -384,6 +386,29 @@ def write_cylinders_document(path, g: int, index: int = 0) -> str:
     generators = _generators()
     generators.write_document(generators.cylinders_document(g, index), str(path))
     return str(path)
+
+
+def conjugated_document(raw: dict, u) -> dict:
+    """A copy of the raw document ``raw`` over the absolute basis ``b'_a = sum_b u[a][b] b_b``,
+    for an integer matrix ``u`` invertible over Q: J becomes ``u J u^T``, iota ``u iota`` and each
+    lambda image ``u^-T u_lambda``, so the gate's adjunction holds exactly when it held before."""
+    sym = raw["symplectic"]
+    u_rows = [[GaussianRational(x) for x in row] for row in u]
+    u_inv_t = list(zip(*invert(u_rows)))
+    iota_columns = list(zip(*[[parse_gaussian(x) for x in row] for row in sym["iota"]]))
+
+    def dot(xs, ys) -> str:
+        return sum((x * y for x, y in zip(xs, ys)), GaussianRational(0)).canonical()
+
+    out = json.loads(json.dumps(raw))
+    out["symplectic"]["J"] = [
+        [sum(x * j_row[k] * w for x, j_row in zip(a, sym["J"]) for k, w in enumerate(b)) for b in u] for a in u
+    ]
+    out["symplectic"]["iota"] = [[dot(a, column) for column in iota_columns] for a in u_rows]
+    out["symplectic"]["u_lambda"] = {
+        e: [dot(a, [parse_gaussian(x) for x in v]) for a in u_inv_t] for e, v in sym["u_lambda"].items()
+    }
+    return out
 
 
 def dense_pool(n: int) -> list:

@@ -29,6 +29,7 @@ from strata.homology import Cycle
 from support import (
     adapted_basis_for,
     aim_parallel_fixture,
+    conjugated_document,
     cylinders_document,
     loop_graph,
     ratio_forms,
@@ -350,7 +351,12 @@ def _change_absolute_basis(data: SymplecticData, r) -> SymplecticData:
     n = data.dim
     lower = [[1 if a == b else (r.randint(-2, 2) if b < a else 0) for b in range(n)] for a in range(n)]
     upper = [[1 if a == b else (r.randint(-2, 2) if b > a else 0) for b in range(n)] for a in range(n)]
-    p = [[sum(lower[a][k] * upper[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
+    return _in_absolute_basis(data, [[sum(lower[a][k] * upper[k][b] for k in range(n)) for b in range(n)] for a in range(n)])
+
+
+def _in_absolute_basis(data: SymplecticData, p) -> SymplecticData:
+    """The same absolute data in the basis x' = P x, for an integer P invertible over Q."""
+    n = data.dim
     j = data.j_matrix
     j_new = tuple(
         tuple(
@@ -586,6 +592,35 @@ def test_tangent_matches_oracle_on_bench_cylinders(g):
         assert tangent_absolute(system, variant) == oracle_aim.tangent_absolute(system, variant), g
 
 
+def _monomial_basis_change(j_matrix, r) -> list[list[int]]:
+    """A random permutation matrix with some rows doubled, at most one of each Darboux pair:
+    it keeps a monomial J of +-1 entries monomial, with entries +-1 and +-2."""
+    n = len(j_matrix)
+    doubled = {a for a, row in enumerate(j_matrix) if a < [bool(x) for x in row].index(True) and r.random() < 0.7}
+    order = r.sample(range(n), n)
+    return [[(1 + (order[a] in doubled)) * (b == order[a]) for b in range(n)] for a in range(n)]
+
+
+@pytest.mark.parametrize("g", [2, 5, 9])
+def test_tangent_reads_a_monomial_j_like_the_oracle(monkeypatch, documents, g):
+    r = rng(57 + g)
+    instances = [(doc.symplectic(), doc.system()) for _, doc in sorted(documents.items()) if doc.symplectic()]
+    doc = cylinders_document(g)
+    instances.append((doc.symplectic(), doc.system()))
+    for data, system in instances:
+        monomial = [_in_absolute_basis(data, _monomial_basis_change(data.j_matrix, r)) for _ in range(3)]
+        dense = [_change_absolute_basis(data, r) for _ in range(2)]
+        assert all(sum(map(bool, row)) == 1 for variant in monomial for row in variant.j_matrix)
+        assert {abs(x) for variant in monomial for row in variant.j_matrix for x in row} == {0, 1, 2}
+        solves = _count_j_solves(monkeypatch, [variant.j_matrix for variant in monomial + dense])
+        for variant in [data, *monomial, *dense]:
+            assert validate_symplectic(variant, system) == []
+            assert tangent_absolute(system, variant) == oracle_aim.tangent_absolute(system, variant)
+        # Only the J with entries off one per row and column is solved by a reduction.
+        assert len(solves) == len(dense)
+        monkeypatch.undo()
+
+
 def test_tangent_matches_oracle_when_not_symplectic():
     basis, data = _lagrangian_instance()
     system = EquationSystem(
@@ -665,13 +700,14 @@ def test_sparse_gate_matches_the_oracle_on_every_kind_of_break(documents):
     assert rules.count("adjunction") >= 50
 
 
-def test_aim_pairwise_cross_reduces_once_less(monkeypatch, capsys, tmp_path):
+def test_aim_pairwise_cross_reduces_five_times(monkeypatch, capsys, tmp_path):
     path = write_cylinders_document(tmp_path / "cylinders.json", 9)
     eliminations = _count_calls(monkeypatch, linalg.rref)
     assert main(["aim", path, "--pairwise-cross", "e01", "e02"]) == 0
     capsys.readouterr()
-    # The tangent image reads its kernel off the cached extended rows (10 before).
-    assert len(eliminations) == 9
+    # The tangent image reads its kernel off the cached extended rows (10 before) and
+    # J^-1 off the monomial J, and three ranks are read off leading columns (9 before).
+    assert len(eliminations) == 5
 
 
 def _rebind(monkeypatch, original, replacement) -> None:
@@ -722,9 +758,10 @@ def test_aim_verdict_validates_and_inverts_once(monkeypatch, capsys, fixture_dir
     assert code == 0
     assert "bound satisfied" in capsys.readouterr().out
     assert len(validations) == 1
-    assert len(solves) == 1
-    # The class's lemma_bound reuses the handler's tangent image (21 before).
-    assert len(eliminations) <= 11
+    assert solves == []  # J is monomial: J^-1 w is read off its entries (1 solve before)
+    # The class's lemma_bound reuses the handler's tangent image (21 before), and
+    # three ranks are read off leading columns (8 before).
+    assert len(eliminations) <= 4
 
 
 def test_document_symplectic_built_once(fixture_dir):
@@ -986,14 +1023,19 @@ def test_aim_decompose_builds_forms_for_the_one_usable_pair(monkeypatch, capsys,
 
 @pytest.mark.parametrize("command", ["validate", "analyze", "plumb", "aim"])
 def test_only_the_tangent_image_builds_gaussian_j(monkeypatch, capsys, tmp_path, fixture_dir, command):
-    paths = [str(fixture_dir / "minimal_stratum_parallel.json"), write_cylinders_document(tmp_path / "cylinders.json", 5)]
+    fixture = fixture_dir / "minimal_stratum_parallel.json"
+    # A J with a repeated leading column is solved by a reduction; a monomial J is read off.
+    conjugated = tmp_path / "conjugated.json"
+    unimodular = [[int(a == b or (a, b) == (0, 2)) for b in range(6)] for a in range(6)]
+    conjugated.write_text(json.dumps(conjugated_document(json.loads(fixture.read_text()), unimodular)))
+    paths = [str(fixture), write_cylinders_document(tmp_path / "cylinders.json", 5), str(conjugated)]
     j_matrices = [load_document(path).symplectic().j_matrix for path in paths]
     solves = _count_j_solves(monkeypatch, j_matrices)
     products = _count_calls(monkeypatch, linalg.matvec)  # over Q(i); the gate multiplies J on ints
     for path in paths:
         assert main([command, path]) == 0
     capsys.readouterr()
-    assert len(solves) == (2 if command == "aim" else 0)
+    assert [len(rows) for rows in solves] == ([6] if command == "aim" else [])
     assert command == "aim" or products == []
 
 

@@ -30,6 +30,18 @@ def test_all_fixtures_validate():
         assert code == 0, output
 
 
+def test_the_readme_schema_example_validates(tmp_path):
+    readme = (FIXTURES.parent / "README.md").read_text()
+    block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    example = tmp_path / "example.json"
+    example.write_text("\n".join([line.split("//", 1)[0] for line in block.splitlines()]))
+    for command in ("validate", "analyze", "plumb", "aim"):
+        code, output = run_cli(command, str(example))
+        assert code == 0, (command, output)
+    sections = {"schema", "graph", "basis", "system", "symplectic", "periods", "deformations"}
+    assert set(json.loads(example.read_text())) == sections
+
+
 def test_schema_version_required(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"schema": "nope", "graph": {}, "basis": [], "system": {}}))

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle_equations
 import oracle_homology
@@ -527,6 +529,47 @@ def test_ratio_consistency_violations():
     assert good.violations(graph) == []
     assert good.ratio("e1", "e2") == Fraction(2)
     assert good.ratio("e2", "e1") == Fraction(1, 2)
+
+
+ratio_values = st.one_of(
+    st.fractions(min_value=-6, max_value=6, max_denominator=7), st.sampled_from([Fraction(10**30, 7), Fraction(-3, 10**30)])
+)
+
+
+@st.composite
+def ratio_entries(draw):
+    """Declared ratios along a chain, closed into a cycle or not, plus random extra entries
+    that may agree with the chain or contradict it; zero and self-ratios included."""
+    edges = [f"e{k}" for k in draw(st.permutations(range(1, 7)))]
+    n = draw(st.integers(1, 6))
+    entries = [(edges[k], edges[k + 1], draw(ratio_values)) for k in range(n - 1)]
+    if n > 2 and draw(st.booleans()):
+        entries.append((edges[n - 1], edges[0], draw(ratio_values)))
+    for _ in range(draw(st.integers(0, 3))):
+        entries.append((draw(st.sampled_from(edges)), draw(st.sampled_from(edges)), draw(ratio_values)))
+    return draw(st.permutations(entries))
+
+
+@given(ratio_entries())
+@settings(max_examples=300, deadline=None)
+def test_ratio_closure_matches_the_fraction_oracle(entries):
+    ratios = ProportionalityData(entries)
+    to_root, conflicts = ratios.closure
+    expected_to_root, expected_conflicts = oracle_equations.ratio_closure(ratios)
+    assert conflicts == expected_conflicts
+    assert {e: (root, Fraction(n, d)) for e, (root, n, d) in to_root.items()} == expected_to_root
+    assert all(d > 0 and Fraction(n, d).numerator == n for _, n, d in to_root.values())
+    for e in [f"e{k}" for k in range(8)]:
+        for ep in [f"e{k}" for k in range(8)]:
+            assert ratios.ratio(e, ep) == oracle_equations.ratio(ratios, e, ep)
+
+
+def test_ratio_closure_reports_a_cycle_conflict():
+    entries = [("e1", "e2", Fraction(2)), ("e2", "e3", Fraction(3)), ("e3", "e1", Fraction(1, 5))]
+    ratios = ProportionalityData(entries)
+    # From the root e1, e3 is reached through the closing entry first, so e2~e3 conflicts.
+    assert ratios.closure[1] == [("e2", "e3", "chain gives 1/6, declared closure gives 1/5")]
+    assert ratios.closure[1] == oracle_equations.ratio_closure(ratios)[1]
 
 
 def test_span_invariance():

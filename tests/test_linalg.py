@@ -97,6 +97,61 @@ def test_integer_matrix_helpers_agree_with_their_oracles(n, fill, seed):
     assert linalg.int_singular(rows) == (linalg.bareiss_det(rows) == 0)
 
 
+# -- leading-column certificates, against the elimination they skip -----------------
+
+huge = st.sampled_from([10**30, -(10**30) + 1])
+z_entry = st.one_of(st.integers(-3, 3), huge)
+
+
+@st.composite
+def lead_shaped(draw, square=False, gaussian=True):
+    """Rows with chosen leading columns, in a random row order: distinct or repeated
+    leads, monomial and permuted-identity shapes, zero rows, and huge entries."""
+    ncols = draw(st.integers(1, 8))
+    nrows = ncols if square else draw(st.integers(0, 9))
+    shape = draw(st.sampled_from(["distinct", "repeated", "monomial", "permuted-identity"]))
+    order = draw(st.permutations(range(ncols)))
+
+    def entry(nonzero=False):
+        x = draw(st.tuples(z_entry, z_entry if gaussian else st.just(0)).filter(lambda x: any(x) or not nonzero))
+        return GaussianRational(*x) if gaussian else x[0]
+
+    zero = ZERO if gaussian else 0
+    rows = []
+    for k in range(nrows):
+        lead = draw(st.integers(0, ncols - 1)) if shape == "repeated" or k >= ncols else order[k]
+        row = [zero] * ncols
+        if draw(st.integers(0, 6)):
+            row[lead] = (ONE if gaussian else 1) if shape == "permuted-identity" else entry(nonzero=True)
+            if shape in ("distinct", "repeated"):
+                row[lead + 1 :] = [entry() for _ in range(ncols - lead - 1)]
+        rows.append(row)
+    return rows
+
+
+def _leads_are_distinct(rows, nonzero) -> bool:
+    leads = [next(j for j, x in enumerate(row) if nonzero(x)) for row in rows if any(map(nonzero, row))]
+    return len(set(leads)) == len(leads)
+
+
+@given(st.one_of(lead_shaped(), lead_shaped(gaussian=False).map(lambda m: [[GaussianRational(x) for x in row] for row in m])))
+@settings(max_examples=400, deadline=None)
+def test_rank_certificate_matches_elimination(rows):
+    expected = oracle_linalg.rank(rows)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = []
+        patch.setattr(linalg, "rref", lambda rows: calls.append(rows) or oracle_linalg.rref(rows))
+        assert linalg.rank(rows) == expected
+    # Distinct leads decide the rank without an elimination; a repeated one eliminates.
+    assert (calls == []) == _leads_are_distinct(rows, bool)
+
+
+@given(lead_shaped(square=True, gaussian=False))
+@settings(max_examples=400, deadline=None)
+def test_int_singular_certificate_matches_elimination(rows):
+    assert linalg.int_singular(rows) == oracle_linalg.int_singular(rows) == (linalg.bareiss_det(rows) == 0)
+
+
 def test_lattice_saturation():
     assert linalg.lattice_is_saturated([[2, -3]])
     assert linalg.lattice_is_saturated([[1, 1, -2]])
