@@ -15,6 +15,10 @@ the set kept only its echelon form: it keeps every relation it was given, and
 ``consistency_report`` on a copy of a system whose relation span is a
 ``RelationFold``, so the R2 fold under ``assume_theorems`` rebuilds the span
 from every cycle at each step.
+
+``validate_adapted`` is ``strata.homology.validate_adapted`` as it was before
+it compared each element's horizontal pairings with the expected table once:
+it reads the pairing against every horizontal edge, for every element.
 """
 
 from __future__ import annotations
@@ -24,9 +28,10 @@ from typing import Iterable, Mapping
 
 from strata import homology, linalg
 from strata.equations import ConsistencyCertificate, EquationSystem, consistency_report
-from strata.errors import BasisError
+from strata.errors import BasisError, Violation
 from strata.gaussian import ZERO, GaussianRational
-from strata.homology import AdaptedBasis, _render_term
+from strata.homology import CROSSING, NONCROSSING, AdaptedBasis, _render_term
+from strata.level_graph import EnhancedLevelGraph
 
 
 class Cycle:
@@ -211,3 +216,60 @@ def refolding_report(system: EquationSystem, assume_theorems: bool = False) -> C
         nonvanishing=system.nonvanishing,
     )
     return consistency_report(twin, assume_theorems=assume_theorems)
+
+
+def validate_adapted(basis: AdaptedBasis, graph: EnhancedLevelGraph) -> list[Violation]:
+    out: list[Violation] = []
+    edge_ids = {e.id for e in graph.edges}
+    levels = set(range(0, -graph.depth - 1, -1))
+    seen: set[str] = set()
+    paired: dict[str, str] = {}
+    for el in basis.elements:
+        subject = f"basis element {el.name}"
+        if el.name in seen:
+            out.append(Violation(subject, "unique-names", "duplicate name"))
+        seen.add(el.name)
+        if el.name in edge_ids:
+            out.append(Violation(subject, "namespace", "name collides with an edge id"))
+        if el.level not in levels:
+            out.append(Violation(subject, "level", f"level {el.level} not a graph level"))
+        if el.kind not in (CROSSING, NONCROSSING):
+            out.append(Violation(subject, "kind", f"unknown kind {el.kind!r}"))
+            continue
+        for eid in basis._pairings.get(el.name, {}):
+            if eid not in edge_ids:
+                out.append(Violation(subject, "pairings", f"pairing with unknown edge {eid}"))
+        if el.kind == CROSSING:
+            if el.edge is None or el.edge not in graph.horizontal_edges:
+                out.append(Violation(subject, "paired-edge", "crossing element needs a horizontal edge"))
+                continue
+            if el.edge in paired:
+                out.append(Violation(subject, "paired-edge", f"edge {el.edge} already paired with {paired[el.edge]}"))
+            paired[el.edge] = el.name
+            if graph.edge_level(el.edge) != el.level:
+                out.append(
+                    Violation(
+                        subject, "paired-edge",
+                        f"paired edge {el.edge} sits at level {graph.edge_level(el.edge)}, element declares {el.level}",
+                    )
+                )
+            for eid in graph.horizontal_edges:
+                want = 1 if eid == el.edge else 0
+                got = basis.pairing(el.name, eid)
+                if got != want:
+                    out.append(Violation(subject, "crossing-pairings", f"pairing with {eid} is {got}, expected {want}"))
+        else:
+            if el.edge is not None:
+                out.append(Violation(subject, "paired-edge", "noncrossing element names an edge"))
+            for eid in graph.horizontal_edges:
+                if basis.pairing(el.name, eid) != 0:
+                    out.append(Violation(subject, "noncrossing-pairings", f"nonzero pairing with horizontal edge {eid}"))
+    key = [(-el.level, 0 if el.kind == CROSSING else 1, el.name) for el in basis.elements]
+    if key != sorted(key):
+        out.append(
+            Violation(
+                "basis", "ordering",
+                "elements must be ordered by top level descending, crossing before noncrossing, then by name",
+            )
+        )
+    return out

@@ -36,6 +36,51 @@ def test_noncrossing_basis_valid():
     assert validate_adapted(basis, graph) == []
 
 
+def _mutated_basis(basis: AdaptedBasis, r: random.Random) -> AdaptedBasis:
+    """The basis with a few elements changed: pairings added, changed or dropped on any
+    edge (unknown ones too), kinds and paired edges swapped, names duplicated."""
+    graph = basis.graph
+    edges = [e.id for e in graph.edges] + ["nowhere"]
+    elements = list(basis.elements)
+    pairings = {el.name: dict(basis._pairings.get(el.name, {})) for el in elements}
+    for _ in range(r.randint(0, 4)):
+        k = r.randrange(len(elements))
+        el, table = elements[k], pairings[elements[k].name]
+        change = r.choice(["pairing", "pairing", "drop", "kind", "edge", "name"])
+        if change == "pairing":
+            table[r.choice(edges)] = r.choice([-1, 0, 1, 2])
+        elif change == "drop" and table:
+            del table[r.choice(sorted(table))]
+        elif change == "kind":
+            elements[k] = el._replace(kind=r.choice(["crossing", "noncrossing", "other"]))
+        elif change == "edge":
+            elements[k] = el._replace(edge=r.choice([None, *edges]))
+        elif change == "name":
+            elements[k] = el._replace(name=r.choice([e.name for e in elements]))
+    return AdaptedBasis(graph, elements, pairings)
+
+
+def test_validate_adapted_matches_the_per_edge_oracle():
+    r = rng(91)
+    found = set()
+    for _ in range(300):
+        graph = random_graph(r)
+        basis = _mutated_basis(adapted_basis_for(graph, r), r)
+        problems = validate_adapted(basis, graph)
+        assert problems == oracle.validate_adapted(basis, graph)
+        found.update(v.rule for v in problems)
+    assert {"crossing-pairings", "noncrossing-pairings", "paired-edge", "pairings", "kind"} <= found
+
+
+def test_is_real_reads_every_entry():
+    r = rng(92)
+    basis = adapted_basis_for(loop_graph(3))
+    for _ in range(100):
+        vector = [r.choice([ZERO, ONE, GaussianRational(Fraction(-3, 2)), GaussianRational(0, 1)]) for _ in basis.columns()]
+        cycle = Cycle.from_vector(basis, vector)
+        assert cycle.is_real() == all(c.is_real() for c in vector)
+
+
 def test_crossing_two_edges_violation():
     graph = loop_graph(2)
     basis = AdaptedBasis(
