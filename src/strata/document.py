@@ -64,12 +64,6 @@ class RawSymplectic(NamedTuple):
     minimal: bool
 
 
-class RawPeriods(NamedTuple):
-    basis_values: dict[str, Any]
-    lam_values: dict[str, Any]
-    exact: bool
-
-
 class DeformationSpec(NamedTuple):
     class_edge: str
     r: Fraction
@@ -90,7 +84,7 @@ class AnalysisDocument:
         minimal_stratum: bool,
         nonvanishing: list[str],
         symplectic: RawSymplectic | None,
-        periods: RawPeriods | None,
+        periods: PeriodAssignment | None,
         deformations: list[DeformationSpec],
     ):
         self.graph = graph
@@ -102,7 +96,7 @@ class AnalysisDocument:
         self.minimal_stratum = minimal_stratum
         self.nonvanishing = nonvanishing
         self.raw_symplectic = symplectic
-        self.raw_periods = periods
+        self._periods = periods
         self.deformations = deformations
         self._system: EquationSystem | None = None
         self._symplectic: SymplecticData | None = None
@@ -149,11 +143,11 @@ class AnalysisDocument:
                     )
             if len(self.raw_symplectic.iota) != n:
                 out.append(Violation("iota", "shape", f"expected {n} rows"))
-        if self.raw_periods is not None:
-            for name in sorted(self.raw_periods.basis_values):
+        if self._periods is not None:
+            for name in sorted(self._periods.basis_values):
                 if name not in names:
                     out.append(Violation(f"period {name}", "references", "unknown basis element"))
-            for eid in sorted(self.raw_periods.lam_values):
+            for eid in sorted(self._periods.lam_values):
                 if eid not in edges:
                     out.append(Violation(f"period lambda[{eid}]", "references", "unknown edge"))
         horizontal = set(self.graph.horizontal_edges)
@@ -184,7 +178,7 @@ class AnalysisDocument:
         out = system_violations(system)
         if self.raw_symplectic is not None:
             out += symplectic_problems(self.symplectic(), system)
-        if self.raw_periods is not None:
+        if self._periods is not None:
             out += validate_assignment(self.periods(), system)
         return out
 
@@ -219,13 +213,7 @@ class AnalysisDocument:
         return self._symplectic
 
     def periods(self) -> PeriodAssignment | None:
-        if self.raw_periods is None:
-            return None
-        return PeriodAssignment(
-            self.raw_periods.basis_values,
-            self.raw_periods.lam_values,
-            exact=self.raw_periods.exact,
-        )
+        return self._periods
 
     def deformation_requests(self) -> list[tuple[str, ShearStretch]]:
         return [(spec.class_edge, ShearStretch(spec.r, spec.s)) for spec in self.deformations]
@@ -411,7 +399,7 @@ def parse_document(data: Any, path: str = "$") -> AnalysisDocument:
         lam_values = {}
         for eid, value in sorted(_get(pdata, "lambda", dict, pp, default={}).items()):
             lam_values[eid] = _parse_period_value(value, exact, f"{pp}.lambda.{eid}")
-        periods = RawPeriods(basis_values, lam_values, exact)
+        periods = PeriodAssignment(basis_values, lam_values, exact=exact)
 
     deformations = []
     for k, item in enumerate(_optional(data, "deformations", list, path) or []):

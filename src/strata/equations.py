@@ -276,11 +276,7 @@ class EquationSystem:
         horizontal = self.graph.horizontal_edges
         kernel = linalg.nullspace([eq.hor_pairings for eq in self.rref_rows], len(horizontal))
         columns = {e: tuple([w[k] for w in kernel]) for k, e in enumerate(horizontal)}
-        keys = {}
-        for e, column in columns.items():
-            lead = next((x for x in column if x), None)
-            keys[e] = tuple([x / lead for x in column]) if lead else column
-        return columns, keys
+        return columns, {e: _lead_key(column)[1] for e, column in columns.items()}
 
     @cached_property
     def cross_equivalence_classes(self) -> tuple[frozenset[str], ...]:
@@ -326,8 +322,8 @@ class EquationSystem:
             if len(cls) > 1:
                 for eid in sorted(cls):
                     residual = relations.reduce(Cycle(self.basis, {}, {eid: ONE}))
-                    lead = next((c for c in residual.vector if c), None)
-                    out[eid] = (residual, _monic(residual).vector, lead)
+                    lead, key = _lead_key(residual.vector)
+                    out[eid] = (residual, key, lead)
         return out
 
     @cached_property
@@ -751,9 +747,15 @@ class ConsistencyCertificate(NamedTuple):
         return self.verdict != "inconsistent"
 
 
-def _monic(cycle: Cycle) -> Cycle:
-    lead = next((c for c in cycle.vector if c), None)
-    return cycle.scale(ONE / lead) if lead else cycle
+def _lead_key(vector: Sequence[GaussianRational]) -> tuple[GaussianRational | None, tuple]:
+    """A vector's first nonzero entry (None when it is zero) and the vector scaled
+    so that entry is 1 (the zero vector as it is), one inverse multiplied into
+    the nonzero entries."""
+    lead = next((x for x in vector if x), None)
+    if lead is None:
+        return None, tuple(vector)
+    inverse = ONE / lead
+    return lead, tuple([inverse * x if x else x for x in vector])
 
 
 def _single_lambda_term(cycle: Cycle) -> str | None:
@@ -819,13 +821,9 @@ def consistency_report(system: EquationSystem, assume_theorems: bool = False) ->
             continue
         eid = _single_lambda_term(residual)
         if eid is not None and eid in system.nonvanishing:
-            trace.append(
-                f"R2: row {j} at passage {i} forces {_monic(residual).render()} = 0"
-                f" with {eid} nonvanishing"
-            )
-            return ConsistencyCertificate(
-                "inconsistent", "R2", _monic(residual), (), tuple(trace)
-            )
+            forced = Cycle(system.basis, {}, {eid: ONE})  # the residual, scaled to lead with 1
+            trace.append(f"R2: row {j} at passage {i} forces {forced.render()} = 0 with {eid} nonvanishing")
+            return ConsistencyCertificate("inconsistent", "R2", forced, (), tuple(trace))
         if assume_theorems:
             relations = relations.with_added([form])
     trace.append(f"R2: {len(forms)} residue forms reduce without forcing a nonvanishing period")
@@ -852,8 +850,9 @@ def consistency_report(system: EquationSystem, assume_theorems: bool = False) ->
     for rel in relations.echelon:
         eid = _single_lambda_term(rel)
         if eid is not None and eid in system.nonvanishing:
-            trace.append(f"R5: combined relations force {_monic(rel).render()} = 0")
-            return ConsistencyCertificate("inconsistent", "R5", _monic(rel), (), tuple(trace))
+            forced = Cycle(system.basis, {}, {eid: ONE})
+            trace.append(f"R5: combined relations force {forced.render()} = 0")
+            return ConsistencyCertificate("inconsistent", "R5", forced, (), tuple(trace))
     obligations = proportionality_obligations(system)
     if obligations:
         trace.append(

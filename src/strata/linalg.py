@@ -8,12 +8,11 @@ determinism guarantee leans on that.
 ``rref`` eliminates fraction-free over Z[i] on one of two paths, chosen by
 fill (nonzero cells / cells) against ``SPARSE_FILL``.  The sparse path keeps
 rows as dicts of nonzero entries and updates only the rows with an entry in
-the pivot column; the dense path is a Bareiss pass over full rows, and a
-sparse reduction whose rows fill past ``DENSE_ROW`` finishes on it.  Rationals
+the pivot column; the dense path is a Bareiss pass over full rows.  Rationals
 are built once, in the final division, from Z[i] ints straight to ``(a, b,
-d)``.  ``bareiss_det`` is the dense idea over Z; ``int_singular`` picks it or
-the sparse path by the same fill rule.  ``rank`` and ``int_singular`` first
-read the rows' leading columns, and eliminate only when one repeats.
+d)``.  ``bareiss_det`` is the dense idea over Z.  ``rank`` and
+``int_singular`` first read the rows' leading columns, and eliminate (by
+``rref`` and ``bareiss_det``) only when one repeats.
 """
 
 from __future__ import annotations
@@ -47,10 +46,9 @@ def is_zero_vector(v: Sequence[GaussianRational]) -> bool:
     return all(not a for a in v)
 
 
-# Fill thresholds, measured on random Z and Z[i] matrices up to 40 x 40: below
-# 0.2 the sparse path wins on both; a row past 0.75 of the columns rarely does.
+# Fill threshold, measured on random Z and Z[i] matrices up to 40 x 40: below
+# 0.2 the sparse path wins on both.
 SPARSE_FILL = 0.2
-DENSE_ROW = 0.75
 
 
 def rref(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[Vector], list[int]]:
@@ -60,9 +58,7 @@ def rref(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[Vector], list
     pivot column index of each row, in row order.  A matrix whose fill
     (nonzeros / cells) reaches ``SPARSE_FILL`` goes to ``_rref_dense``, found
     while counting row by row; any other goes to ``_rref_sparse``, its rows
-    scaled to Z[i] as ``{col: (re, im)}``.  A sparse reduction in which a row
-    grows past ``DENSE_ROW`` of the columns hands its current rows, which span
-    the same space, to ``_rref_dense``.  Both give the same rows.
+    scaled to Z[i] as ``{col: (re, im)}``.  Both give the same rows.
     """
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
@@ -81,7 +77,8 @@ def rref(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[Vector], list
 def _rref_sparse(z_rows: list[dict[int, tuple[int, int]]], ncols: int) -> tuple[list[Vector], list[int]]:
     """Gauss-Jordan on dict rows: the sparsest row with an entry is the pivot
     (Markowitz 1957, in column order), and only rows with an entry in its
-    column are updated, each then divided by its content in Z[i]."""
+    column are updated, each then divided by its content in Z[i].  Rows stay
+    dicts however far they fill in."""
     active = [row for row in z_rows if row]
     done: dict[int, dict[int, tuple[int, int]]] = {}  # pivot column -> row
     for c in range(ncols):
@@ -96,7 +93,6 @@ def _rref_sparse(z_rows: list[dict[int, tuple[int, int]]], ncols: int) -> tuple[
         for x in [*active, *done.values()]:
             if x is y or c not in x:
                 continue
-            before = len(x)
             a_re, a_im = x.pop(c)
             if p_im or p_re != 1:
                 for j, (xr, xi) in x.items():
@@ -123,10 +119,6 @@ def _rref_sparse(z_rows: list[dict[int, tuple[int, int]]], ncols: int) -> tuple[
             if norm > 1:
                 for j, (xr, xi) in x.items():
                     x[j] = ((xr * g_re + xi * g_im) // norm, (xi * g_re - xr * g_im) // norm)
-            if len(x) > DENSE_ROW * ncols >= before:
-                rest = [*done.values(), *active]
-                full = [[_from_ints(*r[j], 1) if j in r else ZERO for j in range(ncols)] for r in rest]
-                return _rref_dense(full)
         active = [x for x in active if x]
     out: list[Vector] = []
     for c, y in done.items():
@@ -338,15 +330,10 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def int_singular(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether a square integer matrix is singular, reduced on dict rows below ``SPARSE_FILL``
-    when its leading columns repeat."""
-    n = len(rows)
+    """Whether a square integer matrix is singular: its rows' leading columns when
+    they are distinct, else ``bareiss_det``."""
     known = _distinct_leads(next(compress(count(), row), None) for row in rows)
-    if known is not None:
-        return known < n
-    if n * n - sum([row.count(0) for row in rows]) < SPARSE_FILL * n * n:
-        return len(_rref_sparse([{j: (x, 0) for j, x in enumerate(row) if x} for row in rows], n)[1]) < n
-    return bareiss_det(rows) == 0
+    return known < len(rows) if known is not None else bareiss_det(rows) == 0
 
 
 def invariant_factors(rows: Sequence[Sequence[int]]) -> list[int]:

@@ -19,6 +19,13 @@ passage's lcm of kappas and divides it by its own kappa.
 ``ratio_closure`` and ``ratio`` are the proportionality closure and lookup
 built on ``Fraction`` before the closure moved to (numerator, denominator)
 int pairs; ``ratio_closure`` maps each edge to (root, Fraction).
+
+``monic`` and ``annihilator_keys`` are the two ways ``strata.equations`` scaled
+a vector to lead with 1 before one routine did it: ``monic`` scales a cycle by
+``ONE / lead`` (the residual keys and the R2/R5 forced cycles), and the
+annihilator's keys divide every entry of a column by its lead.  ``forced`` is
+the cycle R2, else R5, of ``consistency_report`` forces to zero, made monic by
+``monic``.
 """
 
 from __future__ import annotations
@@ -29,9 +36,15 @@ from math import lcm
 from typing import Iterable
 
 from strata import linalg
-from strata.equations import EquationSystem, ProportionalityData, UndegClassification, _support_coords
+from strata.equations import (
+    EquationSystem,
+    ProportionalityData,
+    UndegClassification,
+    _single_lambda_term,
+    _support_coords,
+)
 from strata.errors import SystemDataError
-from strata.gaussian import GaussianRational
+from strata.gaussian import ONE, GaussianRational
 from strata.homology import Cycle, pair
 from strata.level_graph import Undegeneration
 
@@ -179,3 +192,35 @@ def ratio(ratios: ProportionalityData, e: str, ep: str) -> Fraction | None:
     if root_e != root_ep:
         return None
     return q_e / q_ep
+
+
+def monic(cycle: Cycle) -> Cycle:
+    lead = next((c for c in cycle.vector if c), None)
+    return cycle.scale(ONE / lead) if lead else cycle
+
+
+def annihilator_keys(columns: dict[str, tuple]) -> dict[str, tuple]:
+    """Each column divided by its first nonzero entry, or the zero column itself."""
+    keys = {}
+    for e, column in columns.items():
+        lead = next((x for x in column if x), None)
+        keys[e] = tuple([x / lead for x in column]) if lead else column
+    return keys
+
+
+def forced(system: EquationSystem, assume_theorems: bool = False) -> tuple[str, Cycle] | None:
+    """The first rule of R2 and R5 that forces a nonvanishing period to zero, and
+    the monic forced cycle, as if R1, R3 and R4 passed; None when neither does."""
+    relations = system.reduction_relations
+    for _, _, form in system.residue_forms:
+        residual = relations.reduce(form)
+        if residual.is_zero():
+            continue
+        if _single_lambda_term(residual) in system.nonvanishing:
+            return "R2", monic(residual)
+        if assume_theorems:
+            relations = relations.with_added([form])
+    for rel in relations.echelon:
+        if _single_lambda_term(rel) in system.nonvanishing:
+            return "R5", monic(rel)
+    return None

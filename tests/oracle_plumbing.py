@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from oracle_equations import monic
 from strata import linalg
-from strata.equations import EquationSystem, _monic, consistency_report
+from strata.equations import EquationSystem, consistency_report
 from strata.errors import ConversionError
 from strata.gaussian import ONE, GaussianRational
 from strata.homology import Cycle, pair
@@ -99,7 +100,7 @@ def proportionality_obligations(
             if residual.is_zero():
                 forced.append((eid, Cycle(system.basis, {}, {eid: ONE})))
                 continue
-            key = _monic(residual).vector
+            key = monic(residual).vector
             if key not in reps:
                 reps[key] = eid
                 order.append(eid)

@@ -166,6 +166,24 @@ def random_system(
     return EquationSystem(basis, cycles, real=real)
 
 
+def refusable_system(r: random.Random) -> EquationSystem:
+    """A random graph's system of 1-3 rows with entries in {-1, 0, 1}, two-term
+    and single-term lambda relations, and random vertical edges declared
+    nonvanishing: every rule R1-R5 refuses some of these."""
+    graph = random_graph(r)
+    basis = adapted_basis_for(graph, r)
+    rows = [random_int_cycle(basis, r, -1, 1, lam=r.random() < 0.5) for _ in range(r.randint(1, 3))]
+    edges = [e.id for e in graph.edges]
+    relations = [
+        Cycle(basis, {}, {a: GaussianRational(1), b: GaussianRational(r.choice([-1, 1, 2]))})
+        for a, b in combinations(edges, 2)
+        if r.random() < 0.1
+    ]
+    relations += [Cycle(basis, {}, {e: GaussianRational(2)}) for e in edges if r.random() < 0.05]
+    nonvanishing = [e for e in edges if not graph.is_horizontal(e) and r.random() < 0.5]
+    return EquationSystem(basis, rows, relations=relations, nonvanishing=nonvanishing)
+
+
 def real_parallel_fixture(r: random.Random):
     """Random real system with one cylinder class plus satisfying periods.
 

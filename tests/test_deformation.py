@@ -283,3 +283,20 @@ def test_approximate_residuals_keep_the_dict_summation_order(tmp_path):
         for values in (assignment, deformed):
             assert repr(evaluate(eq.cycle, values)) == repr(oracle.evaluate(old, values))
     assert any(row["residual"] != "0j" for row in rows)
+
+
+def test_the_document_builds_its_period_assignment_once(monkeypatch, documents):
+    doc = documents["parallel_cylinders"]
+    assert doc.periods() is doc.periods()
+    built = []
+    original = PeriodAssignment.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PeriodAssignment, "__init__", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["deform", str(Path(__file__).parent.parent / "fixtures" / "parallel_cylinders.json")])
+    # One for the document, one for its single deformation request's moved periods.
+    assert (code, len(doc.deformations), len(built)) == (0, 1, 2)

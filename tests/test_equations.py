@@ -51,6 +51,7 @@ from support import (
     random_system,
     ratio_forms,
     real_parallel_fixture,
+    refusable_system,
     rng,
     two_level_graph,
     write_cylinders_document,
@@ -1111,3 +1112,29 @@ def test_undegeneration_table_runs_one_rref_however_many_rows(monkeypatch):
     rows = [classify_undegeneration(system, u) for u in undegs]
     assert len(calls) <= 1
     assert [row.branch for row in rows if row.divisorial] == ["horizontal"]
+
+
+# -- lead keys, against the per-site scalings they replaced ----------------------
+
+
+def test_lead_keys_match_the_monic_oracles(documents):
+    assert equations._lead_key(()) == (None, ())
+    assert equations._lead_key([ZERO, ZERO]) == (None, (ZERO, ZERO))
+    r = rng(7101)
+    systems = _correlation_systems(documents) + [refusable_system(r) for _ in range(300)]
+    rules, zero_columns, zero_residuals = set(), 0, 0
+    for system in systems:
+        columns, keys = system.annihilator
+        assert keys == oracle_equations.annihilator_keys(columns)
+        zero_columns += sum([not any(column) for column in columns.values()])
+        for residual, key, lead in system.residuals.values():
+            assert key == oracle_equations.monic(residual).vector
+            assert lead == next((x for x in residual.vector if x), None)
+            zero_residuals += lead is None
+        for assume in (False, True):
+            certificate = consistency_report(system, assume_theorems=assume)
+            rules.add(certificate.rule)
+            if certificate.rule in ("R2", "R5"):
+                assert (certificate.rule, certificate.forced) == oracle_equations.forced(system, assume)
+    assert rules == {None, "R1", "R2", "R3", "R4", "R5"}
+    assert zero_columns and zero_residuals, (zero_columns, zero_residuals)

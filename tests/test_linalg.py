@@ -152,6 +152,27 @@ def test_int_singular_certificate_matches_elimination(rows):
     assert linalg.int_singular(rows) == oracle_linalg.int_singular(rows) == (linalg.bareiss_det(rows) == 0)
 
 
+def test_int_singular_on_sparse_matrices_with_repeated_leads():
+    """Under ``SPARSE_FILL`` with a repeated lead, where the oracle eliminates on dict rows."""
+    r = random.Random(40)
+    outcomes = set()
+    for k in range(40):
+        n = r.randint(6, 12)
+        rows = [[0] * n for _ in range(n)]
+        for j, row in enumerate(rows):
+            row[j] = r.choice([-2, 1, 3, 10**30])
+        a, b = sorted(r.sample(range(n), 2))
+        rows[b][a] = r.choice([-1, 5])  # row b now leads in row a's column
+        if k % 2:
+            rows[b] = [r.choice([1, -2]) * x for x in rows[a]]  # and is a multiple of it
+        assert n * n - sum([row.count(0) for row in rows]) < linalg.SPARSE_FILL * n * n
+        assert linalg._distinct_leads(next((j for j, x in enumerate(row) if x), None) for row in rows) is None
+        singular = linalg.int_singular(rows)
+        assert singular == oracle_linalg.int_singular(rows) == (linalg.bareiss_det(rows) == 0)
+        outcomes.add(singular)
+    assert outcomes == {False, True}
+
+
 def test_lattice_saturation():
     assert linalg.lattice_is_saturated([[2, -3]])
     assert linalg.lattice_is_saturated([[1, 1, -2]])
@@ -403,23 +424,11 @@ def test_kernel_of_reduced_rows_matches_the_nullspace_oracle(rows):
     assert linalg.kernel(reduced, pivots, ncols) == expected
 
 
-def _count(monkeypatch, name):
-    calls = []
-    original = getattr(linalg, name)
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(linalg, name, counting)
-    return calls
-
-
-def _fallback_matrix():
+def _fill_in_matrix():
     """Sparse enough for the sparse path; the pivot row of column 0 fills the first row.
 
-    Row 0 has 7 of 10 entries, under DENSE_ROW; row 1 is the sparsest with an
-    entry in column 0, so row 0 becomes row 0 - row 1 with 9 entries.
+    Row 0 has 7 of 10 entries; row 1 is the sparsest with an entry in column 0,
+    so row 0 becomes row 0 - row 1 with 9 entries.
     """
     g = GaussianRational
     rows = [[ONE] * 7 + [ZERO] * 3, [ONE] + [ZERO] * 6 + [g(2), I, g(Fraction(-1, 3))]]
@@ -428,28 +437,11 @@ def _fallback_matrix():
     return rows
 
 
-def test_the_mid_reduction_fallback_fires_and_matches_the_oracle(monkeypatch):
-    rows = _fallback_matrix()
-    nonzero = sum(1 for row in rows for x in row if x)
-    assert nonzero < linalg.SPARSE_FILL * len(rows) * len(rows[0])
-    entries = _count(monkeypatch, "rref")
-    sparse = _count(monkeypatch, "_rref_sparse")
-    dense = _count(monkeypatch, "_rref_dense")
-    assert linalg.rref(rows) == oracle_linalg.rref(rows)
-    # One rref call: the fallback goes to the dense helper, never back through rref.
-    assert (len(entries), len(sparse), len(dense)) == (1, 1, 1)
-    # The sparse path had pivoted column 0 before it handed its rows over.
-    assert len(dense[0][0]) == len(rows) - 4
-
-
-def test_the_fallback_matches_the_oracle_at_any_bound(monkeypatch):
-    """Every row has an entry in column 0 and as many entries as the bound
-    allows, so the first pivot pushes most rows past it."""
+def _bounded_support_family():
+    """Matrices whose rows each have an entry in column 0 and support 0.3, 0.5 or
+    0.75 of the columns, so the first pivot fills most rows in."""
     r = random.Random(12)
-    dense = _count(monkeypatch, "_rref_dense")
-    runs = 0
     for bound in (0.3, 0.5, 0.75):
-        monkeypatch.setattr(linalg, "DENSE_ROW", bound)
         for _ in range(40):
             ncols = r.randint(8, 14)
             rows = []
@@ -459,9 +451,16 @@ def test_the_fallback_matches_the_oracle_at_any_bound(monkeypatch):
                     GaussianRational(r.choice([1, 2, -3]), r.choice([0, 0, 1])) if j in support else ZERO
                     for j in range(ncols)
                 ])
-            assert sparse_path(rows) == oracle_linalg.rref(rows)
-            runs += 1
-    assert len(dense) > runs // 2, (len(dense), runs)
+            yield rows
+
+
+def test_fill_in_matrices_match_the_oracle():
+    first = _fill_in_matrix()
+    assert sum(1 for row in first for x in row if x) < linalg.SPARSE_FILL * len(first) * len(first[0])
+    for rows in [first, *_bounded_support_family()]:
+        expected = oracle_linalg.rref(rows)
+        assert linalg.rref(rows) == expected
+        assert sparse_path(rows) == expected
 
 
 def _sparse_plus_dense_row(n):
