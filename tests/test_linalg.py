@@ -424,7 +424,19 @@ def test_kernel_of_reduced_rows_matches_the_nullspace_oracle(rows):
     assert linalg.kernel(reduced, pivots, ncols) == expected
 
 
-def _fill_in_matrix():
+def _count(monkeypatch, name):
+    calls = []
+    original = getattr(linalg, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linalg, name, counting)
+    return calls
+
+
+def _fallback_matrix():
     """Sparse enough for the sparse path; the pivot row of column 0 fills the first row.
 
     Row 0 has 7 of 10 entries; row 1 is the sparsest with an entry in column 0,
@@ -437,10 +449,26 @@ def _fill_in_matrix():
     return rows
 
 
-def _bounded_support_family():
-    """Matrices whose rows each have an entry in column 0 and support 0.3, 0.5 or
-    0.75 of the columns, so the first pivot fills most rows in."""
+def test_the_mid_reduction_fallback_fires_and_matches_the_oracle(monkeypatch):
+    """The fill-in happens mid-reduction, and the sparse path finishes the
+    filled rows itself: no hand-off to the dense helper."""
+    rows = _fallback_matrix()
+    nonzero = sum(1 for row in rows for x in row if x)
+    assert nonzero < linalg.SPARSE_FILL * len(rows) * len(rows[0])
+    assert sum(1 for a, b in zip(rows[0], rows[1]) if a - b) == 9
+    entries = _count(monkeypatch, "rref")
+    sparse = _count(monkeypatch, "_rref_sparse")
+    dense = _count(monkeypatch, "_rref_dense")
+    assert linalg.rref(rows) == oracle_linalg.rref(rows)
+    assert (len(entries), len(sparse), len(dense)) == (1, 1, 0)
+
+
+def test_the_fallback_matches_the_oracle_at_any_bound(monkeypatch):
+    """Every row has an entry in column 0 and support 0.3, 0.5 or 0.75 of the
+    columns, so the first pivot fills most rows in; the sparse path reduces
+    them all on dict rows."""
     r = random.Random(12)
+    dense = _count(monkeypatch, "_rref_dense")
     for bound in (0.3, 0.5, 0.75):
         for _ in range(40):
             ncols = r.randint(8, 14)
@@ -451,16 +479,11 @@ def _bounded_support_family():
                     GaussianRational(r.choice([1, 2, -3]), r.choice([0, 0, 1])) if j in support else ZERO
                     for j in range(ncols)
                 ])
-            yield rows
-
-
-def test_fill_in_matrices_match_the_oracle():
-    first = _fill_in_matrix()
-    assert sum(1 for row in first for x in row if x) < linalg.SPARSE_FILL * len(first) * len(first[0])
-    for rows in [first, *_bounded_support_family()]:
-        expected = oracle_linalg.rref(rows)
-        assert linalg.rref(rows) == expected
-        assert sparse_path(rows) == expected
+            expected = oracle_linalg.rref(rows)
+            before = len(dense)
+            assert sparse_path(rows) == expected
+            assert len(dense) == before
+            assert linalg.rref(rows) == expected
 
 
 def _sparse_plus_dense_row(n):
