@@ -17,7 +17,7 @@ from .aim import SymplecticData, symplectic_problems
 from .deformation import PeriodAssignment, ShearStretch, validate_assignment
 from .equations import EquationSystem, ProportionalityData, system_violations
 from .errors import DocumentParseError, Violation
-from .gaussian import GaussianRational, parse_gaussian, parse_rational
+from .gaussian import ZERO, GaussianRational, parse_gaussian, parse_rational
 from .homology import AdaptedBasis, BasisElement, Cycle, validate_adapted
 from .level_graph import Edge, EnhancedLevelGraph, Marking, Vertex, validate
 
@@ -50,13 +50,6 @@ def _optional(data: dict, key: str, kind: type, path: str):
     return _expect(data[key], kind, f"{path}.{key}")
 
 
-class RawEquation(NamedTuple):
-    """The coefficients of an equation or relation, as parsed."""
-
-    coeffs: dict[str, GaussianRational]
-    lam: dict[str, GaussianRational]
-
-
 class RawSymplectic(NamedTuple):
     j_matrix: tuple[tuple[int, ...], ...]
     iota: tuple[tuple[GaussianRational, ...], ...]
@@ -77,59 +70,47 @@ class AnalysisDocument:
         self,
         graph: EnhancedLevelGraph,
         basis: AdaptedBasis,
-        equations: list[RawEquation],
-        ratios: list[tuple[str, str, Fraction]],
-        relations: list[RawEquation],
+        equations: list[Cycle],
+        ratios: ProportionalityData,
+        relations: list[Cycle],
         real: bool,
         minimal_stratum: bool,
         nonvanishing: list[str],
         symplectic: RawSymplectic | None,
         periods: PeriodAssignment | None,
         deformations: list[DeformationSpec],
+        unknown: list[Violation],
     ):
         self.graph = graph
         self.basis = basis
         self.raw_equations = equations
-        self.raw_ratios = ratios
-        self.raw_relations = relations
+        self.ratios = ratios
+        self.relations = relations
         self.real = real
         self.minimal_stratum = minimal_stratum
         self.nonvanishing = nonvanishing
         self.raw_symplectic = symplectic
         self._periods = periods
         self.deformations = deformations
+        self._unknown = unknown  # the equations' and relations' unknown names, as parsed
         self._system: EquationSystem | None = None
         self._symplectic: SymplecticData | None = None
 
     # -- reference checks ---------------------------------------------------
 
     def _reference_violations(self) -> list[Violation]:
-        out: list[Violation] = []
-        names = set(self.basis.names)
-        edges = {e.id for e in self.graph.edges}
-
-        def check_carriers(coeffs, lam, subject):
-            for name in sorted(coeffs):
-                if name not in names:
-                    out.append(Violation(subject, "references", f"unknown basis element {name}"))
-            for eid in sorted(lam):
-                if eid not in edges:
-                    out.append(Violation(subject, "references", f"unknown edge {eid}"))
-
-        for k, eq in enumerate(self.raw_equations):
-            check_carriers(eq.coeffs, eq.lam, f"equation {k}")
-        for k, rel in enumerate(self.raw_relations):
-            check_carriers(rel.coeffs, rel.lam, f"relation {k}")
-        for e, ep, _ in self.raw_ratios:
+        out = list(self._unknown)
+        has_edge = self.graph.has_edge
+        for e, ep, _ in self.ratios.entries:
             for eid in (e, ep):
-                if eid not in edges:
+                if not has_edge(eid):
                     out.append(Violation(f"ratio {e}~{ep}", "references", f"unknown edge {eid}"))
         for eid in self.nonvanishing:
-            if eid not in edges:
+            if not has_edge(eid):
                 out.append(Violation(f"nonvanishing {eid}", "references", "unknown edge"))
         if self.raw_symplectic is not None:
             for eid in sorted(self.raw_symplectic.u_lambda):
-                if eid not in edges:
+                if not has_edge(eid):
                     out.append(Violation(f"u_lambda {eid}", "references", "unknown edge"))
             n = len(self.raw_symplectic.j_matrix)
             width = len(self.basis.columns())
@@ -145,10 +126,10 @@ class AnalysisDocument:
                 out.append(Violation("iota", "shape", f"expected {n} rows"))
         if self._periods is not None:
             for name in sorted(self._periods.basis_values):
-                if name not in names:
+                if ("b", name) not in self.basis.column_index:
                     out.append(Violation(f"period {name}", "references", "unknown basis element"))
             for eid in sorted(self._periods.lam_values):
-                if eid not in edges:
+                if not has_edge(eid):
                     out.append(Violation(f"period lambda[{eid}]", "references", "unknown edge"))
         horizontal = set(self.graph.horizontal_edges)
         for k, spec in enumerate(self.deformations):
@@ -188,11 +169,11 @@ class AnalysisDocument:
         if self._system is None:
             self._system = EquationSystem(
                 self.basis,
-                [Cycle(self.basis, eq.coeffs, eq.lam) for eq in self.raw_equations],
+                self.raw_equations,
                 real=self.real,
                 minimal_stratum=self.minimal_stratum,
-                relations=[Cycle(self.basis, rel.coeffs, rel.lam) for rel in self.raw_relations],
-                ratios=ProportionalityData(self.raw_ratios),
+                relations=self.relations,
+                ratios=self.ratios,
                 nonvanishing=self.nonvanishing,
             )
         return self._system
@@ -253,21 +234,27 @@ def _literal_row(row: Any, path: str, seen: dict[str, GaussianRational]) -> tupl
         return tuple([_literal(x, f"{path}[{b}]", seen) for b, x in enumerate(row)])
 
 
-def _parse_gaussian_map(
-    data: dict, path: str, seen: dict[str, GaussianRational]
-) -> dict[str, GaussianRational]:
-    out = {}
-    for key in sorted(data):
-        out[key] = _literal(data[key], f"{path}.{key}", seen)
-    return out
+def _parse_cycle(
+    item: Any, path: str, basis: AdaptedBasis, seen: dict[str, GaussianRational],
+    subject: str, unknown: list[Violation],
+) -> Cycle:
+    """An equation or relation, each literal written into its basis column as read.
 
-
-def _parse_equation(item: Any, path: str, seen: dict[str, GaussianRational]) -> RawEquation:
+    A name the basis lacks is left out and reported in ``unknown``.
+    """
     item = _expect(item, dict, path)
-    return RawEquation(
-        _parse_gaussian_map(_get(item, "coeffs", dict, path, default={}), f"{path}.coeffs", seen),
-        _parse_gaussian_map(_get(item, "lambda", dict, path, default={}), f"{path}.lambda", seen),
-    )
+    index = basis.column_index
+    vector = [ZERO] * len(basis.columns())
+    for key, kind, what in (("coeffs", "b", "basis element"), ("lambda", "l", "edge")):
+        table = _get(item, key, dict, path, default={})
+        for name in sorted(table):
+            c = _literal(table[name], f"{path}.{key}.{name}", seen)
+            col = index.get((kind, name))
+            if col is None:
+                unknown.append(Violation(subject, "references", f"unknown {what} {name}"))
+            else:
+                vector[col] = c
+    return Cycle.from_vector(basis, vector)
 
 
 def _parse_graph(data: dict, path: str) -> EnhancedLevelGraph:
@@ -340,10 +327,11 @@ def parse_document(data: Any, path: str = "$") -> AnalysisDocument:
     basis = _parse_basis(_get(data, "basis", list, path), graph, f"{path}.basis")
 
     seen: dict[str, GaussianRational] = {}  # this load's literal text -> value
+    unknown: list[Violation] = []
     system_data = _get(data, "system", dict, path)
     sp = f"{path}.system"
     equations = [
-        _parse_equation(item, f"{sp}.equations[{k}]", seen)
+        _parse_cycle(item, f"{sp}.equations[{k}]", basis, seen, f"equation {k}", unknown)
         for k, item in enumerate(_get(system_data, "equations", list, sp, default=[]))
     ]
     ratios = []
@@ -360,7 +348,7 @@ def parse_document(data: Any, path: str = "$") -> AnalysisDocument:
     relations = []
     for k, item in enumerate(_get(system_data, "relations", list, sp, default=[])):
         rp = f"{sp}.relations[{k}]"
-        relations.append(_parse_equation(item, rp, seen))
+        relations.append(_parse_cycle(item, rp, basis, seen, f"relation {k}", unknown))
         _expect(item.get("provenance", ""), str, f"{rp}.provenance")  # free text, not used
     flags = _get(system_data, "flags", dict, sp, default={})
     real = _expect(flags.get("real", False), bool, f"{sp}.flags.real")
@@ -414,8 +402,8 @@ def parse_document(data: Any, path: str = "$") -> AnalysisDocument:
         )
 
     return AnalysisDocument(
-        graph, basis, equations, ratios, relations, real, minimal, nonvanishing,
-        symplectic, periods, deformations,
+        graph, basis, equations, ProportionalityData(ratios), relations, real, minimal, nonvanishing,
+        symplectic, periods, deformations, unknown,
     )
 
 

@@ -355,9 +355,8 @@ def system_violations(system: EquationSystem) -> list[Violation]:
         if not rel.is_real():
             out.append(Violation(f"relation {k}", "rational-relations", "relation coefficients must be rational"))
     out.extend(system.ratios.violations(system.graph))
-    edge_ids = {e.id for e in system.graph.edges}
     for eid in sorted(system.nonvanishing):
-        if eid not in edge_ids:
+        if not system.graph.has_edge(eid):
             out.append(Violation(f"nonvanishing {eid}", "unknown-edge", "no such edge"))
     return out
 

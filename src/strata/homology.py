@@ -104,7 +104,6 @@ class AdaptedBasis:
 def validate_adapted(basis: AdaptedBasis, graph: EnhancedLevelGraph) -> list[Violation]:
     """Adaptedness invariants of a basis against its graph."""
     out: list[Violation] = []
-    edge_ids = {e.id for e in graph.edges}
     horizontal = set(graph.horizontal_edges)
     levels = set(range(0, -graph.depth - 1, -1))
     seen: set[str] = set()
@@ -115,7 +114,7 @@ def validate_adapted(basis: AdaptedBasis, graph: EnhancedLevelGraph) -> list[Vio
         if el.name in seen:
             out.append(Violation(subject, "unique-names", "duplicate name"))
         seen.add(el.name)
-        if el.name in edge_ids:
+        if graph.has_edge(el.name):
             out.append(Violation(subject, "namespace", "name collides with an edge id"))
         if el.level not in levels:
             out.append(Violation(subject, "level", f"level {el.level} not a graph level"))
@@ -124,7 +123,7 @@ def validate_adapted(basis: AdaptedBasis, graph: EnhancedLevelGraph) -> list[Vio
             continue
         pairings = basis._pairings.get(el.name, {})
         for eid in pairings:
-            if eid not in edge_ids:
+            if not graph.has_edge(eid):
                 out.append(Violation(subject, "pairings", f"pairing with unknown edge {eid}"))
         if el.kind == CROSSING:
             if el.edge is None or el.edge not in horizontal:

@@ -157,8 +157,7 @@ def validate(graph: EnhancedLevelGraph) -> list[Violation]:
 
     levels = {v.level for v in graph.vertices}
     lo = min(levels)
-    expected = set(range(0, lo - 1, -1))
-    if levels != expected:
+    if max(levels) != 0 or len(levels) != 1 - lo:  # levels is not {0, -1, ..., lo}
         out.append(
             Violation(
                 "graph", "levels",

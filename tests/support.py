@@ -429,6 +429,20 @@ def conjugated_document(raw: dict, u) -> dict:
     return out
 
 
+def bench_pool_documents() -> list[dict]:
+    """Every raw document of the benchmark's dense-complex and parallel-cylinders pools."""
+    generators = _generators()
+    return [
+        make(size, index)
+        for make, sizes in (
+            (generators.dense_document, generators.DENSE_SIZES),
+            (generators.cylinders_document, generators.CYLINDER_GENERA),
+        )
+        for size in sizes
+        for index in range(generators.POOL_SIZE)
+    ]
+
+
 def dense_pool(n: int) -> list:
     """Every document of the benchmark's dense-complex pool of size ``n``, parsed."""
     generators = _generators()

@@ -147,6 +147,59 @@ def test_unknown_basis_reference_is_violation(tmp_path):
     assert "zz" in output
 
 
+UNKNOWN_NAMES = [
+    "equation 0: references: unknown basis element b0",
+    "equation 0: references: unknown basis element zz",
+    "equation 1: references: unknown edge e0",
+    "equation 1: references: unknown edge x9",
+    "relation 0: references: unknown basis element q",
+    "relation 0: references: unknown edge w",
+    "ratio e1~n1: references: unknown edge n1",
+    "nonvanishing n2: references: unknown edge",
+]
+
+
+def test_unknown_names_are_reported_in_document_order(tmp_path):
+    doc = json.loads((FIXTURES / "parallel_cylinders.json").read_text())
+    system = doc["system"]
+    system["equations"][0]["coeffs"].update({"zz": "1", "b0": "2"})
+    system["equations"][1]["lambda"].update({"x9": "1", "e0": "0"})
+    system["relations"] = [{"coeffs": {"q": "1"}, "lambda": {"w": "1", "e1": "1"}}]
+    system["ratios"] = [{"e": "e1", "e'": "n1", "q": "2"}]
+    system["nonvanishing"] = ["n2"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, output = run_cli("validate", str(bad))
+    assert code == 1
+    assert output == "\n".join([f"violations: {len(UNKNOWN_NAMES)}"] + [f"  {p}" for p in UNKNOWN_NAMES]) + "\n"
+    code, output = run_cli("validate", str(bad), "--json")
+    assert code == 1
+    assert json.loads(output) == {"command": "validate", "violations": UNKNOWN_NAMES}
+
+
+def test_a_deep_level_gap_is_reported_without_a_set_of_every_level(tmp_path):
+    import tracemalloc
+
+    doc = json.loads((FIXTURES / "parallel_cylinders.json").read_text())
+    doc["graph"]["vertices"].append({"id": "deep", "genus": 0, "level": -10**12})
+    bad = tmp_path / "deep.json"
+    bad.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code, output = run_cli("validate", str(bad))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert output.splitlines() == [
+        "violations: 3",
+        "  graph: levels: level map is not surjective onto {0,...,-1000000000000}: levels used [-1000000000000, 0]",
+        "  vertex deep: order-balance: orders sum to 0, expected -2",
+        "  graph: connected: graph is disconnected",
+    ]
+    assert peak < 2**20  # the set of every level would take terabytes
+
+
 @pytest.mark.parametrize("flags", [(), ("--json",)])
 @pytest.mark.parametrize("command", ["analyze", "plumb", "deform", "aim"])
 def test_invalid_document_is_refused_before_the_command_runs(tmp_path, command, flags):
@@ -698,4 +751,4 @@ def test_literal_just_under_the_digit_limit_parses_and_prints(tmp_path):
     code, output = run_cli("validate", _with_g1(tmp_path, '"-3.5e-4297"'))
     assert code == 0, output
     doc = load_document(_with_g1(tmp_path, '"0e99999999"'))
-    assert not doc.raw_equations[0].coeffs["g1"]
+    assert "g1" not in doc.raw_equations[0].coeffs  # a zero coefficient is absent from the cycle's view

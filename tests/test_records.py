@@ -35,7 +35,7 @@ EXPECTED = {
     "Analytic", "BasisElement", "Binomial", "ConsistencyCertificate", "CrossWitnessResult",
     "CylinderClass", "DecomposeResult", "DeformationReport", "DeformationSpec", "Edge",
     "HurwitzCertificate", "LatticeReport", "LemmaBoundReport", "LocalModel",
-    "Marking", "PassageTable", "RawEquation", "RawSymplectic",
+    "Marking", "PassageTable", "RawSymplectic",
     "RowOutcome", "ShearStretch", "SmoothingWitness", "SubspaceReport", "UndegClassification",
     "Undegeneration", "Vertex", "Violation",
 }

@@ -376,7 +376,6 @@ LIBRARY_API = (
     "homology.Cycle.to_vector",
     # Helpers the tests call.
     "homology.LambdaRelationSet.contains",
-    "level_graph.EnhancedLevelGraph.has_edge",
     "level_graph.Undegeneration.surviving_edges",
     "level_graph.Undegeneration.target_codim",
     "level_graph.Undegeneration.then",
