@@ -18,6 +18,7 @@ from . import linalg
 from .deformation import CylinderClass
 from .equations import (
     EquationSystem,
+    _lead_key,
     correlated_witness,
     cross_equivalence_classes,
     hor_support,
@@ -278,57 +279,34 @@ def _horizontal_columns(system: EquationSystem) -> dict[int, str]:
     return {index[("l", eid)]: eid for eid in system.graph.horizontal_edges}
 
 
-def _pure_lambda_subspace(system: EquationSystem) -> list[linalg.Vector]:
-    """Extended-span vectors supported on horizontal vanishing cycles only."""
-    reduced, _ = system.extended_rows
-    if not reduced:
-        return []
-    keep = _horizontal_columns(system)
-    constraints = [[row[col] for row in reduced] for col in range(len(reduced[0])) if col not in keep]
-    return [linalg.combine(coords, reduced) for coords in linalg.nullspace(constraints, len(reduced))]
-
-
 def _pair_form_candidates(
     system: EquationSystem, nodes: Sequence[str]
 ) -> tuple[bool, list[tuple[tuple[str, str], Cycle]]]:
     """Whether the extended span holds a two-node period form, and the forms of the
     pairs holding min(2, len(nodes)) of ``nodes``, in ``combinations`` order.
 
-    A pair's forms are the kernel of columns a and b of the annihilator W of the
-    pure-lambda subspace, nonzero exactly when a column is zero or the two are parallel.
-    One reduction of ``[P | I]``, P those columns of ``pure``, gives W and the forms'
-    coordinates over ``pure``, scaled as ``linalg.nullspace`` would.
+    Reduction is linear, so x lambda[a] + y lambda[b] lies in the extended span
+    exactly when x r_a + y r_b = 0, r the unit periods' residuals modulo the
+    extended rows.  A pair's forms are then the unit form of each zero residual,
+    or, for two nonzero residuals with the same key, the one form lead_b
+    lambda[a] - lead_a lambda[b].
     """
     horizontal = sorted(system.graph.horizontal_edges)
-    pure = _pure_lambda_subspace(system)
-    if not pure:
-        return False, []
-    h, k = len(horizontal), len(pure)
-    cols = [system.basis.column_index[("l", e)] for e in horizontal]
-    red, pivots = linalg.rref([[v[c] for c in cols] + u for v, u in zip(pure, linalg.identity(k))])
-    free = [f for f in range(h) if f not in pivots]
-    coords = dict.fromkeys(horizontal, linalg.zeros(k)) | {horizontal[p]: row[h:] for row, p in zip(red, pivots)}
-    columns = {e: [ONE if f == a else ZERO for f in free] for a, e in enumerate(horizontal)}
-    columns.update({horizontal[p]: [-row[f] for f in free] for row, p in zip(red, pivots)})
-    leads = {e: next((x for x in w if x), None) for e, w in columns.items()}
-    keys = {e: lead and tuple([x / lead for x in columns[e]]) for e, lead in leads.items()}
-    found = h > 1 and (None in keys.values() or len(set(keys.values())) < h)
+    leads, keys = {}, {}
+    for e in horizontal:
+        unit = Cycle(system.basis, {}, {e: ONE}).vector
+        leads[e], keys[e] = _lead_key(linalg.reduce_vector(unit, *system.extended_rows))
+    found = len(horizontal) > 1 and (None in leads.values() or len(set(keys.values())) < len(horizontal))
     inside = set(nodes)
     out = []
     for a, b in combinations(horizontal, 2):
         if (a in inside) + (b in inside) < min(2, len(inside)):
             continue
-        ka, kb = keys[a], keys[b]
-        if ka is None and kb is None:
-            # With the columns reversed, echelon rows are nullspace's basis, last first.
-            two, _ = linalg.rref([[*coords[a][::-1], ONE, ZERO], [*coords[b][::-1], ZERO, ONE]])
-            kernel = [(row[k], row[k + 1]) for row in reversed(two)]
-        elif ka is None or kb is None or ka == kb:
-            x, y = (ONE, ZERO) if ka is None else (ZERO, ONE) if kb is None else (leads[b], -leads[a])
-            last = next(c for c in reversed(linalg.combine((x, y), (coords[a], coords[b]))) if c)
-            kernel = [(x / last, y / last)]
+        la, lb = leads[a], leads[b]
+        if la is None or lb is None:
+            kernel = [(ONE, ZERO)] * (la is None) + [(ZERO, ONE)] * (lb is None)
         else:
-            kernel = []
+            kernel = [(lb, -la)] if keys[a] == keys[b] else []
         out += [((a, b), Cycle(system.basis, {}, {a: x, b: y})) for x, y in kernel]
     return found, out
 

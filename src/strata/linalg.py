@@ -299,10 +299,6 @@ def matvec(rows: Sequence[Sequence[GaussianRational]], v: Sequence[GaussianRatio
     return out
 
 
-def identity(n: int) -> list[Vector]:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 # -- integer lattice helpers -------------------------------------------------
 
 

@@ -8,8 +8,13 @@ calls J degenerate when there is no inverse.  ``tangent_absolute`` and
 J, its inverse and the image were memoised: every call inverts J afresh,
 reduces the extended rows again for the tangent space (``oracle_linalg.nullspace``),
 and the Gram matrix recomputes ``J v`` for every (v, w) pair.
-``pair_form_candidates`` is the pair-form search ``strata.aim`` ran before it
-read every pair off one annihilator: one nullspace per horizontal pair.
+``pure_lambda_subspace`` and ``annihilator_pair_forms`` are the pair-form search
+``strata.aim`` ran before it read the forms off the unit periods' residuals
+modulo the extended rows: a nullspace of the extended rows gives the pure-lambda
+subspace, one reduction of ``[P | I]`` gives its annihilator W, and a pair's forms
+are the kernel of W's two columns, scaled as ``linalg.nullspace`` would (the last
+nonzero coordinate over the subspace is 1).  ``pair_form_candidates`` is the search
+before that: one nullspace per horizontal pair.
 ``pairwise_circum_decompose`` is the solve ``strata.aim`` ran before it built
 forms only for the pairs the input's nodes can use: one solve over the forms
 of every pair, the pairs inside the input's nodes first.
@@ -30,10 +35,10 @@ from typing import Sequence
 from oracle_homology import pair
 from oracle_linalg import invert, nullspace
 from strata import linalg
-from strata.aim import SubspaceReport, SymplecticData, _pure_lambda_subspace, _require_minimal
+from strata.aim import SubspaceReport, SymplecticData, _horizontal_columns, _require_minimal
 from strata.equations import EquationSystem, correlated_witness, hor_support
 from strata.errors import AimError, LimitError, Violation
-from strata.gaussian import ZERO, GaussianRational
+from strata.gaussian import ONE, ZERO, GaussianRational
 from strata.homology import Cycle
 
 
@@ -125,11 +130,59 @@ def validate_symplectic(data: SymplecticData, system: EquationSystem) -> list[Vi
     return out
 
 
+def pure_lambda_subspace(system: EquationSystem) -> list[linalg.Vector]:
+    """Extended-span vectors supported on horizontal vanishing cycles only."""
+    reduced, _ = system.extended_rows
+    if not reduced:
+        return []
+    keep = _horizontal_columns(system)
+    constraints = [[row[col] for row in reduced] for col in range(len(reduced[0])) if col not in keep]
+    return [linalg.combine(coords, reduced) for coords in linalg.nullspace(constraints, len(reduced))]
+
+
+def annihilator_pair_forms(
+    system: EquationSystem, nodes: Sequence[str]
+) -> tuple[bool, list[tuple[tuple[str, str], Cycle]]]:
+    horizontal = sorted(system.graph.horizontal_edges)
+    pure = pure_lambda_subspace(system)
+    if not pure:
+        return False, []
+    h, k = len(horizontal), len(pure)
+    cols = [system.basis.column_index[("l", e)] for e in horizontal]
+    identity = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
+    red, pivots = linalg.rref([[v[c] for c in cols] + u for v, u in zip(pure, identity)])
+    free = [f for f in range(h) if f not in pivots]
+    coords = dict.fromkeys(horizontal, linalg.zeros(k)) | {horizontal[p]: row[h:] for row, p in zip(red, pivots)}
+    columns = {e: [ONE if f == a else ZERO for f in free] for a, e in enumerate(horizontal)}
+    columns.update({horizontal[p]: [-row[f] for f in free] for row, p in zip(red, pivots)})
+    leads = {e: next((x for x in w if x), None) for e, w in columns.items()}
+    keys = {e: lead and tuple([x / lead for x in columns[e]]) for e, lead in leads.items()}
+    found = h > 1 and (None in keys.values() or len(set(keys.values())) < h)
+    inside = set(nodes)
+    out = []
+    for a, b in combinations(horizontal, 2):
+        if (a in inside) + (b in inside) < min(2, len(inside)):
+            continue
+        ka, kb = keys[a], keys[b]
+        if ka is None and kb is None:
+            # With the columns reversed, echelon rows are nullspace's basis, last first.
+            two, _ = linalg.rref([[*coords[a][::-1], ONE, ZERO], [*coords[b][::-1], ZERO, ONE]])
+            kernel = [(row[k], row[k + 1]) for row in reversed(two)]
+        elif ka is None or kb is None or ka == kb:
+            x, y = (ONE, ZERO) if ka is None else (ZERO, ONE) if kb is None else (leads[b], -leads[a])
+            last = next(c for c in reversed(linalg.combine((x, y), (coords[a], coords[b]))) if c)
+            kernel = [(x / last, y / last)]
+        else:
+            kernel = []
+        out += [((a, b), Cycle(system.basis, {}, {a: x, b: y})) for x, y in kernel]
+    return found, out
+
+
 def pair_form_candidates(
     system: EquationSystem, preferred: Sequence[str]
 ) -> list[tuple[tuple[str, str], Cycle]]:
     horizontal = sorted(system.graph.horizontal_edges)
-    pure = _pure_lambda_subspace(system)
+    pure = pure_lambda_subspace(system)
     if not pure:
         return []
     index = system.basis.column_index

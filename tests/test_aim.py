@@ -111,7 +111,8 @@ def _lemma_bound_oracle(system, data, cls: CylinderClass) -> int:
     constraints = [eq.cycle.to_vector() for eq in system.rref_rows]
     constraints += [rel.to_vector() for rel in system.relations]
     constraints += [f.to_vector() for f in ratio_forms(system)]
-    tangent = linalg.nullspace(constraints, width) if constraints else linalg.identity(width)
+    identity = [[ONE if i == j else ZERO for j in range(width)] for i in range(width)]
+    tangent = linalg.nullspace(constraints, width) if constraints else identity
     support = []
     for eid, name in cls.cross_curves:
         vec = [ZERO] * width
@@ -812,7 +813,7 @@ def test_rejected_data_raises_on_every_call(documents):
             tangent_absolute(system, singular)
 
 
-# -- pair forms read off one annihilator -------------------------------------------
+# -- pair forms read off residuals modulo the extended rows ---------------------------
 
 
 def _node_lists(system) -> list[list[str]]:
@@ -826,14 +827,22 @@ def _usable(pair, nodes) -> bool:
 
 
 def _assert_candidates_match(system) -> list:
-    """For every node list, the oracle's forms of the usable pairs, in order and value,
-    and "a form exists" exactly when the oracle finds one for some pair."""
+    """For every node list, the annihilator search's "a form exists" and its pairs, in
+    order, each form a nonzero multiple of the search's form on that pair.  The search
+    in turn gives the per-pair oracle's forms of the usable pairs, in order and value."""
     everything = oracle_aim.pair_form_candidates(system, [])
     found = []
     for nodes in _node_lists(system):
         exists, candidates = aim._pair_form_candidates(system, nodes)
-        assert exists == bool(everything), nodes
-        assert candidates == [(ab, form) for ab, form in everything if _usable(ab, nodes)], nodes
+        expected_exists, expected = oracle_aim.annihilator_pair_forms(system, nodes)
+        assert expected_exists == bool(everything), nodes
+        assert expected == [(ab, form) for ab, form in everything if _usable(ab, nodes)], nodes
+        assert exists == expected_exists, nodes
+        assert [ab for ab, _ in candidates] == [ab for ab, _ in expected], nodes
+        for (_, form), (_, oracle_form) in zip(candidates, expected):
+            e = next(iter(oracle_form.lam))
+            ratio = form.lam.get(e, ZERO) / oracle_form.lam[e]
+            assert ratio and form == oracle_form.scale(ratio), nodes
         found.extend(candidates)
     return found
 
@@ -992,6 +1001,94 @@ def test_pairwise_refusals_tell_no_forms_from_forms_elsewhere():
     assert _refusal(Cycle(single.basis, {}, {"e1": 2 + I}), single) == NO_FORMS
 
 
+# -- aim --decompose on spans holding pure periods ------------------------------------
+
+
+def _zero_e3(system):
+    system["equations"].append({"coeffs": {}, "lambda": {"e3": "1"}})
+
+
+def _one_zero(system):
+    system["ratios"] = []
+    system["equations"][3] = {"coeffs": {}, "lambda": {"e3": "2"}}
+
+
+def _two_zero(system):
+    system["ratios"] = []
+    system["equations"][2] = {"coeffs": {}, "lambda": {"e1": "1"}}
+    system["equations"][3] = {"coeffs": {}, "lambda": {"e2": "1+i"}}
+    system["flags"]["real"] = False
+
+
+def _no_forms(system):
+    system["ratios"] = []
+    system["equations"][2] = {"coeffs": {}, "lambda": {"e1": "1", "e2": "-2", "e3": "3"}}
+    del system["equations"][3]
+
+
+_D13 = ("at-most-two-nodes", "d1 - d3", {"d1": "1/1", "d3": "-1/1"}, {})
+_D23 = ("at-most-two-nodes", "d2 - d3", {"d2": "1/1", "d3": "-1/1"}, {})
+_NOT_SYMPLECTIC = ((1, 0, False), "tangent image is not symplectic; the bound does not apply")
+_NO_RATIO = ((2, 2, True), "class is not declared parallel: no ratio linking e1 and e2")
+
+
+def _lam(text: str, **lam) -> tuple:
+    return ("pairwise-circumference", text, {}, lam)
+
+
+# Copies of minimal_stratum_parallel.json whose extended span holds lambda[e] for
+# some edges: the document edit, the tangent (dim, form rank, symplectic), the
+# class's skipped bound, and each row's one part or refusal.
+DEGENERATE_SPANS = {
+    "all_zero": (
+        _zero_e3, *_NOT_SYMPLECTIC,
+        [_D13, _D23, _lam("lambda[e1]", e1="1/1"), _lam("lambda[e2]", e2="1/1"), _lam("lambda[e3]", e3="1/1")],
+    ),
+    "one_zero": (
+        _one_zero, *_NO_RATIO,
+        [_D13, _D23, _lam("lambda[e1] - lambda[e2]", e1="1/1", e2="-1/1"), _lam("lambda[e3]", e3="1/1")],
+    ),
+    "two_zero": (
+        _two_zero, *_NO_RATIO, [_D13, _D23, _lam("lambda[e1]", e1="1/1"), _lam("lambda[e2]", e2="1/1")]
+    ),
+    "no_forms": (
+        _no_forms, (3, 2, False), _NOT_SYMPLECTIC[1], [_D13, _D23, NO_FORMS],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_SPANS))
+def test_aim_decompose_on_degenerate_spans(name, tmp_path, capsys, fixture_dir):
+    edit, (dim, form_rank, symplectic), skipped, rows = DEGENERATE_SPANS[name]
+    raw = json.loads((fixture_dir / "minimal_stratum_parallel.json").read_text())
+    edit(raw["system"])
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(raw))
+    header = [
+        f"tangent image in absolute homology: dim {dim}, restricted form rank {form_rank},"
+        f" {'symplectic' if symplectic else 'NOT symplectic'}",
+        f"class {{e1, e2, e3}}: parallel-deformation bound skipped ({skipped})",
+    ]
+    summary = {
+        "bounds": [{"class": ["e1", "e2", "e3"], "skipped": skipped}],
+        "command": "aim",
+        "tangent": {"dim": dim, "form_rank": form_rank, "symplectic": symplectic},
+    }
+    out_of_range = f"row index {len(rows)} out of range (rank {len(rows)})"
+    for r, row in enumerate([*rows, out_of_range]):
+        if isinstance(row, str):
+            code, text, report = 1, [f"aim error: {row}"], {"command": "aim", "error": row}
+        else:
+            kind, part, coeffs, lam = row
+            code, text = 0, [*header, f"decomposition of row {r} ({kind}):", f"  {part} = 0"]
+            parts = [{"coeffs": coeffs, "lambda": lam}]
+            report = summary | {"decompose": {"kind": kind, "parts": parts, "row": r}}
+        assert main(["aim", str(path), "--decompose", str(r)]) == code, r
+        assert capsys.readouterr() == ("\n".join(text) + "\n", ""), r
+        assert main(["aim", str(path), "--decompose", str(r), "--json"]) == code, r
+        assert capsys.readouterr() == (json.dumps(report, sort_keys=True, indent=2) + "\n", ""), r
+
+
 # -- what the symplectic block costs a verdict ----------------------------------------
 
 
@@ -1001,8 +1098,32 @@ def test_aim_decompose_makes_at_most_three_nullspace_calls(monkeypatch, capsys, 
     kernels = _count_calls(monkeypatch, linalg.nullspace)
     assert main(["aim", path, "--decompose", str(g - 1)]) == 0
     assert "(pairwise-circumference)" in capsys.readouterr().out
-    # The tangent image, the class's bound, and the pure-lambda subspace.
+    # The class's bound; the tangent image reads its kernel off the cached extended rows.
     assert len(kernels) <= 3
+
+
+@pytest.mark.parametrize("g", [12, 16])
+def test_aim_decompose_reads_pair_forms_off_the_cached_extended_rows(monkeypatch, capsys, tmp_path, g):
+    path = write_cylinders_document(tmp_path / "cylinders.json", g)
+    kernels = _count_calls(monkeypatch, linalg.nullspace)
+    eliminations = _count_calls(monkeypatch, linalg.rref)
+    own = []
+    original = aim._pair_form_candidates
+
+    def recording(system, nodes):
+        before = len(kernels), len(eliminations)
+        forms = original(system, nodes)
+        own.append((len(kernels), len(eliminations)) != before)
+        return forms
+
+    monkeypatch.setattr(aim, "_pair_form_candidates", recording)
+    assert main(["aim", path, "--decompose", str(g - 1)]) == 0
+    assert "(pairwise-circumference)" in capsys.readouterr().out
+    # Only the class's bound takes a nullspace (2 before, with the pure-lambda subspace),
+    # and the pair forms reduce nothing of their own (7 reductions before).
+    assert own == [False]
+    assert len(kernels) <= 1
+    assert len(eliminations) <= 5
 
 
 def test_aim_decompose_builds_forms_for_the_one_usable_pair(monkeypatch, capsys, tmp_path):
