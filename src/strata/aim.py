@@ -15,7 +15,6 @@ from typing import NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 from . import linalg
-from .deformation import CylinderClass
 from .equations import (
     EquationSystem,
     _lead_key,

@@ -21,14 +21,6 @@ import argparse
 import json
 import sys
 
-from .aim import (
-    at_most_two_decompose,
-    lemma_bound,
-    pairwise_circum_decompose,
-    pairwise_cross_witness,
-    tangent_absolute,
-)
-from .deformation import CylinderClass, check_preserved
 from .document import AnalysisDocument, cycle_to_json, load_document
 from .equations import (
     UndegClassification,
@@ -46,9 +38,58 @@ from .errors import (
 )
 from .homology import Cycle
 from .level_graph import codim, enumerate_undegenerations
-from .plumbing import (
-    Analytic, Binomial, LatticeReport, convert, hurwitz_rule, lattice_analysis, local_model
-)
+
+
+# `aim`, `deformation` and `plumbing` are imported on use, so `import strata.cli` compiles none of
+# them.  bench/tracing.py wraps these calls as bindings of this module, so they stay here.
+def convert(*args, **kwargs):
+    from . import plumbing
+    return plumbing.convert(*args, **kwargs)
+
+
+def local_model(*args, **kwargs):
+    from . import plumbing
+    return plumbing.local_model(*args, **kwargs)
+
+
+def lattice_analysis(*args, **kwargs):
+    from . import plumbing
+    return plumbing.lattice_analysis(*args, **kwargs)
+
+
+def hurwitz_rule(*args, **kwargs):
+    from . import plumbing
+    return plumbing.hurwitz_rule(*args, **kwargs)
+
+
+def check_preserved(*args, **kwargs):
+    from . import deformation
+    return deformation.check_preserved(*args, **kwargs)
+
+
+def tangent_absolute(*args, **kwargs):
+    from . import aim
+    return aim.tangent_absolute(*args, **kwargs)
+
+
+def lemma_bound(*args, **kwargs):
+    from . import aim
+    return aim.lemma_bound(*args, **kwargs)
+
+
+def pairwise_cross_witness(*args, **kwargs):
+    from . import aim
+    return aim.pairwise_cross_witness(*args, **kwargs)
+
+
+def pairwise_circum_decompose(*args, **kwargs):
+    from . import aim
+    return aim.pairwise_circum_decompose(*args, **kwargs)
+
+
+def at_most_two_decompose(*args, **kwargs):
+    from . import aim
+    return aim.at_most_two_decompose(*args, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,6 +304,7 @@ def _undegeneration_text(row: UndegClassification) -> str:
 
 
 def cmd_plumb(doc: AnalysisDocument, args, problems: list[str]):
+    from .plumbing import Binomial
     system = doc.system()
     try:
         converted = convert(system, assume_theorems=args.assume_theorems)
@@ -303,6 +345,7 @@ def _obstruction_text(report) -> list[str]:
 
 
 def _plumb_text(report) -> list[str]:
+    from .plumbing import Analytic, Binomial, LatticeReport
     rendered = {}  # source row -> the binomial's text, also listed under its block
     lines = ["period equation -> plumbing equation:"]
     for e in report["equations"]:
@@ -348,6 +391,7 @@ def cmd_deform(doc: AnalysisDocument, args, problems: list[str]):
         violations = ["document carries no periods or no deformations"]
         text = _says("nothing to do: document needs a periods block and a deformations list")
         return 1, {"command": "deform", "violations": violations}, text
+    from .deformation import CylinderClass
     reports = []
     try:
         for edge, move in requests:
@@ -385,6 +429,7 @@ def cmd_aim(doc: AnalysisDocument, args, problems: list[str]):
     if data is None:
         report = {"command": "aim", "violations": ["document carries no symplectic data"]}
         return 1, report, _says("nothing to do: document needs a symplectic block")
+    from .deformation import CylinderClass
     try:
         tangent = tangent_absolute(system, data)
         bounds = []

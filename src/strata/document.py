@@ -13,8 +13,6 @@ import json
 from fractions import Fraction
 from typing import Any, NamedTuple
 
-from .aim import SymplecticData, symplectic_problems
-from .deformation import PeriodAssignment, ShearStretch, validate_assignment
 from .equations import EquationSystem, ProportionalityData, system_violations
 from .errors import DocumentParseError, Violation
 from .gaussian import ZERO, GaussianRational, parse_gaussian, parse_rational
@@ -158,8 +156,10 @@ class AnalysisDocument:
         system = self.system()
         out = system_violations(system)
         if self.raw_symplectic is not None:
+            from .aim import symplectic_problems
             out += symplectic_problems(self.symplectic(), system)
         if self._periods is not None:
+            from .deformation import validate_assignment
             out += validate_assignment(self.periods(), system)
         return out
 
@@ -182,6 +182,7 @@ class AnalysisDocument:
         if self.raw_symplectic is None:
             return None
         if self._symplectic is None:
+            from .aim import SymplecticData
             iota = tuple(
                 [Cycle.from_vector(self.basis, row) for row in self.raw_symplectic.iota]
             )
@@ -197,6 +198,7 @@ class AnalysisDocument:
         return self._periods
 
     def deformation_requests(self) -> list[tuple[str, ShearStretch]]:
+        from .deformation import ShearStretch
         return [(spec.class_edge, ShearStretch(spec.r, spec.s)) for spec in self.deformations]
 
 
@@ -387,6 +389,7 @@ def parse_document(data: Any, path: str = "$") -> AnalysisDocument:
         lam_values = {}
         for eid, value in sorted(_get(pdata, "lambda", dict, pp, default={}).items()):
             lam_values[eid] = _parse_period_value(value, exact, f"{pp}.lambda.{eid}")
+        from .deformation import PeriodAssignment
         periods = PeriodAssignment(basis_values, lam_values, exact=exact)
 
     deformations = []

@@ -383,59 +383,77 @@ LIBRARY_API = (
 )
 
 
+def _own_nodes(scope: ast.AST):
+    """The nodes of a module or function body, not those inside a nested function,
+    class or lambda (whose own node is yielded)."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _relative_imports(scope: ast.AST) -> dict[str, tuple[str, str | None]]:
+    """alias -> (module, name) of the package imports a module or function makes
+    itself; name is None where the alias is a module."""
+    imported = {}
+    for node in _own_nodes(scope):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                imported[a.asname or a.name] = (node.module, a.name) if node.module else (a.name, None)
+    return imported
+
+
 def _bound_names(function) -> set[str]:
     """Names a function binds itself (parameters, assignment targets, imports,
     nested definitions), not those bound inside a nested function or class."""
     args = function.args
     names = {a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg] if a}
-    stack = list(ast.iter_child_nodes(function))
-    while stack:
-        node = stack.pop()
+    for node in _own_nodes(function):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names |= {a.asname or a.name.split(".")[0] for a in node.names}
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
-        elif not isinstance(node, ast.Lambda):
-            stack.extend(ast.iter_child_nodes(node))
     return names
 
 
 def _reads(module: str, tree: ast.Module) -> list[tuple[tuple[str | None, str], ast.AST]]:
     """(key, node) of every read in a module.
 
-    A ``Name`` load that no enclosing function binds is keyed (module, name)
-    when it names one of this module's definitions or a name imported from a
-    package module.  An ``Attribute`` load is keyed (None, attribute), a read
-    of every method and property so named, and also (module, attribute) when
-    its base names an imported package module.
+    A ``Name`` load is keyed (module, name) when the innermost scope that
+    binds it imports it from a package module or, at module level, defines
+    it.  So a function's own package imports resolve like the module's, ahead
+    of a same-named module definition.  An
+    ``Attribute`` load is keyed (None, attribute), a read of every method and
+    property so named, and also (module, attribute) when its base names an
+    imported package module.
     """
-    own = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
-    imported = {}  # alias -> (module, name); name None for a module itself
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            for a in node.names:
-                imported[a.asname or a.name] = (node.module, a.name) if node.module else (a.name, None)
+    # name -> (module, name) for a read of it, (module, None) for a package
+    # module, None where a function binds it to something else
+    scope = _relative_imports(tree)
+    scope.update((n.name, (module, n.name)) for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)))
     out = []
 
-    def visit(node, bound):
+    def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            bound = bound | _bound_names(node)
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
-            if node.id in own:
-                out.append(((module, node.id), node))
-            elif node.id in imported and imported[node.id][1] is not None:
-                out.append((imported[node.id], node))
+            scope = {**scope, **dict.fromkeys(_bound_names(node)), **_relative_imports(node)}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            key = scope.get(node.id)
+            if key is not None and key[1] is not None:
+                out.append((key, node))
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out.append(((None, node.attr), node))
             base = node.value
-            if isinstance(base, ast.Name) and base.id not in bound and imported.get(base.id, ("", ""))[1] is None:
-                out.append(((imported[base.id][0], node.attr), node))
+            key = scope.get(base.id) if isinstance(base, ast.Name) else None
+            if key is not None and key[1] is None:
+                out.append(((key[0], node.attr), node))
         for child in ast.iter_child_nodes(node):
-            visit(child, bound)
+            visit(child, scope)
 
-    visit(tree, frozenset())
+    visit(tree, scope)
     return out
 
 
@@ -481,6 +499,8 @@ def test_the_reach_rule_resolves_reads_through_imports():
             "    return helper(x - 1) if x else 0\n"
             "def wrapper(x):\n"
             "    return wrapper(x)\n"
+            "def forward(x):\n"
+            "    return x\n"
             "class Table:\n"
             "    @property\n"
             "    def rows(self):\n"
@@ -499,6 +519,22 @@ def test_the_reach_rule_resolves_reads_through_imports():
             "    return wrapper\n"
         ),
         "c": "def passages(graph):\n    return graph\n",
+        "d": (
+            "def passages(graph):\n"
+            "    from . import c\n"
+            "    return c.passages(graph)\n"
+            "def forward(x):\n"
+            "    from .a import forward\n"
+            "    return forward(x)\n"
+            "def late(x):\n"
+            "    def inner():\n"
+            "        from .a import wrapper\n"
+            "    return wrapper(x)\n"
+        ),
     }
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    assert _unread(trees) == ["a.wrapper", "a.Table.rows", "b.run", "b.shadow", "c.passages"]
+    # d's function-local imports read c.passages and a.forward; d.forward's own name
+    # is the import, not d.forward; an import in a nested function stays there.
+    assert _unread(trees) == [
+        "a.wrapper", "a.Table.rows", "b.run", "b.shadow", "d.passages", "d.forward", "d.late"
+    ]
