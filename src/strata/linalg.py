@@ -5,14 +5,14 @@ Vectors are lists of GaussianRational.  Row reduction is fully reduced
 canonical function of the span and the fixed column order; every downstream
 determinism guarantee leans on that.
 
-``rref`` eliminates fraction-free over Z[i] on one of two paths, chosen by
-fill (nonzero cells / cells) against ``SPARSE_FILL``.  The sparse path keeps
-rows as dicts of nonzero entries and updates only the rows with an entry in
-the pivot column; the dense path is a Bareiss pass over full rows.  Rationals
-are built once, in the final division, from Z[i] ints straight to ``(a, b,
-d)``.  ``bareiss_det`` is the dense idea over Z.  ``rank`` and
-``int_singular`` first read the rows' leading columns, and eliminate (by
-``rref`` and ``bareiss_det``) only when one repeats.
+``rref`` is the one eliminator: fraction-free Gauss-Jordan over Z[i] on rows
+kept as dicts of nonzero entries, which updates only the rows with an entry
+in the pivot column and lets each row lag behind the Bareiss scale until it
+is next updated.  Rationals are built once, in the final division, from Z[i]
+ints straight to ``(a, b, d)``.  ``bareiss_det`` is the same idea over Z for
+a determinant.  ``rank`` and ``int_singular`` first read the rows' leading
+columns, and eliminate (by ``rref`` and ``bareiss_det``) only when one
+repeats.  The vector helpers test an entry for zero on its ints.
 """
 
 from __future__ import annotations
@@ -35,93 +35,88 @@ def combine(coords: Sequence[GaussianRational], vectors: Sequence[Sequence[Gauss
     """``sum(c * v)`` over paired coefficients and vectors, skipping zero terms."""
     out = zeros(len(vectors[0]))
     for c, v in zip(coords, vectors):
-        if c:
+        if c.a or c.b:
             for j, x in enumerate(v):
-                if x:
+                if x.a or x.b:
                     out[j] = out[j] + c * x
     return out
 
 
 def is_zero_vector(v: Sequence[GaussianRational]) -> bool:
-    return all(not a for a in v)
-
-
-# Fill threshold, measured on random Z and Z[i] matrices up to 40 x 40: below
-# 0.2 the sparse path wins on both.
-SPARSE_FILL = 0.2
+    return not any(x.a or x.b for x in v)
 
 
 def rref(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[Vector], list[int]]:
     """Reduced row echelon form.
 
     Returns the nonzero rows (pivot entries 1, pivot columns cleared) and the
-    pivot column index of each row, in row order.  A matrix whose fill
-    (nonzeros / cells) reaches ``SPARSE_FILL`` goes to ``_rref_dense``, found
-    while counting row by row; any other goes to ``_rref_sparse``, its rows
-    scaled to Z[i] as ``{col: (re, im)}``.  Both give the same rows.
+    pivot column index of each row, in row order.
+
+    Fraction-free Gauss-Jordan (Bareiss 1968) on dict rows over Z[i].  The
+    pivot row of column c is the sparsest row with an entry there (Markowitz
+    1957, in column order), and only the rows with an entry in column c
+    change: with pivot row y and pivot p = y_c, such a row x becomes
+    ``(p x - x_c y) / p_s``, p_s the pivot of the last step x took part in,
+    as a changed row or as the pivot row (1 before any).  A dense pass would
+    also have scaled x by p_t / p_(t-1) at each step t it sat out; those
+    factors telescope, so the division is exact (Nakos, Turner, Williams
+    1997).  A pivot row is first brought to the current scale: times the
+    latest pivot, over its own p_s.
     """
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
-    budget = SPARSE_FILL * len(rows) * ncols  # nonzeros the sparse path may take
-    z_rows = []
+    active = []  # [{col: (re, im)}, s]: a row, and the index in divisors of its p_s
     for row in rows:
         entries = [(j, x) for j, x in enumerate(row) if x.a or x.b]
-        budget -= len(entries)
-        if budget <= 0:
-            return _rref_dense(rows)
-        den = lcm(*[x.d for _, x in entries])
-        z_rows.append({j: (x.a * (den // x.d), x.b * (den // x.d)) for j, x in entries})
-    return _rref_sparse(z_rows, ncols)
-
-
-def _rref_sparse(z_rows: list[dict[int, tuple[int, int]]], ncols: int) -> tuple[list[Vector], list[int]]:
-    """Gauss-Jordan on dict rows: the sparsest row with an entry is the pivot
-    (Markowitz 1957, in column order), and only rows with an entry in its
-    column are updated, each then divided by its content in Z[i].  Rows stay
-    dicts however far they fill in."""
-    active = [row for row in z_rows if row]
-    done: dict[int, dict[int, tuple[int, int]]] = {}  # pivot column -> row
+        if entries:
+            den = lcm(*[x.d for _, x in entries])
+            active.append([{j: (x.a * (den // x.d), x.b * (den // x.d)) for j, x in entries}, 0])
+    # divisors[s] = (e_re, e_im, n) with x / p_s == x (e_re + e_im i) / n; divisors[0] is 1.
+    divisors = [(1, 0, 1)]
+    last = (1, 0)  # the latest pivot
+    done: dict[int, list] = {}  # pivot column -> [row, s]
     for c in range(ncols):
         k = -1
-        for i, row in enumerate(active):
-            if c in row and (k < 0 or len(row) < len(active[k])):
+        for i, (x, _) in enumerate(active):
+            if c in x and (k < 0 or len(x) < len(active[k][0])):
                 k = i
         if k < 0:
             continue
-        y = done[c] = active.pop(k)
-        p_re, p_im = y[c]
-        for x in [*active, *done.values()]:
+        pivot = done[c] = active.pop(k)
+        y, s = pivot
+        if s < len(divisors) - 1:
+            (m_re, m_im), (e_re, e_im, n) = last, divisors[s]
+            for j, (yr, yi) in y.items():
+                r, i = m_re * yr - m_im * yi, m_re * yi + m_im * yr
+                y[j] = ((r * e_re - i * e_im) // n, (i * e_re + r * e_im) // n)
+        p_re, p_im = last = y[c]
+        g = gcd(p_re, p_im)
+        divisors.append((p_re // g, -p_im // g, (p_re * p_re + p_im * p_im) // g))
+        pivot[1] = step = len(divisors) - 1
+        rest = [(j, yr, yi) for j, (yr, yi) in y.items() if j != c]
+        for row in [*active, *done.values()]:
+            x, s = row
             if x is y or c not in x:
                 continue
+            # One pass builds the new row.  A unit divisor (n == 1) is not divided
+            # by: the row is then off by a unit, which its final division removes.
             a_re, a_im = x.pop(c)
-            if p_im or p_re != 1:
-                for j, (xr, xi) in x.items():
-                    x[j] = (p_re * xr - p_im * xi, p_re * xi + p_im * xr)
-            for j, (yr, yi) in y.items():
-                if j != c:
-                    xr, xi = x.get(j, (0, 0))
-                    xr -= a_re * yr - a_im * yi
-                    xi -= a_re * yi + a_im * yr
-                    if xr or xi:
-                        x[j] = (xr, xi)
-                    else:
-                        del x[j]
-            # Integer content alone would let factors like (2 + i)^k pile up.
-            g_re = g_im = 0
-            for xr, xi in x.values():
-                if g_im or xi:
-                    g_re, g_im = _gcd_zi(g_re, g_im, xr, xi)
-                else:
-                    g_re = gcd(g_re, xr)
-                if g_re * g_re + g_im * g_im == 1:
-                    break
-            norm = g_re * g_re + g_im * g_im
-            if norm > 1:
-                for j, (xr, xi) in x.items():
-                    x[j] = ((xr * g_re + xi * g_im) // norm, (xi * g_re - xr * g_im) // norm)
-        active = [x for x in active if x]
+            e_re, e_im, n = divisors[s]
+            scale = n != 1
+            new = {}
+            for j, yr, yi in rest:
+                xr, xi = x.pop(j, (0, 0))
+                r = p_re * xr - p_im * xi - a_re * yr + a_im * yi
+                i = p_re * xi + p_im * xr - a_re * yi - a_im * yr
+                if r or i:
+                    new[j] = ((r * e_re - i * e_im) // n, (i * e_re + r * e_im) // n) if scale else (r, i)
+            for j, (xr, xi) in x.items():
+                r, i = p_re * xr - p_im * xi, p_re * xi + p_im * xr
+                new[j] = ((r * e_re - i * e_im) // n, (i * e_re + r * e_im) // n) if scale else (r, i)
+            row[0], row[1] = new, step
+        active = [row for row in active if row[0]]
     out: list[Vector] = []
-    for c, y in done.items():
+    for c, (y, _) in done.items():
         p_re, p_im = y[c]
         norm = p_re * p_re + p_im * p_im
         v = zeros(ncols)
@@ -131,83 +126,6 @@ def _rref_sparse(z_rows: list[dict[int, tuple[int, int]]], ncols: int) -> tuple[
     return out, list(done)
 
 
-def _gcd_zi(a_re: int, a_im: int, b_re: int, b_im: int) -> tuple[int, int]:
-    """A gcd of ``a`` and ``b`` in Z[i], by Euclid with rounded quotients."""
-    while b_re or b_im:
-        n = b_re * b_re + b_im * b_im
-        q_re = (2 * (a_re * b_re + a_im * b_im) + n) // (2 * n)
-        q_im = (2 * (a_im * b_re - a_re * b_im) + n) // (2 * n)
-        r_re = a_re - q_re * b_re + q_im * b_im
-        r_im = a_im - q_re * b_im - q_im * b_re
-        a_re, a_im, b_re, b_im = b_re, b_im, r_re, r_im
-    return a_re, a_im
-
-
-def _rref_dense(rows: Sequence[Sequence[GaussianRational]]) -> tuple[list[Vector], list[int]]:
-    """Bareiss (1968) Gauss-Jordan on full rows: at a pivot ``p`` every other row
-    becomes ``(p * row - row[c] * pivot_row) / d``, ``d`` the previous pivot, an
-    exact division by Sylvester's identity; all pivots end equal to ``d``."""
-    work: list[tuple[list[int], list[int]]] = []
-    for row in rows:
-        den = lcm(*[x.d for x in row])
-        work.append(([x.a * (den // x.d) for x in row], [x.b * (den // x.d) for x in row]))
-    if not work:
-        return [], []
-    ncols = len(work[0][0])
-    pivots: list[int] = []
-    d_re, d_im = 1, 0
-    r = 0
-    for c in range(ncols):
-        for k in range(r, len(work)):
-            if work[k][0][c] or work[k][1][c]:
-                break
-        else:
-            continue
-        work[r], work[k] = work[k], work[r]
-        y_re, y_im = work[r]
-        p_re, p_im = y_re[c], y_im[c]
-        support = [j for j in range(ncols) if y_re[j] or y_im[j]]
-        norm = d_re * d_re + d_im * d_im
-        for k, (x_re, x_im) in enumerate(work):
-            if k == r:
-                continue
-            a_re, a_im = x_re[c], x_im[c]
-            for j in range(ncols):
-                xr, xi = x_re[j], x_im[j]
-                if xr or xi:
-                    x_re[j] = p_re * xr - p_im * xi
-                    x_im[j] = p_re * xi + p_im * xr
-            if a_re or a_im:
-                for j in support:
-                    yr, yi = y_re[j], y_im[j]
-                    x_re[j] -= a_re * yr - a_im * yi
-                    x_im[j] -= a_re * yi + a_im * yr
-            # d may be a unit other than 1 (-1, i, -i): only d == 1 is a no-op.
-            if d_im or d_re != 1:
-                for j in range(ncols):
-                    xr, xi = x_re[j], x_im[j]
-                    if xr or xi:
-                        x_re[j] = (xr * d_re + xi * d_im) // norm
-                        x_im[j] = (xi * d_re - xr * d_im) // norm
-        d_re, d_im = p_re, p_im
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    norm = d_re * d_re + d_im * d_im
-    out: list[Vector] = []
-    for x_re, x_im in work[:r]:
-        out.append(
-            [
-                _from_ints(xr * d_re + xi * d_im, xi * d_re - xr * d_im, norm)
-                if xr or xi
-                else ZERO
-                for xr, xi in zip(x_re, x_im)
-            ]
-        )
-    return out, pivots
-
-
 def reduce_vector(
     v: Sequence[GaussianRational], rows: Sequence[Sequence[GaussianRational]], pivots: Sequence[int]
 ) -> Vector:
@@ -215,9 +133,9 @@ def reduce_vector(
     res = list(v)
     for row, p in zip(rows, pivots):
         factor = res[p]
-        if factor:
+        if factor.a or factor.b:
             for j, x in enumerate(row):
-                if x:
+                if x.a or x.b:
                     res[j] = res[j] - factor * x
     return res
 
@@ -287,13 +205,13 @@ def rank(rows: Iterable[Sequence[GaussianRational]]) -> int:
 
 def matvec(rows: Sequence[Sequence[GaussianRational]], v: Sequence[GaussianRational]) -> Vector:
     """``rows · v``, skipping zero entries of ``v`` and of each row."""
-    support = [(j, x) for j, x in enumerate(v) if x]
+    support = [(j, x) for j, x in enumerate(v) if x.a or x.b]
     out = []
     for row in rows:
         total = ZERO
         for j, x in support:
             a = row[j]
-            if a:
+            if a.a or a.b:
                 total = total + a * x
         out.append(total)
     return out

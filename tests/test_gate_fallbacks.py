@@ -207,7 +207,7 @@ def test_gate_output_is_pinned(name, command, capsys, fixture_dir, tmp_path):
     assert (code, capsys.readouterr().out) == EXPECTED[name, command]
 
 
-@pytest.mark.parametrize("original", [linalg.rref, linalg._rref_sparse, linalg._rref_dense])
+@pytest.mark.parametrize("original", [linalg.rref])
 def test_validate_on_cylinders_makes_no_elimination(original, monkeypatch, capsys, tmp_path):
     path = write_cylinders_document(tmp_path / "cylinders.json", 9)
     calls = []

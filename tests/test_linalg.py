@@ -153,7 +153,7 @@ def test_int_singular_certificate_matches_elimination(rows):
 
 
 def test_int_singular_on_sparse_matrices_with_repeated_leads():
-    """Under ``SPARSE_FILL`` with a repeated lead, where the oracle eliminates on dict rows."""
+    """Under the oracle's ``SPARSE_FILL`` with a repeated lead, where it eliminates on dict rows."""
     r = random.Random(40)
     outcomes = set()
     for k in range(40):
@@ -165,7 +165,7 @@ def test_int_singular_on_sparse_matrices_with_repeated_leads():
         rows[b][a] = r.choice([-1, 5])  # row b now leads in row a's column
         if k % 2:
             rows[b] = [r.choice([1, -2]) * x for x in rows[a]]  # and is a multiple of it
-        assert n * n - sum([row.count(0) for row in rows]) < linalg.SPARSE_FILL * n * n
+        assert n * n - sum([row.count(0) for row in rows]) < oracle_linalg.SPARSE_FILL * n * n
         assert linalg._distinct_leads(next((j for j, x in enumerate(row) if x), None) for row in rows) is None
         singular = linalg.int_singular(rows)
         assert singular == oracle_linalg.int_singular(rows) == (linalg.bareiss_det(rows) == 0)
@@ -328,12 +328,12 @@ def test_rref_edge_shapes(rows):
     expected = oracle_linalg.rref(rows)
     assert linalg.rref(rows) == expected
     assert sparse_path(rows) == expected
-    assert linalg._rref_dense(rows) == expected
+    assert oracle_linalg.rref_dense(rows) == expected
 
 
 @pytest.mark.parametrize("unit", [-ONE, I, -I], ids=["-1", "i", "-i"])
 def test_rref_unit_running_pivot(unit):
-    """The running pivot d may be a unit other than 1; the division by it must still happen."""
+    """The running pivot d may be a unit other than 1, which ``rref`` does not divide by."""
     g = GaussianRational
     # The first pivot is the unit itself.
     first = [[unit, ONE, g(2), ZERO], [ONE, unit, g(3), ONE], [g(2), ONE, unit, ONE]]
@@ -345,11 +345,11 @@ def test_rref_unit_running_pivot(unit):
         assert pivots == [0, 1, 2]
 
 
-# -- the sparse and dense elimination paths, each against the oracle -----------
+# -- rref against the Fraction oracle and the two eliminators it replaced -------
 
-# Entries of every kind the paths treat differently: units (running pivots of
-# -1, i and -i), small Gaussian rationals (non-unit pivots) and entries
-# hundreds of digits long.
+# Entries of every kind an eliminator treats differently: units (running
+# pivots of -1, i and -i), small Gaussian rationals (non-unit pivots) and
+# entries hundreds of digits long.
 huge = st.integers(-(10**300), 10**300)
 path_entries = st.one_of(
     st.sampled_from([ONE, -ONE, I, -I]),
@@ -374,7 +374,7 @@ def filled_matrices(draw):
 
 
 def z_rows(rows):
-    """Rows scaled to Z[i] as ``{col: (re, im)}``, the sparse path's input."""
+    """Rows scaled to Z[i] as ``{col: (re, im)}``, the sparse oracle's input."""
     out = []
     for row in rows:
         den = prod(x.d for x in row)
@@ -383,7 +383,7 @@ def z_rows(rows):
 
 
 def sparse_path(rows):
-    return linalg._rref_sparse(z_rows(rows), len(rows[0]) if rows else 0)
+    return oracle_linalg.rref_sparse(z_rows(rows), len(rows[0]) if rows else 0)
 
 
 @given(filled_matrices())
@@ -392,7 +392,7 @@ def test_each_rref_path_matches_oracle(rows):
     expected = oracle_linalg.rref(rows)
     assert linalg.rref(rows) == expected
     assert sparse_path(rows) == expected
-    assert linalg._rref_dense(rows) == expected
+    assert oracle_linalg.rref_dense(rows) == expected
 
 
 # -- kernels read off reduced rows, against the nullspace that reduced each call --
@@ -424,20 +424,8 @@ def test_kernel_of_reduced_rows_matches_the_nullspace_oracle(rows):
     assert linalg.kernel(reduced, pivots, ncols) == expected
 
 
-def _count(monkeypatch, name):
-    calls = []
-    original = getattr(linalg, name)
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(linalg, name, counting)
-    return calls
-
-
 def _fallback_matrix():
-    """Sparse enough for the sparse path; the pivot row of column 0 fills the first row.
+    """Under the oracle's ``SPARSE_FILL``; the pivot row of column 0 fills the first row.
 
     Row 0 has 7 of 10 entries; row 1 is the sparsest with an entry in column 0,
     so row 0 becomes row 0 - row 1 with 9 entries.
@@ -449,26 +437,23 @@ def _fallback_matrix():
     return rows
 
 
-def test_the_mid_reduction_fallback_fires_and_matches_the_oracle(monkeypatch):
-    """The fill-in happens mid-reduction, and the sparse path finishes the
-    filled rows itself: no hand-off to the dense helper."""
+def test_the_mid_reduction_fallback_fires_and_matches_the_oracle():
+    """A sparse matrix that fills in mid-reduction, the shape that once tested
+    the sparse path's hand-off to the dense one."""
     rows = _fallback_matrix()
     nonzero = sum(1 for row in rows for x in row if x)
-    assert nonzero < linalg.SPARSE_FILL * len(rows) * len(rows[0])
+    assert nonzero < oracle_linalg.SPARSE_FILL * len(rows) * len(rows[0])
     assert sum(1 for a, b in zip(rows[0], rows[1]) if a - b) == 9
-    entries = _count(monkeypatch, "rref")
-    sparse = _count(monkeypatch, "_rref_sparse")
-    dense = _count(monkeypatch, "_rref_dense")
-    assert linalg.rref(rows) == oracle_linalg.rref(rows)
-    assert (len(entries), len(sparse), len(dense)) == (1, 1, 0)
+    expected = oracle_linalg.rref(rows)
+    assert linalg.rref(rows) == expected
+    assert sparse_path(rows) == expected
+    assert oracle_linalg.rref_dense(rows) == expected
 
 
-def test_the_fallback_matches_the_oracle_at_any_bound(monkeypatch):
+def test_the_fallback_matches_the_oracle_at_any_bound():
     """Every row has an entry in column 0 and support 0.3, 0.5 or 0.75 of the
-    columns, so the first pivot fills most rows in; the sparse path reduces
-    them all on dict rows."""
+    columns, so the first pivot fills most rows in."""
     r = random.Random(12)
-    dense = _count(monkeypatch, "_rref_dense")
     for bound in (0.3, 0.5, 0.75):
         for _ in range(40):
             ncols = r.randint(8, 14)
@@ -480,10 +465,9 @@ def test_the_fallback_matches_the_oracle_at_any_bound(monkeypatch):
                     for j in range(ncols)
                 ])
             expected = oracle_linalg.rref(rows)
-            before = len(dense)
-            assert sparse_path(rows) == expected
-            assert len(dense) == before
             assert linalg.rref(rows) == expected
+            assert sparse_path(rows) == expected
+            assert oracle_linalg.rref_dense(rows) == expected
 
 
 def _sparse_plus_dense_row(n):
@@ -508,11 +492,120 @@ def _arrow(n):
 @pytest.mark.parametrize("shape", [_sparse_plus_dense_row, _arrow], ids=["dense-row", "arrow"])
 @pytest.mark.parametrize("n", [6, 13, 24])
 def test_adversarial_shapes_match_the_oracle(shape, n):
-    rows = shape(n)
+    # Both shapes are square and nonsingular, so their reduced form is the
+    # identity whatever went wrong on the way; a right-hand column keeps a
+    # free column in the form, A^-1 b, that shows a wrong entry.
+    rows = [row + [GaussianRational(k % 5 - 2, k % 3)] for k, row in enumerate(shape(n))]
     expected = oracle_linalg.rref(rows)
     assert linalg.rref(rows) == expected
     assert sparse_path(rows) == expected
-    assert linalg._rref_dense(rows) == expected
+    assert oracle_linalg.rref_dense(rows) == expected
+
+
+# -- lazy row scales: a row skips the steps that do not touch it ---------------
+
+BIG = 10**30
+
+
+def _idle_row_matrix():
+    """Pivots 2 + i, 3, -i and 1 - 2i on columns 0-3, then two rows of
+    30-digit entries.  Row x meets the first pivot, sits out steps 1-3 and is
+    updated at step 4, where its divisor is the first pivot's, not the
+    latest; row y, the pivot of step 4, sits out steps 0-3."""
+    g = GaussianRational
+    return [
+        [g(2, 1), ZERO, ZERO, ZERO, ZERO, g(BIG + 7, -3), g(5), ZERO],
+        [ZERO, g(3), ZERO, ZERO, ZERO, g(1, 1), ZERO, g(-BIG, 11)],
+        [ZERO, ZERO, -I, ZERO, ZERO, g(4), g(BIG, BIG - 1), ZERO],
+        [ZERO, ZERO, ZERO, g(1, -2), ZERO, ZERO, g(-7, 2), g(BIG + 1)],
+        [g(BIG - 3, 2 * BIG + 1), ZERO, ZERO, ZERO, g(3 * BIG + 5, -BIG), g(-2, 9), ZERO, g(BIG // 7, 13)],
+        [ZERO, ZERO, ZERO, ZERO, g(11 - BIG, 7 * BIG), g(13, -1), g(BIG + 2, -5), ZERO],
+    ]
+
+
+def _stale_pivot_matrix():
+    """Row x meets the pivot 2 + i of step 0, sits out step 1 (pivot 3 (2 + i))
+    and is the pivot of step 2, so it is first scaled from step 0's divisor to
+    step 1's; row b, the pivot of step 1, is scaled up from the divisor 1."""
+    g = GaussianRational
+    return [
+        [g(2, 1), ZERO, g(BIG, 3), ONE, ZERO],
+        [ZERO, g(3), ZERO, g(5), g(BIG - 1, -7)],
+        [g(1, -2), ZERO, g(7), g(BIG + 9), g(3)],
+        [ZERO, g(1, 1), g(4), ONE, g(BIG + 3)],
+    ]
+
+
+@pytest.mark.parametrize("make", [_idle_row_matrix, _stale_pivot_matrix], ids=["idle-row", "stale-pivot"])
+def test_rows_left_behind_are_divided_by_their_own_step(make):
+    rows = make()
+    expected = oracle_linalg.rref(rows)
+    assert linalg.rref(rows) == expected
+    assert sparse_path(rows) == expected
+    assert oracle_linalg.rref_dense(rows) == expected
+    # Every row is independent, so each pivot divides rows of 30 digits and more.
+    assert len(expected[1]) == len(rows)
+    # Any row order reaches the same form by other pivot rows and other idle spells.
+    assert linalg.rref(rows[::-1]) == expected
+
+
+int_entry = st.one_of(st.integers(-3, 3), st.sampled_from([BIG, 1 - BIG, 7 * BIG + 3]))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Matrices over Z (every imaginary part 0), of any fill, with zero and repeated rows."""
+    nrows = draw(st.integers(0, 8))
+    ncols = draw(st.integers(1, 9))
+    fill = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    rows = [
+        [GaussianRational(draw(int_entry)) if draw(st.floats(0, 1)) < fill else ZERO for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    if rows and draw(st.booleans()):
+        rows.append([GaussianRational(draw(st.sampled_from([2, -3]))) * x for x in rows[0]])
+    return rows
+
+
+@given(integer_matrices())
+@settings(max_examples=200, deadline=None)
+def test_integer_matrices_match_the_oracles(rows):
+    expected = oracle_linalg.rref(rows)
+    assert linalg.rref(rows) == expected
+    assert sparse_path(rows) == expected
+    assert oracle_linalg.rref_dense(rows) == expected
+
+
+@st.composite
+def coupled_blocks(draw):
+    """Z[i] blocks on the diagonal, each with up to two more columns than rows
+    so that the reduced rows keep free entries, a few coupling entries
+    between blocks and a few rows that mix two others, in a random row order.
+    A block's rows sit out the pivots of the blocks before it until a
+    coupling entry reaches them."""
+    entry = st.builds(GaussianRational, int_entry, int_entry)
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 2)), min_size=2, max_size=4))
+    ncols = sum(h + extra for h, extra in shapes)
+    rows, start = [], 0
+    for h, extra in shapes:
+        for _ in range(h):
+            row = [ZERO] * ncols
+            row[start : start + h + extra] = [draw(entry) for _ in range(h + extra)]
+            rows.append(row)
+        start += h + extra
+    for _ in range(draw(st.integers(0, 3))):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, ncols - 1))] = draw(entry)
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        unit = draw(st.sampled_from([ONE, -ONE, I, -I]))
+        rows.append([x + unit * y for x, y in zip(rows[a], rows[b])])
+    return draw(st.permutations(rows))
+
+
+@given(coupled_blocks())
+@settings(max_examples=200, deadline=None)
+def test_coupled_blocks_match_the_oracle(rows):
+    assert linalg.rref(rows) == oracle_linalg.rref(rows)
 
 
 # -- sparse matvec against the dense oracle ------------------------------------

@@ -319,6 +319,70 @@ def test_the_print_rule_sees_helpers():
     assert _prints_outside_main(tree) == [5, 6, 9]
 
 
+def _gaussian_eliminators(tree: ast.Module) -> list[str]:
+    """Module-level functions that divide a Gaussian integer exactly, as
+    ``((r*e - i*f) // n, (i*e + r*f) // n)``: a floor-divided difference and a
+    floor-divided sum of two products each, the step of a fraction-free
+    elimination over Z[i]."""
+    names = []
+    for function in tree.body:
+        if isinstance(function, ast.FunctionDef):
+            ops = {
+                type(node.left.op)
+                for node in ast.walk(function)
+                if isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.FloorDiv)
+                and isinstance(node.left, ast.BinOp)
+                and isinstance(node.left.op, (ast.Add, ast.Sub))
+                and all(isinstance(t, ast.BinOp) and isinstance(t.op, ast.Mult) for t in (node.left.left, node.left.right))
+            }
+            if ops == {ast.Add, ast.Sub}:
+                names.append(function.name)
+    return names
+
+
+def _float_constants(tree: ast.Module) -> list[str]:
+    """Names bound to a float literal at module level, such as a tuned threshold."""
+    return [
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, float)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    ]
+
+
+def test_linalg_has_one_eliminator_and_no_tuned_threshold():
+    # Every verdict rests on one reduced echelon form; a second path to it, or
+    # a threshold choosing between paths, is a decision to make here.
+    path = SRC / "strata" / "linalg.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert _gaussian_eliminators(tree) == ["rref"]
+    assert _float_constants(tree) == []
+
+
+def test_the_eliminator_rule_sees_gaussian_steps_and_thresholds():
+    tree = ast.parse(
+        "FILL = 0.2\n"
+        "LIMIT: float = 1.5\n"
+        "ROUNDS = 3\n"
+        "def full(x, e, n):\n"
+        "    return ((x.r * e.r - x.i * e.i) // n, (x.i * e.r + x.r * e.i) // n)\n"
+        "def over_z(a, b, prev):\n"
+        "    return (a * b - b * a) // prev\n"
+        "def nested(e, n):\n"
+        "    def step(r, i):\n"
+        "        return (r * e + i * n) // n, (i * e - r * n) // n\n"
+        "    return step\n"
+        "def by_gcd(r, i, g):\n"
+        "    return r // g, i // g\n"
+    )
+    assert _gaussian_eliminators(tree) == ["full", "nested"]
+    assert _float_constants(tree) == ["FILL", "LIMIT"]
+
+
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
     """(line, name) of every imported name the module never reads.
 
