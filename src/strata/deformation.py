@@ -4,91 +4,19 @@ A stretch/shear acts on the cross-curve periods of one cross-equivalence
 class of horizontal nodes and fixes everything else.  With real defining
 equations, class-contained supports, and real cross-class remainders, every
 defining equation is preserved exactly; the checker verifies that computation
-on explicit period assignments.
+on explicit period assignments (``periods``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .equations import EquationSystem, cross_equivalence_classes, hor_support
-from .errors import DeformationError, Violation
+from .errors import DeformationError
 from .gaussian import ZERO, GaussianRational
 from .homology import Cycle, pair
-
-TOLERANCE = 1e-9
-
-
-class PeriodAssignment:
-    """A value for every basis element and every vanishing cycle.
-
-    Exact assignments hold Gaussian rationals and all checks are exact;
-    approximate assignments hold complex floats and compare against a fixed
-    absolute tolerance of 1e-9.
-    """
-
-    def __init__(self, basis_values: Mapping, lam_values: Mapping, exact: bool = True):
-        self.exact = exact
-
-        def convert(v):
-            if not exact:
-                return complex(v)
-            return v if isinstance(v, GaussianRational) else GaussianRational(v)
-
-        self.basis_values = {k: convert(v) for k, v in basis_values.items()}
-        self.lam_values = {k: convert(v) for k, v in lam_values.items()}
-
-    def value(self, kind: str, key: str):
-        table = self.basis_values if kind == "b" else self.lam_values
-        if key not in table:
-            raise DeformationError(f"no period value for {kind}:{key}")
-        return table[key]
-
-    def replace_basis(self, updates: Mapping) -> "PeriodAssignment":
-        merged = dict(self.basis_values)
-        merged.update(updates)
-        return PeriodAssignment(merged, self.lam_values, exact=self.exact)
-
-
-def evaluate(cycle: Cycle, assignment: PeriodAssignment):
-    """Period of a cycle under an assignment: linear in both arguments.
-    Terms are added in column order, which fixes approximate rounding."""
-    exact = assignment.exact
-    total = ZERO if exact else 0j
-    for (kind, key), c in zip(cycle.basis.columns(), cycle.vector):
-        if c:
-            total = total + (c if exact else c.to_complex()) * assignment.value(kind, key)
-    return total
-
-
-def _is_zero(value, exact: bool) -> bool:
-    if exact:
-        return not value
-    return abs(value) <= TOLERANCE
-
-
-def validate_assignment(assignment: PeriodAssignment, system: EquationSystem) -> list[Violation]:
-    """Completeness plus every declared relation and ratio, to exact zero or
-    below the approximate-mode tolerance."""
-    out: list[Violation] = []
-    for el in system.basis.elements:
-        if el.name not in assignment.basis_values:
-            out.append(Violation(f"period {el.name}", "complete", "missing basis value"))
-    for edge in system.graph.edges:
-        if edge.id not in assignment.lam_values:
-            out.append(Violation(f"period lambda[{edge.id}]", "complete", "missing edge value"))
-    if out:
-        return out
-    for k, rel in enumerate(system.relations):
-        if not _is_zero(evaluate(rel, assignment), assignment.exact):
-            out.append(Violation(f"relation {k}", "relations-hold", f"{rel.render()} != 0"))
-    # A self-ratio has no form: it holds once q = 1, which the system's violations demand.
-    linked = [(e, ep) for e, ep, _ in system.ratios.entries if e != ep]
-    for (e, ep), form in zip(linked, system.ratio_forms):
-        if not _is_zero(evaluate(form, assignment), assignment.exact):
-            out.append(Violation(f"ratio {e}~{ep}", "ratios-hold", "declared ratio violated"))
-    return out
+from .periods import PeriodAssignment, _is_zero, evaluate
 
 
 class CylinderClass(NamedTuple):
@@ -106,10 +34,8 @@ class CylinderClass(NamedTuple):
                 for e in members:
                     name = system.basis.crossing_element_for(e)
                     if name is None:
-                        raise DeformationError(
-                            f"edge {e} has no crossing basis element; the class is not"
-                            " cylinder-equipped"
-                        )
+                        text = f"edge {e} has no crossing basis element; the class is not cylinder-equipped"
+                        raise DeformationError(text)
                     curves.append((e, name))
                 return CylinderClass(members, tuple(curves))
         raise DeformationError(f"{eid} is not a horizontal edge")
@@ -163,9 +89,7 @@ def horizontal_decomposition(cycle: Cycle, cls: CylinderClass):
     """
     support = hor_support(cycle)
     if not support <= set(cls.edges):
-        raise DeformationError(
-            f"support {sorted(support)} is not contained in the class {list(cls.edges)}"
-        )
+        raise DeformationError(f"support {sorted(support)} is not contained in the class {list(cls.edges)}")
     coefficients: dict[str, GaussianRational] = {}
     vector = list(cycle.vector)
     for eid, name in cls.cross_curves:

@@ -10,12 +10,11 @@ mathematical problems are returned as violations (exit 1).
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any, NamedTuple
 
 from .equations import EquationSystem, ProportionalityData, system_violations
 from .errors import DocumentParseError, Violation
-from .gaussian import ZERO, GaussianRational, parse_gaussian, parse_rational
+from .gaussian import ZERO, GaussianRational, _rational_ints, parse_gaussian, parse_rational
 from .homology import AdaptedBasis, BasisElement, Cycle, validate_adapted
 from .level_graph import Edge, EnhancedLevelGraph, Marking, Vertex, validate
 
@@ -99,7 +98,7 @@ class AnalysisDocument:
     def _reference_violations(self) -> list[Violation]:
         out = list(self._unknown)
         has_edge = self.graph.has_edge
-        for e, ep, _ in self.ratios.entries:
+        for e, ep, _, _ in self.ratios.declared:
             for eid in (e, ep):
                 if not has_edge(eid):
                     out.append(Violation(f"ratio {e}~{ep}", "references", f"unknown edge {eid}"))
@@ -156,10 +155,10 @@ class AnalysisDocument:
         system = self.system()
         out = system_violations(system)
         if self.raw_symplectic is not None:
-            from .aim import symplectic_problems
+            from .symplectic import symplectic_problems
             out += symplectic_problems(self.symplectic(), system)
         if self._periods is not None:
-            from .deformation import validate_assignment
+            from .periods import validate_assignment
             out += validate_assignment(self.periods(), system)
         return out
 
@@ -182,7 +181,7 @@ class AnalysisDocument:
         if self.raw_symplectic is None:
             return None
         if self._symplectic is None:
-            from .aim import SymplecticData
+            from .symplectic import SymplecticData
             iota = tuple(
                 [Cycle.from_vector(self.basis, row) for row in self.raw_symplectic.iota]
             )
@@ -344,7 +343,7 @@ def parse_document(data: Any, path: str = "$") -> AnalysisDocument:
             (
                 _get(item, "e", str, rp),
                 _get(item, "e'", str, rp),
-                parse_rational(item.get("q"), f"{rp}.q") if "q" in item else _missing(rp, "q"),
+                _rational_ints(item.get("q"), f"{rp}.q") if "q" in item else _missing(rp, "q"),
             )
         )
     relations = []
@@ -389,7 +388,7 @@ def parse_document(data: Any, path: str = "$") -> AnalysisDocument:
         lam_values = {}
         for eid, value in sorted(_get(pdata, "lambda", dict, pp, default={}).items()):
             lam_values[eid] = _parse_period_value(value, exact, f"{pp}.lambda.{eid}")
-        from .deformation import PeriodAssignment
+        from .periods import PeriodAssignment
         periods = PeriodAssignment(basis_values, lam_values, exact=exact)
 
     deformations = []

@@ -14,7 +14,6 @@ when it is in the kernel of W's S columns.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd
@@ -22,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .errors import LimitError, SystemDataError, Violation
-from .gaussian import ZERO, ONE, GaussianRational
+from .gaussian import ZERO, ONE, GaussianRational, _from_ints
 from .homology import (
     CROSSING,
     AdaptedBasis,
@@ -41,7 +40,7 @@ def hor_support(cycle: Cycle) -> frozenset[str]:
 def top_level(cycle: Cycle) -> int | None:
     """Highest level carrying a nonzero coefficient; None for the zero cycle."""
     levels = cycle.basis.column_levels
-    return max((level for level, x in zip(levels, cycle.vector) if x), default=None)
+    return max((level for level, x in zip(levels, cycle.vector) if x.a or x.b), default=None)
 
 
 class Equation:
@@ -54,7 +53,7 @@ class Equation:
         horizontal = cycle.basis.graph.horizontal_edges
         self.cycle = cycle
         self.hor_pairings = tuple([pair(cycle, e) for e in horizontal])
-        self.hor_support = frozenset(e for e, p in zip(horizontal, self.hor_pairings) if p)
+        self.hor_support = frozenset(e for e, p in zip(horizontal, self.hor_pairings) if p.a or p.b)
         self.top = top_level(cycle)
 
     def render(self) -> str:
@@ -65,28 +64,35 @@ class ProportionalityData:
     """Declared ratios between horizontal vanishing-cycle periods.
 
     An entry (e, e', q) asserts that the period over e equals q times the
-    period over e', with q a nonzero rational.
+    period over e', with q a nonzero rational (an int, a Fraction, or a
+    ``(numerator, denominator > 0)`` pair), held in ``declared`` in lowest terms.
     """
 
     def __init__(self, entries: Iterable[tuple[str, str, Fraction]] = ()):
-        self.entries: tuple[tuple[str, str, Fraction], ...] = tuple(
-            [(e, ep, Fraction(q)) for e, ep, q in entries]
+        self.declared: tuple[tuple[str, str, int, int], ...] = tuple(
+            [(e, ep, *_int_ratio(q)) for e, ep, q in entries]
         )
 
+    @property
+    def entries(self) -> tuple[tuple[str, str, Fraction], ...]:
+        """The declared (e, e', q), each q a Fraction."""
+        from fractions import Fraction
+        return tuple([(e, ep, Fraction(n, d)) for e, ep, n, d in self.declared])
+
     def __bool__(self) -> bool:
-        return bool(self.entries)
+        return bool(self.declared)
 
     def violations(self, graph: EnhancedLevelGraph) -> list[Violation]:
         out: list[Violation] = []
         horizontal = set(graph.horizontal_edges)
-        for e, ep, q in self.entries:
+        for e, ep, n, d in self.declared:
             subject = f"ratio {e}~{ep}"
             for eid in (e, ep):
                 if eid not in horizontal:
                     out.append(Violation(subject, "ratio-edges", f"{eid} is not a horizontal edge"))
-            if q == 0:
+            if n == 0:
                 out.append(Violation(subject, "ratio-nonzero", "ratio must be nonzero"))
-            if e == ep and q != 1:
+            if e == ep and (n, d) != (1, 1):
                 out.append(Violation(subject, "ratio-consistency", "self-ratio differs from 1"))
         if not out:
             for conflict in self.closure[1]:
@@ -105,10 +111,10 @@ class ProportionalityData:
         once, on int pairs: the entries never change.
         """
         adjacency: dict[str, list[tuple[str, int, int]]] = {}
-        for e, ep, q in self.entries:
-            if q:
-                adjacency.setdefault(e, []).append((ep, q.numerator, q.denominator))
-                adjacency.setdefault(ep, []).append((e, q.denominator, q.numerator))
+        for e, ep, qn, qd in self.declared:
+            if qn:
+                adjacency.setdefault(e, []).append((ep, qn, qd))
+                adjacency.setdefault(ep, []).append((e, qd, qn))
         ratio: dict[str, tuple[str, int, int]] = {}
         for root in sorted(adjacency):
             if root in ratio:
@@ -126,17 +132,19 @@ class ProportionalityData:
                         ratio[y] = (root, n // g, d // g)
                         queue.append(y)
         conflicts = []
-        for e, ep, q in self.entries:
-            if q:
+        for e, ep, qn, qd in self.declared:
+            if qn:
                 (_, n, d), (_, n_ep, d_ep) = ratio[e], ratio[ep]
-                n, d = n * q.denominator, d * q.numerator  # the chain's ratio[e] / q
+                n, d = n * qd, d * qn  # the chain's ratio[e] / q
                 if n * d_ep != d * n_ep:
+                    from fractions import Fraction
                     text = f"chain gives {Fraction(n, d)}, declared closure gives {Fraction(n_ep, d_ep)}"
                     conflicts.append((e, ep, text))
         return ratio, conflicts
 
     def ratio(self, e: str, ep: str) -> Fraction | None:
         """q with period(e) = q * period(e'), when the closure links them."""
+        from fractions import Fraction
         if e == ep:
             return Fraction(1)
         closure, _ = self.closure
@@ -147,6 +155,16 @@ class ProportionalityData:
         if root_e != root_ep:
             return None
         return Fraction(n_e * d_ep, d_e * n_ep)
+
+
+def _int_ratio(q) -> tuple[int, int]:
+    """A declared q as ``(numerator, denominator > 0)`` in lowest terms."""
+    if type(q) is tuple:
+        g = gcd(*q)
+        return q[0] // g, q[1] // g
+    from fractions import Fraction
+    q = Fraction(q)
+    return q.numerator, q.denominator
 
 
 class EquationSystem:
@@ -230,8 +248,8 @@ class EquationSystem:
         """``lambda[e] - q lambda[e']`` per declared ratio with e != e', in order."""
         return tuple(
             [
-                Cycle(self.basis, {}, {e: ONE, ep: GaussianRational(-q)})
-                for e, ep, q in self.ratios.entries
+                Cycle(self.basis, {}, {e: ONE, ep: _from_ints(-n, 0, d)})
+                for e, ep, n, d in self.ratios.declared
                 if e != ep
             ]
         )
@@ -750,11 +768,11 @@ def _lead_key(vector: Sequence[GaussianRational]) -> tuple[GaussianRational | No
     """A vector's first nonzero entry (None when it is zero) and the vector scaled
     so that entry is 1 (the zero vector as it is), one inverse multiplied into
     the nonzero entries."""
-    lead = next((x for x in vector if x), None)
+    lead = next((x for x in vector if x.a or x.b), None)
     if lead is None:
         return None, tuple(vector)
     inverse = ONE / lead
-    return lead, tuple([inverse * x if x else x for x in vector])
+    return lead, tuple([inverse * x if x.a or x.b else x for x in vector])
 
 
 def _single_lambda_term(cycle: Cycle) -> str | None:

@@ -12,7 +12,6 @@ explicit-denominator form.
 from __future__ import annotations
 
 import sys
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import DocumentParseError, LimitError
@@ -27,6 +26,7 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             a, b, d = re, im, 1
         else:
+            from fractions import Fraction
             re, im = Fraction(re), Fraction(im)
             # With both parts in lowest terms, no prime divides a, b and lcm.
             d = lcm(re.denominator, im.denominator)
@@ -41,10 +41,12 @@ class GaussianRational:
 
     @property
     def re(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.a, self.d)
 
     @property
     def im(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.b, self.d)
 
     # -- arithmetic ---------------------------------------------------------
@@ -131,6 +133,7 @@ class GaussianRational:
     def as_fraction(self) -> Fraction:
         if self.b != 0:
             raise ValueError(f"{self} is not rational")
+        from fractions import Fraction
         return Fraction(self.a, self.d)
 
     def to_complex(self) -> complex:
@@ -186,7 +189,8 @@ def _from_ints(a: int, b: int, d: int) -> GaussianRational:
 def _coerce(other) -> GaussianRational | None:
     if isinstance(other, GaussianRational):
         return other
-    if isinstance(other, (int, Fraction)):
+    # A Fraction can exist only once ``fractions`` is loaded, so an int needs no import.
+    if isinstance(other, int) or isinstance(other, getattr(sys.modules.get("fractions"), "Fraction", ())):
         return GaussianRational(other)
     return None
 
@@ -248,6 +252,7 @@ def _ratio_from_text(text: str, where: str) -> tuple[int, int]:
             q = int(den) if slash else 1
             if q:
                 return int(num), q
+        from fractions import Fraction
         mantissa, e, exponent = text.replace("E", "e").partition("e")
         if e and not slash:
             value, shift = Fraction(mantissa), int(exponent)
@@ -273,15 +278,21 @@ def _ratio_from_text_strict(text: str, where: str) -> tuple[int, int]:
 
 def parse_rational(value, where: str = "<literal>") -> Fraction:
     """Parse a plain rational literal (``"2/3"``, ``"-1"``, or a JSON int)."""
+    from fractions import Fraction
+    return Fraction(*_rational_ints(value, where))
+
+
+def _rational_ints(value, where: str) -> tuple[int, int]:
+    """``parse_rational`` as ``(numerator, denominator > 0)``, not reduced."""
     if isinstance(value, bool):
         raise DocumentParseError("boolean is not a rational literal", where)
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
         text = "".join(value.split())
         if text in ("", "+", "-"):
             raise DocumentParseError(f"malformed rational literal {value!r}", where)
-        return Fraction(*_ratio_from_text(text, where))
+        return _ratio_from_text(text, where)
     raise DocumentParseError(f"expected rational literal, got {type(value).__name__}", where)
 
 

@@ -203,13 +203,14 @@ class Cycle:
     @property
     def coeffs(self) -> Mapping[str, GaussianRational]:
         """Nonzero basis-element coefficients by name (a read-only view)."""
-        return MappingProxyType({n: c for n, c in zip(self.basis.names, self.vector) if c})
+        return MappingProxyType({n: c for n, c in zip(self.basis.names, self.vector) if c.a or c.b})
 
     @property
     def lam(self) -> Mapping[str, GaussianRational]:
         """Nonzero vanishing-cycle coefficients by edge id (a read-only view)."""
         n = len(self.basis.names)
-        return MappingProxyType({e: c for (_, e), c in zip(self.basis.columns()[n:], self.vector[n:]) if c})
+        tail = zip(self.basis.columns()[n:], self.vector[n:])
+        return MappingProxyType({e: c for (_, e), c in tail if c.a or c.b})
 
     def to_vector(self) -> linalg.Vector:
         return list(self.vector)
@@ -220,26 +221,27 @@ class Cycle:
 
     def __add__(self, other: "Cycle") -> "Cycle":
         self._check_compatible(other)
-        # ``x or y`` is whichever entry is nonzero, when at most one is.
-        vector = [x + y if x and y else x or y for x, y in zip(self.vector, other.vector)]
+        # Where one entry is zero, the other is kept as it is.
+        vector = [(x + y if y.a or y.b else x) if x.a or x.b else y for x, y in zip(self.vector, other.vector)]
         return Cycle.from_vector(self.basis, vector)
 
     def __sub__(self, other: "Cycle") -> "Cycle":
         self._check_compatible(other)
-        return Cycle.from_vector(self.basis, [x - y if y else x for x, y in zip(self.vector, other.vector)])
+        pairs = zip(self.vector, other.vector)
+        return Cycle.from_vector(self.basis, [x - y if y.a or y.b else x for x, y in pairs])
 
     def scale(self, c) -> "Cycle":
         c = c if isinstance(c, GaussianRational) else GaussianRational(c)
-        return Cycle.from_vector(self.basis, [c * x if x else x for x in self.vector])
+        return Cycle.from_vector(self.basis, [c * x if x.a or x.b else x for x in self.vector])
 
     def __neg__(self) -> "Cycle":
         return self.scale(-1)
 
     def is_zero(self) -> bool:
-        return not any(self.vector)
+        return not any(x.a or x.b for x in self.vector)
 
     def is_lambda_only(self) -> bool:
-        return not any(self.vector[: len(self.basis.names)])
+        return not any(x.a or x.b for x in self.vector[: len(self.basis.names)])
 
     def is_real(self) -> bool:
         return not any([c.b for c in self.vector])

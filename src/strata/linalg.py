@@ -17,7 +17,6 @@ repeats.  The vector helpers test an entry for zero on its ints.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress, count
 from math import gcd, lcm
 from typing import Iterable, Sequence

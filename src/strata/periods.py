@@ -1,0 +1,84 @@
+"""A document's period assignment and its validity gate: only documents carrying
+a periods block import this module.  The deformation check lives in ``deformation``."""
+
+from __future__ import annotations
+
+from typing import Mapping
+
+from .equations import EquationSystem
+from .errors import DeformationError, Violation
+from .gaussian import ZERO, GaussianRational
+from .homology import Cycle
+
+TOLERANCE = 1e-9
+
+
+class PeriodAssignment:
+    """A value for every basis element and every vanishing cycle.
+
+    Exact assignments hold Gaussian rationals and all checks are exact;
+    approximate assignments hold complex floats and compare against a fixed
+    absolute tolerance of 1e-9.
+    """
+
+    def __init__(self, basis_values: Mapping, lam_values: Mapping, exact: bool = True):
+        self.exact = exact
+
+        def convert(v):
+            if not exact:
+                return complex(v)
+            return v if isinstance(v, GaussianRational) else GaussianRational(v)
+
+        self.basis_values = {k: convert(v) for k, v in basis_values.items()}
+        self.lam_values = {k: convert(v) for k, v in lam_values.items()}
+
+    def value(self, kind: str, key: str):
+        table = self.basis_values if kind == "b" else self.lam_values
+        if key not in table:
+            raise DeformationError(f"no period value for {kind}:{key}")
+        return table[key]
+
+    def replace_basis(self, updates: Mapping) -> "PeriodAssignment":
+        merged = dict(self.basis_values)
+        merged.update(updates)
+        return PeriodAssignment(merged, self.lam_values, exact=self.exact)
+
+
+def evaluate(cycle: Cycle, assignment: PeriodAssignment):
+    """Period of a cycle under an assignment: linear in both arguments.
+    Terms are added in column order, which fixes approximate rounding."""
+    exact = assignment.exact
+    total = ZERO if exact else 0j
+    for (kind, key), c in zip(cycle.basis.columns(), cycle.vector):
+        if c:
+            total = total + (c if exact else c.to_complex()) * assignment.value(kind, key)
+    return total
+
+
+def _is_zero(value, exact: bool) -> bool:
+    if exact:
+        return not value
+    return abs(value) <= TOLERANCE
+
+
+def validate_assignment(assignment: PeriodAssignment, system: EquationSystem) -> list[Violation]:
+    """Completeness plus every declared relation and ratio, to exact zero or
+    below the approximate-mode tolerance."""
+    out: list[Violation] = []
+    for el in system.basis.elements:
+        if el.name not in assignment.basis_values:
+            out.append(Violation(f"period {el.name}", "complete", "missing basis value"))
+    for edge in system.graph.edges:
+        if edge.id not in assignment.lam_values:
+            out.append(Violation(f"period lambda[{edge.id}]", "complete", "missing edge value"))
+    if out:
+        return out
+    for k, rel in enumerate(system.relations):
+        if not _is_zero(evaluate(rel, assignment), assignment.exact):
+            out.append(Violation(f"relation {k}", "relations-hold", f"{rel.render()} != 0"))
+    # A self-ratio has no form: it holds once q = 1, which the system's violations demand.
+    linked = [(e, ep) for e, ep, _, _ in system.ratios.declared if e != ep]
+    for (e, ep), form in zip(linked, system.ratio_forms):
+        if not _is_zero(evaluate(form, assignment), assignment.exact):
+            out.append(Violation(f"ratio {e}~{ep}", "ratios-hold", "declared ratio violated"))
+    return out

@@ -35,11 +35,12 @@ from typing import Sequence
 from oracle_homology import pair
 from oracle_linalg import invert, nullspace
 from strata import linalg
-from strata.aim import SubspaceReport, SymplecticData, _horizontal_columns, _require_minimal
+from strata.aim import SubspaceReport, _horizontal_columns, _require_minimal
 from strata.equations import EquationSystem, correlated_witness, hor_support
 from strata.errors import AimError, LimitError, Violation
 from strata.gaussian import ONE, ZERO, GaussianRational
 from strata.homology import Cycle
+from strata.symplectic import SymplecticData
 
 
 def matvec(rows: Sequence[Sequence[GaussianRational]], v: Sequence[GaussianRational]) -> linalg.Vector:

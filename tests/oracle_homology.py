@@ -6,7 +6,7 @@ nonzero coefficients, ``coeffs`` by basis-element name and ``lam`` by edge
 id, converted to and from column vectors on demand.  ``pair`` walks the
 coefficient dict against the basis pairing table on every call, and
 ``picard_lefschetz`` adds the monodromy terms into a copy of ``lam``.
-``evaluate`` is ``strata.deformation.evaluate`` as it read those dicts: basis
+``evaluate`` is ``strata.periods.evaluate`` as it read those dicts: basis
 terms first, then edge terms, each in dict order.
 
 ``RelationFold`` is ``strata.homology.LambdaRelationSet`` as it was before
@@ -159,7 +159,7 @@ def picard_lefschetz(cycle: Cycle, n: Mapping[str, int]) -> Cycle:
 
 
 def evaluate(cycle: Cycle, assignment):
-    """Period of a cycle under a ``strata.deformation.PeriodAssignment``."""
+    """Period of a cycle under a ``strata.periods.PeriodAssignment``."""
     if assignment.exact:
         total = ZERO
         for name, c in cycle.coeffs.items():

@@ -193,7 +193,7 @@ def real_parallel_fixture(r: random.Random):
     real, so the deformation hypotheses hold by construction.
     """
     from strata import linalg
-    from strata.deformation import PeriodAssignment
+    from strata.periods import PeriodAssignment
 
     n = r.randint(2, 4)
     graph = loop_graph(n)
@@ -321,7 +321,7 @@ def aim_parallel_fixture(r: random.Random, genus: int):
     the standard symplectic form.  The tangent image is symplectic for every
     draw (the pairing matrix is I plus a positive rank-one update).
     """
-    from strata.aim import SymplecticData
+    from strata.symplectic import SymplecticData
     from strata.equations import ProportionalityData
 
     graph = loop_graph(genus)

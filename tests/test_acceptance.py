@@ -28,7 +28,6 @@ from strata.deformation import (
     ShearStretch,
     apply_deformation,
     check_preserved,
-    validate_assignment,
 )
 from strata.document import load_document
 from strata.equations import (
@@ -43,6 +42,7 @@ from strata.errors import AimError
 from strata.gaussian import ZERO, ONE, GaussianRational
 from strata.homology import Cycle, picard_lefschetz
 from strata.level_graph import enumerate_undegenerations, passage_weight
+from strata.periods import validate_assignment
 from strata.plumbing import Binomial, convert, lattice_analysis, local_model
 from support import (
     aim_parallel_fixture,

@@ -8,16 +8,13 @@ import pytest
 
 import oracle_aim
 from oracle_linalg import invert, vec_add, vec_scale
-from strata import aim, homology, linalg
+from strata import aim, homology, linalg, symplectic
 from strata.aim import (
-    SymplecticData,
     at_most_two_decompose,
     lemma_bound,
     pairwise_circum_decompose,
     pairwise_cross_witness,
-    symplectic_problems,
     tangent_absolute,
-    validate_symplectic,
 )
 from strata.cli import main
 from strata.deformation import CylinderClass
@@ -26,6 +23,7 @@ from strata.equations import EquationSystem, hor_support
 from strata.errors import AimError, LimitError
 from strata.gaussian import ZERO, ONE, GaussianRational
 from strata.homology import Cycle
+from strata.symplectic import SymplecticData, symplectic_problems, validate_symplectic
 from support import (
     adapted_basis_for,
     aim_parallel_fixture,
@@ -753,7 +751,7 @@ def _count_j_solves(monkeypatch, j_matrices) -> list:
 def test_aim_verdict_validates_and_inverts_once(monkeypatch, capsys, fixture_dir):
     path = fixture_dir / "minimal_stratum_parallel.json"
     solves = _count_j_solves(monkeypatch, [load_document(str(path)).symplectic().j_matrix])
-    validations = _count_calls(monkeypatch, aim.validate_symplectic)
+    validations = _count_calls(monkeypatch, symplectic.validate_symplectic)
     eliminations = _count_calls(monkeypatch, linalg.rref)
     code = main(["aim", str(path)])
     assert code == 0

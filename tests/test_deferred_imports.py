@@ -3,11 +3,16 @@ benchmark's tracer reads off `strata.cli`.
 
 `aim`, `deformation` and `plumbing` are imported by the command that calls them,
 so a cold `validate` or `analyze` never compiles them.  `strata.cli` keeps a
-module-level forwarder for each of their calls the tracer wraps.
+module-level forwarder for each of their calls the tracer wraps.  A document's
+symplectic block and its periods block are held and checked by `symplectic` and
+`periods`, which only documents carrying the block import.  `fractions` (with
+`decimal` and `numbers`) loads only where a `Fraction` is built: a command
+module, or a document's deformation requests.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -16,11 +21,13 @@ from pathlib import Path
 import pytest
 
 from strata.cli import main
+from support import bench_pool_documents
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 FIXTURES = ROOT / "fixtures"
 DEFERRED = ("strata.aim", "strata.deformation", "strata.plumbing")
+FRACTIONS = ("decimal", "fractions")
 
 
 def _fresh(probe: str) -> str:
@@ -32,8 +39,8 @@ def _fresh(probe: str) -> str:
     return proc.stdout
 
 
-def _deferred_loaded_after(argv: list[str] | None) -> str:
-    """The sorted list of deferred modules in ``sys.modules`` after ``build_parser()``,
+def _loaded_after(argv: list[str] | None, watched=DEFERRED) -> str:
+    """The sorted list of ``watched`` modules in ``sys.modules`` after ``build_parser()``,
     or after ``main(argv)``, as printed."""
     call = "strata.cli.build_parser()" if argv is None else f"strata.cli.main({argv!r})"
     probe = (
@@ -41,7 +48,7 @@ def _deferred_loaded_after(argv: list[str] | None) -> str:
         "import strata.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    {call}\n"
-        f"print(sorted(set({DEFERRED!r}) & set(sys.modules)))\n"
+        f"print(sorted(set({tuple(watched)!r}) & set(sys.modules)))\n"
     )
     return _fresh(probe)
 
@@ -52,7 +59,7 @@ def _deferred_loaded_after(argv: list[str] | None) -> str:
         pytest.param(None, None, [], id="build_parser"),
         pytest.param("validate", "intro_two_level", [], id="validate"),
         pytest.param("analyze", "intro_two_level", [], id="analyze"),
-        pytest.param("analyze", "triple_node_cover", ["strata.aim"], id="analyze-symplectic"),
+        pytest.param("analyze", "triple_node_cover", [], id="analyze-symplectic"),
         pytest.param("plumb", "intro_two_level", ["strata.plumbing"], id="plumb"),
         pytest.param("deform", "parallel_cylinders", ["strata.deformation"], id="deform"),
         pytest.param("aim", "triple_node_cover", ["strata.aim", "strata.deformation"], id="aim"),
@@ -60,7 +67,64 @@ def _deferred_loaded_after(argv: list[str] | None) -> str:
 )
 def test_a_command_loads_only_the_modules_it_calls(command, fixture, loaded):
     argv = None if command is None else [command, str(FIXTURES / f"{fixture}.json")]
-    assert _deferred_loaded_after(argv) == f"{loaded}\n"
+    assert _loaded_after(argv) == f"{loaded}\n"
+
+
+@pytest.fixture(scope="module")
+def pool_paths(tmp_path_factory) -> dict[str, str]:
+    """One written document of each generated bench pool: dense-complex, and
+    parallel-cylinders (which carries a symplectic block and ratios)."""
+    documents = bench_pool_documents()
+    picked = {
+        "dense": next(d for d in documents if "symplectic" not in d),
+        "cylinders": next(d for d in documents if "symplectic" in d),
+    }
+    root = tmp_path_factory.mktemp("pool")
+    paths = {}
+    for name, document in picked.items():
+        paths[name] = str(root / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(document))
+    return paths
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "plumb"])
+def test_the_symplectic_gate_loads_no_aim(command, pool_paths):
+    for path in (str(FIXTURES / "triple_node_cover.json"), pool_paths["cylinders"]):
+        assert _loaded_after([command, path], ["strata.aim"]) == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_the_periods_gate_loads_no_deformation(command):
+    path = str(FIXTURES / "parallel_cylinders.json")
+    assert _loaded_after([command, path], ["strata.deformation"]) == "[]\n"
+
+
+WITHOUT_DEFORMATIONS = sorted(
+    path.stem for path in FIXTURES.glob("*.json") if "deformations" not in json.loads(path.read_text())
+)
+
+
+def test_the_fixture_list_without_deformations_is_not_empty():
+    assert "triple_node_cover" in WITHOUT_DEFORMATIONS and "parallel_cylinders" not in WITHOUT_DEFORMATIONS
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("fixture", WITHOUT_DEFORMATIONS)
+def test_a_verdict_without_deformations_loads_no_fractions(command, fixture):
+    argv = [command, str(FIXTURES / f"{fixture}.json")]
+    assert _loaded_after(argv, FRACTIONS) == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("pool", ["dense", "cylinders"])
+def test_a_pool_verdict_loads_no_fractions(command, pool, pool_paths):
+    assert _loaded_after([command, pool_paths[pool]], FRACTIONS) == "[]\n"
+
+
+def test_the_cli_starts_without_fractions():
+    probe = "import sys\nimport strata.cli\n" f"print(sorted(set({FRACTIONS!r}) & set(sys.modules)))\n"
+    assert _fresh(probe) == "[]\n"
+    assert _loaded_after(None, FRACTIONS) == "[]\n"
 
 
 def _tracer_calls() -> list[str]:

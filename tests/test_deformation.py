@@ -12,18 +12,16 @@ from strata.document import load_document, parse_document
 
 from strata.deformation import (
     CylinderClass,
-    PeriodAssignment,
     ShearStretch,
     apply_deformation,
     check_preserved,
-    evaluate,
     horizontal_decomposition,
-    validate_assignment,
 )
 from strata.equations import EquationSystem
 from strata.errors import DeformationError
 from strata.gaussian import ZERO, ONE, GaussianRational
 from strata.homology import Cycle, pair
+from strata.periods import PeriodAssignment, evaluate, validate_assignment
 from support import adapted_basis_for, loop_graph, real_parallel_fixture, rng
 
 

@@ -663,6 +663,8 @@ class _AnyFraction(type(Fraction)):
 
 
 def test_dense_analyze_builds_no_fraction_in_rref_or_literal_parsing(monkeypatch, tmp_path):
+    import types
+
     from strata import document, gaussian, linalg
 
     bench = str(Path(__file__).resolve().parent.parent / "bench")
@@ -679,8 +681,11 @@ def test_dense_analyze_builds_no_fraction_in_rref_or_literal_parsing(monkeypatch
             built[0] += 1
             return Fraction(*args, **kwargs)
 
-    monkeypatch.setattr(gaussian, "Fraction", CountingFraction)
-    monkeypatch.setattr(linalg, "Fraction", CountingFraction)
+    # The library imports ``Fraction`` where it builds one, so it reads it off this
+    # stand-in for ``fractions``; the real module's own code keeps its class.
+    counting = types.ModuleType("fractions")
+    counting.Fraction = CountingFraction
+    monkeypatch.setitem(sys.modules, "fractions", counting)
     inside = {"rref": [0, 0], "parse_gaussian": [0, 0]}  # calls, Fractions built
 
     def counted(name, original):

@@ -94,6 +94,68 @@ def test_the_dataclass_rule_sees_both_forms():
     assert _dataclass_imports(tree) == [1, 2]
 
 
+def _module_level_imports(tree: ast.AST, module: str) -> list[int]:
+    """Lines importing ``module`` (absolutely) outside every function, so at each import
+    of the file; an import inside a function runs only when it is called."""
+    deferred = {
+        id(node)
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for node in ast.walk(function)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in deferred
+        and (
+            (isinstance(node, ast.Import) and any(a.name.split(".")[0] == module for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == module)
+        )
+    )
+
+
+def _cold_modules() -> list[str]:
+    """The ``strata`` modules a fresh ``import strata.cli`` loads, by file stem."""
+    probe = "import sys\nimport strata.cli\nprint(*sorted(m for m in sys.modules if m.startswith('strata.')))\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    return [name.removeprefix("strata.") for name in proc.stdout.split()]
+
+
+def test_no_cold_module_or_block_gate_imports_fractions_at_module_level():
+    # `fractions` brings `decimal` and `numbers`; only a command module, or a call
+    # that returns or takes a Fraction, may load them.
+    cold = _cold_modules()
+    assert {"cli", "document", "equations", "gaussian", "linalg"} <= set(cold)
+    found = {}
+    for stem in [*cold, "symplectic", "periods"]:
+        path = SRC / "strata" / f"{stem}.py"
+        found[stem] = _module_level_imports(ast.parse(path.read_text(), str(path)), "fractions")
+    assert found == {stem: [] for stem in found}
+
+
+def test_the_module_level_import_rule_sees_every_form():
+    tree = ast.parse(
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "import json, fractions as f\n"
+        "if TYPE_CHECKING:\n"
+        "    from fractions import Fraction\n"
+        "def f():\n"
+        "    from fractions import Fraction\n"
+        "class C:\n"
+        "    import fractions\n"
+        "    def m(self):\n"
+        "        import fractions\n"
+        "g = lambda: __import__('fractions')\n"
+        "from .fractions import Fraction\n"
+        "import decimal\n"
+    )
+    assert _module_level_imports(tree, "fractions") == [1, 2, 3, 5, 9]
+
+
 def _literal_capped_loops(tree: ast.AST) -> list[int]:
     """Lines of loops over ``range(...)`` whose far end (the stop, or the start
     when the step is negative) is built from literals alone: a loop's cap comes
@@ -438,6 +500,8 @@ LIBRARY_API = (
     "plumbing.can_smooth",
     # Read by the benchmark's traced run.
     "homology.Cycle.to_vector",
+    # The declared ratios as Fractions; the library reads their int pairs, ``declared``.
+    "equations.ProportionalityData.entries",
     # Helpers the tests call.
     "homology.LambdaRelationSet.contains",
     "level_graph.Undegeneration.surviving_edges",
