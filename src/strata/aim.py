@@ -15,6 +15,7 @@ from . import linalg
 from .equations import (
     EquationSystem,
     _lead_key,
+    _scaled_to,
     correlated_witness,
     cross_equivalence_classes,
     hor_support,
@@ -273,10 +274,7 @@ def at_most_two_decompose(
                 f"no proper correlated subset of {support} has a witness; the"
                 " minimal-stratum decomposition guarantee fails for this system"
             )
-        found = correlated_witness(system, correlated)
-        anchor = next(e for e in support if pair(found, e))
-        factor = pair(work, anchor) / pair(found, anchor)
-        piece = found.scale(factor)
+        piece = _scaled_to(work, correlated_witness(system, correlated), correlated)
         stack.append(piece)
         stack.append(work - piece)
     raise AssertionError("decomposition failed to terminate")

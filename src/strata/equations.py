@@ -15,7 +15,7 @@ when it is in the kernel of W's S columns.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
@@ -29,7 +29,7 @@ from .homology import (
     LambdaRelationSet,
     pair,
 )
-from .level_graph import EnhancedLevelGraph, Undegeneration
+from .level_graph import EnhancedLevelGraph, Undegeneration, components
 
 
 def hor_support(cycle: Cycle) -> frozenset[str]:
@@ -299,29 +299,7 @@ class EquationSystem:
     @cached_property
     def cross_equivalence_classes(self) -> tuple[frozenset[str], ...]:
         """Partition of the horizontal edges generated by the rref-row supports."""
-        parent: dict[str, str] = {e: e for e in self.graph.horizontal_edges}
-
-        def find(x: str) -> str:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(a: str, b: str) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                if rb < ra:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-
-        for eq in self.rref_rows:
-            support = sorted(eq.hor_support)
-            for a, b in zip(support, support[1:]):
-                union(a, b)
-        groups: dict[str, set[str]] = {}
-        for e in parent:
-            groups.setdefault(find(e), set()).add(e)
-        return tuple([frozenset(groups[root]) for root in sorted(groups)])
+        return components(self.graph.horizontal_edges, [eq.hor_support for eq in self.rref_rows])
 
     @cached_property
     def residuals(self) -> dict[str, tuple[Cycle, tuple, GaussianRational | None]]:
@@ -382,32 +360,26 @@ def system_violations(system: EquationSystem) -> list[Violation]:
 # -- horizontal support machinery ---------------------------------------------
 
 
-def _support_coords(
+def _support_constraints(
     system: EquationSystem, allowed: frozenset[str], max_level: int | None = None
-) -> list[linalg.Vector]:
-    """Coordinates over the rref rows of a basis of the span elements with
-    pairings 0 outside ``allowed``.
-
-    With ``max_level`` set, also requires every carrier above that level to
-    have coefficient zero.
-    """
-    rows = system.rref_rows
+) -> list[list[GaussianRational]]:
+    """Rows over the rref-row coordinates that vanish on the span elements with
+    pairings 0 outside ``allowed`` and, with ``max_level`` set, coefficient zero
+    on every carrier above that level."""
     constraints = [col for eid, col in system._pairing_columns.items() if eid not in allowed]
     if max_level is not None:
         for col, level in enumerate(system.basis.column_levels):
             if level > max_level:
                 constraints.append([v[col] for v in system._row_vectors])
-    return linalg.nullspace(constraints, len(rows))
+    return constraints
 
 
 def _support_subspace(
     system: EquationSystem, allowed: frozenset[str], max_level: int | None = None
 ) -> list[Cycle]:
-    """The span elements ``_support_coords`` describes, as cycles."""
-    return [
-        Cycle.from_vector(system.basis, linalg.combine(coords, system._row_vectors))
-        for coords in _support_coords(system, allowed, max_level)
-    ]
+    """A basis of the span elements ``_support_constraints`` describes, as cycles."""
+    coords = linalg.nullspace(_support_constraints(system, allowed, max_level), len(system.rref_rows))
+    return [Cycle.from_vector(system.basis, linalg.combine(c, system._row_vectors)) for c in coords]
 
 
 def is_correlated(system: EquationSystem, edges: Iterable[str]) -> bool:
@@ -433,34 +405,22 @@ def correlated_witness(
 ) -> Cycle | None:
     """A span element with horizontal support exactly ``edges``, or None.
 
-    Greedy construction: take subspace generators hitting each edge in turn
-    and combine with small integer weights chosen to avoid the finitely many
-    cancellations.
+    Starting from zero, each edge the witness does not yet cross gets the first
+    subspace generator crossing it, times the least t >= 1 that keeps every
+    earlier edge's pairing nonzero (each can vanish for at most one t).
     """
     wanted = sorted(frozenset(edges))
     subspace = _support_subspace(system, frozenset(wanted), max_level=max_level)
-    witness: Cycle | None = None
-    done: list[str] = []
-    for e in wanted:
-        if witness is not None and pair(witness, e):
-            done.append(e)
+    witness = system.basis.zero()
+    for k, e in enumerate(wanted):
+        if pair(witness, e):
             continue
         generator = next((v for v in subspace if pair(v, e)), None)
         if generator is None:
             return None
-        if witness is None:
-            witness = generator
-            done.append(e)
-            continue
-        t = 1
-        while True:
-            candidate = witness + generator.scale(t)
-            if all(pair(candidate, x) for x in done + [e]):
-                witness = candidate
-                done.append(e)
-                break
-            t += 1
-    return witness if witness is not None else system.basis.zero()
+        candidates = (witness + generator.scale(t) for t in count(1))
+        witness = next(c for c in candidates if all(pair(c, x) for x in wanted[:k]))
+    return witness
 
 
 def cross_equivalence_classes(system: EquationSystem) -> tuple[frozenset[str], ...]:
@@ -470,11 +430,11 @@ def cross_equivalence_classes(system: EquationSystem) -> tuple[frozenset[str], .
 
 def primitive_sets(system: EquationSystem, limit: int = 12) -> tuple[frozenset[str], ...]:
     """All inclusion-minimal nonempty correlated sets of horizontal edges."""
-    return tuple(_minimal_correlated_within(system, frozenset(system.graph.horizontal_edges), limit))
+    return tuple(_minimal_correlated_within(system, system.graph.horizontal_edges, limit))
 
 
 def _minimal_correlated_within(
-    system: EquationSystem, ambient: frozenset[str], limit: int = 12
+    system: EquationSystem, ambient: Iterable[str], limit: int = 12
 ) -> list[frozenset[str]]:
     """Inclusion-minimal correlated subsets of ``ambient``, smallest first.
 
@@ -548,26 +508,26 @@ class DecomposeResult(NamedTuple):
 def _match_top_restriction(system: EquationSystem, work: Cycle, level: int) -> Cycle | None:
     """Span element equal to ``work`` at its top level, crossing nothing.
 
-    Solves for coefficients over the rref rows: match every carrier at the top
-    level, kill every carrier above it, and keep all horizontal pairings zero.
+    Solves for coefficients over the rref rows: keep all horizontal pairings
+    zero, kill every carrier above the level, and match every carrier at it.
     """
-    rows = system.rref_rows
-    if not rows:
+    if not system.rref_rows:
         return None
     vectors = system._row_vectors
-    target_vec = work.vector
-    constraint_rows: list[list[GaussianRational]] = []
-    rhs: list[GaussianRational] = []
-    for col, lvl in enumerate(system.basis.column_levels):
-        if lvl >= level:
-            constraint_rows.append([v[col] for v in vectors])
-            rhs.append(target_vec[col] if lvl == level else ZERO)
-    constraint_rows += system._pairing_columns.values()
-    rhs += [ZERO] * len(system._pairing_columns)
-    solution = linalg.solve_linear(constraint_rows, rhs)
+    at_level = [col for col, lvl in enumerate(system.basis.column_levels) if lvl == level]
+    constraints = _support_constraints(system, frozenset(), level)
+    rows = constraints + [[v[col] for v in vectors] for col in at_level]
+    rhs = [ZERO] * len(constraints) + [work.vector[col] for col in at_level]
+    solution = linalg.solve_linear(rows, rhs)
     if solution is None:
         return None
     return Cycle.from_vector(system.basis, linalg.combine(solution, vectors))
+
+
+def _scaled_to(work: Cycle, witness: Cycle, edges: Iterable[str]) -> Cycle:
+    """``witness`` scaled to pair with the least of ``edges`` as ``work`` does."""
+    anchor = min(edges)
+    return witness.scale(pair(work, anchor) / pair(witness, anchor))
 
 
 def decompose(system: EquationSystem, cycle: Cycle) -> DecomposeResult:
@@ -577,7 +537,9 @@ def decompose(system: EquationSystem, cycle: Cycle) -> DecomposeResult:
     primitive edge set lying at its own top level and inside the input's
     support, the remainder crosses nothing, and everything sums back to the
     input.  When the span does not contain the witnesses the construction
-    needs, the result is infeasible and carries the blocking subspace.
+    needs, the result is infeasible and carries the blocking subspace.  Each
+    step searches the subsets of the horizontal edges at the work's top level,
+    so more than 12 of them raise LimitError.
     """
     if not system.span_contains(cycle):
         raise SystemDataError("equation is not in the system span")
@@ -593,15 +555,11 @@ def decompose(system: EquationSystem, cycle: Cycle) -> DecomposeResult:
             return _checked(system, cycle, tuple(h_parts), g_total)
         at_top = {e for e in support if graph.edge_level(e) == top}
         if at_top:
-            primitive = None
-            for candidate in _minimal_correlated_within(system, support):
-                if not all(graph.edge_level(e) == top for e in candidate):
-                    continue
-                witness = correlated_witness(system, candidate, max_level=top)
+            for edges in _minimal_correlated_within(system, at_top):
+                witness = correlated_witness(system, edges, max_level=top)
                 if witness is not None:
-                    primitive = (candidate, witness)
                     break
-            if primitive is None:
+            else:
                 return DecomposeResult(
                     feasible=False,
                     obstruction=(
@@ -610,10 +568,7 @@ def decompose(system: EquationSystem, cycle: Cycle) -> DecomposeResult:
                     ),
                     obstruction_cycles=tuple(_support_subspace(system, support)),
                 )
-            edges, witness = primitive
-            anchor = min(edges)
-            factor = pair(work, anchor) / pair(witness, anchor)
-            component = witness.scale(factor)
+            component = _scaled_to(work, witness, edges)
             h_parts.append(component)
             work = work - component
         else:

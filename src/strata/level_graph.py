@@ -121,22 +121,28 @@ class EnhancedLevelGraph:
         return weights
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return False
-        adjacency: dict[str, set[str]] = {v.id: set() for v in self.vertices}
-        for e in self.edges:
-            a, b = e.ends
-            if a in adjacency and b in adjacency:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-        seen = {self.vertices[0].id}
-        stack = [self.vertices[0].id]
-        while stack:
-            for nxt in adjacency[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == len(self.vertices)
+        """Whether the edges leave one class of vertices, with no vertex id used twice."""
+        ids = self._vertex_map
+        links = [e.ends for e in self.edges]
+        return len(ids) == len(self.vertices) and len(components(ids, links)) == 1
+
+
+def components(items, links) -> tuple[frozenset, ...]:
+    """The classes of ``items`` under the equivalence the ``links`` generate
+    (each link joins those of its members that are items), by least member."""
+    owner = {x: [x] for x in items}
+    for link in links:
+        joined = None
+        for x in link:
+            cls = owner.get(x, joined)
+            if joined is None:
+                joined = cls
+            elif cls is not joined:
+                joined += cls
+                for y in cls:
+                    owner[y] = joined
+    classes = {id(cls): cls for cls in owner.values()}.values()
+    return tuple(sorted(map(frozenset, classes), key=min))
 
 
 def validate(graph: EnhancedLevelGraph) -> list[Violation]:

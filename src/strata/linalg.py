@@ -303,13 +303,7 @@ def lattice_is_saturated(generators: Sequence[Sequence[int]]) -> bool:
 
 def clear_denominators(values: Sequence[Fraction]) -> list[int]:
     """Scale rationals to coprime integers, preserving signs and ratios."""
-    if not values:
-        return []
     denom = lcm(*[v.denominator for v in values])
     ints = [int(v * denom) for v in values]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+    g = gcd(*ints) or 1  # no values, or all zero
+    return [x // g for x in ints]

@@ -186,45 +186,31 @@ def lattice_analysis(binomials: list[Binomial]) -> LatticeReport:
     whether that lattice is saturated in the ambient integer lattice (every
     invariant factor 1) and whether the factor is smooth, detected by
     iteratively eliminating binomials with a lone unit-exponent side whose
-    variable appears nowhere else.
+    variable appears nowhere else.  The two sides have disjoint supports, so
+    a generator's entry at v is I[v] - J[v].
     """
+    sides = [(dict(b.i_exp), dict(b.j_exp)) for b in binomials]
     variables = sorted({v for b in binomials for v in b.variables})
-    index = {v: k for k, v in enumerate(variables)}
-    generators = []
-    for b in binomials:
-        row = [0] * len(variables)
-        for eid, n in b.i_exp:
-            row[index[eid]] += n
-        for eid, n in b.j_exp:
-            row[index[eid]] -= n
-        generators.append(tuple(row))
-    saturated = linalg.lattice_is_saturated([list(g) for g in generators])
-    return LatticeReport(_smooth_by_elimination(binomials), saturated, tuple(generators))
+    generators = tuple([tuple([i.get(v, 0) - j.get(v, 0) for v in variables]) for i, j in sides])
+    saturated = linalg.lattice_is_saturated(generators)
+    return LatticeReport(_smooth_by_elimination(sides), saturated, generators)
 
 
-def _smooth_by_elimination(binomials: list[Binomial]) -> bool:
-    remaining = [(dict(b.i_exp), dict(b.j_exp)) for b in binomials]
+def _smooth_by_elimination(sides: list[tuple[dict[str, int], dict[str, int]]]) -> bool:
+    """Whether removing, each time, the first binomial with a side s[v] whose v
+    appears in no other binomial empties the list."""
+    remaining = list(sides)
     while remaining:
-        progress = False
-        for idx, (i_exp, j_exp) in enumerate(remaining):
-            for side in (i_exp, j_exp):
-                if len(side) != 1:
-                    continue
-                ((var, exp),) = side.items()
-                if exp != 1:
-                    continue
-                elsewhere = any(
-                    var in other_i or var in other_j
-                    for k, (other_i, other_j) in enumerate(remaining)
-                    if k != idx
-                )
-                if not elsewhere:
-                    remaining.pop(idx)
-                    progress = True
-                    break
-            if progress:
+        for idx, binomial in enumerate(remaining):
+            others = remaining[:idx] + remaining[idx + 1 :]
+            if any(
+                side == {v: 1} and all(v not in i and v not in j for i, j in others)
+                for side in binomial
+                for v in side
+            ):
+                del remaining[idx]
                 break
-        if not progress:
+        else:
             return False
     return True
 

@@ -26,6 +26,15 @@ a vector to lead with 1 before one routine did it: ``monic`` scales a cycle by
 annihilator's keys divide every entry of a column by its lead.  ``forced`` is
 the cycle R2, else R5, of ``consistency_report`` forces to zero, made monic by
 ``monic``.
+
+``cross_equivalence_classes``, ``correlated_witness`` and ``decompose`` are the
+routines used before the node constructions were computed from their
+definitions: a union-find over consecutive members of each row's support; a
+witness loop that threads a ``None`` witness and a ``done`` list; and a
+decomposition that enumerates every minimal correlated subset of its whole
+support (so its limit counts every crossed edge), keeps those lying at the
+top level, and builds its top-level match from rows of its own, at-level
+columns first.
 """
 
 from __future__ import annotations
@@ -37,14 +46,19 @@ from typing import Iterable
 
 from strata import linalg
 from strata.equations import (
+    DecomposeResult,
+    Equation,
     EquationSystem,
     ProportionalityData,
     UndegClassification,
+    _checked,
+    _minimal_correlated_within,
     _single_lambda_term,
-    _support_coords,
+    _support_constraints,
+    _support_subspace,
 )
 from strata.errors import SystemDataError
-from strata.gaussian import ONE, GaussianRational
+from strata.gaussian import ONE, ZERO, GaussianRational
 from strata.homology import Cycle, pair
 from strata.level_graph import Undegeneration
 
@@ -90,7 +104,7 @@ def is_correlated(system: EquationSystem, edges: Iterable[str]) -> bool:
     horizontal = set(system.graph.horizontal_edges)
     if not wanted <= horizontal:
         raise SystemDataError(f"not horizontal edges: {sorted(wanted - horizontal)}")
-    subspace = _support_coords(system, wanted)
+    subspace = linalg.nullspace(_support_constraints(system, wanted), system.rank)
     functionals = [col for eid, col in system._pairing_columns.items() if eid in wanted]
     images = [linalg.matvec(functionals, coords) for coords in subspace]
     return all(any(image[k] for image in images) for k in range(len(functionals)))
@@ -224,3 +238,135 @@ def forced(system: EquationSystem, assume_theorems: bool = False) -> tuple[str, 
         if _single_lambda_term(rel) in system.nonvanishing:
             return "R5", monic(rel)
     return None
+
+
+def cross_equivalence_classes(system: EquationSystem) -> tuple[frozenset[str], ...]:
+    """Partition of the horizontal edges generated by the rref-row supports."""
+    parent: dict[str, str] = {e: e for e in system.graph.horizontal_edges}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a: str, b: str) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            parent[rb] = ra
+
+    for eq in system.rref_rows:
+        support = sorted(eq.hor_support)
+        for a, b in zip(support, support[1:]):
+            union(a, b)
+    groups: dict[str, set[str]] = {}
+    for e in parent:
+        groups.setdefault(find(e), set()).add(e)
+    return tuple([frozenset(groups[root]) for root in sorted(groups)])
+
+
+def correlated_witness(
+    system: EquationSystem, edges: Iterable[str], max_level: int | None = None
+) -> Cycle | None:
+    """A span element with horizontal support exactly ``edges``, or None."""
+    wanted = sorted(frozenset(edges))
+    subspace = _support_subspace(system, frozenset(wanted), max_level=max_level)
+    witness: Cycle | None = None
+    done: list[str] = []
+    for e in wanted:
+        if witness is not None and pair(witness, e):
+            done.append(e)
+            continue
+        generator = next((v for v in subspace if pair(v, e)), None)
+        if generator is None:
+            return None
+        if witness is None:
+            witness = generator
+            done.append(e)
+            continue
+        t = 1
+        while True:
+            candidate = witness + generator.scale(t)
+            if all(pair(candidate, x) for x in done + [e]):
+                witness = candidate
+                done.append(e)
+                break
+            t += 1
+    return witness if witness is not None else system.basis.zero()
+
+
+def match_top_restriction(system: EquationSystem, work: Cycle, level: int) -> Cycle | None:
+    """Span element equal to ``work`` at its top level, crossing nothing."""
+    rows = system.rref_rows
+    if not rows:
+        return None
+    vectors = system._row_vectors
+    target_vec = work.vector
+    constraint_rows: list[list[GaussianRational]] = []
+    rhs: list[GaussianRational] = []
+    for col, lvl in enumerate(system.basis.column_levels):
+        if lvl >= level:
+            constraint_rows.append([v[col] for v in vectors])
+            rhs.append(target_vec[col] if lvl == level else ZERO)
+    constraint_rows += system._pairing_columns.values()
+    rhs += [ZERO] * len(system._pairing_columns)
+    solution = linalg.solve_linear(constraint_rows, rhs)
+    if solution is None:
+        return None
+    return Cycle.from_vector(system.basis, linalg.combine(solution, vectors))
+
+
+def decompose(system: EquationSystem, cycle: Cycle) -> DecomposeResult:
+    """Split a span element into primitive horizontal components plus a rest."""
+    if not system.span_contains(cycle):
+        raise SystemDataError("equation is not in the system span")
+    h_parts: list[Cycle] = []
+    g_total = system.basis.zero()
+    work = cycle
+    graph = system.graph
+    for _ in range(len(graph.horizontal_edges) + graph.depth + 2):
+        eq = Equation(work)
+        support, top = eq.hor_support, eq.top
+        if not support:
+            g_total = g_total + work
+            return _checked(system, cycle, tuple(h_parts), g_total)
+        at_top = {e for e in support if graph.edge_level(e) == top}
+        if at_top:
+            primitive = None
+            for candidate in _minimal_correlated_within(system, support):
+                if not all(graph.edge_level(e) == top for e in candidate):
+                    continue
+                witness = correlated_witness(system, candidate, max_level=top)
+                if witness is not None:
+                    primitive = (candidate, witness)
+                    break
+            if primitive is None:
+                return DecomposeResult(
+                    feasible=False,
+                    obstruction=(
+                        f"no top-level primitive component with support inside"
+                        f" {sorted(support)} at level {top}"
+                    ),
+                    obstruction_cycles=tuple(_support_subspace(system, support)),
+                )
+            edges, witness = primitive
+            anchor = min(edges)
+            factor = pair(work, anchor) / pair(witness, anchor)
+            component = witness.scale(factor)
+            h_parts.append(component)
+            work = work - component
+        else:
+            replacement = match_top_restriction(system, work, top)
+            if replacement is None:
+                return DecomposeResult(
+                    feasible=False,
+                    obstruction=(
+                        f"no non-crossing span element matches the level-{top} restriction"
+                    ),
+                    obstruction_cycles=tuple(_support_subspace(system, frozenset())),
+                )
+            g_total = g_total + replacement
+            work = work - replacement
+    raise AssertionError("decomposition failed to terminate")

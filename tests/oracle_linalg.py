@@ -24,10 +24,15 @@ and writes ``-row[free]`` into each pivot entry, zeros included.
 it had one: Gauss-Jordan on dict rows that divides each updated row by its
 content in Z[i] (``_gcd_zi``), and a Bareiss pass over full rows.  The
 ``int_singular`` oracle still routes by that threshold.
+
+``clear_denominators`` accumulates the gcd of the scaled integers one entry at
+a time and divides only when it exceeds 1, as the library did before it took
+one ``gcd`` of them all.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -291,3 +296,17 @@ def lattice_is_saturated(generators: Sequence[Sequence[int]]) -> bool:
     """The quotient by the row lattice is torsion-free exactly when the gcd
     of the maximal minors is 1."""
     return maximal_minors_gcd(generators) == 1
+
+
+def clear_denominators(values: Sequence[Fraction]) -> list[int]:
+    """Scale rationals to coprime integers, preserving signs and ratios."""
+    if not values:
+        return []
+    denom = lcm(*[v.denominator for v in values])
+    ints = [int(v * denom) for v in values]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    if g > 1:
+        ints = [x // g for x in ints]
+    return ints

@@ -7,6 +7,11 @@ reference node's period symbol and each crossed node's again, modulo
 residuals off their first nonzero column.  ``proportionality_obligations``
 is ``strata.equations.proportionality_obligations`` from the same time: it
 reduces each class member and groups the residuals by their monic vectors.
+
+``lattice_analysis`` is ``strata.plumbing.lattice_analysis`` as it was before
+it read each generator entry as I[v] - J[v]: it accumulates both sides into a
+row through a variable index table, and ``smooth_by_elimination`` rescans the
+binomials with progress flags after each removal.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from strata.equations import EquationSystem, consistency_report
 from strata.errors import ConversionError
 from strata.gaussian import ONE, GaussianRational
 from strata.homology import Cycle, pair
-from strata.plumbing import Analytic, Binomial, PlumbingEquation, _top_restriction
+from strata.plumbing import Analytic, Binomial, LatticeReport, PlumbingEquation, _top_restriction
 
 
 def convert(system: EquationSystem, assume_theorems: bool = False) -> list[PlumbingEquation]:
@@ -107,3 +112,46 @@ def proportionality_obligations(
         for a, b in zip(order, order[1:]):
             obligations.append((a, b))
     return obligations, forced
+
+
+def lattice_analysis(binomials: list[Binomial]) -> LatticeReport:
+    variables = sorted({v for b in binomials for v in b.variables})
+    index = {v: k for k, v in enumerate(variables)}
+    generators = []
+    for b in binomials:
+        row = [0] * len(variables)
+        for eid, n in b.i_exp:
+            row[index[eid]] += n
+        for eid, n in b.j_exp:
+            row[index[eid]] -= n
+        generators.append(tuple(row))
+    saturated = linalg.lattice_is_saturated([list(g) for g in generators])
+    return LatticeReport(smooth_by_elimination(binomials), saturated, tuple(generators))
+
+
+def smooth_by_elimination(binomials: list[Binomial]) -> bool:
+    remaining = [(dict(b.i_exp), dict(b.j_exp)) for b in binomials]
+    while remaining:
+        progress = False
+        for idx, (i_exp, j_exp) in enumerate(remaining):
+            for side in (i_exp, j_exp):
+                if len(side) != 1:
+                    continue
+                ((var, exp),) = side.items()
+                if exp != 1:
+                    continue
+                elsewhere = any(
+                    var in other_i or var in other_j
+                    for k, (other_i, other_j) in enumerate(remaining)
+                    if k != idx
+                )
+                if not elsewhere:
+                    remaining.pop(idx)
+                    progress = True
+                    break
+            if progress:
+                break
+        if not progress:
+            return False
+    return True
+

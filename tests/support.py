@@ -11,6 +11,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -441,6 +442,12 @@ def bench_pool_documents() -> list[dict]:
         for size in sizes
         for index in range(generators.POOL_SIZE)
     ]
+
+
+@cache
+def bench_pool_systems() -> tuple[EquationSystem, ...]:
+    """The system of every benchmark pool document, parsed once per session."""
+    return tuple([parse_document(doc).system() for doc in bench_pool_documents()])
 
 
 def dense_pool(n: int) -> list:

@@ -1,7 +1,8 @@
 """Byte-identical CLI output, pinned by the recorded stdout digests.
 
-Every fixture command line of the benchmark and every command line on the
-g = 5 and g = 6 parallel-cylinders pool documents runs in-process through
+Every fixture command line of the benchmark, every command line on the g = 5
+and g = 6 parallel-cylinders pool documents and every command line on the
+n = 8 and n = 9 dense-complex pool documents runs in-process through
 ``strata.cli.main``; each exit code, known answer and stdout sha256 must match
 ``bench/digests.json``.  The benchmark's own modules build the command lines
 and check the verdicts; nothing under ``bench/`` is written.
@@ -26,6 +27,7 @@ import workloads  # noqa: E402
 from strata.cli import main  # noqa: E402
 
 CYLINDER_GENERA = (5, 6)
+DENSE_SIZES = (8, 9)
 
 
 def _problems(ops) -> list[str]:
@@ -53,4 +55,15 @@ def test_cylinder_pool_command_lines_match_their_digests(g, tmp_path):
         generators.write_document(generators.cylinders_document(g, index), str(path))
         ops += workloads.cylinder_ops(str(path), g, index)
     assert len(ops) == 5 * generators.POOL_SIZE
+    assert _problems(ops) == []
+
+
+@pytest.mark.parametrize("n", DENSE_SIZES)
+def test_dense_pool_command_lines_match_their_digests(n, tmp_path):
+    ops = []
+    for index in range(generators.POOL_SIZE):
+        path = tmp_path / f"{index:02d}-dense-n{n:02d}.json"
+        generators.write_document(generators.dense_document(n, index), str(path))
+        ops += workloads.dense_ops(str(path), n, index)
+    assert len(ops) == 3 * generators.POOL_SIZE
     assert _problems(ops) == []

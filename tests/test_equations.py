@@ -41,6 +41,7 @@ from support import (
     adapted_basis_for,
     aim_parallel_fixture,
     assert_decomposition_contract,
+    bench_pool_systems,
     cylinders_system,
     decomposable_fixture,
     dense_pool,
@@ -1138,3 +1139,85 @@ def test_lead_keys_match_the_monic_oracles(documents):
                 assert (certificate.rule, certificate.forced) == oracle_equations.forced(system, assume)
     assert rules == {None, "R1", "R2", "R3", "R4", "R5"}
     assert zero_columns and zero_residuals, (zero_columns, zero_residuals)
+
+
+# -- node constructions against the routines they replaced ------------------------------
+
+
+def _construction_systems(documents):
+    """Every fixture, every benchmark pool system and 240 seeded random systems."""
+    systems = [doc.system() for doc in documents.values()] + list(bench_pool_systems())
+    systems += list(_random_systems(rng(4901), 200))
+    r = rng(4902)
+    systems += [decomposable_fixture(r) for _ in range(20)] + [refusable_system(r) for _ in range(20)]
+    return systems
+
+
+def test_cross_equivalence_classes_match_the_union_find_oracle(documents):
+    systems = _construction_systems(documents)
+    assert len(systems) >= 7 + 144 + 200
+    for system in systems:
+        assert cross_equivalence_classes(system) == oracle_equations.cross_equivalence_classes(system)
+
+
+def test_correlated_witness_matches_the_bookkeeping_oracle(documents):
+    from itertools import combinations
+
+    checked = 0
+    for system in _construction_systems(documents):
+        graph = system.graph
+        for size in range(1, 5):
+            for combo in combinations(graph.horizontal_edges, size):
+                top = max(graph.edge_level(e) for e in combo)
+                for max_level in (None, top):
+                    witness = correlated_witness(system, combo, max_level)
+                    assert witness == oracle_equations.correlated_witness(system, combo, max_level)
+                    checked += 1
+    assert checked > 5000
+
+
+def _decompose_inputs(system, r):
+    """The rref rows and three random span elements."""
+    rows = [eq.cycle for eq in system.rref_rows]
+    for _ in range(3 if rows else 0):
+        coefficients = [GaussianRational(r.randint(-2, 2)) for _ in rows]
+        rows.append(Cycle.from_vector(system.basis, linalg.combine(coefficients, system._row_vectors)))
+    return rows
+
+
+def test_decompose_matches_the_old_decompose(documents):
+    r = rng(4903)
+    compared = 0
+    for system in _construction_systems(documents):
+        for cycle in _decompose_inputs(system, r):
+            try:
+                expected = oracle_equations.decompose(system, cycle)
+            except LimitError:
+                continue
+            assert decompose(system, cycle) == expected
+            compared += 1
+    assert compared > 1000
+
+
+def test_decompose_counts_its_limit_on_the_top_level_edges():
+    """Lower-level edges no longer count: a row crossing 11 top-level and 2
+    lower edges is decomposed, where the old search refused its 13."""
+    graph = EnhancedLevelGraph(
+        [Vertex("a", 0, 0), Vertex("b", 0, -1)],
+        [Edge(f"e{k:02d}", ("a", "a")) for k in range(1, 12)]
+        + [Edge("f1", ("b", "b")), Edge("f2", ("b", "b")), Edge("v", ("a", "b"), top="a", kappa=1)],
+        [Marking("a", 20), Marking("b", 4)],
+    )
+    assert validate(graph) == []
+    basis = adapted_basis_for(graph)
+    top = Cycle(basis, {f"d_e{k:02d}": ONE for k in range(1, 12)}, {})
+    lower = Cycle(basis, {"d_f1": ONE, "d_f2": ONE}, {})
+    system = EquationSystem(basis, [top, lower])
+    cycle = top + lower
+    assert len(hor_support(cycle)) == 13
+    with pytest.raises(LimitError, match="13 horizontal edges exceed the search limit 12"):
+        oracle_equations.decompose(system, cycle)
+    result = decompose(system, cycle)
+    assert_decomposition_contract(system, cycle, result)
+    assert [hor_support(h) for h in result.h_parts] == [hor_support(top), hor_support(lower)]
+    assert result.g_part.is_zero()

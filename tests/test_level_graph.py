@@ -1,5 +1,6 @@
 import pytest
 
+from strata.document import parse_document
 from strata.errors import GraphError
 from strata.gaussian import GaussianRational
 from strata.level_graph import (
@@ -9,6 +10,7 @@ from strata.level_graph import (
     Undegeneration,
     Vertex,
     codim,
+    components,
     enumerate_undegenerations,
     lcm_weight,
     passage_weight,
@@ -16,7 +18,7 @@ from strata.level_graph import (
     validate,
 )
 import oracle_level_graph
-from support import cylinders_document, loop_graph, random_graph, rng, two_level_graph
+from support import bench_pool_documents, cylinders_document, loop_graph, random_graph, rng, two_level_graph
 
 
 def test_single_vertex_valid():
@@ -278,3 +280,56 @@ def test_derived_edge_data_is_computed_once_and_matches_a_scan():
         assert Undegeneration.make([0, -graph.depth - 1], []).surviving_vertical(graph) == ()
         with pytest.raises(GraphError):
             graph.crossing_edges(-graph.depth - 1)
+
+
+def test_components_are_ordered_by_least_member():
+    assert components("fedcba", [("f", "a"), ("e", "c", "b")]) == (
+        frozenset("af"),
+        frozenset("bce"),
+        frozenset("d"),
+    )
+    assert components([], [("a", "b")]) == ()
+    assert components(["a", "b"], [("a", "zz"), ("zz", "b"), ("b",), ()]) == (frozenset("a"), frozenset("b"))
+    assert components(["a", "a", "b"], [("b", "a")]) == (frozenset("ab"),)
+
+
+def test_components_match_plain_merging():
+    from support import closure_of_sets
+
+    r = rng(4911)
+    for _ in range(300):
+        items = r.sample(range(20), r.randint(0, 12))
+        links = [r.sample(range(24), r.randint(0, 4)) for _ in range(r.randint(0, 8))]
+        expected = closure_of_sets(items, [set(link) & set(items) for link in links])
+        assert list(components(items, links)) == expected
+
+
+def _random_loose_graph(r) -> EnhancedLevelGraph:
+    """Vertices drawn with repeats allowed, edges between drawn ids and an unknown one."""
+    ids = [r.choice("abcdef") for _ in range(r.randint(0, 6))]
+    ends = ids + ["zz"]
+    edges = [Edge(f"e{k}", (r.choice(ends), r.choice(ends))) for k in range(r.randint(0, 6))]
+    return EnhancedLevelGraph([Vertex(v, 0, 0) for v in ids], edges, [])
+
+
+def test_is_connected_matches_the_search_oracle(documents):
+    graphs = [doc.graph for doc in documents.values()]
+    graphs += [parse_document(doc).graph for doc in bench_pool_documents()]
+    r = rng(4912)
+    graphs += [random_graph(r, max_depth=4) for _ in range(200)]
+    graphs += [_random_loose_graph(r) for _ in range(2000)]
+    answers = [graph.is_connected() for graph in graphs]
+    assert answers == [oracle_level_graph.is_connected(graph) for graph in graphs]
+    assert 0 < answers.count(False) < len(answers)
+
+
+def test_is_connected_edge_cases():
+    a, b = Vertex("a", 0, 0), Vertex("b", 0, 0)
+    assert not EnhancedLevelGraph([], [], []).is_connected()
+    assert EnhancedLevelGraph([a], [], []).is_connected()
+    assert not EnhancedLevelGraph([a, b], [], []).is_connected()
+    assert not EnhancedLevelGraph([a, a], [], []).is_connected()
+    assert not EnhancedLevelGraph([a, a, b], [Edge("e", ("a", "b"))], []).is_connected()
+    assert EnhancedLevelGraph([a, b], [Edge("e", ("a", "b"))], []).is_connected()
+    assert not EnhancedLevelGraph([a, b], [Edge("e", ("a", "zz")), Edge("f", ("zz", "b"))], []).is_connected()
+    assert EnhancedLevelGraph([a], [Edge("e", ("a", "zz"))], []).is_connected()

@@ -262,6 +262,15 @@ def test_clear_denominators():
     assert linalg.clear_denominators([Fraction(1), Fraction(-2, 3)]) == [3, -2]
     assert linalg.clear_denominators([Fraction(2), Fraction(4)]) == [1, 2]
     assert linalg.clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
+    assert linalg.clear_denominators([]) == []
+    assert linalg.clear_denominators([Fraction(0), Fraction(0)]) == [0, 0]
+
+
+def test_clear_denominators_matches_the_oracle():
+    r = random.Random(4931)
+    for _ in range(500):
+        values = [Fraction(r.randint(-6, 6), r.randint(1, 6)) for _ in range(r.randint(0, 5))]
+        assert linalg.clear_denominators(values) == oracle_linalg.clear_denominators(values)
 
 
 # -- fraction-free rref against the Fraction-based oracle ----------------------

@@ -24,6 +24,7 @@ from strata.plumbing import (
 )
 from support import (
     adapted_basis_for,
+    bench_pool_systems,
     cylinders_system,
     loop_graph,
     rng,
@@ -446,3 +447,38 @@ def test_each_period_symbol_is_reduced_once(monkeypatch, fixture_dir, tmp_path, 
         # plumb converts from the table its R5 check built, reducing nothing more.
         assert reductions("plumb", path) == analyze
     capsys.readouterr()
+
+
+def _converted_blocks(systems):
+    for system in systems:
+        try:
+            converted = convert(system)
+        except ConversionError:
+            continue
+        for _, binomials in local_model(converted, system).blocks:
+            yield list(binomials)
+
+
+def _random_binomials(r) -> list[Binomial]:
+    """One to four binomials over a few variables, each with disjoint sides."""
+    pool = [f"x{k}" for k in range(r.randint(1, 6))]
+    out = []
+    for k in range(r.randint(1, 4)):
+        chosen = r.sample(pool, r.randint(1, len(pool)))
+        cut = r.randint(0, len(chosen))
+        i_exp = tuple([(v, r.choice([1, 1, 2, 3])) for v in sorted(chosen[:cut])])
+        j_exp = tuple([(v, r.choice([1, 1, 2, 4])) for v in sorted(chosen[cut:])])
+        out.append(Binomial(f"f{k}", i_exp, j_exp, k))
+    return out
+
+
+def test_lattice_reports_match_the_index_table_oracle(documents):
+    systems = [doc.system() for doc in documents.values()] + list(bench_pool_systems())
+    blocks = list(_converted_blocks(systems))
+    assert len(blocks) >= 60
+    r = rng(4921)
+    blocks += [_random_binomials(r) for _ in range(500)]
+    reports = [lattice_analysis(binomials) for binomials in blocks]
+    assert reports == [oracle_plumbing.lattice_analysis(binomials) for binomials in blocks]
+    assert {report.smooth for report in reports} == {True, False}
+    assert {report.saturated for report in reports} == {True, False}
