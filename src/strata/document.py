@@ -14,7 +14,7 @@ from typing import Any, NamedTuple
 
 from .equations import EquationSystem, ProportionalityData, system_violations
 from .errors import DocumentParseError, Violation
-from .gaussian import ZERO, GaussianRational, _rational_ints, parse_gaussian, parse_rational
+from .gaussian import ZERO, GaussianRational, _rational_ints, _rational_str, parse_gaussian
 from .homology import AdaptedBasis, BasisElement, Cycle, validate_adapted
 from .level_graph import Edge, EnhancedLevelGraph, Marking, Vertex, validate
 
@@ -55,9 +55,12 @@ class RawSymplectic(NamedTuple):
 
 
 class DeformationSpec(NamedTuple):
+    """A requested shear-stretch of a class; r and s are (numerator,
+    denominator > 0) pairs, not reduced, so that reading them builds no Fraction."""
+
     class_edge: str
-    r: Fraction
-    s: Fraction
+    r: tuple[int, int]
+    s: tuple[int, int]
 
 
 class AnalysisDocument:
@@ -137,8 +140,8 @@ class AnalysisDocument:
                         f"{spec.class_edge} is not a horizontal edge",
                     )
                 )
-            if spec.r <= 0:
-                out.append(Violation(f"deformation {k}", "stretch-positive", f"r = {spec.r}"))
+            if spec.r[0] <= 0:
+                out.append(Violation(f"deformation {k}", "stretch-positive", f"r = {_rational_str(*spec.r)}"))
         return out
 
     def violations(self) -> list[Violation]:
@@ -197,8 +200,13 @@ class AnalysisDocument:
         return self._periods
 
     def deformation_requests(self) -> list[tuple[str, ShearStretch]]:
+        from fractions import Fraction
+
         from .deformation import ShearStretch
-        return [(spec.class_edge, ShearStretch(spec.r, spec.s)) for spec in self.deformations]
+        return [
+            (spec.class_edge, ShearStretch(Fraction(*spec.r), Fraction(*spec.s)))
+            for spec in self.deformations
+        ]
 
 
 # -- parsing --------------------------------------------------------------------
@@ -249,7 +257,10 @@ def _parse_cycle(
     for key, kind, what in (("coeffs", "b", "basis element"), ("lambda", "l", "edge")):
         table = _get(item, key, dict, path, default={})
         for name in sorted(table):
-            c = _literal(table[name], f"{path}.{key}.{name}", seen)
+            value = table[name]
+            c = seen.get(value) if type(value) is str else None
+            if c is None:  # the path is built only for a literal not read before
+                c = _literal(value, f"{path}.{key}.{name}", seen)
             col = index.get((kind, name))
             if col is None:
                 unknown.append(Violation(subject, "references", f"unknown {what} {name}"))
@@ -398,8 +409,8 @@ def parse_document(data: Any, path: str = "$") -> AnalysisDocument:
         deformations.append(
             DeformationSpec(
                 _get(item, "class", str, dp),
-                parse_rational(item.get("r", 1), f"{dp}.r"),
-                parse_rational(item.get("s", 0), f"{dp}.s"),
+                _rational_ints(item.get("r", 1), f"{dp}.r"),
+                _rational_ints(item.get("s", 0), f"{dp}.s"),
             )
         )
 

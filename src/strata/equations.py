@@ -418,7 +418,7 @@ def correlated_witness(
         generator = next((v for v in subspace if pair(v, e)), None)
         if generator is None:
             return None
-        candidates = (witness + generator.scale(t) for t in count(1))
+        candidates = (witness + (generator.scale(t) if t > 1 else generator) for t in count(1))
         witness = next(c for c in candidates if all(pair(c, x) for x in wanted[:k]))
     return witness
 

@@ -25,6 +25,11 @@ it had one: Gauss-Jordan on dict rows that divides each updated row by its
 content in Z[i] (``_gcd_zi``), and a Bareiss pass over full rows.  The
 ``int_singular`` oracle still routes by that threshold.
 
+``rref_one_step`` is the lazy-scale Bareiss eliminator ``strata.linalg.rref``
+was before it took two consecutive pivots in one pass: every pivot is taken
+alone, and each row with an entry in the pivot column is updated once per
+pivot.
+
 ``clear_denominators`` accumulates the gcd of the scaled integers one entry at
 a time and divides only when it exceeds 1, as the library did before it took
 one ``gcd`` of them all.
@@ -226,6 +231,86 @@ def rref_dense(rows: Sequence[Sequence[GaussianRational]]) -> tuple[list[Vector]
             ]
         )
     return out, pivots
+
+
+def rref_one_step(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[Vector], list[int]]:
+    """Reduced row echelon form.
+
+    Returns the nonzero rows (pivot entries 1, pivot columns cleared) and the
+    pivot column index of each row, in row order.
+
+    Fraction-free Gauss-Jordan (Bareiss 1968) on dict rows over Z[i].  The
+    pivot row of column c is the sparsest row with an entry there (Markowitz
+    1957, in column order), and only the rows with an entry in column c
+    change: with pivot row y and pivot p = y_c, such a row x becomes
+    ``(p x - x_c y) / p_s``, p_s the pivot of the last step x took part in,
+    as a changed row or as the pivot row (1 before any).  A dense pass would
+    also have scaled x by p_t / p_(t-1) at each step t it sat out; those
+    factors telescope, so the division is exact (Nakos, Turner, Williams
+    1997).  A pivot row is first brought to the current scale: times the
+    latest pivot, over its own p_s.
+    """
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    active = []  # [{col: (re, im)}, s]: a row, and the index in divisors of its p_s
+    for row in rows:
+        entries = [(j, x) for j, x in enumerate(row) if x.a or x.b]
+        if entries:
+            den = lcm(*[x.d for _, x in entries])
+            active.append([{j: (x.a * (den // x.d), x.b * (den // x.d)) for j, x in entries}, 0])
+    # divisors[s] = (e_re, e_im, n) with x / p_s == x (e_re + e_im i) / n; divisors[0] is 1.
+    divisors = [(1, 0, 1)]
+    last = (1, 0)  # the latest pivot
+    done: dict[int, list] = {}  # pivot column -> [row, s]
+    for c in range(ncols):
+        k = -1
+        for i, (x, _) in enumerate(active):
+            if c in x and (k < 0 or len(x) < len(active[k][0])):
+                k = i
+        if k < 0:
+            continue
+        pivot = done[c] = active.pop(k)
+        y, s = pivot
+        if s < len(divisors) - 1:
+            (m_re, m_im), (e_re, e_im, n) = last, divisors[s]
+            for j, (yr, yi) in y.items():
+                r, i = m_re * yr - m_im * yi, m_re * yi + m_im * yr
+                y[j] = ((r * e_re - i * e_im) // n, (i * e_re + r * e_im) // n)
+        p_re, p_im = last = y[c]
+        g = gcd(p_re, p_im)
+        divisors.append((p_re // g, -p_im // g, (p_re * p_re + p_im * p_im) // g))
+        pivot[1] = step = len(divisors) - 1
+        rest = [(j, yr, yi) for j, (yr, yi) in y.items() if j != c]
+        for row in [*active, *done.values()]:
+            x, s = row
+            if x is y or c not in x:
+                continue
+            # One pass builds the new row.  A unit divisor (n == 1) is not divided
+            # by: the row is then off by a unit, which its final division removes.
+            a_re, a_im = x.pop(c)
+            e_re, e_im, n = divisors[s]
+            scale = n != 1
+            new = {}
+            for j, yr, yi in rest:
+                xr, xi = x.pop(j, (0, 0))
+                r = p_re * xr - p_im * xi - a_re * yr + a_im * yi
+                i = p_re * xi + p_im * xr - a_re * yi - a_im * yr
+                if r or i:
+                    new[j] = ((r * e_re - i * e_im) // n, (i * e_re + r * e_im) // n) if scale else (r, i)
+            for j, (xr, xi) in x.items():
+                r, i = p_re * xr - p_im * xi, p_re * xi + p_im * xr
+                new[j] = ((r * e_re - i * e_im) // n, (i * e_re + r * e_im) // n) if scale else (r, i)
+            row[0], row[1] = new, step
+        active = [row for row in active if row[0]]
+    out: list[Vector] = []
+    for c, (y, _) in done.items():
+        p_re, p_im = y[c]
+        norm = p_re * p_re + p_im * p_im
+        v = zeros(ncols)
+        for j, (xr, xi) in y.items():
+            v[j] = _from_ints(xr * p_re + xi * p_im, xi * p_re - xr * p_im, norm)
+        out.append(v)
+    return out, list(done)
 
 
 def invert(rows: Sequence[Sequence[GaussianRational]]) -> list[Vector] | None:

@@ -1,11 +1,11 @@
 """Byte-identical CLI output, pinned by the recorded stdout digests.
 
-Every fixture command line of the benchmark, every command line on the g = 5
-and g = 6 parallel-cylinders pool documents and every command line on the
-n = 8 and n = 9 dense-complex pool documents runs in-process through
-``strata.cli.main``; each exit code, known answer and stdout sha256 must match
-``bench/digests.json``.  The benchmark's own modules build the command lines
-and check the verdicts; nothing under ``bench/`` is written.
+Every fixture command line of the benchmark, and every command line on the
+pool documents of every bench size (parallel-cylinders g = 5..9, dense-complex
+n = 8..14), runs in-process through ``strata.cli.main``; each exit code, known
+answer and stdout sha256 must match ``bench/digests.json``.  The benchmark's
+own modules build the command lines and check the verdicts; nothing under
+``bench/`` is written.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import generators  # noqa: E402
 import workloads  # noqa: E402
 from strata.cli import main  # noqa: E402
 
-CYLINDER_GENERA = (5, 6)
-DENSE_SIZES = (8, 9)
+CYLINDER_GENERA = generators.CYLINDER_GENERA
+DENSE_SIZES = generators.DENSE_SIZES
 
 
 def _problems(ops) -> list[str]:

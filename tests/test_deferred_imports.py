@@ -7,7 +7,8 @@ module-level forwarder for each of their calls the tracer wraps.  A document's
 symplectic block and its periods block are held and checked by `symplectic` and
 `periods`, which only documents carrying the block import.  `fractions` (with
 `decimal` and `numbers`) loads only where a `Fraction` is built: a command
-module, or a document's deformation requests.
+module, or the deformation requests `deform` reads; a document holds its
+requests' ratios as integer pairs.
 """
 
 from __future__ import annotations
@@ -111,6 +112,16 @@ def test_the_fixture_list_without_deformations_is_not_empty():
 @pytest.mark.parametrize("command", ["validate", "analyze"])
 @pytest.mark.parametrize("fixture", WITHOUT_DEFORMATIONS)
 def test_a_verdict_without_deformations_loads_no_fractions(command, fixture):
+    argv = [command, str(FIXTURES / f"{fixture}.json")]
+    assert _loaded_after(argv, FRACTIONS) == "[]\n"
+
+
+WITH_DEFORMATIONS = sorted(path.stem for path in FIXTURES.glob("*.json") if path.stem not in WITHOUT_DEFORMATIONS)
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("fixture", WITH_DEFORMATIONS)
+def test_a_verdict_with_deformations_loads_no_fractions(command, fixture):
     argv = [command, str(FIXTURES / f"{fixture}.json")]
     assert _loaded_after(argv, FRACTIONS) == "[]\n"
 

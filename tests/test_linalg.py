@@ -1,5 +1,8 @@
 import random
+import sys
 import time
+import types
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -615,6 +618,102 @@ def coupled_blocks(draw):
 @settings(max_examples=200, deadline=None)
 def test_coupled_blocks_match_the_oracle(rows):
     assert linalg.rref(rows) == oracle_linalg.rref(rows)
+
+
+# -- two pivots per pass, against the one-step eliminator and the Fraction oracle --
+
+UNITS = (ONE, -ONE, I, -I)
+# The nested row update of ``rref``: called with ``exact=True`` once per
+# two-pivot pass (for y''), and with a second column c2 >= 0 for its other rows.
+UPDATE = next(
+    code for code in linalg.rref.__code__.co_consts if isinstance(code, types.CodeType) and code.co_name == "update"
+)
+
+
+def _reduce_and_count(rows):
+    """``linalg.rref(rows)``, and what its row updates met: two-pivot passes
+    (``pair``); rows of a two-pivot pass holding column c only, c + 1 only or
+    both (``c``, ``c+1``, ``both``); such rows left at a scale older than the
+    pass's first (``older``); and updates by a pivot of -1, i or -i (``unit``)."""
+    seen = Counter()
+
+    def hook(frame, event, arg):
+        if event != "call" or frame.f_code is not UPDATE:
+            return
+        f = frame.f_locals
+        seen["pair"] += f["exact"]
+        seen["unit"] += (f["p_re"], f["p_im"]) in ((-1, 0), (0, 1), (0, -1))
+        if f["c2"] >= 0:
+            for x, s in f["targets"]:
+                seen[{(True, False): "c", (False, True): "c+1", (True, True): "both"}[f["c"] in x, f["c2"] in x]] += 1
+                seen["older"] += s < len(f["divisors"]) - 3
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        return linalg.rref(rows), seen
+    finally:
+        sys.setprofile(previous)
+
+
+def _two_pivot_matrix(r: random.Random):
+    """A seeded Z or Z[i] matrix: dense or with holes, small or 30-digit
+    entries, many units; sometimes a zero 2 x 2 minor on the first two
+    columns, a dependent row or a row times a unit, in a shuffled row order."""
+    g = GaussianRational
+    nrows, ncols = r.randint(2, 8), r.randint(2, 10)
+    gaussian, big, fill = r.random() < 0.7, r.random() < 0.25, r.choice([0.4, 0.7, 1.0])
+
+    def part():
+        return r.choice([BIG - 1, -BIG, 7 * BIG + 3]) if big and r.random() < 0.5 else r.randint(-3, 3)
+
+    def entry():
+        if r.random() < 0.3:
+            return r.choice(UNITS if gaussian else UNITS[:2])
+        return g(part(), part() if gaussian else 0)
+
+    rows = [[entry() if r.random() < fill else ZERO for _ in range(ncols)] for _ in range(nrows)]
+    if r.random() < 0.3:
+        factor = r.choice([*UNITS, g(2), g(1, 1)])
+        rows[1][:2] = [factor * x for x in rows[0][:2]]
+    if r.random() < 0.3:
+        a, b = r.randrange(nrows), r.randrange(nrows)
+        rows.append([x + r.choice(UNITS) * y for x, y in zip(rows[a], rows[b])])
+    if r.random() < 0.3:
+        k = r.randrange(len(rows))
+        rows[k] = [r.choice(UNITS) * x for x in rows[k]]
+    r.shuffle(rows)
+    return rows
+
+
+def test_two_pivot_passes_match_the_one_step_eliminator_and_the_oracle():
+    r = random.Random(3030)
+    seen = Counter()
+    deficient = 0
+    for _ in range(400):
+        rows = _two_pivot_matrix(r)
+        reduced, counts = _reduce_and_count(rows)
+        assert reduced == oracle_linalg.rref_one_step(rows) == oracle_linalg.rref(rows)
+        seen += counts
+        deficient += len(reduced[1]) < min(len(rows), len(rows[0]))
+    # The set reaches every case the two-pivot step treats apart.
+    assert deficient >= 20
+    assert min(seen[k] for k in ("pair", "c", "c+1", "both", "older", "unit")) >= 20, seen
+
+
+def test_a_dense_matrix_takes_its_pivots_in_pairs():
+    g = GaussianRational
+    r = random.Random(8)
+    dense = [[g(r.choice([-3, -2, -1, 1, 2, 3]), r.randint(-3, 3)) for _ in range(8)] for _ in range(6)]
+    reduced, seen = _reduce_and_count(dense)
+    assert reduced == oracle_linalg.rref_one_step(dense) == oracle_linalg.rref(dense)
+    assert reduced[1] == [0, 1, 2, 3, 4, 5] and seen["pair"] == 3
+    # y = row 0 and z = row 1 have the zero minor 1 * 4 - 2 * 2 on columns 0
+    # and 1, so column 0 is taken alone, and column 1 has no pivot left.
+    singular = [[g(1), g(2), g(3), g(1)], [g(2), g(4), g(5), I], [g(0), g(1), g(7), g(1)]]
+    reduced, seen = _reduce_and_count(singular)
+    assert reduced == oracle_linalg.rref_one_step(singular) == oracle_linalg.rref(singular)
+    assert reduced[1] == [0, 1, 2] and seen["pair"] == 1
 
 
 # -- sparse matvec against the dense oracle ------------------------------------

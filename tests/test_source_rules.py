@@ -502,6 +502,8 @@ LIBRARY_API = (
     "homology.Cycle.to_vector",
     # The declared ratios as Fractions; the library reads their int pairs, ``declared``.
     "equations.ProportionalityData.entries",
+    # The public rational parser; the document reads its int pairs, ``_rational_ints``.
+    "gaussian.parse_rational",
     # Helpers the tests call.
     "homology.LambdaRelationSet.contains",
     "level_graph.Undegeneration.surviving_edges",
