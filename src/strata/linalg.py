@@ -10,11 +10,11 @@ kept as dicts of nonzero entries, which updates only the rows with an entry
 in the pivot column and lets each row lag behind the Bareiss scale until it
 is next updated.  It takes two consecutive pivots in one pass wherever the
 rows allow (Bareiss's two-step method), so that a row with entries in both
-columns is updated once, not twice.  Rationals are built once, in the final division, from Z[i]
-ints straight to ``(a, b, d)``.  ``bareiss_det`` is the same idea over Z for
-a determinant.  ``rank`` and ``int_singular`` first read the rows' leading
-columns, and eliminate (by ``rref`` and ``bareiss_det``) only when one
-repeats.  The vector helpers test an entry for zero on its ints.
+columns is updated once, not twice.  Rationals are built once, in the final
+division, from Z[i] ints straight to ``(a, b, d)``.  ``bareiss_det`` is the
+same idea over Z for a determinant.  ``rank`` and ``int_singular`` first read
+the rows' leading columns, and eliminate (by ``rref`` and ``bareiss_det``)
+only when one repeats.  The vector helpers test an entry for zero on its ints.
 """
 
 from __future__ import annotations
