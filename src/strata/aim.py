@@ -112,8 +112,8 @@ def lemma_bound(system: EquationSystem, data: SymplecticData, cls: CylinderClass
                     )
     # The extended rows project onto the same span of cross-curve columns as
     # the equations, relations and ratio forms, so the kernel is the same.
-    names = system.basis.names
-    curve_cols = [names.index(name) for name in cls.curve_names()]
+    index = system.basis.column_index
+    curve_cols = [index[("b", name)] for _, name in cls.cross_curves]
     rows = [[row[col] for col in curve_cols] for row in system.extended_rows[0]]
     coefficient_basis = linalg.nullspace(rows, len(curve_cols))
     crossings = [[pair(c, eid) for eid, _ in cls.cross_curves] for c in data.iota]

@@ -38,20 +38,17 @@ class PeriodAssignment:
             raise DeformationError(f"no period value for {kind}:{key}")
         return table[key]
 
-    def replace_basis(self, updates: Mapping) -> "PeriodAssignment":
-        merged = dict(self.basis_values)
-        merged.update(updates)
-        return PeriodAssignment(merged, self.lam_values, exact=self.exact)
 
-
-def evaluate(cycle: Cycle, assignment: PeriodAssignment):
+def evaluate(cycle: Cycle, assignment: PeriodAssignment, override: Mapping = {}):
     """Period of a cycle under an assignment: linear in both arguments.
+    A column index in ``override`` takes its value from there instead.
     Terms are added in column order, which fixes approximate rounding."""
     exact = assignment.exact
     total = ZERO if exact else 0j
-    for (kind, key), c in zip(cycle.basis.columns(), cycle.vector):
+    for col, ((kind, key), c) in enumerate(zip(cycle.basis.columns(), cycle.vector)):
         if c:
-            total = total + (c if exact else c.to_complex()) * assignment.value(kind, key)
+            value = override[col] if col in override else assignment.value(kind, key)
+            total = total + (c if exact else c.to_complex()) * value
     return total
 
 

@@ -19,16 +19,12 @@ from pathlib import Path
 
 import pytest
 
+from oracle_deformation import apply_deformation
 from oracle_linalg import vec_add, vec_scale
 from strata import linalg
 from strata.aim import pairwise_circum_decompose, pairwise_cross_witness, tangent_absolute, lemma_bound
 from strata.cli import main as cli_main
-from strata.deformation import (
-    CylinderClass,
-    ShearStretch,
-    apply_deformation,
-    check_preserved,
-)
+from strata.deformation import CylinderClass, ShearStretch, check_preserved
 from strata.document import load_document
 from strata.equations import (
     EquationSystem,

@@ -6,17 +6,14 @@ from pathlib import Path
 
 import pytest
 
+import oracle_deformation
 import oracle_homology as oracle
+from oracle_deformation import apply_deformation, horizontal_decomposition
+from strata import linalg
 from strata.cli import main
 from strata.document import load_document, parse_document
 
-from strata.deformation import (
-    CylinderClass,
-    ShearStretch,
-    apply_deformation,
-    check_preserved,
-    horizontal_decomposition,
-)
+from strata.deformation import CylinderClass, ShearStretch, check_preserved
 from strata.equations import EquationSystem
 from strata.errors import DeformationError
 from strata.gaussian import ZERO, ONE, GaussianRational
@@ -38,6 +35,11 @@ def test_evaluate_examples(documents):
     for cycle in system.equations:
         assert evaluate(cycle, assignment) == ZERO
     assert evaluate(Cycle(system.basis, {"d1": ONE}, {}), assignment) == GaussianRational(1, 1)
+    # A moved column reads its value from the mapping; the others from the assignment.
+    row = Cycle(system.basis, {"d1": ONE, "d2": -ONE}, {})
+    d1 = system.basis.column_index[("b", "d1")]
+    assert evaluate(row, assignment, {d1: GaussianRational(3, 2)}) == GaussianRational(2, 1)
+    assert evaluate(row, assignment, {d1: ZERO}) == -GaussianRational(1, 1)
 
 
 def test_evaluate_linear():
@@ -226,6 +228,91 @@ def test_randomized_theorem_instance():
     assert preserved_cases == 100
 
 
+def _moves(r, count):
+    return [
+        ShearStretch(
+            Fraction(r.randint(1, 6), r.randint(1, 3)),
+            Fraction(r.randint(-6, 6), r.randint(1, 3)),
+        )
+        for _ in range(count)
+    ]
+
+
+def _bent_assignments(r, system, assignment):
+    """The assignment and two bent off it: one column shifted, so rows through it
+    stop vanishing, and i times a random solution of the rows added, so rows still
+    vanish but a cross-class remainder may turn imaginary."""
+    columns = system.basis.columns()
+    values = [assignment.value(kind, key) for kind, key in columns]
+
+    def rebuilt(vector):
+        basis_values = {key: v for (kind, key), v in zip(columns, vector) if kind == "b"}
+        lam_values = {key: v for (kind, key), v in zip(columns, vector) if kind == "l"}
+        return PeriodAssignment(basis_values, lam_values, exact=True)
+
+    shifted = list(values)
+    k = r.randrange(len(columns))
+    shifted[k] = shifted[k] + GaussianRational(r.randint(-2, 2), r.choice([-1, 1]))
+    solutions = linalg.nullspace([eq.cycle.vector for eq in system.rref_rows], len(columns))
+    turned = list(values)
+    for solution in solutions:
+        weight = GaussianRational(0, Fraction(r.randint(-3, 3), r.randint(1, 3)))
+        turned = [a + weight * b for a, b in zip(turned, solution)]
+    return [assignment, rebuilt(shifted), rebuilt(turned)]
+
+
+def _approximate(assignment):
+    return PeriodAssignment(
+        {k: v.to_complex() for k, v in assignment.basis_values.items()},
+        {k: v.to_complex() for k, v in assignment.lam_values.items()},
+        exact=False,
+    )
+
+
+def test_check_preserved_matches_the_two_assignment_oracle():
+    """Rows evaluated in place give the outcomes of the deformed-assignment check."""
+    r = rng(45)
+    seen = set()
+    for _ in range(60):
+        system, assignment = real_parallel_fixture(r)
+        cls = CylinderClass.from_edge(system, "e1")
+        for exact in _bent_assignments(r, system, assignment):
+            for values in (exact, _approximate(exact)):
+                for move in _moves(r, 3):
+                    report = check_preserved(system, values, cls, move)
+                    assert report == oracle_deformation.check_preserved(system, values, cls, move)
+                    seen.update((values.exact, row.note) for row in report.rows)
+    for exact in (True, False):
+        for note in (
+            "", "row does not vanish at the base point",
+            "cross-class remainder has nonzero imaginary part",
+        ):
+            assert (exact, note) in seen
+
+
+def test_the_residual_is_the_period_plus_the_shear_stretch_of_the_class_term():
+    """F(w_rs) = F(w) + (s + i(r - 1)) L(F), with L(F) the sum over the class of
+    F[cross-curve] Im w(cross-curve); exact mode never reports an unexpected residual."""
+    r = rng(46)
+    for _ in range(60):
+        system, assignment = real_parallel_fixture(r)
+        cls = CylinderClass.from_edge(system, "e1")
+        index = system.basis.column_index
+        for values in _bent_assignments(r, system, assignment):
+            for move in _moves(r, 3):
+                report = check_preserved(system, values, cls, move)
+                factor = GaussianRational(move.s, move.r - 1)
+                for eq, row in zip(system.rref_rows, report.rows):
+                    lead = ZERO
+                    for _, name in cls.cross_curves:
+                        height = GaussianRational(values.value("b", name).im)
+                        lead = lead + eq.cycle.vector[index[("b", name)]] * height
+                    assert row.residual == str(evaluate(eq.cycle, values) + factor * lead)
+                    assert row.status != "residual-nonzero"
+                    if row.status == "preserved":
+                        assert not lead
+
+
 def test_approximate_relation_tolerance():
     basis = adapted_basis_for(loop_graph(2))
     relation = Cycle(basis, {}, {"e1": ONE, "e2": -ONE})
@@ -296,5 +383,5 @@ def test_the_document_builds_its_period_assignment_once(monkeypatch, documents):
     monkeypatch.setattr(PeriodAssignment, "__init__", counting)
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["deform", str(Path(__file__).parent.parent / "fixtures" / "parallel_cylinders.json")])
-    # One for the document, one for its single deformation request's moved periods.
-    assert (code, len(doc.deformations), len(built)) == (0, 1, 2)
+    # The document's own: the deformation check evaluates the moved periods in place.
+    assert (code, len(doc.deformations), len(built)) == (0, 1, 1)

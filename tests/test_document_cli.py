@@ -377,7 +377,15 @@ def _two_bad_self_ratios(doc):
     doc["system"]["ratios"] = [{"e": "e1", "e'": "e1", "q": "2"}, {"e": "e2", "e'": "e2", "q": "3"}]
 
 
+def _approximate_past_float(key):
+    def edit(doc):
+        doc["periods"]["mode"] = "approximate"
+        doc["deformations"][0][key] = "1e400"
+    return edit
+
+
 SELF_RATIO = "ratio-consistency: self-ratio differs from 1"
+PAST_FLOAT = "is past the float range of approximate mode"
 OBSTRUCTION = "row 0: no relation links the period over e2 to the one over e1"
 REFUSALS = {
     "plumb-obstruction": (
@@ -389,6 +397,16 @@ REFUSALS = {
         "deform", _complex_coefficients, 4,
         "hypothesis violation: cylinder deformation requires real coefficients\n",
         {"command": "deform", "error": "cylinder deformation requires real coefficients"},
+    ),
+    "deform-r-past-float": (
+        "deform", _approximate_past_float("r"), 4,
+        f"hypothesis violation: stretch factor r {PAST_FLOAT}\n",
+        {"command": "deform", "error": f"stretch factor r {PAST_FLOAT}"},
+    ),
+    "deform-s-past-float": (
+        "deform", _approximate_past_float("s"), 4,
+        f"hypothesis violation: shear s {PAST_FLOAT}\n",
+        {"command": "deform", "error": f"shear s {PAST_FLOAT}"},
     ),
     "validate-violations": (
         "validate", _two_bad_self_ratios, 1,
@@ -404,6 +422,55 @@ def test_refusals_print_their_pinned_output(tmp_path, case):
     path = _cylinders_variant(tmp_path, edit)
     assert run_cli(command, path) == (code, text)
     assert run_cli(command, path, "--json") == (code, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def test_an_exact_stretch_past_the_float_range_is_still_checked(tmp_path):
+    path = _cylinders_variant(tmp_path, lambda doc: doc["deformations"][0].update(r="1e400"))
+    code, output = run_cli("deform", path)
+    assert (code, output.splitlines()[1:]) == (
+        0, ["  row 0: preserved, residual 0", "  row 1: preserved, residual 0", "deformation: preserved"]
+    )
+    assert output.startswith(f"class {{e1, e2}} under r={10 ** 400}, s=1:")
+
+
+def _nearly_real_periods(doc):
+    doc["periods"]["mode"] = "approximate"
+    doc["periods"]["basis"].update(d1=[1, 8e-10], d2=[1, 0])
+    doc["deformations"][0]["s"] = "100"
+
+
+def test_an_unexpected_residual_comes_from_approximate_tolerance(tmp_path):
+    """Row 0 vanishes at the base point within 1e-9, and so does its remainder's
+    imaginary part; shearing by s = 100 scales the leftover past the tolerance."""
+    path = _cylinders_variant(tmp_path, _nearly_real_periods)
+    residual = "(7.999999995789153e-08+1.6e-09j)"
+    assert run_cli("deform", path) == (4, "\n".join([
+        "class {e1, e2} under r=2, s=100:",
+        f"  row 0: residual-nonzero, residual {residual} (unexpected residual)",
+        "  row 1: preserved, residual 0j",
+        "deformation: hypothesis-violation",
+    ]) + "\n")
+    rows = [
+        {"note": "unexpected residual", "residual": residual, "row": 0, "status": "residual-nonzero"},
+        {"note": "", "residual": "0j", "row": 1, "status": "preserved"},
+    ]
+    payload = {
+        "command": "deform",
+        "reports": [{"class": ["e1", "e2"], "preserved": False, "r": "2", "rows": rows, "s": "100"}],
+        "verdict": "hypothesis-violation",
+    }
+    assert run_cli("deform", path, "--json") == (4, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # In exact mode the same periods leave row 0 not covered: it does not vanish.
+    def exact_periods(doc):
+        _nearly_real_periods(doc)
+        doc["periods"] = dict(doc["periods"], mode="exact")
+        doc["periods"]["basis"].update(d1="1+8e-10 i", d2="1")
+
+    code, output = run_cli("deform", _cylinders_variant(tmp_path, exact_periods))
+    assert code == 4
+    assert output.splitlines()[1] == (
+        "  row 0: not-covered, residual 1/12500000+1/625000000*i (row does not vanish at the base point)"
+    )
 
 
 def test_json_output_renders_no_text(monkeypatch):
