@@ -36,6 +36,7 @@ from .errors import (
     DocumentParseError,
     StrataError,
 )
+from .gaussian import _rational_str
 from .homology import Cycle
 from .level_graph import codim, enumerate_undegenerations
 
@@ -394,15 +395,15 @@ def cmd_deform(doc: AnalysisDocument, args, problems: list[str]):
     from .deformation import CylinderClass
     reports = []
     try:
-        for edge, move in requests:
-            cls = CylinderClass.from_edge(system, edge)
-            outcome = check_preserved(system, assignment, cls, move)
+        for spec in requests:
+            cls = CylinderClass.from_edge(system, spec.class_edge)
+            outcome = check_preserved(system, assignment, cls, spec.r, spec.s)
             rows = [
                 {"row": row.index, "status": row.status, "residual": row.residual, "note": row.note}
                 for row in outcome.rows
             ]
             reports.append({
-                "class": cls.edges, "r": str(move.r), "s": str(move.s),
+                "class": cls.edges, "r": _rational_str(*spec.r), "s": _rational_str(*spec.s),
                 "rows": rows, "preserved": outcome.all_preserved,
             })
     except DeformationError as exc:

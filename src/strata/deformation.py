@@ -18,12 +18,11 @@ residual, scaled by s and r, need not.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from .equations import EquationSystem, cross_equivalence_classes
+from .equations import EquationSystem, _int_ratio, cross_equivalence_classes
 from .errors import DeformationError
-from .gaussian import ZERO, GaussianRational
+from .gaussian import ZERO, GaussianRational, _from_ints, _rational_str
 from .periods import PeriodAssignment, _is_zero, evaluate
 
 
@@ -49,22 +48,6 @@ class CylinderClass(NamedTuple):
         raise DeformationError(f"{eid} is not a horizontal edge")
 
 
-class _ShearStretch(NamedTuple):
-    r: Fraction
-    s: Fraction
-
-
-class ShearStretch(_ShearStretch):
-    """Vertical stretch r > 0 and shear s, acting as (x, y) -> (x + s y, r y)."""
-
-    __slots__ = ()
-
-    def __new__(cls, r: Fraction, s: Fraction) -> "ShearStretch":
-        if r <= 0:
-            raise DeformationError(f"stretch factor must be positive, got {r}")
-        return super().__new__(cls, r, s)
-
-
 class RowOutcome(NamedTuple):
     index: int
     status: str  # "preserved" | "not-covered" | "residual-nonzero"
@@ -81,12 +64,10 @@ class DeformationReport(NamedTuple):
 
 
 def check_preserved(
-    system: EquationSystem,
-    assignment: PeriodAssignment,
-    cls: CylinderClass,
-    move: ShearStretch,
+    system: EquationSystem, assignment: PeriodAssignment, cls: CylinderClass, r, s
 ) -> DeformationReport:
-    """Evaluate every row before and after the deformation.
+    """Evaluate every row before and after the stretch r > 0 and shear s (each an
+    int, a Fraction or an ``(n, d > 0)`` pair), acting as (x, y) -> (x + s y, r y).
 
     Rows whose support meets the class must have support inside it and a real
     cross-class remainder; rows violating those hypotheses (or not vanishing
@@ -95,18 +76,22 @@ def check_preserved(
     """
     if not system.real:
         raise DeformationError("cylinder deformation requires real coefficients")
+    (r_n, r_d), (s_n, s_d) = _ratio(r, "stretch factor r"), _ratio(s, "shear s")
+    if r_n <= 0:
+        raise DeformationError(f"stretch factor must be positive, got {_rational_str(r_n, r_d)}")
     exact = assignment.exact
-    r, s = move
     if not exact:
-        r, s = _float(r, "stretch factor r"), _float(s, "shear s")
+        r, s = _float(r_n, r_d, "stretch factor r"), _float(s_n, s_d, "shear s")
     moved, cut = {}, {}
     for _, name in cls.cross_curves:
         col = system.basis.column_index[("b", name)]
         v = assignment.value("b", name)
         if exact:
-            moved[col] = GaussianRational(v.re + s * v.im, r * v.im)
+            moved[col] = _from_ints((v.a * s_d + s_n * v.b) * r_d, r_n * v.b * s_d, v.d * s_d * r_d)
         else:
-            moved[col] = complex(v.real + s * v.imag, r * v.imag)
+            moved[col] = z = complex(v.real + s * v.imag, r * v.imag)
+            if z - z != 0:  # inf - inf and nan - nan are nan
+                raise DeformationError(f"the moved period of {name} is past the float range of approximate mode")
         cut[col] = ZERO if exact else 0j
     class_edges = set(cls.edges)
     outcomes: list[RowOutcome] = []
@@ -120,7 +105,7 @@ def check_preserved(
                 note = "support is not contained in the deformed class"
             else:
                 beta = evaluate(eq.cycle, assignment, cut)
-                if not _is_zero(beta.im if exact else beta.imag, exact):
+                if not _is_zero(beta.b if exact else beta.imag, exact):
                     note = "cross-class remainder has nonzero imaginary part"
         if note:
             status = "not-covered"
@@ -132,9 +117,15 @@ def check_preserved(
     return DeformationReport(tuple(outcomes))
 
 
-def _float(value: Fraction, name: str) -> float:
+def _ratio(value, name: str) -> tuple[int, int]:
+    if type(value) is tuple and value[1] <= 0:
+        raise DeformationError(f"{name} needs a positive denominator, got {value[1]}")
+    return _int_ratio(value)
+
+
+def _float(n: int, d: int, name: str) -> float:
     try:
-        return float(value)
+        return n / d  # rounds as float(Fraction(n, d)) does
     except OverflowError:
         raise DeformationError(f"{name} is past the float range of approximate mode") from None
 

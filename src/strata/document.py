@@ -199,14 +199,8 @@ class AnalysisDocument:
     def periods(self) -> PeriodAssignment | None:
         return self._periods
 
-    def deformation_requests(self) -> list[tuple[str, ShearStretch]]:
-        from fractions import Fraction
-
-        from .deformation import ShearStretch
-        return [
-            (spec.class_edge, ShearStretch(Fraction(*spec.r), Fraction(*spec.s)))
-            for spec in self.deformations
-        ]
+    def deformation_requests(self) -> list[DeformationSpec]:
+        return self.deformations
 
 
 # -- parsing --------------------------------------------------------------------

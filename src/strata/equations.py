@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .errors import LimitError, SystemDataError, Violation
-from .gaussian import ZERO, ONE, GaussianRational, _from_ints
+from .gaussian import ZERO, ONE, GaussianRational, _from_ints, _rational_str
 from .homology import (
     CROSSING,
     AdaptedBasis,
@@ -135,10 +135,9 @@ class ProportionalityData:
         for e, ep, qn, qd in self.declared:
             if qn:
                 (_, n, d), (_, n_ep, d_ep) = ratio[e], ratio[ep]
-                n, d = n * qd, d * qn  # the chain's ratio[e] / q
+                n, d = (n * qd, d * qn) if qn > 0 else (-n * qd, -d * qn)  # the chain's ratio[e] / q
                 if n * d_ep != d * n_ep:
-                    from fractions import Fraction
-                    text = f"chain gives {Fraction(n, d)}, declared closure gives {Fraction(n_ep, d_ep)}"
+                    text = f"chain gives {_rational_str(n, d)}, declared closure gives {_rational_str(n_ep, d_ep)}"
                     conflicts.append((e, ep, text))
         return ratio, conflicts
 

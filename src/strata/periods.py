@@ -42,13 +42,18 @@ class PeriodAssignment:
 def evaluate(cycle: Cycle, assignment: PeriodAssignment, override: Mapping = {}):
     """Period of a cycle under an assignment: linear in both arguments.
     A column index in ``override`` takes its value from there instead.
-    Terms are added in column order, which fixes approximate rounding."""
+    Terms are added in column order, which fixes approximate rounding.  An
+    approximate coefficient past the float range raises DeformationError."""
     exact = assignment.exact
     total = ZERO if exact else 0j
-    for col, ((kind, key), c) in enumerate(zip(cycle.basis.columns(), cycle.vector)):
-        if c:
-            value = override[col] if col in override else assignment.value(kind, key)
-            total = total + (c if exact else c.to_complex()) * value
+    try:
+        for col, ((kind, key), c) in enumerate(zip(cycle.basis.columns(), cycle.vector)):
+            if c:
+                value = override[col] if col in override else assignment.value(kind, key)
+                total = total + (c if exact else c.to_complex()) * value
+    except OverflowError:  # only to_complex raises it
+        name = key if kind == "b" else f"lambda[{key}]"
+        raise DeformationError(f"the coefficient of {name} is past the float range of approximate mode") from None
     return total
 
 
@@ -70,12 +75,16 @@ def validate_assignment(assignment: PeriodAssignment, system: EquationSystem) ->
             out.append(Violation(f"period lambda[{edge.id}]", "complete", "missing edge value"))
     if out:
         return out
-    for k, rel in enumerate(system.relations):
-        if not _is_zero(evaluate(rel, assignment), assignment.exact):
-            out.append(Violation(f"relation {k}", "relations-hold", f"{rel.render()} != 0"))
+    checks = [(f"relation {k}", "relations-hold", rel) for k, rel in enumerate(system.relations)]
     # A self-ratio has no form: it holds once q = 1, which the system's violations demand.
     linked = [(e, ep) for e, ep, _, _ in system.ratios.declared if e != ep]
-    for (e, ep), form in zip(linked, system.ratio_forms):
-        if not _is_zero(evaluate(form, assignment), assignment.exact):
-            out.append(Violation(f"ratio {e}~{ep}", "ratios-hold", "declared ratio violated"))
+    checks += [(f"ratio {e}~{ep}", "ratios-hold", form) for (e, ep), form in zip(linked, system.ratio_forms)]
+    for subject, rule, form in checks:
+        try:
+            if _is_zero(evaluate(form, assignment), assignment.exact):
+                continue
+            detail = f"{form.render()} != 0" if rule == "relations-hold" else "declared ratio violated"
+        except DeformationError as exc:  # a coefficient past the float range
+            detail = str(exc)
+        out.append(Violation(subject, rule, detail))
     return out

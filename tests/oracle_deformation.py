@@ -6,18 +6,19 @@ each row in place: it builds the deformed ``PeriodAssignment`` with
 formerly ``PeriodAssignment.replace_basis``), evaluates every row at both
 assignments, and evaluates the cross-class remainder of a class-supported row
 as the ``Cycle`` that ``horizontal_decomposition`` builds with the cross-curve
-columns zeroed.  They are deliberately slow and obvious.
+columns zeroed.  It reads the stretch r and the shear s as ``Fraction``s, as
+the ``ShearStretch`` record it took did.  They are deliberately slow and obvious.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping
 
 from strata.deformation import (
     CylinderClass,
     DeformationReport,
     RowOutcome,
-    ShearStretch,
     _render_value,
 )
 from strata.equations import EquationSystem, hor_support
@@ -33,23 +34,29 @@ def replace_basis(assignment: PeriodAssignment, updates: Mapping) -> PeriodAssig
     return PeriodAssignment(merged, assignment.lam_values, exact=assignment.exact)
 
 
-def apply_deformation(
-    assignment: PeriodAssignment, cls: CylinderClass, move: ShearStretch
-) -> PeriodAssignment:
-    """Stretch/shear the cross-curve periods of one class; fix the rest.
+def _fraction(q) -> Fraction:
+    """An int, a Fraction or an ``(n, d)`` pair as a Fraction."""
+    return Fraction(*q) if type(q) is tuple else Fraction(q)
+
+
+def apply_deformation(assignment: PeriodAssignment, cls: CylinderClass, r, s) -> PeriodAssignment:
+    """Stretch by r and shear by s the cross-curve periods of one class; fix the rest.
 
     Circumference periods and every other coordinate are untouched: the
     matrix fixes horizontal vectors.
     """
+    r, s = _fraction(r), _fraction(s)
+    if r <= 0:
+        raise DeformationError(f"stretch factor must be positive, got {r}")
     updates = {}
     for _, name in cls.cross_curves:
         v = assignment.value("b", name)
         if assignment.exact:
             x, y = v.re, v.im
-            updates[name] = GaussianRational(x + move.s * y, move.r * y)
+            updates[name] = GaussianRational(x + s * y, r * y)
         else:
             x, y = v.real, v.imag
-            updates[name] = complex(x + float(move.s) * y, float(move.r) * y)
+            updates[name] = complex(x + float(s) * y, float(r) * y)
     return replace_basis(assignment, updates)
 
 
@@ -79,12 +86,13 @@ def check_preserved(
     system: EquationSystem,
     assignment: PeriodAssignment,
     cls: CylinderClass,
-    move: ShearStretch,
+    r,
+    s,
 ) -> DeformationReport:
     """Evaluate every row before and after the deformation, on two assignments."""
     if not system.real:
         raise DeformationError("cylinder deformation requires real coefficients")
-    deformed = apply_deformation(assignment, cls, move)
+    deformed = apply_deformation(assignment, cls, r, s)
     class_edges = set(cls.edges)
     outcomes: list[RowOutcome] = []
     for j, eq in enumerate(system.rref_rows):

@@ -24,7 +24,7 @@ from oracle_linalg import vec_add, vec_scale
 from strata import linalg
 from strata.aim import pairwise_circum_decompose, pairwise_cross_witness, tangent_absolute, lemma_bound
 from strata.cli import main as cli_main
-from strata.deformation import CylinderClass, ShearStretch, check_preserved
+from strata.deformation import CylinderClass, check_preserved
 from strata.document import load_document
 from strata.equations import (
     EquationSystem,
@@ -228,22 +228,20 @@ def test_criterion_09_cylinder_deformation(capsys):
             assert validate_assignment(assignment, system) == []
             cls = CylinderClass.from_edge(system, "e1")
             for _ in range(10):
-                move = ShearStretch(
+                move = (
                     Fraction(r.randint(1, 6), r.randint(1, 3)),
                     Fraction(r.randint(-6, 6), r.randint(1, 3)),
                 )
-                report = check_preserved(system, assignment, cls, move)
+                report = check_preserved(system, assignment, cls, *move)
                 assert report.all_preserved
-                deformed = apply_deformation(assignment, cls, move)
+                deformed = apply_deformation(assignment, cls, *move)
                 # Circumference invariance.
                 assert deformed.lam_values == assignment.lam_values
             # Group law on a sample pair of moves.
-            m1 = ShearStretch(Fraction(r.randint(1, 4)), Fraction(r.randint(-3, 3)))
-            m2 = ShearStretch(Fraction(r.randint(1, 4)), Fraction(r.randint(-3, 3)))
-            two = apply_deformation(apply_deformation(assignment, cls, m1), cls, m2)
-            one = apply_deformation(
-                assignment, cls, ShearStretch(m1.r * m2.r, m1.s + m2.s * m1.r)
-            )
+            (r1, s1), (r2, s2) = [(Fraction(r.randint(1, 4)), Fraction(r.randint(-3, 3))) for _ in range(2)]
+            two = apply_deformation(apply_deformation(assignment, cls, r1, s1), cls, r2, s2)
+            # Matrix product of (1 s2; 0 r2) and (1 s1; 0 r1).
+            one = apply_deformation(assignment, cls, r1 * r2, s1 + s2 * r1)
             assert two.basis_values == one.basis_values
 
 

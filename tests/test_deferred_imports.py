@@ -6,9 +6,11 @@ so a cold `validate` or `analyze` never compiles them.  `strata.cli` keeps a
 module-level forwarder for each of their calls the tracer wraps.  A document's
 symplectic block and its periods block are held and checked by `symplectic` and
 `periods`, which only documents carrying the block import.  `fractions` (with
-`decimal` and `numbers`) loads only where a `Fraction` is built: a command
-module, or the deformation requests `deform` reads; a document holds its
-requests' ratios as integer pairs.
+`decimal` and `numbers`) loads only where a `Fraction` is built, in a command
+module such as `plumbing`.  A document holds its ratios and its deformations'
+r and s as integer pairs, and `deform` checks those pairs as they are: no
+fixture's `deform` loads `fractions`, and a `deform` with nothing to do loads
+no `deformation` either.  A ratio conflict is worded from the pairs too.
 """
 
 from __future__ import annotations
@@ -123,6 +125,28 @@ WITH_DEFORMATIONS = sorted(path.stem for path in FIXTURES.glob("*.json") if path
 @pytest.mark.parametrize("fixture", WITH_DEFORMATIONS)
 def test_a_verdict_with_deformations_loads_no_fractions(command, fixture):
     argv = [command, str(FIXTURES / f"{fixture}.json")]
+    assert _loaded_after(argv, FRACTIONS) == "[]\n"
+
+
+@pytest.mark.parametrize("fixture", sorted(WITH_DEFORMATIONS + WITHOUT_DEFORMATIONS))
+def test_deform_loads_no_fractions(fixture):
+    assert _loaded_after(["deform", str(FIXTURES / f"{fixture}.json")], FRACTIONS) == "[]\n"
+
+
+@pytest.mark.parametrize("fixture", WITHOUT_DEFORMATIONS)
+def test_deform_with_nothing_to_do_loads_no_deformation(fixture):
+    argv = ["deform", str(FIXTURES / f"{fixture}.json")]
+    assert _loaded_after(argv, ["strata.deformation"]) == "[]\n"
+
+
+def test_a_ratio_conflict_is_worded_without_fractions(tmp_path):
+    doc = json.loads((FIXTURES / "three_node_pinch.json").read_text())
+    entries = [("e1", "e2", "2"), ("e2", "e3", "-3"), ("e1", "e3", "5")]
+    doc["system"]["ratios"] = [{"e": e, "e'": ep, "q": q} for e, ep, q in entries]
+    path = tmp_path / "conflict.json"
+    path.write_text(json.dumps(doc))
+    argv = ["validate", str(path)]
+    assert main(argv) == 1
     assert _loaded_after(argv, FRACTIONS) == "[]\n"
 
 

@@ -13,7 +13,7 @@ from strata import linalg
 from strata.cli import main
 from strata.document import load_document, parse_document
 
-from strata.deformation import CylinderClass, ShearStretch, check_preserved
+from strata.deformation import CylinderClass, check_preserved
 from strata.equations import EquationSystem
 from strata.errors import DeformationError
 from strata.gaussian import ZERO, ONE, GaussianRational
@@ -71,21 +71,49 @@ def test_apply_deformation_matrix_action():
     basis = adapted_basis_for(loop_graph(1))
     cls = CylinderClass(("e1",), (("e1", "d_e1"),))
     assignment = _simple_assignment(basis, {"d_e1": GaussianRational(0, 1), "n0_0": ONE, "n0_1": ONE})
-    identity = apply_deformation(assignment, cls, ShearStretch(Fraction(1), Fraction(0)))
+    identity = apply_deformation(assignment, cls, 1, 0)
     assert identity.basis_values == assignment.basis_values
-    moved = apply_deformation(assignment, cls, ShearStretch(Fraction(2), Fraction(3)))
+    moved = apply_deformation(assignment, cls, 2, 3)
     assert moved.basis_values["d_e1"] == GaussianRational(3, 2)
     assert moved.basis_values["n0_0"] == ONE
     assert moved.lam_values == assignment.lam_values
 
 
-def test_stretch_must_be_positive():
-    for r in (Fraction(0), Fraction(-1, 2)):
+def _fixture_check(documents):
+    """``check_preserved`` on the parallel-cylinders fixture, for any r and s."""
+    doc = documents["parallel_cylinders"]
+    system, assignment = doc.system(), doc.periods()
+    cls = CylinderClass.from_edge(system, "e1")
+    return lambda r, s: check_preserved(system, assignment, cls, r, s)
+
+
+def test_stretch_must_be_positive(documents):
+    check = _fixture_check(documents)
+    for r, text in ((0, "0"), (Fraction(-1, 2), "-1/2"), ((-2, 4), "-1/2"), ((0, 3), "0")):
         with pytest.raises(DeformationError) as raised:
-            ShearStretch(r, Fraction(1))
-        assert str(raised.value) == f"stretch factor must be positive, got {r}"
-        with pytest.raises(DeformationError):
-            ShearStretch(r=r, s=Fraction(1))
+            check(r, 1)
+        assert str(raised.value) == f"stretch factor must be positive, got {text}"
+
+
+def test_denominators_must_be_positive(documents):
+    check = _fixture_check(documents)
+    for r, s, text in (
+        ((2, 0), 1, "stretch factor r needs a positive denominator, got 0"),
+        ((2, -1), 1, "stretch factor r needs a positive denominator, got -1"),
+        (2, (1, 0), "shear s needs a positive denominator, got 0"),
+        (2, (-1, -3), "shear s needs a positive denominator, got -3"),
+    ):
+        with pytest.raises(DeformationError) as raised:
+            check(r, s)
+        assert str(raised.value) == text
+
+
+def test_r_and_s_are_read_like_a_declared_ratio(documents):
+    """An int, a Fraction and an unreduced (n, d) pair of the same value give one report."""
+    check = _fixture_check(documents)
+    report = check(2, -1)
+    assert check(Fraction(2), Fraction(-1)) == check((4, 2), (-3, 3)) == report
+    assert check(Fraction(3, 2), (1, 4)) == check((6, 4), Fraction(1, 4))
 
 
 @pytest.mark.parametrize("literal", ["0", "-1/2"])
@@ -94,8 +122,10 @@ def test_stretch_must_be_positive_through_the_document(fixture_dir, literal):
     data["deformations"][0]["r"] = literal
     doc = parse_document(data)
     assert "stretch-positive" in [v.rule for v in doc.violations()]
+    [spec] = doc.deformation_requests()
+    cls = CylinderClass.from_edge(doc.system(), spec.class_edge)
     with pytest.raises(DeformationError) as raised:
-        doc.deformation_requests()
+        check_preserved(doc.system(), doc.periods(), cls, spec.r, spec.s)
     assert str(raised.value) == f"stretch factor must be positive, got {literal}"
 
 
@@ -115,12 +145,9 @@ def test_group_law():
         r2 = Fraction(r.randint(1, 5), r.randint(1, 3))
         s1 = Fraction(r.randint(-4, 4), r.randint(1, 3))
         s2 = Fraction(r.randint(-4, 4), r.randint(1, 3))
-        two_steps = apply_deformation(
-            apply_deformation(assignment, cls, ShearStretch(r1, s1)), cls, ShearStretch(r2, s2)
-        )
+        two_steps = apply_deformation(apply_deformation(assignment, cls, r1, s1), cls, r2, s2)
         # Matrix product of (1 s2; 0 r2) and (1 s1; 0 r1).
-        combined = ShearStretch(r1 * r2, s1 + s2 * r1)
-        one_step = apply_deformation(assignment, cls, combined)
+        one_step = apply_deformation(assignment, cls, r1 * r2, s1 + s2 * r1)
         assert two_steps.basis_values == one_step.basis_values
         assert two_steps.lam_values == one_step.lam_values
 
@@ -173,7 +200,7 @@ def test_check_preserved_fixture(documents):
     system = doc.system()
     assignment = doc.periods()
     cls = CylinderClass.from_edge(system, "e1")
-    report = check_preserved(system, assignment, cls, ShearStretch(Fraction(2), Fraction(1)))
+    report = check_preserved(system, assignment, cls, 2, 1)
     assert report.all_preserved
     assert all(r.residual == "0" for r in report.rows)
 
@@ -184,7 +211,7 @@ def test_check_preserved_requires_real():
     assignment = _simple_assignment(basis, {n: ONE for n in basis.names})
     cls = CylinderClass(("e1",), (("e1", "d_e1"),))
     with pytest.raises(DeformationError, match="real"):
-        check_preserved(system, assignment, cls, ShearStretch(Fraction(1), Fraction(0)))
+        check_preserved(system, assignment, cls, 1, 0)
 
 
 def test_check_preserved_flags_imaginary_remainder():
@@ -200,7 +227,7 @@ def test_check_preserved_flags_imaginary_remainder():
     assignment = _simple_assignment(basis, values)
     assert evaluate(row, assignment) == ZERO
     cls = CylinderClass.from_edge(system, "e1")
-    report = check_preserved(system, assignment, cls, ShearStretch(Fraction(2), Fraction(0)))
+    report = check_preserved(system, assignment, cls, 2, 0)
     assert not report.all_preserved
     flagged = report.rows[0]
     assert flagged.status == "not-covered"
@@ -215,25 +242,19 @@ def test_randomized_theorem_instance():
         system, assignment = real_parallel_fixture(r)
         assert validate_assignment(assignment, system) == []
         cls = CylinderClass.from_edge(system, "e1")
-        for _ in range(3):
-            move = ShearStretch(
-                Fraction(r.randint(1, 6), r.randint(1, 3)),
-                Fraction(r.randint(-6, 6), r.randint(1, 3)),
-            )
-            report = check_preserved(system, assignment, cls, move)
+        for move in _moves(r, 3):
+            report = check_preserved(system, assignment, cls, *move)
             assert report.all_preserved
-            deformed = apply_deformation(assignment, cls, move)
+            deformed = apply_deformation(assignment, cls, *move)
             assert deformed.lam_values == assignment.lam_values
         preserved_cases += 1
     assert preserved_cases == 100
 
 
 def _moves(r, count):
+    """``count`` random (r, s), each an unreduced (n, d > 0) pair as a document holds it."""
     return [
-        ShearStretch(
-            Fraction(r.randint(1, 6), r.randint(1, 3)),
-            Fraction(r.randint(-6, 6), r.randint(1, 3)),
-        )
+        ((r.randint(1, 6), r.randint(1, 3)), (r.randint(-6, 6), r.randint(1, 3)))
         for _ in range(count)
     ]
 
@@ -279,8 +300,8 @@ def test_check_preserved_matches_the_two_assignment_oracle():
         for exact in _bent_assignments(r, system, assignment):
             for values in (exact, _approximate(exact)):
                 for move in _moves(r, 3):
-                    report = check_preserved(system, values, cls, move)
-                    assert report == oracle_deformation.check_preserved(system, values, cls, move)
+                    report = check_preserved(system, values, cls, *move)
+                    assert report == oracle_deformation.check_preserved(system, values, cls, *move)
                     seen.update((values.exact, row.note) for row in report.rows)
     for exact in (True, False):
         for note in (
@@ -300,8 +321,9 @@ def test_the_residual_is_the_period_plus_the_shear_stretch_of_the_class_term():
         index = system.basis.column_index
         for values in _bent_assignments(r, system, assignment):
             for move in _moves(r, 3):
-                report = check_preserved(system, values, cls, move)
-                factor = GaussianRational(move.s, move.r - 1)
+                report = check_preserved(system, values, cls, *move)
+                (r_n, r_d), (s_n, s_d) = move
+                factor = GaussianRational(Fraction(s_n, s_d), Fraction(r_n - r_d, r_d))
                 for eq, row in zip(system.rref_rows, report.rows):
                     lead = ZERO
                     for _, name in cls.cross_curves:
@@ -332,7 +354,7 @@ def test_approximate_mode_tolerance():
     system = EquationSystem(basis, [], real=True)
     assert validate_assignment(assignment, system) == []
     cls = CylinderClass(("e1",), (("e1", "d_e1"),))
-    moved = apply_deformation(assignment, cls, ShearStretch(Fraction(3), Fraction(1)))
+    moved = apply_deformation(assignment, cls, 3, 1)
     assert moved.basis_values["d_e1"] == 2 + 3j
 
 
@@ -357,9 +379,9 @@ def test_approximate_residuals_keep_the_dict_summation_order(tmp_path):
 
     doc = load_document(str(path))
     system, assignment = doc.system(), doc.periods()
-    (edge, move), = doc.deformation_requests()
-    cls = CylinderClass.from_edge(system, edge)
-    deformed = apply_deformation(assignment, cls, move)
+    (spec,) = doc.deformation_requests()
+    cls = CylinderClass.from_edge(system, spec.class_edge)
+    deformed = apply_deformation(assignment, cls, spec.r, spec.s)
     assert len(rows) == system.rank == 3
     assert max(len(eq.cycle.coeffs) + len(eq.cycle.lam) for eq in system.rref_rows) >= 3
     for row, eq in zip(rows, system.rref_rows):

@@ -294,6 +294,11 @@ RATIO_CONFLICTS = {
         [("e1", "e2", "2"), ("e1", "e2", "3")],
         "ratio e1~e2: ratio-consistency: chain gives 1/3, declared closure gives 1/2",
     ),
+    # The chain's ratio over a negative q: the sign is printed on the numerator.
+    "negative": (
+        [("e1", "e2", "2"), ("e2", "e3", "-3"), ("e1", "e3", "5")],
+        "ratio e2~e3: ratio-consistency: chain gives -1/6, declared closure gives 1/5",
+    ),
 }
 
 
@@ -384,6 +389,24 @@ def _approximate_past_float(key):
     return edit
 
 
+def _approximate_with(block, entry):
+    """Approximate mode, and ``entry`` added to the system's ``block``."""
+    def edit(doc):
+        doc["periods"]["mode"] = "approximate"
+        doc["system"][block].append(entry)
+    return edit
+
+
+def _sheared_past_float(doc):
+    """d1 - d2 vanishes exactly, but shearing Im = 1e10 by s = 1e300 moves d1 past the float range."""
+    doc["periods"]["mode"] = "approximate"
+    doc["periods"]["basis"].update(d1=[1, 1e10], d2=[1, 1e10])
+    doc["deformations"][0]["s"] = "1e300"
+
+
+PAST_FLOAT_ROW = {"coeffs": {"a1": "1", "a2": "1e400"}, "lambda": {}}
+
+
 SELF_RATIO = "ratio-consistency: self-ratio differs from 1"
 PAST_FLOAT = "is past the float range of approximate mode"
 OBSTRUCTION = "row 0: no relation links the period over e2 to the one over e1"
@@ -408,6 +431,16 @@ REFUSALS = {
         f"hypothesis violation: shear s {PAST_FLOAT}\n",
         {"command": "deform", "error": f"shear s {PAST_FLOAT}"},
     ),
+    "deform-coefficient-past-float": (
+        "deform", _approximate_with("equations", PAST_FLOAT_ROW), 4,
+        f"hypothesis violation: the coefficient of a2 {PAST_FLOAT}\n",
+        {"command": "deform", "error": f"the coefficient of a2 {PAST_FLOAT}"},
+    ),
+    "deform-moved-period-past-float": (
+        "deform", _sheared_past_float, 4,
+        f"hypothesis violation: the moved period of d1 {PAST_FLOAT}\n",
+        {"command": "deform", "error": f"the moved period of d1 {PAST_FLOAT}"},
+    ),
     "validate-violations": (
         "validate", _two_bad_self_ratios, 1,
         f"violations: 2\n  ratio e1~e1: {SELF_RATIO}\n  ratio e2~e2: {SELF_RATIO}\n",
@@ -422,6 +455,28 @@ def test_refusals_print_their_pinned_output(tmp_path, case):
     path = _cylinders_variant(tmp_path, edit)
     assert run_cli(command, path) == (code, text)
     assert run_cli(command, path, "--json") == (code, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+GATE_PAST_FLOAT = {
+    "relation": (
+        "relations", PAST_FLOAT_ROW, f"relation 0: relations-hold: the coefficient of a2 {PAST_FLOAT}",
+    ),
+    "ratio": (
+        "ratios", {"e": "e1", "e'": "e2", "q": "1e400"},
+        f"ratio e1~e2: ratios-hold: the coefficient of lambda[e2] {PAST_FLOAT}",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze", "plumb", "deform", "aim"])
+@pytest.mark.parametrize("case", sorted(GATE_PAST_FLOAT))
+def test_the_periods_gate_reports_a_coefficient_past_the_float_range(tmp_path, case, command):
+    block, entry, violation = GATE_PAST_FLOAT[case]
+    path = _cylinders_variant(tmp_path, _approximate_with(block, entry))
+    heading = "violations: 1" if command == "validate" else "invalid document:"
+    assert run_cli(command, path) == (1, f"{heading}\n  {violation}\n")
+    payload = {"command": command, "violations": [violation]}
+    assert run_cli(command, path, "--json") == (1, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def test_an_exact_stretch_past_the_float_range_is_still_checked(tmp_path):
