@@ -47,7 +47,6 @@ from .homology import (
     AdaptedBasis,
     BasisElement,
     Cycle,
-    LambdaRelationSet,
     pair,
     picard_lefschetz,
     validate_adapted,
@@ -62,7 +61,6 @@ from .level_graph import (
     enumerate_undegenerations,
     lcm_weight,
     passage_weight,
-    top_vertices_have_horizontal,
     validate,
 )
 

@@ -14,8 +14,8 @@ from typing import NamedTuple, Sequence
 from . import linalg
 from .equations import (
     EquationSystem,
-    _lead_key,
     _scaled_to,
+    _unit_residual,
     correlated_witness,
     cross_equivalence_classes,
     hor_support,
@@ -103,13 +103,13 @@ def lemma_bound(system: EquationSystem, data: SymplecticData, cls: CylinderClass
     report = tangent_absolute(system, data)
     if not report.symplectic:
         raise AimError("tangent image is not symplectic; the bound does not apply")
-    if len(cls.edges) > 1:
-        for a in cls.edges:
-            for b in cls.edges:
-                if a < b and system.ratios.ratio(a, b) is None:
-                    raise AimError(
-                        f"class is not declared parallel: no ratio linking {a} and {b}"
-                    )
+    # Declared parallel: one root in the ratio closure, where an edge outside it is its own.
+    closure = system.ratios.closure[0]
+    roots = {e: closure[e][0] if e in closure else e for e in cls.edges}
+    for a in cls.edges:
+        for b in cls.edges:
+            if a < b and roots[a] != roots[b]:
+                raise AimError(f"class is not declared parallel: no ratio linking {a} and {b}")
     # The extended rows project onto the same span of cross-curve columns as
     # the equations, relations and ratio forms, so the kernel is the same.
     index = system.basis.column_index
@@ -175,8 +175,7 @@ def _pair_form_candidates(
     horizontal = sorted(system.graph.horizontal_edges)
     leads, keys = {}, {}
     for e in horizontal:
-        unit = Cycle(system.basis, {}, {e: ONE}).vector
-        leads[e], keys[e] = _lead_key(linalg.reduce_vector(unit, *system.extended_rows))
+        leads[e], keys[e] = _unit_residual(system.basis, e, system.extended_rows)
     found = len(horizontal) > 1 and (None in leads.values() or len(set(keys.values())) < len(horizontal))
     inside = set(nodes)
     out = []

@@ -22,13 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 from . import linalg
 from .errors import LimitError, SystemDataError, Violation
 from .gaussian import ZERO, ONE, GaussianRational, _from_ints, _rational_str
-from .homology import (
-    CROSSING,
-    AdaptedBasis,
-    Cycle,
-    LambdaRelationSet,
-    pair,
-)
+from .homology import CROSSING, AdaptedBasis, Cycle, pair
 from .level_graph import EnhancedLevelGraph, Undegeneration, components
 
 
@@ -157,10 +151,14 @@ class ProportionalityData:
 
 
 def _int_ratio(q) -> tuple[int, int]:
-    """A declared q as ``(numerator, denominator > 0)`` in lowest terms."""
+    """A declared q as ``(numerator, denominator > 0)`` in lowest terms; a pair
+    whose denominator is not positive raises SystemDataError."""
     if type(q) is tuple:
-        g = gcd(*q)
-        return q[0] // g, q[1] // g
+        n, d = q
+        if d <= 0:
+            raise SystemDataError(f"a ratio needs a positive denominator, got {d}")
+        g = gcd(n, d)
+        return n // g, d // g
     from fractions import Fraction
     q = Fraction(q)
     return q.numerator, q.denominator
@@ -254,15 +252,16 @@ class EquationSystem:
         )
 
     @cached_property
-    def reduction_relations(self) -> LambdaRelationSet:
-        """Declared relations, ratio relations, and pure-period rows combined.
+    def reduction_relations(self) -> tuple[list[linalg.Vector], list[int]]:
+        """Rref rows and pivots of the declared relations, the ratio forms and
+        the pure-period rows.
 
         Everything here vanishes identically near the boundary point, so the
         span is the right thing to reduce residue forms and log-coefficient
         vectors by.
         """
-        pure = [eq.cycle for eq in self.rref_rows if eq.cycle.is_lambda_only()]
-        return LambdaRelationSet(self.basis, [*self.relations, *self.ratio_forms, *pure])
+        rows = [rel.vector for rel in self.relations] + [f.vector for f in self.ratio_forms]
+        return linalg.rref(rows + [eq.cycle.vector for eq in self.rref_rows if eq.cycle.is_lambda_only()])
 
     @cached_property
     def extended_rows(self) -> tuple[list[linalg.Vector], list[int]]:
@@ -301,24 +300,21 @@ class EquationSystem:
         return components(self.graph.horizontal_edges, [eq.hor_support for eq in self.rref_rows])
 
     @cached_property
-    def residuals(self) -> dict[str, tuple[Cycle, tuple, GaussianRational | None]]:
+    def residuals(self) -> dict[str, tuple[GaussianRational | None, tuple]]:
         """Per horizontal edge in a class of two or more (past R1, the only
-        edges a row crosses): its period symbol reduced modulo
-        ``reduction_relations``, the residual's monic vector (its key) and its
-        first nonzero entry (its lead, None for a zero residual).  Two periods
-        are proportional exactly when both have leads and equal keys, in the
-        ratio of their leads.  A zero residual puts its period in the span of
-        the relations, so only systems that ``consistency_report`` refuses
-        (at R5 at the latest) have a None lead.
+        edges a row crosses): the ``_unit_residual`` of its period symbol
+        modulo ``reduction_relations``, a lead (None for a zero residual) and a
+        key.  Two periods are proportional exactly when both have leads and
+        equal keys, in the ratio of their leads.  A zero residual puts its
+        period in the span of the relations, so only systems that
+        ``consistency_report`` refuses (at R5 at the latest) have a None lead.
         """
-        relations = self.reduction_relations
+        span = self.reduction_relations
         out = {}
         for cls in self.cross_equivalence_classes:
             if len(cls) > 1:
                 for eid in sorted(cls):
-                    residual = relations.reduce(Cycle(self.basis, {}, {eid: ONE}))
-                    lead, key = _lead_key(residual.vector)
-                    out[eid] = (residual, key, lead)
+                    out[eid] = _unit_residual(self.basis, eid, span)
         return out
 
     @cached_property
@@ -729,8 +725,14 @@ def _lead_key(vector: Sequence[GaussianRational]) -> tuple[GaussianRational | No
     return lead, tuple([inverse * x if x.a or x.b else x for x in vector])
 
 
-def _single_lambda_term(cycle: Cycle) -> str | None:
-    carriers = [column for column, c in zip(cycle.basis.columns(), cycle.vector) if c]
+def _unit_residual(basis: AdaptedBasis, eid: str, span) -> tuple[GaussianRational | None, tuple]:
+    """The ``_lead_key`` of the period symbol lambda[eid] reduced modulo a span's
+    rref rows and pivots."""
+    return _lead_key(linalg.reduce_vector(Cycle(basis, {}, {eid: ONE}).vector, *span))
+
+
+def _single_lambda_term(basis: AdaptedBasis, vector: Sequence[GaussianRational]) -> str | None:
+    carriers = [column for column, c in zip(basis.columns(), vector) if c.a or c.b]
     return carriers[0][1] if len(carriers) == 1 and carriers[0][0] == "l" else None
 
 
@@ -750,7 +752,7 @@ def proportionality_obligations(system: EquationSystem) -> list[tuple[str, str]]
             continue
         firsts: dict[tuple, str] = {}
         for eid in sorted(cls):
-            _, key, lead = residuals[eid]
+            lead, key = residuals[eid]
             if lead is not None:
                 firsts.setdefault(key, eid)
         order = list(firsts.values())
@@ -784,19 +786,19 @@ def consistency_report(system: EquationSystem, assume_theorems: bool = False) ->
     trace.append("R1: every horizontal-crossing row crosses at least two nodes")
 
     # R2
-    relations = system.reduction_relations
+    rows, pivots = system.reduction_relations
     forms = system.residue_forms
     for j, i, form in forms:
-        residual = relations.reduce(form)
-        if residual.is_zero():
+        residual = linalg.reduce_vector(form.vector, rows, pivots)
+        if linalg.is_zero_vector(residual):
             continue
-        eid = _single_lambda_term(residual)
+        eid = _single_lambda_term(system.basis, residual)
         if eid is not None and eid in system.nonvanishing:
             forced = Cycle(system.basis, {}, {eid: ONE})  # the residual, scaled to lead with 1
             trace.append(f"R2: row {j} at passage {i} forces {forced.render()} = 0 with {eid} nonvanishing")
             return ConsistencyCertificate("inconsistent", "R2", forced, (), tuple(trace))
         if assume_theorems:
-            relations = relations.with_added([form])
+            rows, pivots = linalg.rref(rows + [form.vector])
     trace.append(f"R2: {len(forms)} residue forms reduce without forcing a nonvanishing period")
 
     # R3
@@ -818,8 +820,8 @@ def consistency_report(system: EquationSystem, assume_theorems: bool = False) ->
     trace.append("R4: no row crosses a horizontal node below its top level")
 
     # R5
-    for rel in relations.echelon:
-        eid = _single_lambda_term(rel)
+    for row in rows:
+        eid = _single_lambda_term(system.basis, row)
         if eid is not None and eid in system.nonvanishing:
             forced = Cycle(system.basis, {}, {eid: ONE})
             trace.append(f"R5: combined relations force {forced.render()} = 0")

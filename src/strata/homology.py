@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import BasisError, Violation
 from .gaussian import ONE, ZERO, GaussianRational
@@ -318,34 +318,3 @@ def picard_lefschetz(cycle: Cycle, n: Mapping[str, int]) -> Cycle:
             vector[col] = vector[col] + hit
     return Cycle.from_vector(cycle.basis, vector)
 
-
-class LambdaRelationSet:
-    """The span of homogeneous linear relations among period symbols.
-
-    Each relation is a cycle asserted to have identically vanishing period;
-    relations may mix vanishing-cycle symbols with basis-element symbols (for
-    declared absolute-homology identities).  The set keeps only the reduced
-    echelon form of the span against the ambient column order.  That form is
-    canonical, so adding cycles to it gives the rows and pivots a rebuild from
-    every relation would.
-    """
-
-    def __init__(self, basis: AdaptedBasis, cycles: Iterable[Cycle] = ()):
-        self.basis = basis
-        self._rows, self._pivots = linalg.rref([c.vector for c in cycles])
-
-    def with_added(self, cycles: Iterable[Cycle]) -> "LambdaRelationSet":
-        """The span of these cycles and the echelon rows."""
-        return LambdaRelationSet(self.basis, self.echelon + list(cycles))
-
-    @property
-    def echelon(self) -> list[Cycle]:
-        return [Cycle.from_vector(self.basis, row) for row in self._rows]
-
-    def reduce(self, cycle: Cycle) -> Cycle:
-        """Canonical residual of a cycle modulo the relation span."""
-        residual = linalg.reduce_vector(cycle.vector, self._rows, self._pivots)
-        return Cycle.from_vector(self.basis, residual)
-
-    def contains(self, cycle: Cycle) -> bool:
-        return self.reduce(cycle).is_zero()

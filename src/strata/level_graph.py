@@ -269,35 +269,6 @@ class Undegeneration(NamedTuple):
     def new_level(self, old_level: int) -> int:
         return -sum(1 for p in self.kept_passages if p >= old_level)
 
-    def surviving_vertical(self, graph: EnhancedLevelGraph) -> tuple[str, ...]:
-        crossed = {e for p in self.kept_passages for e in graph._crossing.get(p, ())}
-        return tuple([e for e in graph.vertical_edges if e in crossed])
-
-    def surviving_edges(self, graph: EnhancedLevelGraph) -> tuple[str, ...]:
-        return tuple(sorted(self.kept_horizontal + self.surviving_vertical(graph)))
-
-    def target_codim(self) -> int:
-        return len(self.kept_passages) + len(self.kept_horizontal)
-
-    def then(self, graph: EnhancedLevelGraph, second: "Undegeneration") -> "Undegeneration":
-        """Compose with an undegeneration of the target graph.
-
-        The second undegeneration names passages in the relabeled target
-        levels; kept target passage -j corresponds to the j-th kept passage of
-        this one, counted from the top.
-        """
-        ordered = sorted(self.kept_passages, reverse=True)
-        kept = []
-        for p2 in second.kept_passages:
-            j = -p2
-            if not 1 <= j <= len(ordered):
-                raise GraphError(f"passage {p2} is not a passage of the target graph")
-            kept.append(ordered[j - 1])
-        for h in second.kept_horizontal:
-            if h not in self.kept_horizontal:
-                raise GraphError(f"edge {h} is not a horizontal edge of the target graph")
-        return Undegeneration.make(kept, second.kept_horizontal)
-
 
 def _subsets(items) -> list[tuple]:
     """Every subset of the sorted ``items`` as a sorted tuple, in lexicographic order.
@@ -320,10 +291,3 @@ def enumerate_undegenerations(graph: EnhancedLevelGraph) -> list[Undegeneration]
         for h in horizontal_subsets
     ]
 
-
-def top_vertices_have_horizontal(graph: EnhancedLevelGraph) -> bool:
-    """Whether every level-0 vertex meets a horizontal edge."""
-    covered: set[str] = set()
-    for eid in graph.horizontal_edges:
-        covered.update(graph.edge(eid).ends)
-    return all(v.id in covered for v in graph.vertices if v.level == 0)

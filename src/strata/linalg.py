@@ -359,9 +359,10 @@ def lattice_is_saturated(generators: Sequence[Sequence[int]]) -> bool:
     return all(d == 1 for d in invariant_factors(generators))
 
 
-def clear_denominators(values: Sequence[Fraction]) -> list[int]:
-    """Scale rationals to coprime integers, preserving signs and ratios."""
-    denom = lcm(*[v.denominator for v in values])
-    ints = [int(v * denom) for v in values]
+def clear_denominators(values: Sequence[tuple[int, int]]) -> list[int]:
+    """Scale rationals, given as ``(numerator, denominator > 0)`` pairs, to
+    coprime integers, preserving signs and ratios."""
+    denom = lcm(*[d for _, d in values])
+    ints = [n * (denom // d) for n, d in values]
     g = gcd(*ints) or 1  # no values, or all zero
     return [x // g for x in ints]

@@ -43,7 +43,8 @@ def evaluate(cycle: Cycle, assignment: PeriodAssignment, override: Mapping = {})
     """Period of a cycle under an assignment: linear in both arguments.
     A column index in ``override`` takes its value from there instead.
     Terms are added in column order, which fixes approximate rounding.  An
-    approximate coefficient past the float range raises DeformationError."""
+    approximate coefficient past the float range, or a term that takes the
+    sum past it, raises DeformationError."""
     exact = assignment.exact
     total = ZERO if exact else 0j
     try:
@@ -51,10 +52,19 @@ def evaluate(cycle: Cycle, assignment: PeriodAssignment, override: Mapping = {})
             if c:
                 value = override[col] if col in override else assignment.value(kind, key)
                 total = total + (c if exact else c.to_complex()) * value
+                if not exact and total - total != 0:  # inf - inf and nan - nan are nan
+                    raise DeformationError(
+                        f"the term of {_symbol(kind, key)} takes the sum past the float range of approximate mode"
+                    )
     except OverflowError:  # only to_complex raises it
-        name = key if kind == "b" else f"lambda[{key}]"
-        raise DeformationError(f"the coefficient of {name} is past the float range of approximate mode") from None
+        raise DeformationError(
+            f"the coefficient of {_symbol(kind, key)} is past the float range of approximate mode"
+        ) from None
     return total
+
+
+def _symbol(kind: str, key: str) -> str:
+    return key if kind == "b" else f"lambda[{key}]"
 
 
 def _is_zero(value, exact: bool) -> bool:

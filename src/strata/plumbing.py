@@ -11,7 +11,6 @@ their top-level restriction as leading part.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
@@ -96,10 +95,10 @@ def convert(system: EquationSystem, assume_theorems: bool = False) -> list[Plumb
             continue
         support = sorted(eq.hor_support)
         ref = support[0]
-        _, ref_key, ref_lead = residuals[ref]
-        ratios: list[Fraction] = []
+        ref_lead, ref_key = residuals[ref]
+        ratios: list[tuple[int, int]] = []
         for eid in support:
-            _, key, lead = residuals[eid]
+            lead, key = residuals[eid]
             if key != ref_key:
                 raise ConversionError(
                     f"row {k}: no relation links the period over {eid} to the one over {ref}",
@@ -111,7 +110,7 @@ def convert(system: EquationSystem, assume_theorems: bool = False) -> list[Plumb
                     f"row {k}: period ratio between {eid} and {ref} is not rational",
                     missing=f"rational ratio lambda[{eid}] ~ lambda[{ref}]",
                 )
-            ratios.append(q.as_fraction())
+            ratios.append((q.a, q.d))
         exponents = linalg.clear_denominators(ratios)
         if exponents[0] < 0:
             exponents = [-n for n in exponents]

@@ -25,7 +25,7 @@ a vector to lead with 1 before one routine did it: ``monic`` scales a cycle by
 ``ONE / lead`` (the residual keys and the R2/R5 forced cycles), and the
 annihilator's keys divide every entry of a column by its lead.  ``forced`` is
 the cycle R2, else R5, of ``consistency_report`` forces to zero, made monic by
-``monic``.
+``monic``, on the span ``oracle_homology.relation_fold`` builds.
 
 ``cross_equivalence_classes``, ``correlated_witness`` and ``decompose`` are the
 routines used before the node constructions were computed from their
@@ -44,6 +44,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable
 
+from oracle_homology import relation_fold, single_lambda_term
 from strata import linalg
 from strata.equations import (
     DecomposeResult,
@@ -53,7 +54,6 @@ from strata.equations import (
     UndegClassification,
     _checked,
     _minimal_correlated_within,
-    _single_lambda_term,
     _support_constraints,
     _support_subspace,
 )
@@ -225,17 +225,17 @@ def annihilator_keys(columns: dict[str, tuple]) -> dict[str, tuple]:
 def forced(system: EquationSystem, assume_theorems: bool = False) -> tuple[str, Cycle] | None:
     """The first rule of R2 and R5 that forces a nonvanishing period to zero, and
     the monic forced cycle, as if R1, R3 and R4 passed; None when neither does."""
-    relations = system.reduction_relations
+    relations = relation_fold(system)
     for _, _, form in system.residue_forms:
         residual = relations.reduce(form)
         if residual.is_zero():
             continue
-        if _single_lambda_term(residual) in system.nonvanishing:
+        if single_lambda_term(residual) in system.nonvanishing:
             return "R2", monic(residual)
         if assume_theorems:
             relations = relations.with_added([form])
     for rel in relations.echelon:
-        if _single_lambda_term(rel) in system.nonvanishing:
+        if single_lambda_term(rel) in system.nonvanishing:
             return "R5", monic(rel)
     return None
 

@@ -9,12 +9,15 @@ coefficient dict against the basis pairing table on every call, and
 ``evaluate`` is ``strata.periods.evaluate`` as it read those dicts: basis
 terms first, then edge terms, each in dict order.
 
-``RelationFold`` is ``strata.homology.LambdaRelationSet`` as it was before
-the set kept only its echelon form: it keeps every relation it was given, and
-``with_added`` row-reduces all of them again.  ``refolding_report`` runs
-``consistency_report`` on a copy of a system whose relation span is a
-``RelationFold``, so the R2 fold under ``assume_theorems`` rebuilds the span
-from every cycle at each step.
+``RelationFold`` is the relation span as a set of cycles, before the span
+became an echelon form and then a bare ``(rows, pivots)`` pair: it keeps every
+relation it was given, and ``with_added`` row-reduces all of them again.
+``relation_fold`` builds a system's reduction span that way from its inputs
+(declared relations, ratio forms, pure-period rref rows), and
+``single_lambda_term`` reads a cycle's lone lambda term as the engine did
+before it read row vectors.  ``refolding_report`` is ``consistency_report``
+with R2 and R5 read off a ``RelationFold``, so the R2 fold under
+``assume_theorems`` rebuilds the span from every cycle at each step.
 
 ``validate_adapted`` is ``strata.homology.validate_adapted`` as it was before
 it compared each element's horizontal pairings with the expected table once:
@@ -23,13 +26,12 @@ it reads the pairing against every horizontal edge, for every element.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Mapping
 
 from strata import homology, linalg
-from strata.equations import ConsistencyCertificate, EquationSystem, consistency_report
+from strata.equations import ConsistencyCertificate, EquationSystem, proportionality_obligations
 from strata.errors import BasisError, Violation
-from strata.gaussian import ZERO, GaussianRational
+from strata.gaussian import ONE, ZERO, GaussianRational
 from strata.homology import CROSSING, NONCROSSING, AdaptedBasis, _render_term
 from strata.level_graph import EnhancedLevelGraph
 
@@ -198,24 +200,67 @@ class RelationFold:
         return self.reduce(cycle).is_zero()
 
 
-class _RefoldingSystem(EquationSystem):
-    @cached_property
-    def reduction_relations(self) -> RelationFold:
-        pure = [eq.cycle for eq in self.rref_rows if eq.cycle.is_lambda_only()]
-        return RelationFold(self.basis, [*self.relations, *self.ratio_forms, *pure])
+def relation_fold(system: EquationSystem) -> RelationFold:
+    """The span of a system's declared relations, ratio forms and pure-period rows."""
+    pure = [eq.cycle for eq in system.rref_rows if eq.cycle.is_lambda_only()]
+    return RelationFold(system.basis, [*system.relations, *system.ratio_forms, *pure])
+
+
+def single_lambda_term(cycle: homology.Cycle) -> str | None:
+    carriers = [column for column, c in zip(cycle.basis.columns(), cycle.vector) if c]
+    return carriers[0][1] if len(carriers) == 1 and carriers[0][0] == "l" else None
 
 
 def refolding_report(system: EquationSystem, assume_theorems: bool = False) -> ConsistencyCertificate:
-    twin = _RefoldingSystem(
-        system.basis,
-        system.equations,
-        real=system.real,
-        minimal_stratum=system.minimal_stratum,
-        relations=system.relations,
-        ratios=system.ratios,
-        nonvanishing=system.nonvanishing,
-    )
-    return consistency_report(twin, assume_theorems=assume_theorems)
+    def refuse(rule, forced=None):
+        return ConsistencyCertificate("inconsistent", rule, forced, (), tuple(trace))
+
+    def unit(eid):
+        return homology.Cycle(system.basis, {}, {eid: ONE})
+
+    trace: list[str] = []
+    graph = system.graph
+    for j, eq in enumerate(system.rref_rows):
+        if len(eq.hor_support) == 1:
+            (eid,) = eq.hor_support
+            trace.append(f"R1: row {j} crosses only the horizontal node {eid}")
+            return refuse("R1", unit(eid))
+    trace.append("R1: every horizontal-crossing row crosses at least two nodes")
+    relations = relation_fold(system)
+    for j, i, form in system.residue_forms:
+        residual = relations.reduce(form)
+        if residual.is_zero():
+            continue
+        eid = single_lambda_term(residual)
+        if eid in system.nonvanishing:
+            trace.append(f"R2: row {j} at passage {i} forces {unit(eid).render()} = 0 with {eid} nonvanishing")
+            return refuse("R2", unit(eid))
+        if assume_theorems:
+            relations = relations.with_added([form])
+    trace.append(f"R2: {len(system.residue_forms)} residue forms reduce without forcing a nonvanishing period")
+    for cls in system.cross_equivalence_classes:
+        levels = {graph.edge_level(e) for e in cls}
+        if len(levels) > 1:
+            trace.append(f"R3: class {sorted(cls)} spans levels {sorted(levels)}")
+            return refuse("R3")
+    trace.append("R3: every cross-equivalence class lies at a single level")
+    for j, eq in enumerate(system.rref_rows):
+        below = [e for e in eq.hor_support if graph.edge_level(e) < eq.top]
+        if below:
+            trace.append(f"R4: row {j} (top level {eq.top}) crosses {sorted(below)} strictly below")
+            return refuse("R4")
+    trace.append("R4: no row crosses a horizontal node below its top level")
+    for rel in relations.echelon:
+        eid = single_lambda_term(rel)
+        if eid in system.nonvanishing:
+            trace.append(f"R5: combined relations force {unit(eid).render()} = 0")
+            return refuse("R5", unit(eid))
+    obligations = proportionality_obligations(system)
+    if obligations:
+        trace.append("R5: missing proportionalities " + ", ".join(f"{a}~{b}" for a, b in obligations))
+        return ConsistencyCertificate("consistent-with-obligations", None, None, tuple(obligations), tuple(trace))
+    trace.append("R5: proportionality data is total on every class")
+    return ConsistencyCertificate("consistent", None, None, (), tuple(trace))
 
 
 def validate_adapted(basis: AdaptedBasis, graph: EnhancedLevelGraph) -> list[Violation]:

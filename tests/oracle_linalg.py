@@ -30,9 +30,10 @@ was before it took two consecutive pivots in one pass: every pivot is taken
 alone, and each row with an entry in the pivot column is updated once per
 pivot.
 
-``clear_denominators`` accumulates the gcd of the scaled integers one entry at
-a time and divides only when it exceeds 1, as the library did before it took
-one ``gcd`` of them all.
+``clear_denominators`` takes ``Fraction`` values, as the library did before it
+read ``(numerator, denominator)`` int pairs, accumulates the gcd of the scaled
+integers one entry at a time and divides only when it exceeds 1, as the
+library did before it took one ``gcd`` of them all.
 """
 
 from __future__ import annotations

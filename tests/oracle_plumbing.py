@@ -2,9 +2,10 @@
 
 ``convert`` is ``strata.plumbing.convert`` as it was before
 ``EquationSystem.residuals``: every horizontal-crossing row reduces the
-reference node's period symbol and each crossed node's again, modulo
-``reduction_relations``, and ``projective_factor`` reads the ratio of two
-residuals off their first nonzero column.  ``proportionality_obligations``
+reference node's period symbol and each crossed node's again, modulo the
+span ``oracle_homology.relation_fold`` builds, ``projective_factor`` reads
+the ratio of two residuals off their first nonzero column, and the exponents
+come from ``Fraction`` ratios by ``oracle_linalg.clear_denominators``.  ``proportionality_obligations``
 is ``strata.equations.proportionality_obligations`` from the same time: it
 reduces each class member and groups the residuals by their monic vectors.
 
@@ -19,6 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from oracle_equations import monic
+from oracle_homology import relation_fold
+from oracle_linalg import clear_denominators
 from strata import linalg
 from strata.equations import EquationSystem, consistency_report
 from strata.errors import ConversionError
@@ -33,7 +36,7 @@ def convert(system: EquationSystem, assume_theorems: bool = False) -> list[Plumb
         raise ConversionError(
             f"system is inconsistent (rule {certificate.rule}); nothing to convert"
         )
-    relations = system.reduction_relations
+    relations = relation_fold(system)
     out: list[PlumbingEquation] = []
     n_units = 0
     n_analytic = 0
@@ -66,7 +69,7 @@ def convert(system: EquationSystem, assume_theorems: bool = False) -> list[Plumb
                     missing=f"rational ratio lambda[{eid}] ~ lambda[{ref}]",
                 )
             ratios.append(q.as_fraction())
-        exponents = linalg.clear_denominators(ratios)
+        exponents = clear_denominators(ratios)
         if exponents[0] < 0:
             exponents = [-n for n in exponents]
         if all(n > 0 for n in exponents) or all(n < 0 for n in exponents):
@@ -92,7 +95,7 @@ def projective_factor(candidate: Cycle, reference: Cycle) -> GaussianRational | 
 def proportionality_obligations(
     system: EquationSystem,
 ) -> tuple[list[tuple[str, str]], list[tuple[str, Cycle]]]:
-    relations = system.reduction_relations
+    relations = relation_fold(system)
     obligations: list[tuple[str, str]] = []
     forced: list[tuple[str, Cycle]] = []
     for cls in system.cross_equivalence_classes:

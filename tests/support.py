@@ -21,7 +21,8 @@ from strata.document import parse_document
 from strata.equations import EquationSystem
 from strata.gaussian import GaussianRational, parse_gaussian
 from strata.homology import AdaptedBasis, BasisElement, Cycle
-from strata.level_graph import Edge, EnhancedLevelGraph, Marking, Vertex, validate
+from strata.errors import GraphError
+from strata.level_graph import Edge, EnhancedLevelGraph, Marking, Undegeneration, Vertex, validate
 
 SEED = int(os.environ.get("STRATA_SEED", "0"))
 
@@ -101,6 +102,51 @@ def random_graph(r: random.Random, max_depth: int = 2, max_horizontal: int = 4) 
     graph = EnhancedLevelGraph(vertices, edges, markings)
     assert validate(graph) == []
     return graph
+
+
+# -- undegeneration helpers ----------------------------------------------------
+
+
+def surviving_vertical(undeg: Undegeneration, graph: EnhancedLevelGraph) -> tuple[str, ...]:
+    """The vertical edges crossing a kept passage, in the graph's order."""
+    crossed = {e for p in undeg.kept_passages for e in graph._crossing.get(p, ())}
+    return tuple([e for e in graph.vertical_edges if e in crossed])
+
+
+def surviving_edges(undeg: Undegeneration, graph: EnhancedLevelGraph) -> tuple[str, ...]:
+    return tuple(sorted(undeg.kept_horizontal + surviving_vertical(undeg, graph)))
+
+
+def target_codim(undeg: Undegeneration) -> int:
+    return len(undeg.kept_passages) + len(undeg.kept_horizontal)
+
+
+def then(first: Undegeneration, graph: EnhancedLevelGraph, second: Undegeneration) -> Undegeneration:
+    """Compose with an undegeneration of the target graph.
+
+    The second undegeneration names passages in the relabeled target
+    levels; kept target passage -j corresponds to the j-th kept passage of
+    the first one, counted from the top.
+    """
+    ordered = sorted(first.kept_passages, reverse=True)
+    kept = []
+    for p2 in second.kept_passages:
+        j = -p2
+        if not 1 <= j <= len(ordered):
+            raise GraphError(f"passage {p2} is not a passage of the target graph")
+        kept.append(ordered[j - 1])
+    for h in second.kept_horizontal:
+        if h not in first.kept_horizontal:
+            raise GraphError(f"edge {h} is not a horizontal edge of the target graph")
+    return Undegeneration.make(kept, second.kept_horizontal)
+
+
+def top_vertices_have_horizontal(graph: EnhancedLevelGraph) -> bool:
+    """Whether every level-0 vertex meets a horizontal edge."""
+    covered: set[str] = set()
+    for eid in graph.horizontal_edges:
+        covered.update(graph.edge(eid).ends)
+    return all(v.id in covered for v in graph.vertices if v.level == 0)
 
 
 # -- basis builders -----------------------------------------------------------

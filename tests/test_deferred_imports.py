@@ -6,11 +6,13 @@ so a cold `validate` or `analyze` never compiles them.  `strata.cli` keeps a
 module-level forwarder for each of their calls the tracer wraps.  A document's
 symplectic block and its periods block are held and checked by `symplectic` and
 `periods`, which only documents carrying the block import.  `fractions` (with
-`decimal` and `numbers`) loads only where a `Fraction` is built, in a command
-module such as `plumbing`.  A document holds its ratios and its deformations'
-r and s as integer pairs, and `deform` checks those pairs as they are: no
-fixture's `deform` loads `fractions`, and a `deform` with nothing to do loads
-no `deformation` either.  A ratio conflict is worded from the pairs too.
+`decimal` and `numbers`) loads only where a `Fraction` is built, and no command
+builds one on a fixture or a bench pool document.  A document holds its ratios
+and its deformations' r and s as integer pairs, and `deform` checks those pairs
+as they are; `plumb` reads its exponents off the ints of its rational ratios,
+and `aim` reads whether a class is declared parallel off the roots of the
+ratio closure.  A `deform` with nothing to do loads no `deformation`, and a
+ratio conflict is worded from the pairs too.
 """
 
 from __future__ import annotations
@@ -133,6 +135,12 @@ def test_deform_loads_no_fractions(fixture):
     assert _loaded_after(["deform", str(FIXTURES / f"{fixture}.json")], FRACTIONS) == "[]\n"
 
 
+@pytest.mark.parametrize("command", ["plumb", "aim"])
+@pytest.mark.parametrize("fixture", sorted(WITH_DEFORMATIONS + WITHOUT_DEFORMATIONS))
+def test_plumb_and_aim_load_no_fractions(fixture, command):
+    assert _loaded_after([command, str(FIXTURES / f"{fixture}.json")], FRACTIONS) == "[]\n"
+
+
 @pytest.mark.parametrize("fixture", WITHOUT_DEFORMATIONS)
 def test_deform_with_nothing_to_do_loads_no_deformation(fixture):
     argv = ["deform", str(FIXTURES / f"{fixture}.json")]
@@ -150,7 +158,7 @@ def test_a_ratio_conflict_is_worded_without_fractions(tmp_path):
     assert _loaded_after(argv, FRACTIONS) == "[]\n"
 
 
-@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("command", ["validate", "analyze", "plumb", "aim"])
 @pytest.mark.parametrize("pool", ["dense", "cylinders"])
 def test_a_pool_verdict_loads_no_fractions(command, pool, pool_paths):
     assert _loaded_after([command, pool_paths[pool]], FRACTIONS) == "[]\n"

@@ -405,10 +405,21 @@ def _sheared_past_float(doc):
 
 
 PAST_FLOAT_ROW = {"coeffs": {"a1": "1", "a2": "1e400"}, "lambda": {}}
+# Holds exactly at a1 = a2, but 1e308 times a1 = 2 is past the float range.
+TERM_PAST_FLOAT_ROW = {"coeffs": {"a1": "1e308", "a2": "-1e308"}, "lambda": {}}
+
+
+def _row_with_terms_past_float(doc):
+    """a1 + 1e308 a2 - 1e308 lambda[e1] vanishes exactly at a1 = 0 and a2 =
+    lambda[e1] = 2, but its last two terms are each past the float range."""
+    doc["periods"]["mode"] = "approximate"
+    doc["periods"]["basis"]["a1"] = "0"
+    doc["system"]["equations"].append({"coeffs": {"a1": "1", "a2": "1e308"}, "lambda": {"e1": "-1e308"}})
 
 
 SELF_RATIO = "ratio-consistency: self-ratio differs from 1"
 PAST_FLOAT = "is past the float range of approximate mode"
+SUM_PAST_FLOAT = "takes the sum past the float range of approximate mode"
 OBSTRUCTION = "row 0: no relation links the period over e2 to the one over e1"
 REFUSALS = {
     "plumb-obstruction": (
@@ -435,6 +446,11 @@ REFUSALS = {
         "deform", _approximate_with("equations", PAST_FLOAT_ROW), 4,
         f"hypothesis violation: the coefficient of a2 {PAST_FLOAT}\n",
         {"command": "deform", "error": f"the coefficient of a2 {PAST_FLOAT}"},
+    ),
+    "deform-term-past-float": (
+        "deform", _row_with_terms_past_float, 4,
+        f"hypothesis violation: the term of a2 {SUM_PAST_FLOAT}\n",
+        {"command": "deform", "error": f"the term of a2 {SUM_PAST_FLOAT}"},
     ),
     "deform-moved-period-past-float": (
         "deform", _sheared_past_float, 4,
@@ -464,6 +480,9 @@ GATE_PAST_FLOAT = {
     "ratio": (
         "ratios", {"e": "e1", "e'": "e2", "q": "1e400"},
         f"ratio e1~e2: ratios-hold: the coefficient of lambda[e2] {PAST_FLOAT}",
+    ),
+    "relation-term": (
+        "relations", TERM_PAST_FLOAT_ROW, f"relation 0: relations-hold: the term of a1 {SUM_PAST_FLOAT}",
     ),
 }
 

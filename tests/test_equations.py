@@ -533,6 +533,14 @@ def test_ratio_consistency_violations():
     assert good.ratio("e2", "e1") == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("pair", [(1, -2), (2, 0), (0, 0), (-1, -3)])
+def test_a_ratio_pair_needs_a_positive_denominator(pair):
+    with pytest.raises(SystemDataError) as raised:
+        ProportionalityData([("e1", "e2", pair)])
+    assert str(raised.value) == f"a ratio needs a positive denominator, got {pair[1]}"
+    assert ProportionalityData([("e1", "e2", (-2, 4))]).declared == (("e1", "e2", -1, 2),)
+
+
 ratio_values = st.one_of(
     st.fractions(min_value=-6, max_value=6, max_denominator=7), st.sampled_from([Fraction(10**30, 7), Fraction(-3, 10**30)])
 )
@@ -688,10 +696,12 @@ def test_extended_rows_is_the_rref_of_rows_relations_and_ratios():
     systems = [_system_with_relations(r) for _ in range(40)]
     systems += [aim_parallel_fixture(r, g)[0] for g in (2, 3, 4)]
     for system in systems:
-        oracle = [eq.cycle.to_vector() for eq in system.rref_rows]
-        oracle += [rel.to_vector() for rel in system.relations]
-        oracle += [form.to_vector() for form in ratio_forms(system)]
-        assert system.extended_rows == linalg.rref(oracle)
+        rows = [eq.cycle.to_vector() for eq in system.rref_rows]
+        relations = [rel.to_vector() for rel in system.relations]
+        relations += [form.to_vector() for form in ratio_forms(system)]
+        assert system.extended_rows == linalg.rref(rows + relations)
+        pure = [eq.cycle.to_vector() for eq in system.rref_rows if eq.cycle.is_lambda_only()]
+        assert system.reduction_relations == linalg.rref(relations + pure)
 
 
 def test_extended_rows_and_residue_forms_are_computed_once(monkeypatch):
@@ -1128,7 +1138,9 @@ def test_lead_keys_match_the_monic_oracles(documents):
         columns, keys = system.annihilator
         assert keys == oracle_equations.annihilator_keys(columns)
         zero_columns += sum([not any(column) for column in columns.values()])
-        for residual, key, lead in system.residuals.values():
+        relations = oracle_homology.relation_fold(system)
+        for eid, (lead, key) in system.residuals.items():
+            residual = relations.reduce(Cycle(system.basis, {}, {eid: ONE}))
             assert key == oracle_equations.monic(residual).vector
             assert lead == next((x for x in residual.vector if x), None)
             zero_residuals += lead is None

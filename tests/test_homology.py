@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_homology as oracle
+from strata import linalg
 from strata.document import cycle_to_json
 from strata.errors import BasisError
 from strata.gaussian import ZERO, ONE, GaussianRational
@@ -14,7 +15,6 @@ from strata.homology import (
     BasisElement,
     Cycle,
     NONCROSSING,
-    LambdaRelationSet,
     pair,
     picard_lefschetz,
     validate_adapted,
@@ -209,14 +209,13 @@ def test_picard_lefschetz_rejects_negative():
 def test_relation_set_reduction():
     graph = loop_graph(3)
     basis = adapted_basis_for(graph)
-    rel = LambdaRelationSet(
-        basis,
-        [Cycle(basis, {}, {"e1": ONE, "e2": -ONE}), Cycle(basis, {}, {"e2": ONE, "e3": -ONE})],
+    span = linalg.rref(
+        [Cycle(basis, {}, {"e1": ONE, "e2": -ONE}).vector, Cycle(basis, {}, {"e2": ONE, "e3": -ONE}).vector]
     )
     target = Cycle(basis, {}, {"e1": ONE, "e3": -ONE})
-    assert rel.contains(target)
-    residual = rel.reduce(Cycle(basis, {}, {"e1": ONE}))
-    assert residual == Cycle(basis, {}, {"e3": ONE})
+    assert linalg.in_span(target.vector, *span)
+    residual = linalg.reduce_vector(Cycle(basis, {}, {"e1": ONE}).vector, *span)
+    assert residual == Cycle(basis, {}, {"e3": ONE}).to_vector()
 
 
 def test_cycle_render_forms():
@@ -386,21 +385,23 @@ def test_adding_to_the_echelon_form_matches_a_rebuild(seed, data):
     probes = [_draw_relation(data, basis, original + extra) for _ in range(3)]
     probes += [_draw_cycle(data, basis)[0] for _ in range(2)]
 
-    added = LambdaRelationSet(basis, original).with_added(extra)
-    rebuilt = LambdaRelationSet(basis, original + extra)
-    folded = LambdaRelationSet(basis, original)
+    start = linalg.rref([c.vector for c in original])
+    added = linalg.rref(start[0] + [c.vector for c in extra])
+    folded = start
     oracle_fold = oracle.RelationFold(basis, original)
     for c in extra:
-        folded, oracle_fold = folded.with_added([c]), oracle_fold.with_added([c])
-    for span in (added, folded):
-        for other in (rebuilt, oracle_fold):
-            assert span.echelon == other.echelon
-            assert span._pivots == other._pivots
-            for probe in probes:
-                assert span.reduce(probe) == other.reduce(probe)
-                assert span.contains(probe) == other.contains(probe)
+        folded, oracle_fold = linalg.rref(folded[0] + [c.vector]), oracle_fold.with_added([c])
+    rebuilt = linalg.rref([c.vector for c in original + extra])
+    for rows, pivots in (added, folded):
+        assert (rows, pivots) == rebuilt
+        assert [Cycle.from_vector(basis, row) for row in rows] == oracle_fold.echelon
+        assert pivots == oracle_fold._pivots
+        for probe in probes:
+            residual = linalg.reduce_vector(probe.vector, rows, pivots)
+            assert Cycle.from_vector(basis, residual) == oracle_fold.reduce(probe)
+            assert linalg.in_span(probe.vector, rows, pivots) == oracle_fold.contains(probe)
     for c in original + extra:
-        assert added.contains(c)
+        assert linalg.in_span(c.vector, *added)
 
 
 def test_from_vector_checks_length_and_keeps_the_tuple():

@@ -14,11 +14,22 @@ from strata.level_graph import (
     enumerate_undegenerations,
     lcm_weight,
     passage_weight,
-    top_vertices_have_horizontal,
     validate,
 )
 import oracle_level_graph
-from support import bench_pool_documents, cylinders_document, loop_graph, random_graph, rng, two_level_graph
+from support import (
+    bench_pool_documents,
+    cylinders_document,
+    loop_graph,
+    random_graph,
+    rng,
+    surviving_edges,
+    surviving_vertical,
+    target_codim,
+    then,
+    top_vertices_have_horizontal,
+    two_level_graph,
+)
 
 
 def test_single_vertex_valid():
@@ -123,16 +134,16 @@ def test_enumerate_counts():
     assert validate(mixed_graph) == []
     undegs = enumerate_undegenerations(mixed_graph)
     assert len(undegs) == 4
-    assert sum(1 for u in undegs if u.target_codim() == 1) == 2
+    assert sum(1 for u in undegs if target_codim(u) == 1) == 2
 
 
 def test_undegeneration_levels_and_survival():
     graph = two_level_graph((2, 3))
     keep_all = Undegeneration.make([-1], [])
-    assert keep_all.surviving_vertical(graph) == ("v1", "v2")
+    assert surviving_vertical(keep_all, graph) == ("v1", "v2")
     assert keep_all.new_level(0) == 0 and keep_all.new_level(-1) == -1
     smooth_all = Undegeneration.make([], [])
-    assert smooth_all.surviving_vertical(graph) == ()
+    assert surviving_vertical(smooth_all, graph) == ()
     assert smooth_all.new_level(-1) == 0
 
 
@@ -141,7 +152,7 @@ def test_undegeneration_codim_matches_kept_counts():
     for _ in range(30):
         graph = random_graph(r)
         for und in enumerate_undegenerations(graph):
-            assert und.target_codim() == len(und.kept_passages) + len(und.kept_horizontal)
+            assert target_codim(und) == len(und.kept_passages) + len(und.kept_horizontal)
 
 
 def test_enumeration_matches_the_sorted_combinations_oracle(documents):
@@ -171,7 +182,7 @@ def test_composition_and_factorization():
         keep_p = [p for p in target_passages if r.random() < 0.5]
         keep_h = [h for h in first.kept_horizontal if r.random() < 0.5]
         second = Undegeneration.make(keep_p, keep_h)
-        composed = first.then(graph, second)
+        composed = then(first, graph, second)
         ordered = sorted(first.kept_passages, reverse=True)
         expected = sorted(ordered[-p - 1] for p in keep_p)
         assert list(composed.kept_passages) == expected
@@ -180,8 +191,8 @@ def test_composition_and_factorization():
         vertical_only = Undegeneration.make(first.kept_passages, graph.horizontal_edges)
         all_target_passages = tuple(range(-1, -len(vertical_only.kept_passages) - 1, -1))
         horizontal_step = Undegeneration.make(all_target_passages, first.kept_horizontal)
-        refactored = vertical_only.then(graph, horizontal_step)
-        assert refactored.surviving_edges(graph) == first.surviving_edges(graph)
+        refactored = then(vertical_only, graph, horizontal_step)
+        assert surviving_edges(refactored, graph) == surviving_edges(first, graph)
         assert [refactored.new_level(v.level) for v in graph.vertices] == [
             first.new_level(v.level) for v in graph.vertices
         ]
@@ -238,9 +249,9 @@ def test_composition_error_paths():
     graph = two_level_graph((1,))
     first = Undegeneration.make([-1], [])
     with pytest.raises(GraphError):
-        first.then(graph, Undegeneration.make([-2], []))
+        then(first, graph, Undegeneration.make([-2], []))
     with pytest.raises(GraphError):
-        first.then(graph, Undegeneration.make([], ["nope"]))
+        then(first, graph, Undegeneration.make([], ["nope"]))
 
 
 def test_passages_listing():
@@ -276,8 +287,8 @@ def test_derived_edge_data_is_computed_once_and_matches_a_scan():
                 e for e in vertical
                 if any(graph.top_level(e) > p >= graph.bottom_level(e) for p in und.kept_passages)
             )
-            assert und.surviving_vertical(graph) == survivors
-        assert Undegeneration.make([0, -graph.depth - 1], []).surviving_vertical(graph) == ()
+            assert surviving_vertical(und, graph) == survivors
+        assert surviving_vertical(Undegeneration.make([0, -graph.depth - 1], []), graph) == ()
         with pytest.raises(GraphError):
             graph.crossing_edges(-graph.depth - 1)
 

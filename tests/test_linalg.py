@@ -262,18 +262,20 @@ def test_saturation_of_a_rank_12_lattice_is_fast():
 
 
 def test_clear_denominators():
-    assert linalg.clear_denominators([Fraction(1), Fraction(-2, 3)]) == [3, -2]
-    assert linalg.clear_denominators([Fraction(2), Fraction(4)]) == [1, 2]
-    assert linalg.clear_denominators([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
+    assert linalg.clear_denominators([(1, 1), (-2, 3)]) == [3, -2]
+    assert linalg.clear_denominators([(2, 1), (4, 1)]) == [1, 2]
+    assert linalg.clear_denominators([(1, 2), (1, 3)]) == [3, 2]
+    assert linalg.clear_denominators([(2, 4), (-3, 9)]) == [3, -2]
     assert linalg.clear_denominators([]) == []
-    assert linalg.clear_denominators([Fraction(0), Fraction(0)]) == [0, 0]
+    assert linalg.clear_denominators([(0, 1), (0, 1)]) == [0, 0]
 
 
 def test_clear_denominators_matches_the_oracle():
     r = random.Random(4931)
     for _ in range(500):
-        values = [Fraction(r.randint(-6, 6), r.randint(1, 6)) for _ in range(r.randint(0, 5))]
-        assert linalg.clear_denominators(values) == oracle_linalg.clear_denominators(values)
+        pairs = [(r.randint(-6, 6), r.randint(1, 6)) for _ in range(r.randint(0, 5))]
+        values = [Fraction(n, d) for n, d in pairs]
+        assert linalg.clear_denominators(pairs) == oracle_linalg.clear_denominators(values)
 
 
 # -- fraction-free rref against the Fraction-based oracle ----------------------

@@ -3,8 +3,10 @@ from itertools import combinations
 
 import pytest
 
+import oracle_equations
+import oracle_homology
 import oracle_plumbing
-from strata import cli, homology, plumbing
+from strata import cli, equations, linalg, plumbing
 from strata.equations import (
     EquationSystem,
     ProportionalityData,
@@ -327,9 +329,11 @@ def _assert_matches_oracle(system, assume_theorems=False):
     got = _outcome(convert, system, assume_theorems)
     assert got == _outcome(oracle_plumbing.convert, system, assume_theorems)
     assert proportionality_obligations(system) == oracle_plumbing.proportionality_obligations(system)[0]
-    relations = system.reduction_relations
-    for eid, (residual, _, _) in system.residuals.items():
-        assert residual == relations.reduce(Cycle(system.basis, {}, {eid: ONE}))
+    relations = oracle_homology.relation_fold(system)
+    for eid, (lead, key) in system.residuals.items():
+        residual = relations.reduce(Cycle(system.basis, {}, {eid: ONE}))
+        assert key == oracle_equations.monic(residual).vector
+        assert lead == next((x for x in residual.vector if x), None)
     return got
 
 
@@ -391,7 +395,7 @@ def test_residual_table_matches_the_per_row_reductions_on_random_systems():
 def _r5_outcome(system) -> tuple[bool, bool]:
     """Whether the system has a zero residual, and whether R5 refused it; in
     both modes a zero residual is refused, and R5 refuses only by its echelon check."""
-    zero = any(lead is None for _, _, lead in system.residuals.values())
+    zero = any(lead is None for lead, _ in system.residuals.values())
     refused = False
     for assume in (False, True):
         certificate = plumbing.consistency_report(system, assume_theorems=assume)
@@ -414,8 +418,8 @@ def test_a_zero_residual_is_refused_by_the_r5_echelon_check(documents):
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
-# analyze's LambdaRelationSet.reduce calls per fixture before the residual table;
-# the table may not add any.
+# analyze's reductions modulo the reduction span per fixture before the residual
+# table; the table may not add any.
 ANALYZE_REDUCTIONS = {
     "double_cover_relation": 6, "intro_two_level": 1, "minimal_stratum_parallel": 3,
     "parallel_cylinders": 2, "stacked_cylinders": 2, "three_node_pinch": 3, "triple_node_cover": 3,
@@ -423,19 +427,26 @@ ANALYZE_REDUCTIONS = {
 
 
 def test_each_period_symbol_is_reduced_once(monkeypatch, fixture_dir, tmp_path, capsys):
-    counts = [0]
-    original = homology.LambdaRelationSet.reduce
+    counts, spans = [0], []
+    span_property = equations.EquationSystem.__dict__["reduction_relations"]
+    original = linalg.reduce_vector
 
-    def counting(self, cycle):
-        counts[0] += 1
-        return original(self, cycle)
+    def recording(system):
+        span = span_property.__get__(system, type(system))  # built once, then cached
+        spans.append(span[0])
+        return span
+
+    def counting(v, rows, pivots):
+        counts[0] += any(rows is span for span in spans)
+        return original(v, rows, pivots)
 
     def reductions(*argv):
         counts[0] = 0
         cli.main(list(argv))
         return counts[0]
 
-    monkeypatch.setattr(homology.LambdaRelationSet, "reduce", counting)
+    monkeypatch.setattr(equations.EquationSystem, "reduction_relations", property(recording))
+    monkeypatch.setattr(linalg, "reduce_vector", counting)
     g9 = write_cylinders_document(tmp_path / "g9.json", 9)
     # One reduction per horizontal node; re-reducing per row made plumb's 33.
     assert reductions("plumb", g9) == 9

@@ -125,12 +125,12 @@ def _cold_modules() -> list[str]:
 
 
 def test_no_cold_module_or_block_gate_imports_fractions_at_module_level():
-    # `fractions` brings `decimal` and `numbers`; only a command module, or a call
-    # that returns or takes a Fraction, may load them.  `deform` reads int pairs.
+    # `fractions` brings `decimal` and `numbers`; only a call that returns or
+    # takes a Fraction may load them.  `deform` and `plumb` read int pairs.
     cold = _cold_modules()
     assert {"cli", "document", "equations", "gaussian", "linalg"} <= set(cold)
     found = {}
-    for stem in [*cold, "symplectic", "periods", "deformation"]:
+    for stem in [*cold, "symplectic", "periods", "deformation", "plumbing"]:
         path = SRC / "strata" / f"{stem}.py"
         found[stem] = _module_level_imports(ast.parse(path.read_text(), str(path)), "fractions")
     assert found == {stem: [] for stem in found}
@@ -504,12 +504,12 @@ LIBRARY_API = (
     "equations.ProportionalityData.entries",
     # The public rational parser; the document reads its int pairs, ``_rational_ints``.
     "gaussian.parse_rational",
-    # Helpers the tests call.
-    "homology.LambdaRelationSet.contains",
-    "level_graph.Undegeneration.surviving_edges",
-    "level_graph.Undegeneration.target_codim",
-    "level_graph.Undegeneration.then",
-    "level_graph.top_vertices_have_horizontal",
+    # The Q(i) value and a closure lookup as Fractions; plumbing reads the ints
+    # of a real value, and aim the closure's roots.
+    "gaussian.GaussianRational.as_fraction",
+    "equations.ProportionalityData.ratio",
+    # The sorting constructor of an undegeneration; the enumeration builds them sorted.
+    "level_graph.Undegeneration.make",
 )
 
 
