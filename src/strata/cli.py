@@ -9,10 +9,11 @@ input name.
 
 Each ``cmd_*`` handler returns its exit code, its report (the ``--json``
 payload, with cycles left as ``Cycle`` values) and a text renderer that reads
-the report.  ``main`` runs only the requested rendering, inside its error
-guard, and prints the finished output once.  The ``--json`` rendering is
-``_json_text``, which writes the bytes of ``json.dumps(report, sort_keys=True,
-indent=2)`` itself: no other JSON output path exists.
+the report and the records the handler computed.  ``main`` runs only the
+requested rendering, inside its error guard, and prints the finished output
+once.  The ``--json`` rendering is ``_json_text``, which writes the bytes of
+``json.dumps(report, sort_keys=True, indent=2)`` itself: no other JSON output
+path exists.
 """
 
 from __future__ import annotations
@@ -41,56 +42,27 @@ from .homology import Cycle
 from .level_graph import codim, enumerate_undegenerations
 
 
+def _on_call(module: str, name: str):
+    """A stand-in for ``strata.<module>.<name>`` that imports the module on its first
+    call and looks ``name`` up there at every call."""
+    def call(*args, **kwargs):
+        return getattr(__import__(module, globals(), None, (name,), 1), name)(*args, **kwargs)
+
+    return call
+
+
 # `aim`, `deformation` and `plumbing` are imported on use, so `import strata.cli` compiles none of
 # them.  bench/tracing.py wraps these calls as bindings of this module, so they stay here.
-def convert(*args, **kwargs):
-    from . import plumbing
-    return plumbing.convert(*args, **kwargs)
-
-
-def local_model(*args, **kwargs):
-    from . import plumbing
-    return plumbing.local_model(*args, **kwargs)
-
-
-def lattice_analysis(*args, **kwargs):
-    from . import plumbing
-    return plumbing.lattice_analysis(*args, **kwargs)
-
-
-def hurwitz_rule(*args, **kwargs):
-    from . import plumbing
-    return plumbing.hurwitz_rule(*args, **kwargs)
-
-
-def check_preserved(*args, **kwargs):
-    from . import deformation
-    return deformation.check_preserved(*args, **kwargs)
-
-
-def tangent_absolute(*args, **kwargs):
-    from . import aim
-    return aim.tangent_absolute(*args, **kwargs)
-
-
-def lemma_bound(*args, **kwargs):
-    from . import aim
-    return aim.lemma_bound(*args, **kwargs)
-
-
-def pairwise_cross_witness(*args, **kwargs):
-    from . import aim
-    return aim.pairwise_cross_witness(*args, **kwargs)
-
-
-def pairwise_circum_decompose(*args, **kwargs):
-    from . import aim
-    return aim.pairwise_circum_decompose(*args, **kwargs)
-
-
-def at_most_two_decompose(*args, **kwargs):
-    from . import aim
-    return aim.at_most_two_decompose(*args, **kwargs)
+convert = _on_call("plumbing", "convert")
+local_model = _on_call("plumbing", "local_model")
+lattice_analysis = _on_call("plumbing", "lattice_analysis")
+hurwitz_rule = _on_call("plumbing", "hurwitz_rule")
+check_preserved = _on_call("deformation", "check_preserved")
+tangent_absolute = _on_call("aim", "tangent_absolute")
+lemma_bound = _on_call("aim", "lemma_bound")
+pairwise_cross_witness = _on_call("aim", "pairwise_cross_witness")
+pairwise_circum_decompose = _on_call("aim", "pairwise_circum_decompose")
+at_most_two_decompose = _on_call("aim", "at_most_two_decompose")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,9 +293,10 @@ def cmd_plumb(doc: AnalysisDocument, args, problems: list[str]):
         else:
             entry.update(type="analytic", symbol=item.symbol, top_restriction=item.top_restriction)
         equations.append(entry)
+    lattices = [lattice_analysis(list(binomials)) for _, binomials in model.blocks]
     blocks = [
-        {"variables": variables, **lattice_analysis(list(binomials))._asdict()}
-        for variables, binomials in model.blocks
+        {"variables": variables, **lattice._asdict()}
+        for (variables, _), lattice in zip(model.blocks, lattices)
     ]
     certificate = hurwitz_rule(system)
     report = {
@@ -335,7 +308,7 @@ def cmd_plumb(doc: AnalysisDocument, args, problems: list[str]):
         },
         "residue_certificate": None if certificate is None else certificate._asdict(),
     }
-    return 0, report, _plumb_text
+    return 0, report, lambda r: _plumb_text(r, converted, model, lattices)
 
 
 def _obstruction_text(report) -> list[str]:
@@ -345,38 +318,25 @@ def _obstruction_text(report) -> list[str]:
     return lines
 
 
-def _plumb_text(report) -> list[str]:
-    from .plumbing import Analytic, Binomial, LatticeReport
-    rendered = {}  # source row -> the binomial's text, also listed under its block
+def _plumb_text(report, converted, model, lattices) -> list[str]:
+    # source row -> the binomial's text, also listed under its block
+    rendered = {b.source: b.render() for _, binomials in model.blocks for b in binomials}
     lines = ["period equation -> plumbing equation:"]
-    for e in report["equations"]:
-        if e["type"] == "binomial":
-            binomial = Binomial(e["unit"], tuple(e["I"].items()), tuple(e["J"].items()), e["source"])
-            plumb = rendered[e["source"]] = binomial.render()
-        else:
-            analytic = Analytic(e["symbol"], e["top_restriction"], e["source"])
-            plumb = f"(extends to the boundary) {analytic.render()}"
-        lines.append(f"  {e['period']}  |  {plumb}")
-    model = report["model"]
-    t_params = model["t_params"]
+    for item, entry in zip(converted, report["equations"]):
+        plumb = rendered.get(item.source) or f"(extends to the boundary) {item.render()}"
+        lines.append(f"  {entry['period']}  |  {plumb}")
     lines += [
         "",
-        f"local model: smooth factor of dimension {model['smooth_dim']}"
-        + (f" with free passage parameters {', '.join(t_params)}" if t_params else ""),
+        f"local model: smooth factor of dimension {model.smooth_dim}"
+        + (f" with free passage parameters {', '.join(model.t_params)}" if model.t_params else ""),
     ]
-    for block in model["blocks"]:
-        members = set(block["variables"])
-        lattice = LatticeReport(block["smooth"], block["saturated"], block["generators"])
+    for (variables, binomials), lattice in zip(model.blocks, lattices):
         lines.append(
-            f"  binomial factor on {{{', '.join(block['variables'])}}}: {lattice.label},"
+            f"  binomial factor on {{{', '.join(variables)}}}: {lattice.label},"
             f" lattice {'saturated' if lattice.saturated else 'not saturated'}"
         )
-        lines += [
-            f"    {rendered[e['source']]}"
-            for e in report["equations"]
-            if e["type"] == "binomial" and e["I"].keys() | e["J"].keys() <= members
-        ]
-    if not model["blocks"]:
+        lines += [f"    {rendered[b.source]}" for b in binomials]
+    if not model.blocks:
         lines.append("  no binomial factors: purely analytic local equations")
     certificate = report["residue_certificate"]
     if certificate is not None:

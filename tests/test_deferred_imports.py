@@ -2,8 +2,9 @@
 benchmark's tracer reads off `strata.cli`.
 
 `aim`, `deformation` and `plumbing` are imported by the command that calls them,
-so a cold `validate` or `analyze` never compiles them.  `strata.cli` keeps a
-module-level forwarder for each of their calls the tracer wraps.  A document's
+so a cold `validate` or `analyze` never compiles them.  `strata.cli` binds
+each of their calls the tracer wraps to a stand-in made by one helper,
+`_on_call`, which imports the module on the first call.  A document's
 symplectic block and its periods block are held and checked by `symplectic` and
 `periods`, which only documents carrying the block import.  `fractions` (with
 `decimal` and `numbers`) loads only where a `Fraction` is built, and no command

@@ -362,8 +362,8 @@ def test_aim_decompose_honours_limit(fmt):
     assert code == 0
 
 
-def _cylinders_variant(tmp_path, edit) -> str:
-    doc = json.loads((FIXTURES / "parallel_cylinders.json").read_text())
+def _variant(tmp_path, edit, fixture="parallel_cylinders") -> str:
+    doc = json.loads((FIXTURES / f"{fixture}.json").read_text())
     edit(doc)
     path = tmp_path / "variant.json"
     path.write_text(json.dumps(doc))
@@ -417,60 +417,76 @@ def _row_with_terms_past_float(doc):
     doc["system"]["equations"].append({"coeffs": {"a1": "1", "a2": "1e308"}, "lambda": {"e1": "-1e308"}})
 
 
+def _one_row_across_three_nodes(doc):
+    """d1 + d2 - 2 d3 in place of the two pairwise rows: no proper subset of
+    {e1, e2, e3} is correlated, so the subset search finds no witness."""
+    doc["system"]["equations"][:2] = [{"coeffs": {"d1": "1", "d2": "1", "d3": "-2"}, "lambda": {}}]
+
+
 SELF_RATIO = "ratio-consistency: self-ratio differs from 1"
 PAST_FLOAT = "is past the float range of approximate mode"
 SUM_PAST_FLOAT = "takes the sum past the float range of approximate mode"
 OBSTRUCTION = "row 0: no relation links the period over e2 to the one over e1"
+NO_SUBSET = (
+    "no proper correlated subset of ['e1', 'e2', 'e3'] has a witness;"
+    " the minimal-stratum decomposition guarantee fails for this system"
+)
+# case -> ((command, fixture the edit starts from, *flags), edit, exit code, text, --json payload)
 REFUSALS = {
     "plumb-obstruction": (
-        "plumb", _cut_to_first_equation, 3,
+        ("plumb", "parallel_cylinders"), _cut_to_first_equation, 3,
         f"conversion obstruction: {OBSTRUCTION}\n  required relation: lambda[e2] ~ lambda[e1]\n",
         {"command": "plumb", "missing": "lambda[e2] ~ lambda[e1]", "obstruction": OBSTRUCTION},
     ),
     "deform-complex": (
-        "deform", _complex_coefficients, 4,
+        ("deform", "parallel_cylinders"), _complex_coefficients, 4,
         "hypothesis violation: cylinder deformation requires real coefficients\n",
         {"command": "deform", "error": "cylinder deformation requires real coefficients"},
     ),
     "deform-r-past-float": (
-        "deform", _approximate_past_float("r"), 4,
+        ("deform", "parallel_cylinders"), _approximate_past_float("r"), 4,
         f"hypothesis violation: stretch factor r {PAST_FLOAT}\n",
         {"command": "deform", "error": f"stretch factor r {PAST_FLOAT}"},
     ),
     "deform-s-past-float": (
-        "deform", _approximate_past_float("s"), 4,
+        ("deform", "parallel_cylinders"), _approximate_past_float("s"), 4,
         f"hypothesis violation: shear s {PAST_FLOAT}\n",
         {"command": "deform", "error": f"shear s {PAST_FLOAT}"},
     ),
     "deform-coefficient-past-float": (
-        "deform", _approximate_with("equations", PAST_FLOAT_ROW), 4,
+        ("deform", "parallel_cylinders"), _approximate_with("equations", PAST_FLOAT_ROW), 4,
         f"hypothesis violation: the coefficient of a2 {PAST_FLOAT}\n",
         {"command": "deform", "error": f"the coefficient of a2 {PAST_FLOAT}"},
     ),
     "deform-term-past-float": (
-        "deform", _row_with_terms_past_float, 4,
+        ("deform", "parallel_cylinders"), _row_with_terms_past_float, 4,
         f"hypothesis violation: the term of a2 {SUM_PAST_FLOAT}\n",
         {"command": "deform", "error": f"the term of a2 {SUM_PAST_FLOAT}"},
     ),
     "deform-moved-period-past-float": (
-        "deform", _sheared_past_float, 4,
+        ("deform", "parallel_cylinders"), _sheared_past_float, 4,
         f"hypothesis violation: the moved period of d1 {PAST_FLOAT}\n",
         {"command": "deform", "error": f"the moved period of d1 {PAST_FLOAT}"},
     ),
     "validate-violations": (
-        "validate", _two_bad_self_ratios, 1,
+        ("validate", "parallel_cylinders"), _two_bad_self_ratios, 1,
         f"violations: 2\n  ratio e1~e1: {SELF_RATIO}\n  ratio e2~e2: {SELF_RATIO}\n",
         {"command": "validate", "violations": [f"ratio e1~e1: {SELF_RATIO}", f"ratio e2~e2: {SELF_RATIO}"]},
+    ),
+    "aim-decompose-no-correlated-subset": (
+        ("aim", "minimal_stratum_parallel", "--decompose", "0"), _one_row_across_three_nodes, 1,
+        f"aim error: {NO_SUBSET}\n",
+        {"command": "aim", "error": NO_SUBSET},
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSALS))
 def test_refusals_print_their_pinned_output(tmp_path, case):
-    command, edit, code, text, payload = REFUSALS[case]
-    path = _cylinders_variant(tmp_path, edit)
-    assert run_cli(command, path) == (code, text)
-    assert run_cli(command, path, "--json") == (code, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    (command, fixture, *flags), edit, code, text, payload = REFUSALS[case]
+    path = _variant(tmp_path, edit, fixture)
+    assert run_cli(command, path, *flags) == (code, text)
+    assert run_cli(command, path, *flags, "--json") == (code, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 GATE_PAST_FLOAT = {
@@ -491,7 +507,7 @@ GATE_PAST_FLOAT = {
 @pytest.mark.parametrize("case", sorted(GATE_PAST_FLOAT))
 def test_the_periods_gate_reports_a_coefficient_past_the_float_range(tmp_path, case, command):
     block, entry, violation = GATE_PAST_FLOAT[case]
-    path = _cylinders_variant(tmp_path, _approximate_with(block, entry))
+    path = _variant(tmp_path, _approximate_with(block, entry))
     heading = "violations: 1" if command == "validate" else "invalid document:"
     assert run_cli(command, path) == (1, f"{heading}\n  {violation}\n")
     payload = {"command": command, "violations": [violation]}
@@ -499,7 +515,7 @@ def test_the_periods_gate_reports_a_coefficient_past_the_float_range(tmp_path, c
 
 
 def test_an_exact_stretch_past_the_float_range_is_still_checked(tmp_path):
-    path = _cylinders_variant(tmp_path, lambda doc: doc["deformations"][0].update(r="1e400"))
+    path = _variant(tmp_path, lambda doc: doc["deformations"][0].update(r="1e400"))
     code, output = run_cli("deform", path)
     assert (code, output.splitlines()[1:]) == (
         0, ["  row 0: preserved, residual 0", "  row 1: preserved, residual 0", "deformation: preserved"]
@@ -516,7 +532,7 @@ def _nearly_real_periods(doc):
 def test_an_unexpected_residual_comes_from_approximate_tolerance(tmp_path):
     """Row 0 vanishes at the base point within 1e-9, and so does its remainder's
     imaginary part; shearing by s = 100 scales the leftover past the tolerance."""
-    path = _cylinders_variant(tmp_path, _nearly_real_periods)
+    path = _variant(tmp_path, _nearly_real_periods)
     residual = "(7.999999995789153e-08+1.6e-09j)"
     assert run_cli("deform", path) == (4, "\n".join([
         "class {e1, e2} under r=2, s=100:",
@@ -540,7 +556,7 @@ def test_an_unexpected_residual_comes_from_approximate_tolerance(tmp_path):
         doc["periods"] = dict(doc["periods"], mode="exact")
         doc["periods"]["basis"].update(d1="1+8e-10 i", d2="1")
 
-    code, output = run_cli("deform", _cylinders_variant(tmp_path, exact_periods))
+    code, output = run_cli("deform", _variant(tmp_path, exact_periods))
     assert code == 4
     assert output.splitlines()[1] == (
         "  row 0: not-covered, residual 1/12500000+1/625000000*i (row does not vanish at the base point)"
@@ -548,17 +564,26 @@ def test_an_unexpected_residual_comes_from_approximate_tolerance(tmp_path):
 
 
 def test_json_output_renders_no_text(monkeypatch):
-    from strata.plumbing import Binomial
+    from strata.plumbing import Analytic, Binomial, LatticeReport
 
     path = str(FIXTURES / "parallel_cylinders.json")
     expected = run_cli("plumb", path, "--json")
     calls = []
     original = Binomial.render
     monkeypatch.setattr(Binomial, "render", lambda self: calls.append(self) or original(self))
+    built = []
+    for record in (Binomial, Analytic, LatticeReport):
+        new = record.__new__
+        monkeypatch.setattr(record, "__new__", lambda cls, *a, new=new, **k: built.append(cls) or new(cls, *a, **k))
     assert run_cli("plumb", path, "--json") == expected
     assert calls == []
+    computed = sorted([cls.__name__ for cls in built])
+    assert set(computed) == {"Analytic", "Binomial", "LatticeReport"}  # each count is live
+    built.clear()
     assert "exp(f1)*s[e1] - s[e2] = 0" in run_cli("plumb", path)[1]
     assert len(calls) == 1  # rendered once for the table, reused under its block
+    # the text reads the records the verdict computed: it builds no more of them
+    assert sorted([cls.__name__ for cls in built]) == computed
 
 
 def test_decompose_out_of_range_prints_its_pinned_output():

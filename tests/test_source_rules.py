@@ -559,7 +559,9 @@ def _reads(module: str, tree: ast.Module) -> list[tuple[tuple[str | None, str], 
     of a same-named module definition.  An
     ``Attribute`` load is keyed (None, attribute), a read of every method and
     property so named, and also (module, attribute) when its base names an
-    imported package module.
+    imported package module.  A call ``_on_call("<module>", "<name>")`` with
+    two string constants, ``strata.cli``'s stand-in for a function of a module
+    imported on use, is keyed (module, name).
     """
     # name -> (module, name) for a read of it, (module, None) for a package
     # module, None where a function binds it to something else
@@ -580,6 +582,9 @@ def _reads(module: str, tree: ast.Module) -> list[tuple[tuple[str | None, str], 
             key = scope.get(base.id) if isinstance(base, ast.Name) else None
             if key is not None and key[1] is None:
                 out.append(((key[0], node.attr), node))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_on_call":
+            if len(node.args) == 2 and all([isinstance(a, ast.Constant) and type(a.value) is str for a in node.args]):
+                out.append(((node.args[0].value, node.args[1].value), node))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -648,7 +653,7 @@ def test_the_reach_rule_resolves_reads_through_imports():
             "def shadow(wrapper):\n"
             "    return wrapper\n"
         ),
-        "c": "def passages(graph):\n    return graph\n",
+        "c": "def passages(graph):\n    return graph\ndef bridges(graph):\n    return graph\n",
         "d": (
             "def passages(graph):\n"
             "    from . import c\n"
@@ -661,10 +666,18 @@ def test_the_reach_rule_resolves_reads_through_imports():
             "        from .a import wrapper\n"
             "    return wrapper(x)\n"
         ),
+        "e": (
+            "def _on_call(module, name):\n"
+            "    return name\n"
+            "bridges = _on_call('c', 'bridges')\n"
+            "name = 'wrapper'\n"
+            "wrapper = _on_call('a', name)\n"
+        ),
     }
     trees = {module: ast.parse(text) for module, text in sources.items()}
     # d's function-local imports read c.passages and a.forward; d.forward's own name
     # is the import, not d.forward; an import in a nested function stays there.
+    # e's stand-in call reads c.bridges; one with a non-constant name reads nothing.
     assert _unread(trees) == [
         "a.wrapper", "a.Table.rows", "b.run", "b.shadow", "d.passages", "d.forward", "d.late"
     ]
