@@ -5,16 +5,18 @@ Vectors are lists of GaussianRational.  Row reduction is fully reduced
 canonical function of the span and the fixed column order; every downstream
 determinism guarantee leans on that.
 
-``rref`` is the one eliminator: fraction-free Gauss-Jordan over Z[i] on rows
-kept as dicts of nonzero entries, which updates only the rows with an entry
-in the pivot column and lets each row lag behind the Bareiss scale until it
-is next updated.  It takes two consecutive pivots in one pass wherever the
-rows allow (Bareiss's two-step method), so that a row with entries in both
-columns is updated once, not twice.  Rationals are built once, in the final
-division, from Z[i] ints straight to ``(a, b, d)``.  ``bareiss_det`` is the
-same idea over Z for a determinant.  ``rank`` and ``int_singular`` first read
-the rows' leading columns, and eliminate (by ``rref`` and ``bareiss_det``)
-only when one repeats.  The vector helpers test an entry for zero on its ints.
+``rref`` is the one eliminator.  It returns input already in reduced
+echelon form as it is, and reduces other input by fraction-free forward
+elimination over Z[i] and one back substitution.  Rows are dicts of nonzero
+entries; a step updates only the rows not yet pivot rows with an entry in
+the pivot column, takes two consecutive pivots in one pass wherever the rows
+allow (Bareiss's two-step method), and lets each row lag behind the Bareiss
+scale until it is next updated.  Rationals are built once, in the final
+division, from Z[i] ints straight to ``(a, b, d)``.  ``bareiss_det`` is
+forward elimination over Z for a determinant.  ``rank`` and ``int_singular``
+first read the rows' leading columns, and eliminate (by ``rref`` and
+``bareiss_det``) only when one repeats.  The vector helpers test an entry for
+zero on its ints.
 """
 
 from __future__ import annotations
@@ -50,19 +52,22 @@ def is_zero_vector(v: Sequence[GaussianRational]) -> bool:
 def rref(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[Vector], list[int]]:
     """Reduced row echelon form.
 
-    Returns the nonzero rows (pivot entries 1, pivot columns cleared) and the
-    pivot column index of each row, in row order.
+    Returns the nonzero rows (pivot entries 1, pivot columns cleared), in
+    pivot column order, and the pivot column of each.
 
-    Fraction-free Gauss-Jordan (Bareiss 1968) on dict rows over Z[i].  The
-    pivot row of column c is the sparsest row with an entry there (Markowitz
-    1957, in column order), and only the rows with an entry in column c
-    change: with pivot row y and pivot p = y_c, such a row x becomes
-    ``(p x - x_c y) / p_s``, p_s the pivot of the last step x took part in,
-    as a changed row or as the pivot row (1 before any).  A dense pass would
+    Rows in that form up to order and zero rows (distinct leads, each exactly
+    1, each lead column clear in every other row) are recognised in the scan
+    that reads the entries, and come back as new lists of the same entries.
+
+    Other rows are eliminated forward, fraction-free (Bareiss 1968), on dict
+    rows over Z[i].  Among the rows not yet pivot rows, the pivot row of
+    column c is the sparsest with an entry there (Markowitz 1957, in column
+    order), and only those with an entry in column c change: with pivot row y
+    and pivot p = y_c, such a row x becomes ``(p x - x_c y) / p_s``, p_s the
+    pivot of the last step x took part in (1 before any).  A dense pass would
     also have scaled x by p_t / p_(t-1) at each step t it sat out; those
     factors telescope, so the division is exact (Nakos, Turner, Williams
-    1997).  A pivot row is first brought to the current scale: times the
-    latest pivot, over its own p_s.
+    1997).  A pivot row is first brought to the current scale.
 
     Columns c and c + 1 are taken in one pass (Bareiss's two-step method)
     when y has an entry in column c + 1 and the sparsest other row z with one
@@ -76,15 +81,34 @@ def rref(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[Vector], list
     second step divides by, and the one division left is exact.  Each entry
     then costs three products instead of four, and one division instead of
     two.  y'' and z' both take the second step's scale.
+
+    Back substitution runs from the last pivot row up.  The last pivot D is
+    a unit times the determinant of the pivot block, so D times a reduced
+    row lies in Z[i] (Cramer's rule): pivot row u of column c gives
+    ``r_c = (D u - sum_l u_l r_l) / u_c`` over later pivot columns l, exactly,
+    and a unit that u is off by cancels.  Only rows with an entry in a later
+    pivot column, and the rows they use, are substituted.
     """
     rows = list(rows)
     ncols = len(rows[0]) if rows else 0
     active = []  # [{col: (re, im)}, s]: a row, and the index in divisors of its p_s
+    reduced: dict | None = {}  # lead -> row, while the rows scanned are in reduced form
+    used: set[int] = set()  # the columns those rows have an entry in
     for row in rows:
         entries = [(j, x) for j, x in enumerate(row) if x.a or x.b]
         if entries:
             den = lcm(*[x.d for _, x in entries])
-            active.append([{j: (x.a * (den // x.d), x.b * (den // x.d)) for j, x in entries}, 0])
+            ints = {j: (x.a * (den // x.d), x.b * (den // x.d)) for j, x in entries}
+            active.append([ints, 0])
+            if reduced is not None:
+                lead, x = entries[0]
+                if x.a == x.d == 1 and not x.b and lead not in used and reduced.keys().isdisjoint(ints):
+                    reduced[lead] = row
+                    used.update(ints)
+                else:
+                    reduced = None
+    if reduced is not None:
+        return [list(reduced[c]) for c in sorted(reduced)], sorted(reduced)
     # divisors[s] = (e_re, e_im, n) with x / p_s == x (e_re + e_im i) / n; divisors[0] is 1.
     divisors = [(1, 0, 1)]
     last = (1, 0)  # the latest pivot
@@ -165,20 +189,36 @@ def rref(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[Vector], list
                 y = pivot[0]
                 both = [(j, *y.get(j, (0, 0)), *z.get(j, (0, 0))) for j in {**y, **z} if j != c and j != c2]
         if second:
-            targets = [row for row in (*active, *done.values()) if c in row[0] or c2 in row[0]]
-            update(targets, p_re, p_im, c, rest, c2, both)
+            update([row for row in active if c in row[0] or c2 in row[0]], p_re, p_im, c, rest, c2, both)
             done[c], done[c2] = pivot, second
         else:
-            update([row for row in (*active, *done.values()) if c in row[0]], p_re, p_im, c, rest)
+            update([row for row in active if c in row[0]], p_re, p_im, c, rest)
             done[c] = pivot
         active = [row for row in active if row[0]]
+    # Back substitution: a reduced row is r_c over D, or else u over u_c.
+    d_re, d_im = last
+    needed = {j for c, (u, _) in done.items() for j in u if j != c and j in done}
+    scaled: dict[int, dict] = {}  # column c -> r_c off the pivot columns
+    for c in reversed([c for c, (u, _) in done.items() if not needed.isdisjoint(u)]):
+        u, s = pivot = done[c]
+        del u[c]
+        later = [(scaled[j], *u.pop(j)) for j in needed.intersection(u)]
+        new = {j: (d_re * xr - d_im * xi, d_re * xi + d_im * xr) for j, (xr, xi) in u.items()}
+        for r, a_re, a_im in later:
+            for j, (yr, yi) in r.items():
+                xr, xi = new.get(j, (0, 0))
+                new[j] = (xr - a_re * yr + a_im * yi, xi - a_re * yi - a_im * yr)
+        e_re, e_im, n = divisors[s]
+        scaled[c] = {j: ((r * e_re - i * e_im) // n, (i * e_re + r * e_im) // n) for j, (r, i) in new.items() if r or i}
+        if later:
+            pivot[:] = scaled[c], len(divisors) - 1
     out: list[Vector] = []
-    for c, (y, _) in done.items():
-        p_re, p_im = y[c]
-        norm = p_re * p_re + p_im * p_im
+    for c, (y, s) in done.items():
+        e_re, e_im, n = divisors[s]
         v = zeros(ncols)
+        v[c] = ONE
         for j, (xr, xi) in y.items():
-            v[j] = _from_ints(xr * p_re + xi * p_im, xi * p_re - xr * p_im, norm)
+            v[j] = _from_ints(xr * e_re - xi * e_im, xi * e_re + xr * e_im, n)
         out.append(v)
     return out, list(done)
 

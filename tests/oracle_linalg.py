@@ -30,6 +30,13 @@ was before it took two consecutive pivots in one pass: every pivot is taken
 alone, and each row with an entry in the pivot column is updated once per
 pivot.
 
+``rref_gauss_jordan`` is ``strata.linalg.rref`` before it eliminated forward
+only: it takes one or two pivots per pass as ``rref`` does, but every row
+with an entry in the pivot column is updated, finished pivot rows included,
+so the reduced rows come straight out of the elimination with no back
+substitution; and it eliminates input already in reduced echelon form like
+any other.
+
 ``clear_denominators`` takes ``Fraction`` values, as the library did before it
 read ``(numerator, denominator)`` int pairs, accumulates the gcd of the scaled
 integers one entry at a time and divides only when it exceeds 1, as the
@@ -302,6 +309,142 @@ def rref_one_step(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[Vect
                 r, i = p_re * xr - p_im * xi, p_re * xi + p_im * xr
                 new[j] = ((r * e_re - i * e_im) // n, (i * e_re + r * e_im) // n) if scale else (r, i)
             row[0], row[1] = new, step
+        active = [row for row in active if row[0]]
+    out: list[Vector] = []
+    for c, (y, _) in done.items():
+        p_re, p_im = y[c]
+        norm = p_re * p_re + p_im * p_im
+        v = zeros(ncols)
+        for j, (xr, xi) in y.items():
+            v[j] = _from_ints(xr * p_re + xi * p_im, xi * p_re - xr * p_im, norm)
+        out.append(v)
+    return out, list(done)
+
+
+def rref_gauss_jordan(rows: Iterable[Sequence[GaussianRational]]) -> tuple[list[Vector], list[int]]:
+    """Reduced row echelon form.
+
+    Returns the nonzero rows (pivot entries 1, pivot columns cleared) and the
+    pivot column index of each row, in row order.
+
+    Fraction-free Gauss-Jordan (Bareiss 1968) on dict rows over Z[i].  The
+    pivot row of column c is the sparsest row with an entry there (Markowitz
+    1957, in column order), and only the rows with an entry in column c
+    change: with pivot row y and pivot p = y_c, such a row x becomes
+    ``(p x - x_c y) / p_s``, p_s the pivot of the last step x took part in,
+    as a changed row or as the pivot row (1 before any).  A dense pass would
+    also have scaled x by p_t / p_(t-1) at each step t it sat out; those
+    factors telescope, so the division is exact (Nakos, Turner, Williams
+    1997).  A pivot row is first brought to the current scale: times the
+    latest pivot, over its own p_s.
+
+    Columns c and c + 1 are taken in one pass (Bareiss's two-step method)
+    when y has an entry in column c + 1 and the sparsest other row z with one
+    keeps it after the first step, that is when ``p z_(c+1) - z_c y_(c+1)``
+    is nonzero.  z becomes ``z' = (p z - z_c y) / p_s`` with pivot
+    q = z'_(c+1), y becomes ``y'' = (q y - y_(c+1) z') / p``, and each other
+    row x with an entry in either column becomes
+    ``(q x - x_c y'' - x_(c+1) z') / p_s`` in one update.  That is the two
+    one-step updates composed: put the first into the second and the terms
+    in y collect to ``p y''``, so the numerator carries the factor p that the
+    second step divides by, and the one division left is exact.  Each entry
+    then costs three products instead of four, and one division instead of
+    two.  y'' and z' both take the second step's scale.
+    """
+    rows = list(rows)
+    ncols = len(rows[0]) if rows else 0
+    active = []  # [{col: (re, im)}, s]: a row, and the index in divisors of its p_s
+    for row in rows:
+        entries = [(j, x) for j, x in enumerate(row) if x.a or x.b]
+        if entries:
+            den = lcm(*[x.d for _, x in entries])
+            active.append([{j: (x.a * (den // x.d), x.b * (den // x.d)) for j, x in entries}, 0])
+    # divisors[s] = (e_re, e_im, n) with x / p_s == x (e_re + e_im i) / n; divisors[0] is 1.
+    divisors = [(1, 0, 1)]
+    last = (1, 0)  # the latest pivot
+    done: dict[int, list] = {}  # pivot column -> [row, s]
+
+    def update(targets, p_re, p_im, c, rest, c2=-1, both=(), exact=False):
+        # Each target x becomes (p x - x_c y) / p_s at the latest step, or with a
+        # second pivot column c2, (p x - x_c y - x_c2 z) / p_s; rest lists y's
+        # entries off column c, and both y's and z's off columns c and c2.  Unless
+        # exact, a unit divisor (n == 1) is not divided by: the row is then off by
+        # a unit, which its final division removes.  y'' is exact, as it is used
+        # alongside z'.
+        step = len(divisors) - 1
+        for row in targets:
+            x, s = row
+            a_re, a_im = x.pop(c, (0, 0))
+            e_re, e_im, n = divisors[s]
+            scale = exact or n != 1
+            new = {}
+            if c2 < 0:
+                for j, yr, yi in rest:
+                    xr, xi = x.pop(j, (0, 0))
+                    r = p_re * xr - p_im * xi - a_re * yr + a_im * yi
+                    i = p_re * xi + p_im * xr - a_re * yi - a_im * yr
+                    if r or i:
+                        new[j] = ((r * e_re - i * e_im) // n, (i * e_re + r * e_im) // n) if scale else (r, i)
+            else:
+                b_re, b_im = x.pop(c2, (0, 0))
+                for j, yr, yi, zr, zi in both:
+                    xr, xi = x.pop(j, (0, 0))
+                    r = p_re * xr - p_im * xi - a_re * yr + a_im * yi - b_re * zr + b_im * zi
+                    i = p_re * xi + p_im * xr - a_re * yi - a_im * yr - b_re * zi - b_im * zr
+                    if r or i:
+                        new[j] = ((r * e_re - i * e_im) // n, (i * e_re + r * e_im) // n) if scale else (r, i)
+            for j, (xr, xi) in x.items():
+                r, i = p_re * xr - p_im * xi, p_re * xi + p_im * xr
+                new[j] = ((r * e_re - i * e_im) // n, (i * e_re + r * e_im) // n) if scale else (r, i)
+            row[0], row[1] = new, step
+
+    for c in range(ncols):
+        if c in done:
+            continue  # the second column of a two-pivot pass
+        k = -1
+        for i, (x, _) in enumerate(active):
+            if c in x and (k < 0 or len(x) < len(active[k][0])):
+                k = i
+        if k < 0:
+            continue
+        pivot = active.pop(k)
+        if pivot[1] < len(divisors) - 1:
+            update([pivot], *last, -1, ())  # no pivot row: times the latest pivot, over p_s
+        y = pivot[0]
+        p_re, p_im = last = y[c]
+        g = gcd(p_re, p_im)
+        divisors.append((p_re // g, -p_im // g, (p_re * p_re + p_im * p_im) // g))
+        pivot[1] = len(divisors) - 1
+        rest = [(j, yr, yi) for j, (yr, yi) in y.items() if j != c]
+        second, k = None, -1
+        if c + 1 in y:
+            for i, (x, _) in enumerate(active):
+                if c + 1 in x and (k < 0 or len(x) < len(active[k][0])):
+                    k = i
+        if k >= 0:  # pair columns c and c + 1 if z keeps its entry in c + 1 after step c
+            z = active[k][0]
+            (u_re, u_im), (v_re, v_im), (w_re, w_im) = z[c + 1], z.get(c, (0, 0)), y[c + 1]
+            if (p_re * u_re - p_im * u_im, p_re * u_im + p_im * u_re) != (
+                v_re * w_re - v_im * w_im, v_re * w_im + v_im * w_re
+            ):
+                second, c2 = active.pop(k), c + 1
+                update([second], p_re, p_im, c, rest)
+                z = second[0]
+                p_re, p_im = last = z[c2]
+                g = gcd(p_re, p_im)
+                divisors.append((p_re // g, -p_im // g, (p_re * p_re + p_im * p_im) // g))
+                second[1] = len(divisors) - 1
+                zrest = [(j, zr, zi) for j, (zr, zi) in z.items() if j != c2]
+                update([pivot], p_re, p_im, c2, zrest, exact=True)
+                y = pivot[0]
+                both = [(j, *y.get(j, (0, 0)), *z.get(j, (0, 0))) for j in {**y, **z} if j != c and j != c2]
+        if second:
+            targets = [row for row in (*active, *done.values()) if c in row[0] or c2 in row[0]]
+            update(targets, p_re, p_im, c, rest, c2, both)
+            done[c], done[c2] = pivot, second
+        else:
+            update([row for row in (*active, *done.values()) if c in row[0]], p_re, p_im, c, rest)
+            done[c] = pivot
         active = [row for row in active if row[0]]
     out: list[Vector] = []
     for c, (y, _) in done.items():

@@ -633,17 +633,22 @@ UPDATE = next(
 
 
 def _reduce_and_count(rows):
-    """``linalg.rref(rows)``, and what its row updates met: two-pivot passes
-    (``pair``); rows of a two-pivot pass holding column c only, c + 1 only or
-    both (``c``, ``c+1``, ``both``); such rows left at a scale older than the
-    pass's first (``older``); and updates by a pivot of -1, i or -i (``unit``)."""
+    """``linalg.rref(rows)``, and what its row updates met: calls (``calls``);
+    two-pivot passes (``pair``); rows of a two-pivot pass holding column c
+    only, c + 1 only or both (``c``, ``c+1``, ``both``); such rows left at a
+    scale older than the pass's first (``older``); updates by a pivot of -1, i
+    or -i (``unit``); and rows left off by a unit, a divisor of -1, i or -i
+    not divided by (``off``)."""
     seen = Counter()
 
     def hook(frame, event, arg):
         if event != "call" or frame.f_code is not UPDATE:
             return
         f = frame.f_locals
+        seen["calls"] += 1
         seen["pair"] += f["exact"]
+        if not f["exact"]:
+            seen["off"] += sum(f["divisors"][s][2] == 1 and f["divisors"][s][:2] != (1, 0) for _, s in f["targets"])
         seen["unit"] += (f["p_re"], f["p_im"]) in ((-1, 0), (0, 1), (0, -1))
         if f["c2"] >= 0:
             for x, s in f["targets"]:
@@ -696,6 +701,7 @@ def test_two_pivot_passes_match_the_one_step_eliminator_and_the_oracle():
         rows = _two_pivot_matrix(r)
         reduced, counts = _reduce_and_count(rows)
         assert reduced == oracle_linalg.rref_one_step(rows) == oracle_linalg.rref(rows)
+        assert reduced == oracle_linalg.rref_gauss_jordan(rows)
         seen += counts
         deficient += len(reduced[1]) < min(len(rows), len(rows[0]))
     # The set reaches every case the two-pivot step treats apart.
@@ -709,13 +715,134 @@ def test_a_dense_matrix_takes_its_pivots_in_pairs():
     dense = [[g(r.choice([-3, -2, -1, 1, 2, 3]), r.randint(-3, 3)) for _ in range(8)] for _ in range(6)]
     reduced, seen = _reduce_and_count(dense)
     assert reduced == oracle_linalg.rref_one_step(dense) == oracle_linalg.rref(dense)
+    assert reduced == oracle_linalg.rref_gauss_jordan(dense)
     assert reduced[1] == [0, 1, 2, 3, 4, 5] and seen["pair"] == 3
     # y = row 0 and z = row 1 have the zero minor 1 * 4 - 2 * 2 on columns 0
     # and 1, so column 0 is taken alone, and column 1 has no pivot left.
     singular = [[g(1), g(2), g(3), g(1)], [g(2), g(4), g(5), I], [g(0), g(1), g(7), g(1)]]
     reduced, seen = _reduce_and_count(singular)
     assert reduced == oracle_linalg.rref_one_step(singular) == oracle_linalg.rref(singular)
+    assert reduced == oracle_linalg.rref_gauss_jordan(singular)
     assert reduced[1] == [0, 1, 2] and seen["pair"] == 1
+
+
+# -- back substitution and reduced input, against the Fraction oracle ----------
+
+
+def _unimodular_matrix(r: random.Random, unit: GaussianRational):
+    """Rows whose pivot block has determinant a unit, so that the last pivot is
+    one: an upper triangular block with unit diagonal, last entry ``unit``, and
+    free columns, mixed by adding Z[i] multiples of one row to another."""
+    g = GaussianRational
+    n, free = r.randint(2, 6), r.randint(0, 4)
+    rows = [
+        [ZERO] * k + [r.choice(UNITS[:3]) if k < n - 1 else unit]
+        + [g(r.randint(-3, 3), r.randint(-3, 3)) for _ in range(n - k - 1 + free)]
+        for k in range(n)
+    ]
+    for _ in range(r.randint(0, 2 * n)):
+        a, b = r.sample(range(n), 2)
+        factor = g(r.randint(-2, 2), r.randint(-2, 2))
+        rows[a] = [x + factor * y for x, y in zip(rows[a], rows[b])]
+    r.shuffle(rows)
+    return rows
+
+
+def _back_substitution_matrix(r: random.Random):
+    """A seeded matrix for the back substitution: an early pivot of -1, i or -i
+    so that rows are left off by a unit; dense upper rows, so that early pivot
+    rows have entries in several later pivot columns; sometimes dependent
+    rows, 30-digit entries or interleaved zero rows."""
+    g = GaussianRational
+    nrows, ncols = r.randint(1, 7), r.randint(2, 9)
+    big = r.random() < 0.25
+
+    def entry():
+        if r.random() < 0.4:
+            return r.choice(UNITS)
+        return g(r.choice([BIG - 1, -BIG, 7 * BIG + 3]) if big and r.random() < 0.5 else r.randint(-3, 3), r.randint(-3, 3))
+
+    rows = [[ZERO] * min(k, ncols - 1) + [entry() for _ in range(ncols - min(k, ncols - 1))] for k in range(nrows)]
+    rows[0][0] = r.choice(UNITS[1:])
+    for _ in range(r.randint(0, 2)):
+        a, b = r.randrange(len(rows)), r.randrange(len(rows))
+        rows.append([x + r.choice(UNITS) * y for x, y in zip(rows[a], rows[b])])
+    r.shuffle(rows)
+    for _ in range(r.randint(0, 2)):
+        rows.insert(r.randint(0, len(rows)), [ZERO] * ncols)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[GaussianRational(2), 4 * I, GaussianRational(6)]],
+        [[ZERO, ZERO, ZERO], [ONE + I, ONE, I], [ZERO, ZERO, ZERO], [ONE, ONE - I, ONE], [ZERO, ZERO, ZERO]],
+        [[ONE, GaussianRational(2), GaussianRational(3), ONE], [ZERO, ONE, GaussianRational(4), I], [ZERO, ZERO, -I, ONE]],
+        [
+            [GaussianRational(BIG + 1), GaussianRational(3, BIG), ONE, GaussianRational(-BIG)],
+            [GaussianRational(2), GaussianRational(BIG - 7), I, ONE],
+            [GaussianRational(BIG), ONE, GaussianRational(0, -BIG), GaussianRational(5)],
+        ],
+    ],
+    ids=["single-row", "interleaved-zero-rows", "last-pivot-minus-i", "30-digit"],
+)
+def test_back_substitution_edge_cases(rows):
+    expected = oracle_linalg.rref(rows)
+    assert linalg.rref(rows) == expected == oracle_linalg.rref_gauss_jordan(rows)
+
+
+def test_back_substitution_matches_the_oracle():
+    r = random.Random(3535)
+    seen = Counter()
+    deficient = 0
+    for unit in UNITS:
+        for _ in range(30):
+            rows = _unimodular_matrix(r, unit)
+            reduced = linalg.rref(rows)
+            assert reduced == oracle_linalg.rref(rows) == oracle_linalg.rref_gauss_jordan(rows)
+    for _ in range(300):
+        rows = _back_substitution_matrix(r)
+        reduced, counts = _reduce_and_count(rows)
+        assert reduced == oracle_linalg.rref(rows) == oracle_linalg.rref_gauss_jordan(rows)
+        seen += counts
+        deficient += len(reduced[1]) < sum(any(x for x in row) for row in rows)
+    assert deficient >= 20 and seen["off"] >= 20, (deficient, seen)
+
+
+def test_reduced_rows_come_back_without_elimination():
+    r = random.Random(3536)
+    for _ in range(200):
+        rows = oracle_linalg.rref(_back_substitution_matrix(r))[0]
+        rows = [list(row) for row in rows] + [[ZERO] * len(rows[0]) for _ in range(r.randint(0, 2))]
+        r.shuffle(rows)
+        (reduced, pivots), counts = _reduce_and_count(rows)
+        assert (reduced, pivots) == oracle_linalg.rref(rows)
+        assert counts["calls"] == 0
+        assert not any(out is row for out in reduced for row in rows)
+
+
+def test_near_misses_of_reduced_rows_are_eliminated():
+    r = random.Random(3537)
+    kinds = Counter()
+    for _ in range(300):
+        rows = [list(row) for row in oracle_linalg.rref(_back_substitution_matrix(r))[0]]
+        k = r.randrange(len(rows))
+        lead = next(j for j, x in enumerate(rows[k]) if x)
+        others = [i for i in range(len(rows)) if i != k]
+        kind = r.choice(["lead", "uncleared", "repeated"] if others else ["lead"])
+        if kind == "lead":  # a lead of 2 or i
+            rows[k] = [r.choice([GaussianRational(2), I]) * x for x in rows[k]]
+        elif kind == "uncleared":  # a pivot column with an entry in another row
+            rows[r.choice(others)][lead] = r.choice([ONE, GaussianRational(-2, 1)])
+        else:  # a lead repeated in another row
+            rows.append([x + y for x, y in zip(rows[k], rows[r.choice(others)])] if r.random() < 0.5 else list(rows[k]))
+        r.shuffle(rows)
+        reduced, counts = _reduce_and_count(rows)
+        assert reduced == oracle_linalg.rref(rows)
+        assert counts["calls"] > 0
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 20, kinds
 
 
 # -- sparse matvec against the dense oracle ------------------------------------

@@ -1,13 +1,17 @@
-"""Time ``strata.linalg.rref`` against the one-step eliminator it replaced.
+"""Time ``strata.linalg.rref`` against the Gauss-Jordan eliminator it replaced.
 
 One in-process round of each benchmark workload runs through
 ``strata.cli.main`` while every ``strata`` binding of ``linalg.rref`` records
-its input.  Each recorded matrix is then reduced by ``linalg.rref`` and by
-``oracle_linalg.rref_one_step``, alternately, and the script prints, per
-workload and document size, the sum over matrices of the minimum of
-``--repeats`` runs.  Both eliminators must return the same form on every
-input.  The benchmark's own modules build the documents and command lines;
-nothing under ``bench/`` is written.  Pytest does not collect this file.
+its input.  Each recorded matrix is then reduced by
+``oracle_linalg.rref_gauss_jordan`` (two pivots per pass, finished rows
+updated at every step), ``oracle_linalg.rref_one_step`` (one pivot per pass)
+and ``linalg.rref``, alternately, and the script prints, per workload and
+document size, the sum over matrices of the minimum of ``--repeats`` runs,
+and how many inputs were already in reduced echelon form (up to row order and
+zero rows), which ``rref`` returns without eliminating.  All three
+eliminators must return the same form on every input.  The benchmark's own
+modules build the documents and command lines; nothing under ``bench/`` is
+written.  Pytest does not collect this file.
 
     PYTHONPATH=src python tests/time_rref.py [--seed 7] [--repeats 5]
 """
@@ -84,29 +88,44 @@ def best_ns(functions, rows, repeats: int) -> tuple[list[int], list]:
     return best, outs
 
 
+def already_reduced(rows, reduced) -> bool:
+    """Whether the nonzero input rows are the reduced rows in some order."""
+    nonzero = [list(row) for row in rows if any(x.a or x.b for x in row)]
+    return len(nonzero) == len(reduced) and all(row in nonzero for row in reduced)
+
+
 def main_(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
-    print(f"{'workload':20s} {'size':24s} {'inputs':>6s} {'cells':>7s} {'one-step ms':>12s} {'rref ms':>9s} {'ratio':>6s}")
-    totals: dict[str, list[float]] = defaultdict(lambda: [0.0, 0.0])
+    functions = (oracle_linalg.rref_gauss_jordan, oracle_linalg.rref_one_step, linalg.rref)
+    print(
+        f"{'workload':20s} {'size':24s} {'inputs':>6s} {'reduced':>7s} {'cells':>7s}"
+        f" {'gauss-jordan ms':>15s} {'one-step ms':>11s} {'rref ms':>9s} {'ratio':>6s}"
+    )
+    totals: dict[str, list[float]] = defaultdict(lambda: [0, 0, 0.0, 0.0, 0.0])
     for (name, size), matrices in recorded_inputs(args.seed).items():
-        old = new = 0
+        ms = [0.0] * len(functions)
+        reduced = 0
         for rows in matrices:
-            (t_old, t_new), (out_old, out_new) = best_ns(
-                (oracle_linalg.rref_one_step, linalg.rref), rows, args.repeats
-            )
-            if out_old != out_new:
-                raise SystemExit(f"{name} {size}: rref differs from rref_one_step")
-            old, new = old + t_old, new + t_new
+            best, outs = best_ns(functions, rows, args.repeats)
+            if not outs[0] == outs[1] == outs[2]:
+                raise SystemExit(f"{name} {size}: rref, rref_one_step and rref_gauss_jordan differ")
+            ms = [total + t / 1e6 for total, t in zip(ms, best)]
+            reduced += already_reduced(rows, outs[2][0])
         cells = sum(len(rows) * (len(rows[0]) if rows else 0) for rows in matrices)
-        totals[name][0] += old / 1e6
-        totals[name][1] += new / 1e6
-        ratio = new / old if old else 1.0
-        print(f"{name:20s} {size:24s} {len(matrices):6d} {cells:7d} {old / 1e6:12.3f} {new / 1e6:9.3f} {ratio:6.3f}")
-    for name, (old, new) in totals.items():
-        print(f"{name:20s} {'total':24s} {'':6s} {'':7s} {old:12.3f} {new:9.3f} {new / old if old else 1.0:6.3f}")
+        total = totals[name]
+        total[:] = [total[0] + len(matrices), total[1] + reduced, *(a + b for a, b in zip(total[2:], ms))]
+        print(
+            f"{name:20s} {size:24s} {len(matrices):6d} {reduced:7d} {cells:7d}"
+            f" {ms[0]:15.3f} {ms[1]:11.3f} {ms[2]:9.3f} {ms[2] / ms[0] if ms[0] else 1.0:6.3f}"
+        )
+    for name, (inputs, reduced, old, one_step, new) in totals.items():
+        print(
+            f"{name:20s} {'total':24s} {inputs:6d} {reduced:7d} {'':7s}"
+            f" {old:15.3f} {one_step:11.3f} {new:9.3f} {new / old if old else 1.0:6.3f}"
+        )
     return 0
 
 
